@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import perishable_minus, perishable_o, perishable_plus
-from .model import InvalidParam, JointModel
+from .model import EnvqueueError, InvalidParam, JointModel
 from .numerics import auto_truncate, metrics
 from .separability import NotSeparable, ProductFormResult, product_form
 from .simulate import (
@@ -31,7 +31,7 @@ from .simulate import (
 ORDER_TOL = 1e-9
 
 
-class NotSeparableBoundSystem(Exception):
+class NotSeparableBoundSystem(EnvqueueError):
     """A bounding system failed the product-form verification; this indicates
     a convention bug in the separable steady state, not a property of the
     model."""

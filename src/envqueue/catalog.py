@@ -9,6 +9,8 @@ protected while the server is busy; "plus": one item is always protected).
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .model import EnvironmentSpec, InvalidParam, JointModel, RateFamily
@@ -214,4 +216,8 @@ def catalog(name: str, **params) -> JointModel:
         builder = _BUILDERS[name]
     except KeyError:
         raise UnknownModel(f"unknown catalog model {name!r}; choose from {CATALOG_NAMES}") from None
+    try:
+        inspect.signature(builder).bind(**params)
+    except TypeError as exc:
+        raise InvalidParam(f"catalog model {name!r}: {exc}") from None
     return builder(**params)

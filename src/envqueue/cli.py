@@ -2,8 +2,8 @@
 
 Every run writes its outputs plus a `manifest.txt` (model hash, options, tool
 version, seed) sufficient to reproduce the run.  Exit codes: 0 analytic
-success, 1 analytic negative result (e.g. not separable, not certified), 2
-usage or model errors.
+success, 1 analytic negative result (e.g. not separable, not certified, not
+ergodic), 2 usage, model or solver errors.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from . import __version__
 from .bounds import bound_report, gamma_sweep
 from .catalog import CATALOG_NAMES, catalog
 from .ergodicity import certify
-from .model import InvalidParam, ModelError, validate_model
+from .model import EnvqueueError, InvalidParam, validate_model
 from .modelfile import load_model
-from .numerics import auto_truncate, check_cut_structure, export_csv, metrics, solve_truncated
+from .numerics import NotErgodic, auto_truncate, check_cut_structure, export_csv, metrics, solve_truncated
 from .separability import separability_report
 from .simulate import SimConfig, simulate
 
@@ -136,10 +136,13 @@ def _cmd_certify(args, outdir):
 
 def _cmd_solve(args, outdir):
     model = _resolve_model(args)
-    if args.N:
-        sol = solve_truncated(model, args.N, method=args.method)
+    if args.N is None and args.method is not None:
+        raise InvalidParam("--method applies only with --N")
+    _write_manifest(args, model, outdir)
+    if args.N is None:
+        sol = auto_truncate(model, tol=args.tol)
     else:
-        sol = auto_truncate(model, tol=args.tol, method=args.method)
+        sol = solve_truncated(model, args.N, method=args.method or "elimination")
     m = metrics(sol, model)
     cut = check_cut_structure(sol, model)
     export_csv(sol, model, outdir / "stationary.csv")
@@ -152,7 +155,6 @@ def _cmd_solve(args, outdir):
             "cut_worst_relative": cut.worst_relative,
         }
     )
-    _write_manifest(args, model, outdir)
     _write_json(outdir, "metrics.json", record)
     print(f"solved at N={sol.N}: throughput={m.throughput:.9g}, "
           f"P(blocked)={m.blocked_probability:.9g}, residual={sol.residual:.3e}")
@@ -244,11 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("linear_drift", "hitting_time"), default="linear_drift")
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("solve", help="truncated stationary distribution and metrics")
+    p = sub.add_parser("solve", help="stationary distribution and metrics")
     _add_model_source(p)
-    p.add_argument("--N", type=int, default=None, help="truncation level (default: automatic)")
-    p.add_argument("--method", choices=("elimination", "power"), default="elimination")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--N", type=int, default=None,
+                   help="solve the chain capped at N (default: exact solve of the infinite chain)")
+    p.add_argument("--method", choices=("elimination", "power"), default=None,
+                   help="solver for the capped chain, only with --N (default: elimination)")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="exact solve: list levels up to the first with stationary mass above it below tol")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("simulate", help="Monte Carlo throughput estimate")
@@ -282,8 +287,12 @@ def main(argv=None) -> int:
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         return args.func(args, outdir)
-    except (ModelError, FileNotFoundError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except NotErgodic as exc:
+        print(f"not ergodic: {exc}")
+        return EXIT_NEGATIVE
+    except (EnvqueueError, OSError, KeyError, ValueError) as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -15,18 +15,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import JointModel, generator_row
+from .model import EnvqueueError, JointModel, generator_row
 from .separability import queue_marginal
 
 TAU_RESIDUAL_TOL = 1e-10
 DRIFT_SLACK = 1e-12
 
 
-class SingularSystem(Exception):
+class SingularSystem(EnvqueueError):
     """The blocked set contains states with no path to the working set."""
 
 
-class BothBranchesZero(Exception):
+class BothBranchesZero(EnvqueueError):
     """No transition from working to blocked states exists at this level,
     contradicting irreducibility."""
 

@@ -22,7 +22,11 @@ import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
 
-class ModelError(Exception):
+class EnvqueueError(Exception):
+    """Base class for the errors the library raises."""
+
+
+class ModelError(EnvqueueError):
     """Base class for model construction/validation errors."""
 
 

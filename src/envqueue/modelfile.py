@@ -41,7 +41,10 @@ def model_from_dict(doc: dict) -> JointModel:
 
 def load_model(path) -> JointModel:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise InvalidParam(f"model file {path} is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidParam(f"model file {path} does not contain a mapping")
     return model_from_dict(doc)

@@ -1,87 +1,170 @@
-"""Exact stationary analysis on a truncated state space.
+"""Exact stationary analysis of the joint chain.
 
-The truncation caps the queue at N by setting lambda(N) = 0 (reflecting); all
-other rates are kept, so the generator stays conservative and the level-cut
-identity remains exact for interior levels.  States are indexed level-major,
-giving a block tridiagonal generator that the elimination solver sweeps level
-by level.
+States are indexed level-major (level = queue length), giving a block
+tridiagonal generator: B_n (local), U_n (up), D_n (down).  From
+T0 = tail_start + 1 on the blocks repeat with period p, so grouping p levels
+into one block level turns the tail into a level-independent
+quasi-birth-death process with blocks A0 (up), A1 (local), A2 (down).
+
+`auto_truncate` solves the infinite chain exactly: Neuts' mean-drift test
+decides ergodicity, logarithmic reduction (Latouche & Ramaswami, J. Appl.
+Prob. 30, 1993) gives G, R = A0 (-A1 - A0 G)^{-1}, the boundary levels come
+from the level-elimination sweep seeded with A1 + A0 G, and the tail is summed
+in closed form through (I - R)^{-1}.
+
+`solve_truncated` solves the chain capped at N by setting lambda(N) = 0
+(reflecting); all other rates are kept, so the generator stays conservative
+and the level-cut identity remains exact for interior levels.  It is the
+explicit `--N` path and the independent oracle for the exact solve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .model import JointModel
-from .separability import gth_stationary
+from .model import EnvqueueError, JointModel
+from .separability import SingularSolve, gth_stationary
 
 UNIFORMIZATION_SLACK = 1.05
+# the tail is called null recurrent when its mean drift is below this
+# fraction of the level-crossing rates: round-off in the stationary vector of
+# A0 + A1 + A2 makes a smaller drift indistinguishable from zero
+DRIFT_RTOL = 1e-12
+LOG_REDUCTION_STEPS = 100
+TAIL_CHUNK = 256  # block levels generated between two tail-mass checks
 
 
-class NotConvergent(Exception):
+class NotConvergent(EnvqueueError):
     pass
 
 
-class NotIrreducibleTruncation(Exception):
+class NotIrreducibleTruncation(EnvqueueError):
     pass
 
 
-class Diverging(Exception):
-    """Metrics failed to stabilize under doubling truncation."""
+class NotErgodic(EnvqueueError):
+    """The tail's mean drift is not towards level 0 (Neuts' condition)."""
 
 
-def _level_blocks(model: JointModel, N: int):
-    """Blocks of the truncated generator: local (B), up (U), down (D).
+def _blocks(model: JointModel, n: int, capped: bool = False):
+    """Local (B), up (U) and down (D) blocks of level n.
 
     B_n carries environment moves plus the conservative diagonal; U_n the
-    arrivals (zero at the cap); D_n the service completions with jump matrix.
+    arrivals (zero at a cap); D_n the service completions with jump matrix.
     """
     m = model.n_env
     working = model.env.working_mask().astype(float)
-    B, U, D = [], [], []
-    for n in range(N + 1):
-        lam = model.arrival(n) if n < N else 0.0
-        mu = model.service(n)
-        Un = lam * np.diag(working)
-        Dn = mu * (working[:, None] * model.R(n)) if n > 0 else np.zeros((m, m))
-        Bn = model.V(n) - np.diag(np.diag(model.V(n)))
-        exit_rates = Un.sum(axis=1) + Dn.sum(axis=1) + Bn.sum(axis=1)
-        Bn = Bn - np.diag(exit_rates)
-        B.append(Bn)
-        U.append(Un)
-        D.append(Dn)
-    return B, U, D
+    lam = 0.0 if capped else model.arrival(n)
+    Un = lam * np.diag(working)
+    Dn = model.service(n) * (working[:, None] * model.R(n)) if n > 0 else np.zeros((m, m))
+    Bn = model.V(n) - np.diag(np.diag(model.V(n)))
+    exit_rates = Un.sum(axis=1) + Dn.sum(axis=1) + Bn.sum(axis=1)
+    Bn = Bn - np.diag(exit_rates)
+    return Bn, Un, Dn
+
+
+def _level_classes(model: JointModel, levels: np.ndarray) -> np.ndarray:
+    """Index of the representative level whose blocks level n has: n itself
+    below T0 = tail_start + 1, T0 + (n - T0) mod p from there on."""
+    T0 = model.tail_start + 1
+    return np.where(levels < T0, levels, T0 + (levels - T0) % model.period)
+
+
+def _representative_blocks(model: JointModel):
+    """B, U, D of levels 0..T0+p-1 stacked; level n has the blocks of
+    representative `_level_classes(model, n)`."""
+    reps = range(model.tail_start + 1 + model.period)
+    return tuple(np.stack(part) for part in zip(*(_blocks(model, n) for n in reps)))
+
+
+def _level_blocks(model: JointModel, N: int):
+    """Blocks of the chain capped at N: the representative blocks plus the
+    capped level N's (last index), and the index of each level's blocks."""
+    cls = _level_classes(model, np.arange(N + 1))
+    blocks = _representative_blocks(model)
+    cls[N] = len(blocks[0])
+    B, U, D = (np.concatenate([X, top[None]]) for X, top in zip(blocks, _blocks(model, N, capped=True)))
+    return B, U, D, cls
 
 
 def build_truncated_generator(model: JointModel, N: int) -> sparse.csr_matrix:
-    """Sparse truncated generator with level-major state index n * |K| + k."""
-    B, U, D = _level_blocks(model, N)
+    """Sparse truncated generator with level-major state index n * |K| + k;
+    only nonzero rates are stored."""
+    B, U, D, cls = _level_blocks(model, N)
     m = model.n_env
     size = (N + 1) * m
-    ii, jj = np.nonzero(np.ones((m, m)))
     rows, cols, vals = [], [], []
-    for n in range(N + 1):
-        for block, level in ((B[n], n), (D[n], n - 1), (U[n], n + 1)):
-            if 0 <= level <= N:
-                rows.append(ii + n * m)
-                cols.append(jj + level * m)
-                vals.append(block[ii, jj])
+    for c in range(len(B)):
+        levels = np.flatnonzero(cls == c)
+        for block, shift in ((B[c], 0), (D[c], -1), (U[c], 1)):
+            src = levels[(levels + shift >= 0) & (levels + shift <= N)]
+            ii, jj = np.nonzero(block)
+            rows.append((src[:, None] * m + ii).ravel())
+            cols.append(((src[:, None] + shift) * m + jj).ravel())
+            vals.append(np.broadcast_to(block[ii, jj], (src.size, ii.size)).ravel())
     return sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(size, size),
     )
 
 
+def _balance_residual(pi, B, U, D, cls, rows: int) -> float:
+    """max |pi_{n-1} U_{n-1} + pi_n B_n + pi_{n+1} D_{n+1}| over levels n < rows,
+    level n having blocks B[cls[n]], U[cls[n]], D[cls[n]]; pi (and cls) may
+    hold one level more than `rows`, which feeds the last row's down flow."""
+    L = len(pi)
+    flow = np.zeros_like(pi)
+    for c in range(len(B)):
+        idx = np.flatnonzero(cls == c)
+        flow[idx] += pi[idx] @ B[c]
+        up = idx[idx + 1 < L]
+        flow[up + 1] += pi[up] @ U[c]
+        down = idx[idx > 0]
+        flow[down - 1] += pi[down] @ D[c]
+    return float(np.abs(flow[:rows]).max())
+
+
+@dataclass(frozen=True)
+class GeometricTail:
+    """The exact stationary vector of the infinite chain: `head` holds levels
+    0..start-1 and block level j >= 0 (levels start + j p .. start + j p + p - 1,
+    concatenated) holds x0 R^j."""
+
+    start: int
+    period: int
+    head: np.ndarray  # shape (start, |K|)
+    x0: np.ndarray  # shape (p |K|,)
+    R: np.ndarray  # shape (p |K|, p |K|), spectral radius < 1
+    drift: float  # alpha A2 1 - alpha A0 1 > 0
+
+    def level_sums(self):
+        """Stationary mass by rate class, as (levels, mass, extra): one row per
+        head level, then per tail position i the mass of all levels
+        start + i + j p, j >= 0.  levels[i] is the first level of row i, so
+        that sum_n n pi_n 1 = sum_i levels[i] mass[i] 1 + extra."""
+        M = self.R.shape[0]
+        IR = (np.eye(M) - self.R).T
+        s0 = np.linalg.solve(IR, self.x0)  # sum_j x_j
+        s1 = np.linalg.solve(IR, np.linalg.solve(IR, self.x0 @ self.R))  # sum_j j x_j
+        m = self.head.shape[1]
+        levels = np.arange(self.start + self.period)
+        mass = np.concatenate([self.head, s0.reshape(self.period, m)])
+        return levels, mass, self.period * float(s1.sum())
+
+
 @dataclass(frozen=True)
 class TruncatedSolution:
     N: int
-    pi: np.ndarray  # shape (N+1, |K|)
-    residual: float  # max |pi . Q_N| entry
-    truncation_estimate: float  # mass in the top tenth of levels
-    history: tuple = ()  # (N, throughput, blocked_prob) per auto-truncation step
+    pi: np.ndarray  # shape (N+1, |K|), sums to 1
+    residual: float  # max balance defect pi_{n-1} U + pi_n B + pi_{n+1} D over levels 0..N
+    # solve_truncated: mass in the top tenth of levels; auto_truncate: the
+    # exact stationary mass above N
+    truncation_estimate: float
+    tail: GeometricTail | None = None  # auto_truncate only
 
     def level_mass(self) -> np.ndarray:
         return self.pi.sum(axis=1)
@@ -90,34 +173,32 @@ class TruncatedSolution:
         return self.pi.sum(axis=0)
 
 
-def _finish(model: JointModel, N: int, pi_flat: np.ndarray, Q: sparse.csr_matrix) -> TruncatedSolution:
-    pi_flat = np.maximum(pi_flat, 0.0)
-    pi_flat = pi_flat / pi_flat.sum()
-    residual = float(np.abs(pi_flat @ Q).max())
-    pi = pi_flat.reshape(N + 1, model.n_env)
-    top = pi[N - max(N // 10, 1) + 1 :].sum()
-    return TruncatedSolution(N=N, pi=pi, residual=residual, truncation_estimate=float(top))
-
-
-def _solve_elimination(model: JointModel, N: int) -> np.ndarray:
-    """Level-censoring sweep: eliminate levels from the cap downward, solve
-    the censored chain at level 0 by GTH, then propagate upward."""
-    B, U, D = _level_blocks(model, N)
-    m = model.n_env
-    # X[n] = (-C_n)^{-1} D_n with C_n the generator of the chain censored to
-    # levels <= n, observed at level n before dropping below
-    C = B[N]
-    X = [None] * (N + 1)
-    for n in range(N, 0, -1):
-        X[n] = np.linalg.solve(-C, D[n])
-        C = B[n - 1] + U[n - 1] @ X[n]
-    pi0 = gth_stationary(C)
+def _solve_elimination(B, U, D) -> list:
+    """Level-censoring sweep over levels 0..L (L = len(B) - 1): eliminate
+    levels from the top downward, solve the censored chain at level 0 by GTH,
+    then propagate upward.  Level n has local block B[n], up block U[n]
+    (n < L) and down block D[n] (n > 0); the top level may be larger than
+    the others.  Returns the unnormalized level vectors."""
+    L = len(B) - 1
+    # C_n is the generator of the chain censored to levels <= n, restricted to
+    # level n; (-C_n)^{-1} D_n is where it enters level n - 1
+    C = [None] * (L + 1)
+    C[L] = B[L]
+    for n in range(L, 0, -1):
+        Cn = B[n - 1] + U[n - 1] @ np.linalg.solve(-C[n], D[n])
+        # the censored chain leaves level n - 1 only downward, so C_{n-1} 1 =
+        # -D_{n-1} 1; setting the diagonal from that (as GTH does) keeps the
+        # sweep conservative where round-off would otherwise grow with an
+        # upward drift
+        np.fill_diagonal(Cn, 0.0)
+        np.fill_diagonal(Cn, -(Cn.sum(axis=1) + D[n - 1].sum(axis=1)))
+        C[n - 1] = Cn
+    pi0 = gth_stationary(C[0])
     # forward propagation with per-level rescaling in log space, so steeply
     # growing unnormalized levels (heavy traffic at large N) cannot overflow
     ys, logw = [pi0], [0.0]
-    for n in range(1, N + 1):
-        A = (-(B[n] + (U[n] @ X[n + 1] if n < N else 0))).T
-        y = np.linalg.solve(A, ys[-1] @ U[n - 1])
+    for n in range(1, L + 1):
+        y = np.linalg.solve(-C[n].T, ys[-1] @ U[n - 1])
         scale = float(np.abs(y).max())
         if scale > 0.0 and np.isfinite(scale):
             ys.append(y / scale)
@@ -126,8 +207,7 @@ def _solve_elimination(model: JointModel, N: int) -> np.ndarray:
             ys.append(np.zeros_like(y))
             logw.append(float("-inf"))
     shift = max(logw)
-    levels = [y * math.exp(lw - shift) for y, lw in zip(ys, logw)]
-    return np.concatenate(levels)
+    return [y * math.exp(lw - shift) for y, lw in zip(ys, logw)]
 
 
 def _solve_power(model: JointModel, N: int, tol: float = 1e-13, max_iter: int = 2_000_000) -> np.ndarray:
@@ -148,10 +228,11 @@ def solve_truncated(model: JointModel, N: int, method: str = "elimination") -> T
     """Stationary vector of the truncated chain (queue capped at N)."""
     if N < model.tail_start + model.period + 2:
         raise ValueError("truncation must cover the prefix plus one tail period")
-    Q = build_truncated_generator(model, N)
+    B, U, D, cls = _level_blocks(model, N)
     if method == "elimination":
         try:
-            pi_flat = _solve_elimination(model, N)
+            per_level = ([blocks[c] for c in cls] for blocks in (B, U, D))
+            pi_flat = np.concatenate(_solve_elimination(*per_level))
         except np.linalg.LinAlgError as exc:
             raise NotIrreducibleTruncation(str(exc)) from exc
     elif method == "power":
@@ -160,7 +241,140 @@ def solve_truncated(model: JointModel, N: int, method: str = "elimination") -> T
         raise ValueError(f"unknown method {method!r}")
     if not np.all(np.isfinite(pi_flat)):
         raise NotIrreducibleTruncation("solver produced non-finite entries")
-    return _finish(model, N, pi_flat, Q)
+    pi_flat = np.maximum(pi_flat, 0.0)
+    pi = (pi_flat / pi_flat.sum()).reshape(N + 1, model.n_env)
+    residual = _balance_residual(pi, B, U, D, cls, N + 1)
+    top = pi[N - max(N // 10, 1) + 1 :].sum()
+    return TruncatedSolution(N=N, pi=pi, residual=residual, truncation_estimate=float(top))
+
+
+# -- exact solve of the infinite chain ------------------------------------------
+
+
+def _tail_qbd(model: JointModel, B, U, D):
+    """A0 (up), A1 (local), A2 (down) of the tail grouped into block levels
+    of p consecutive levels, starting at T0 = tail_start + 1."""
+    T0, p, m = model.tail_start + 1, model.period, model.n_env
+    A0, A1, A2 = (np.zeros((p * m, p * m)) for _ in range(3))
+    for i in range(p):
+        here = slice(i * m, (i + 1) * m)
+        A1[here, here] = B[T0 + i]
+        if i + 1 < p:
+            A1[here, (i + 1) * m : (i + 2) * m] = U[T0 + i]
+        else:
+            A0[here, :m] = U[T0 + i]
+        if i > 0:
+            A1[here, (i - 1) * m : i * m] = D[T0 + i]
+        else:
+            A2[here, (p - 1) * m :] = D[T0 + i]
+    return A0, A1, A2
+
+
+def _mean_drift(A0, A1, A2) -> float:
+    """alpha A2 1 - alpha A0 1 with alpha the stationary vector of
+    A0 + A1 + A2; the tail is positive recurrent iff it is positive."""
+    alpha = gth_stationary(A0 + A1 + A2)
+    up, down = float(alpha @ A0.sum(axis=1)), float(alpha @ A2.sum(axis=1))
+    if not down - up > DRIFT_RTOL * (up + down):
+        raise NotErgodic(f"tail drift up {up:.12g} >= down {down:.12g} (Neuts' mean-drift condition)")
+    return down - up
+
+
+def _log_reduction(A0, A1, A2) -> np.ndarray:
+    """Minimal nonnegative solution G of A2 + A1 G + A0 G^2 = 0 by
+    logarithmic reduction; G is stochastic for a positive recurrent tail."""
+    I = np.eye(A1.shape[0])
+    H0 = np.linalg.solve(-A1, A0)
+    H2 = np.linalg.solve(-A1, A2)
+    G, T = H2.copy(), H0.copy()
+    for _ in range(LOG_REDUCTION_STEPS):
+        W = I - H0 @ H2 - H2 @ H0
+        H0 = np.linalg.solve(W, H0 @ H0)
+        H2 = np.linalg.solve(W, H2 @ H2)
+        step = T @ H2
+        G += step
+        T = T @ H0
+        if np.abs(step).max() <= np.finfo(float).eps * np.abs(G).max():
+            break
+    else:
+        raise NotConvergent(f"logarithmic reduction did not converge in {LOG_REDUCTION_STEPS} steps")
+    defect = float(np.abs(1.0 - G.sum(axis=1)).max())
+    if defect > 1e-10:
+        raise NotConvergent(f"G is not stochastic: row sums miss 1 by {defect:.3e}")
+    return G
+
+
+def _later(mass: np.ndarray) -> np.ndarray:
+    """Sum of the entries after each one along the last axis."""
+    out = np.zeros_like(mass)
+    out[..., :-1] = np.cumsum(mass[..., :0:-1], axis=-1)[..., ::-1]
+    return out
+
+
+def _list_levels(tail: GeometricTail, tol: float, min_level: int):
+    """Exact stationary levels 0..N+1 and the mass above N, where N >= min_level
+    is the first level with mass above it below tol."""
+    m = tail.head.shape[1]
+    M, p = tail.R.shape[0], tail.period
+    to_end = np.linalg.solve(np.eye(M) - tail.R, np.ones(M))  # x_j to_end: mass on block levels >= j
+    after = tail.R @ to_end  # x_j after: mass on block levels > j
+    levels = [tail.head]
+    above = _later(tail.head.sum(axis=1)) + tail.x0 @ to_end
+    x, listed, N, mass_above = tail.x0, 0, None, None
+    while True:
+        if N is None:
+            hits = np.flatnonzero(above < tol) + listed
+            hits = hits[hits >= min_level]
+            if hits.size:
+                N = int(hits[0])
+                mass_above = float(above[N - listed])
+        listed += len(above)
+        if N is not None and N + 2 <= listed:
+            return np.concatenate(levels)[: N + 2], mass_above, N
+        # pi_{n+1} = pi_n R, one block level at a time
+        xs = np.empty((TAIL_CHUNK, M))
+        for j in range(TAIL_CHUNK):
+            xs[j] = x
+            x = x @ tail.R
+        levels.append(xs.reshape(-1, m))
+        above = (_later(xs.reshape(-1, p, m).sum(axis=2)) + (xs @ after)[:, None]).ravel()
+
+
+def auto_truncate(model: JointModel, tol: float = 1e-9) -> TruncatedSolution:
+    """Exact stationary vector of the infinite chain, listed on levels 0..N
+    with N >= tail_start + period the first level whose mass above it is
+    below tol.  The metrics come from exact tail sums and do not depend on N.
+
+    Raises NotErgodic when the tail's mean drift is not towards level 0.
+    """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    T0, p, m = model.tail_start + 1, model.period, model.n_env
+    M = p * m
+    B, U, D = _representative_blocks(model)
+    A0, A1, A2 = _tail_qbd(model, B, U, D)
+    drift = _mean_drift(A0, A1, A2)
+    try:
+        G = _log_reduction(A0, A1, A2)
+        C = A1 + A0 @ G  # block level 0 of the chain censored to block levels <= 0
+        R = np.linalg.solve(-C.T, A0.T).T
+        # the boundary levels 0..T0-1, then block level 0 as one larger top level
+        U_top = np.zeros((m, M))
+        U_top[:, :m] = U[T0 - 1]
+        D_top = np.zeros((M, m))
+        D_top[:m] = D[T0]
+        levels = _solve_elimination([*B[:T0], C], [*U[: T0 - 1], U_top], [*D[:T0], D_top])
+        head, x0 = np.array(levels[:-1]), levels[-1]
+        total = head.sum() + float(x0 @ np.linalg.solve(np.eye(M) - R, np.ones(M)))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSolve(f"exact solve: {exc}") from exc
+    if not (np.isfinite(R).all() and np.isfinite(total) and total > 0.0):
+        raise SingularSolve("exact solve produced non-finite or zero mass")
+    tail = GeometricTail(start=T0, period=p, head=head / total, x0=x0 / total, R=R, drift=drift)
+    exact, mass_above, N = _list_levels(tail, tol, model.tail_start + p)
+    residual = _balance_residual(exact, B, U, D, _level_classes(model, np.arange(N + 2)), N + 1)
+    pi = exact[: N + 1]
+    return TruncatedSolution(N=N, pi=pi / pi.sum(), residual=residual, truncation_estimate=mass_above, tail=tail)
 
 
 @dataclass(frozen=True)
@@ -180,13 +394,17 @@ class Metrics:
 
 
 def metrics(solution: TruncatedSolution, model: JointModel) -> Metrics:
+    """Stationary metrics: of the truncated vector, or from the exact tail
+    sums when the solution has a tail."""
     working = model.env.working_mask()
-    pi = solution.pi
-    N = solution.N
-    mu = np.array([model.service(n) for n in range(N + 1)])
-    lam = np.array([model.arrival(n) for n in range(N + 1)])
+    if solution.tail is None:
+        levels, pi, extra = np.arange(solution.N + 1), solution.pi, 0.0
+    else:
+        levels, pi, extra = solution.tail.level_sums()
+    mu = np.array([model.service(n) for n in levels])
+    lam = np.array([model.arrival(n) for n in levels])
     th = float((pi[1:, working].sum(axis=1) * mu[1:]).sum())
-    mean_q = float((pi.sum(axis=1) * np.arange(N + 1)).sum())
+    mean_q = float((pi.sum(axis=1) * levels).sum()) + extra
     p_blocked = float(pi[:, ~working].sum())
     loss = float((pi[:, ~working].sum(axis=1) * lam).sum())
     return Metrics(
@@ -210,57 +428,25 @@ class CutReport:
 
 def check_cut_structure(solution: TruncatedSolution, model: JointModel, tol: float = 1e-8) -> CutReport:
     working = model.env.working_mask()
-    pi = solution.pi
     interior = solution.N - max(solution.N // 10, 1)
-    worst, worst_n = 0.0, 0
-    for n in range(interior):
-        lhs = pi[n, working].sum() * model.arrival(n)
-        rhs = pi[n + 1, working].sum() * model.service(n + 1)
-        scale = max(lhs, rhs, 1e-300)
-        rel = abs(lhs - rhs) / scale
-        if rel > worst:
-            worst, worst_n = rel, n
+    if interior <= 0:
+        return CutReport(passed=True, worst_relative=0.0, worst_level=0, levels_checked=max(interior, 0))
+    flow = solution.pi[: interior + 1, working].sum(axis=1)
+    lhs = flow[:-1] * np.array([model.arrival(n) for n in range(interior)])
+    rhs = flow[1:] * np.array([model.service(n + 1) for n in range(interior)])
+    rel = np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1e-300)
+    worst_n = int(np.argmax(rel))
+    worst = float(rel[worst_n])
     return CutReport(passed=worst <= tol, worst_relative=worst, worst_level=worst_n, levels_checked=interior)
-
-
-MAX_TRUNCATION_STATES = 2**16
-
-
-def auto_truncate(model: JointModel, tol: float = 1e-9, method: str = "elimination") -> TruncatedSolution:
-    """Double the truncation level until throughput and blocked probability
-    stabilize to within tol between successive solves."""
-    N = max(64, 4 * (model.tail_start + model.period))
-    prev = None
-    history = []
-    while (N + 1) * model.n_env <= MAX_TRUNCATION_STATES:
-        sol = solve_truncated(model, N, method=method)
-        m = metrics(sol, model)
-        history.append((N, m.throughput, m.blocked_probability))
-        if prev is not None:
-            d_th = abs(m.throughput - prev[0])
-            d_pb = abs(m.blocked_probability - prev[1])
-            # the boundary-mass condition guards against false convergence on
-            # non-ergodic models, where mass piles up at the cap while the
-            # truncated metrics stabilize
-            if d_th < tol and d_pb < tol and sol.truncation_estimate < math.sqrt(tol):
-                return TruncatedSolution(
-                    N=sol.N,
-                    pi=sol.pi,
-                    residual=sol.residual,
-                    truncation_estimate=sol.truncation_estimate,
-                    history=tuple(history),
-                )
-        prev = (m.throughput, m.blocked_probability)
-        N *= 2
-    raise Diverging(
-        f"metrics not Cauchy below {MAX_TRUNCATION_STATES} states; model likely non-ergodic"
-    )
 
 
 def export_csv(solution: TruncatedSolution, model: JointModel, path) -> None:
     """Write the stationary vector as CSV with columns (n, k, pi)."""
+    labels = model.env.labels
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("n,k,pi\n")
-        for n in range(solution.N + 1):
-            for k in range(model.n_env):
-                fh.write(f"{n},{model.env.labels[k]},{solution.pi[n, k]:.17g}\n")
+        fh.writelines(
+            f"{n},{label},{value:.17g}\n"
+            for n, row in enumerate(solution.pi.tolist())
+            for label, value in zip(labels, row)
+        )

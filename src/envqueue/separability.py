@@ -18,14 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
-from .model import JointModel
+from .model import EnvqueueError, JointModel
 
 DEFAULT_TOL = 1e-10
 SUMMABLE_MARGIN = 1e-12
 NEAR_CRITICAL = 1e-9
 
 
-class SingularSolve(Exception):
+class SingularSolve(EnvqueueError):
     """Elimination breakdown while solving for a stationary vector."""
 
 

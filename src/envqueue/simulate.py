@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .model import JointModel, generator_row
+from .model import EnvqueueError, JointModel, generator_row
 
 
-class ZeroExitRate(Exception):
+class ZeroExitRate(EnvqueueError):
     """An absorbing state was reached; the model is defective."""
 
 
@@ -84,7 +84,10 @@ class _TransitionTable:
         return self.rows[cls * self.m + k]
 
 
-def _run_replication(table: _TransitionTable, config: SimConfig, rep: int):
+def _run_replication(table: _TransitionTable, config: SimConfig, rep: int, log=None):
+    """One trajectory; `log(t, step, n, k)`, if given, sees every jump (the
+    queue change and the state after it) and stops the run by returning
+    False."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=config.seed, spawn_key=(rep,))))
     horizon = config.horizon
     warmup_time = config.warmup * horizon
@@ -112,6 +115,8 @@ def _run_replication(table: _TransitionTable, config: SimConfig, rep: int):
             departures += 1
         n += int(dn[j])
         k = int(nk[j])
+        if log is not None and not log(t, int(dn[j]), n, k):
+            break
     rate = departures / (horizon - warmup_time)
     return rate, jumps, departures
 
@@ -142,24 +147,21 @@ def simulate(model: JointModel, config: SimConfig) -> SimulationResult:
 
 
 def write_event_log(model: JointModel, config: SimConfig, path, max_events: int = 100_000) -> None:
-    """Single-replication event log as CSV (time, n, k, event)."""
-    table = _TransitionTable(model)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,))))
-    n, k = config.initial_state
-    t = 0.0
+    """Event log (time, n, k, event) of replication 0: the same random draws,
+    so the same trajectory, as `simulate` makes, up to max_events events."""
+    labels = model.env.labels
+    events = {1: "arrival", -1: "departure", 0: "env"}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("time,n,k,event\n")
-        for _ in range(max_events):
-            total, cum, dn, nk, dep = table.row(n, k)
-            t += rng.exponential(1.0 / total)
-            if t > config.horizon:
-                break
-            j = int(np.searchsorted(cum, rng.random()))
-            step = int(dn[j])
-            event = "arrival" if step == 1 else ("departure" if step == -1 else "env")
-            n += step
-            k = int(nk[j])
-            fh.write(f"{t:.9f},{n},{model.env.labels[k]},{event}\n")
+        written = 0
+
+        def log(t, step, n, k):
+            nonlocal written
+            fh.write(f"{t:.9f},{n},{labels[k]},{events[step]}\n")
+            written += 1
+            return written < max_events
+
+        _run_replication(_TransitionTable(model), config, 0, log)
 
 
 @dataclass(frozen=True)

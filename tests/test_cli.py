@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from envqueue import bounds, numerics
 from envqueue.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
+from envqueue.separability import NotSeparable
 
 
 def run(tmp_path, *argv):
@@ -53,6 +55,11 @@ class TestExitCodes:
         code = run(tmp_path, "validate", "--catalog", "base_stock", "--lambda", "1", "--mu", "2", "--nu", "1", "--b", "0")
         assert code == EXIT_ERROR
 
+    def test_catalog_params_checked(self, tmp_path):
+        # a parameter the model does not take, and a missing one
+        assert run(tmp_path, "validate", *BS, "--gamma", "1") == EXIT_ERROR
+        assert run(tmp_path, "validate", "--catalog", "base_stock", "--lambda", "1", "--mu", "2") == EXIT_ERROR
+
     def test_missing_file_errors(self, tmp_path):
         assert run(tmp_path, "validate", "--model", "/no/such/file.yaml") == EXIT_ERROR
 
@@ -69,7 +76,89 @@ class TestSolveCommand:
     def test_auto_truncation_default(self, tmp_path):
         assert run(tmp_path, "solve", *PER) == EXIT_OK
         rec = json.loads((tmp_path / "metrics.json").read_text())
-        assert rec["N"] >= 64
+        # exact solve: levels listed up to the first with mass above it < tol
+        assert 0.0 < rec["truncation_estimate"] < 1e-9
+        assert rec["residual"] <= 1e-12
+        lines = (tmp_path / "stationary.csv").read_text().strip().split("\n")
+        assert len(lines) == 1 + (rec["N"] + 1) * 3
+        assert sum(float(line.split(",")[2]) for line in lines[1:]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_auto_csv_reproducible(self, tmp_path):
+        for out in ("a", "b"):
+            assert main(["solve", *PER, "--out", str(tmp_path / out)]) == EXIT_OK
+        assert (tmp_path / "a" / "stationary.csv").read_bytes() == (tmp_path / "b" / "stationary.csv").read_bytes()
+
+    def test_heavy_traffic_solves(self, tmp_path):
+        code = run(tmp_path, "solve", "--catalog", "base_stock", "--lambda", "0.999", "--mu", "1",
+                   "--nu", "3", "--b", "5")
+        assert code == EXIT_OK
+        rec = json.loads((tmp_path / "metrics.json").read_text())
+        assert rec["throughput"] == pytest.approx(0.9962678467, abs=1e-9)
+
+    def test_method_needs_N(self, tmp_path):
+        assert run(tmp_path, "solve", *BS, "--method", "power") == EXIT_ERROR
+        assert run(tmp_path, "solve", *BS, "--N", "60", "--method", "power") == EXIT_OK
+
+
+def write_model(path, labels, blocked, V, R, lam=1.0, mu=2.0):
+    doc = {"rates": {"lambda_tail": [lam], "mu_tail": [mu]},
+           "environment": {"labels": labels, "blocked": blocked, "V_tail": [V], "R_tail": [R]}}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def absorbing_model(tmp_path):
+    """One blocked environment state that never moves: every state absorbs."""
+    return write_model(tmp_path / "absorbing.yaml", [0], [0], [[0.0]], [[1.0]])
+
+
+class TestErrorContract:
+    """A valid negative answer exits 1; every library error exits 2 with one
+    line on stderr."""
+
+    def expect_error(self, capsys, code, name):
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {name}:"), err
+
+    def test_not_ergodic_is_negative(self, tmp_path, capsys):
+        code = run(tmp_path, "solve", "--catalog", "mm1_plain", "--lambda", "1.2", "--mu", "1")
+        assert code == EXIT_NEGATIVE
+        assert capsys.readouterr().out.startswith("not ergodic: ")
+        assert (tmp_path / "manifest.txt").exists()
+
+    def test_singular_solve(self, tmp_path, capsys):
+        # two working states that never switch: the tail is reducible
+        path = write_model(tmp_path / "split.yaml", [0, 1], [], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+        self.expect_error(capsys, main(["solve", "--model", path, "--out", str(tmp_path)]), "SingularSolve")
+
+    def test_not_irreducible_truncation(self, tmp_path, capsys):
+        code = main(["solve", "--model", absorbing_model(tmp_path), "--N", "10", "--out", str(tmp_path)])
+        self.expect_error(capsys, code, "NotIrreducibleTruncation")
+
+    def test_zero_exit_rate(self, tmp_path, capsys):
+        code = main(["simulate", "--model", absorbing_model(tmp_path), "--horizon", "10", "--out", str(tmp_path)])
+        self.expect_error(capsys, code, "ZeroExitRate")
+
+    def test_not_separable_bound_system(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(bounds, "product_form", lambda model: NotSeparable(reason="NoCommonSolution"))
+        code = run(tmp_path, "bounds", "--catalog", "perishable_o", "--lambda", "1", "--mu", "2",
+                   "--nu", "1", "--gamma", "1", "--b", "2")
+        self.expect_error(capsys, code, "NotSeparableBoundSystem")
+
+    def test_not_convergent(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(numerics, "LOG_REDUCTION_STEPS", 1)
+        code = run(tmp_path, "solve", "--catalog", "base_stock", "--lambda", "0.99", "--mu", "1",
+                   "--nu", "3", "--b", "5")
+        self.expect_error(capsys, code, "NotConvergent")
+
+    def test_malformed_model_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("rates: [unclosed\n")
+        self.expect_error(capsys, main(["validate", "--model", str(path), "--out", str(tmp_path)]), "InvalidParam")
+
+    def test_value_error(self, tmp_path, capsys):
+        self.expect_error(capsys, run(tmp_path, "solve", *BS, "--N", "1"), "ValueError")
 
 
 class TestSimulateCommand:

@@ -1,11 +1,21 @@
-"""Truncated stationary solves, metrics, cut identity, auto-truncation."""
+"""Truncated and exact stationary solves, metrics, cut identity."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from envqueue.catalog import base_stock, mm1_plain, onoff_a, perishable_o
+from envqueue.bounds import product_form_throughput
+from envqueue.catalog import (
+    base_stock,
+    mm1_plain,
+    onoff_a,
+    perishable_minus,
+    perishable_o,
+    perishable_plus,
+)
+from envqueue.model import EnvironmentSpec, JointModel, RateFamily
 from envqueue.numerics import (
-    Diverging,
+    NotErgodic,
     auto_truncate,
     build_truncated_generator,
     check_cut_structure,
@@ -30,6 +40,11 @@ class TestBuildGenerator:
     def test_conservative(self, per_o_b2):
         Q = build_truncated_generator(per_o_b2, 30).toarray()
         assert np.abs(Q.sum(axis=1)).max() < 1e-12
+
+    def test_stores_only_nonzeros(self, per_o_b2):
+        Q = build_truncated_generator(per_o_b2, 30)
+        assert Q.nnz == np.count_nonzero(Q.toarray())
+        assert np.all(Q.data != 0.0)
 
     def test_cap_is_reflecting(self, bs_model):
         N = 10
@@ -62,6 +77,26 @@ class TestSolveTruncated:
     def test_residual_small(self, per_o_b2):
         sol = solve_truncated(per_o_b2, 80)
         assert sol.residual < 1e-10
+
+    def test_upward_drift_stays_conservative(self):
+        # lam > mu: the capped chain piles up at the cap, and the elimination
+        # sweep must not lose mass on its way down to level 0
+        V = np.array([[-0.9, 0.9], [0.2, -0.2]])
+        R = np.array([[0.5, 0.5], [0.45, 0.55]])
+        model = JointModel(rates=RateFamily.constant(1.0, 0.5), env=EnvironmentSpec.constant((0, 1), (), V, R))
+        sol = solve_truncated(model, 300)
+        assert sol.residual < 1e-12
+        assert sol.pi[250:].sum() > 0.99
+
+    def test_blockwise_residual_is_generator_residual(self, per_o_b2):
+        # on a vector far from stationary, so the defect is not round-off
+        from envqueue.numerics import _balance_residual, _level_blocks
+
+        N = 40
+        pi = np.random.default_rng(1).uniform(size=(N + 1, per_o_b2.n_env))
+        dense = np.abs(pi.reshape(-1) @ build_truncated_generator(per_o_b2, N).toarray()).max()
+        blockwise = _balance_residual(pi, *_level_blocks(per_o_b2, N), N + 1)
+        assert blockwise == pytest.approx(dense, rel=1e-12)
 
     def test_normalized_nonnegative(self, per_o_b2):
         sol = solve_truncated(per_o_b2, 80)
@@ -122,12 +157,106 @@ class TestAutoTruncate:
         sol = auto_truncate(bs_model, tol=1e-9)
         assert sol.N <= 128
         m = metrics(sol, bs_model)
-        assert m.throughput == pytest.approx(2 / 3, abs=1e-8)
-        assert len(sol.history) >= 2
+        assert m.throughput == pytest.approx(2 / 3, abs=1e-12)
+        assert sol.residual <= 1e-12
 
-    def test_diverging_detected(self):
-        with pytest.raises(Diverging):
-            auto_truncate(mm1_plain(lam=1.2, mu=1.0), tol=1e-12)
+    def test_not_ergodic_detected(self):
+        # transient (lam > mu) and null recurrent (lam = mu) tails
+        with pytest.raises(NotErgodic):
+            auto_truncate(mm1_plain(lam=1.2, mu=1.0))
+        with pytest.raises(NotErgodic):
+            auto_truncate(mm1_plain(lam=1.0, mu=1.0))
+
+    def test_heavy_traffic_base_stock(self):
+        # ergodic, with product form TH = lam (1 - theta(0))
+        model = base_stock(lam=0.999, mu=1.0, nu=3.0, b=5)
+        sol = auto_truncate(model)
+        assert metrics(sol, model).throughput == pytest.approx(0.9962678467, abs=1e-9)
+
+    def test_N_is_first_level_below_tol(self, per_o_b2):
+        tol = 1e-9
+        sol = auto_truncate(per_o_b2, tol=tol)
+        assert sol.truncation_estimate < tol
+        assert sol.pi.sum() == pytest.approx(1.0, abs=1e-14)
+        # mass above N - 1 is the listed top level plus the mass above N
+        exact_top = sol.pi[sol.N].sum() * (1.0 - sol.truncation_estimate)
+        assert exact_top + sol.truncation_estimate >= tol
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            perishable_o(lam=0.9, mu=1.0, nu=3.0, gamma=1.0, b=5),
+            perishable_o(lam=1.0, mu=2.0, nu=10.0, gamma=2.0, b=20),
+        ],
+        ids=["rho0.9_b5", "b20"],
+    )
+    def test_perishable_o_matches_truncation(self, model):
+        exact = auto_truncate(model)
+        trunc = solve_truncated(model, 800)
+        a, b = metrics(exact, model), metrics(trunc, model)
+        for field in ("throughput", "mean_queue_length", "blocked_probability", "loss_rate"):
+            assert getattr(a, field) == pytest.approx(getattr(b, field), abs=1e-10), field
+        # the listed levels are renormalized over 0..N
+        scale = 1.0 - exact.truncation_estimate
+        assert np.abs(exact.pi * scale - trunc.pi[: exact.N + 1]).max() < 1e-10
+
+    def test_period_two_with_prefix_matches_truncation(self):
+        model = period_two_model()
+        exact = auto_truncate(model)
+        trunc = solve_truncated(model, 600)
+        a, b = metrics(exact, model), metrics(trunc, model)
+        for field in ("throughput", "mean_queue_length", "blocked_probability", "loss_rate"):
+            assert getattr(a, field) == pytest.approx(getattr(b, field), abs=1e-10), field
+        scale = 1.0 - exact.truncation_estimate
+        assert np.abs(exact.pi * scale - trunc.pi[: exact.N + 1]).max() < 1e-10
+        assert exact.residual <= 1e-12
+        assert check_cut_structure(exact, model).passed
+
+
+def period_two_model():
+    """Non-separable model with a two-level prefix and a period-2 tail."""
+    rng = np.random.default_rng(4)
+
+    def rand_V():
+        V = rng.uniform(0.2, 2.0, size=(3, 3))
+        np.fill_diagonal(V, 0.0)
+        np.fill_diagonal(V, -V.sum(axis=1))
+        return V
+
+    def rand_R():
+        R = rng.uniform(0.1, 1.0, size=(3, 3))
+        return R / R.sum(axis=1, keepdims=True)
+
+    rates = RateFamily(lambda_prefix=(2.0, 0.5), mu_prefix=(1.0, 3.0), lambda_tail=(1.5, 0.5), mu_tail=(2.0, 1.5))
+    env = EnvironmentSpec(
+        labels=("a", "b", "c"),
+        blocked=frozenset(("a",)),
+        V_prefix=(rand_V(), rand_V()),
+        R_prefix=(rand_R(), rand_R()),
+        V_tail=(rand_V(), rand_V()),
+        R_tail=(rand_R(), rand_R()),
+    )
+    return JointModel(rates=rates, env=env, name="period_two")
+
+
+SEPARABLE = {"base_stock": base_stock, "perishable_minus": perishable_minus, "perishable_plus": perishable_plus}
+
+
+@given(
+    kind=st.sampled_from(sorted(SEPARABLE)),
+    rho=st.floats(0.95, 0.999),
+    nu=st.floats(0.5, 5.0),
+    gamma=st.floats(0.1, 3.0),
+    b=st.integers(1, 50),
+)
+@settings(max_examples=25, deadline=None)
+def test_exact_solve_matches_product_form_in_heavy_traffic(kind, rho, nu, gamma, b):
+    if kind == "base_stock":
+        model = base_stock(lam=rho, mu=1.0, nu=nu, b=b)
+    else:
+        model = SEPARABLE[kind](lam=rho, mu=1.0, nu=nu, gamma=gamma, b=b)
+    exact = product_form_throughput(model, product_form(model))
+    assert metrics(auto_truncate(model), model).throughput == pytest.approx(exact, abs=1e-10)
 
 
 class TestExportCsv:

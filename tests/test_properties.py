@@ -168,3 +168,29 @@ def test_departure_values_monotone_in_horizon_and_bounded(model, horizon):
     assert np.all(h[1:] >= h[:-1] - 1e-12)  # one more jump never hurts
     assert h[1].max() <= 1.0 + 1e-12  # v_1 is a probability
     assert table.values.max() <= horizon + 1e-9  # at most one departure per jump
+
+
+@pytest.mark.filterwarnings("ignore:tail ratio .* is nearly critical:RuntimeWarning")  # certify on critical draws
+@given(joint_models(max_env=4, max_prefix=3, max_period=3))
+@settings(max_examples=40, deadline=None)
+def test_exact_solve_against_truncation_and_certificates(model):
+    # an ergodic verdict is cross-checked against the truncated chain, a
+    # non-ergodic one against the Lyapunov certificates, which must fail
+    from envqueue.ergodicity import LyapunovCertificate, certify
+    from envqueue.numerics import NotErgodic, auto_truncate, metrics, solve_truncated
+
+    try:
+        exact = auto_truncate(model)
+    except NotErgodic:
+        for kind in ("linear_drift", "hitting_time"):
+            try:
+                assert not isinstance(certify(model, kind=kind), LyapunovCertificate)
+            except SingularSystem:
+                pass  # no certificate either
+        return
+    assert exact.residual < 1e-12
+    if exact.N > 400:
+        return  # too heavy a tail for a truncation at 600 to be an oracle
+    a, b = metrics(exact, model), metrics(solve_truncated(model, 600), model)
+    for field in ("throughput", "mean_queue_length", "blocked_probability", "loss_rate"):
+        assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9, abs=1e-9), field

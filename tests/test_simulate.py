@@ -53,6 +53,22 @@ class TestSimulate:
         times = [float(line.split(",")[0]) for line in lines[1:]]
         assert times == sorted(times)
 
+    def test_event_log_is_replication_zero(self, bs_model, tmp_path):
+        config = SimConfig(seed=3, horizon=300.0, replications=2)
+        path = tmp_path / "events.csv"
+        write_event_log(bs_model, config, path)
+        rows = [line.split(",") for line in path.read_text().strip().split("\n")[1:]]
+        assert 0 < len(rows) < 100_000  # the horizon, not max_events, ended the log
+        warmup = config.warmup * config.horizon
+        departures = sum(1 for t, _, _, event in rows if event == "departure" and float(t) >= warmup)
+        rate = departures / (config.horizon - warmup)
+        assert rate == simulate(bs_model, config).estimate.per_replication[0]
+
+    def test_event_log_stops_at_max_events(self, bs_model, tmp_path):
+        path = tmp_path / "events.csv"
+        write_event_log(bs_model, SimConfig(seed=3, horizon=300.0), path, max_events=5)
+        assert len(path.read_text().strip().split("\n")) == 1 + 5
+
 
 class TestDepartureValues:
     def test_one_jump_values(self, bs_model):
