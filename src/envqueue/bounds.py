@@ -31,6 +31,12 @@ from .simulate import (
 ORDER_TOL = 1e-9
 
 
+class AgeingOrderViolated(EnvqueueError):
+    """The built systems' ageing rates are not ordered plus <= o <= minus;
+    this indicates a construction bug in the catalog, not a property of the
+    parameters."""
+
+
 class NotSeparableBoundSystem(EnvqueueError):
     """A bounding system failed the product-form verification; this indicates
     a convention bug in the separable steady state, not a property of the
@@ -38,20 +44,19 @@ class NotSeparableBoundSystem(EnvqueueError):
 
 
 def build_triple(lam, mu, nu, gamma, b) -> tuple[JointModel, JointModel, JointModel]:
-    """The (minus, o, plus) systems with shared parameters; verifies the
-    pointwise ordering of the three ageing regimes."""
+    """The (minus, o, plus) systems with shared parameters; verifies on the
+    target's representative levels that the built ageing rates V_n[k, k-1]
+    are ordered plus <= o <= minus."""
     if not lam < mu:
         raise InvalidParam(f"need lam < mu for ergodic bounding systems, got {lam} >= {mu}")
     lower = perishable_minus(lam, mu, nu, gamma, b)
     target = perishable_o(lam, mu, nu, gamma, b)
     upper = perishable_plus(lam, mu, nu, gamma, b)
-    for n in range(8):
-        for k in range(b + 1):
-            minus_rate = gamma * k
-            o_rate = gamma * k if n == 0 else gamma * max(k - 1, 0)
-            plus_rate = gamma * max(k - 1, 0)
-            if not (plus_rate <= o_rate <= minus_rate):
-                raise AssertionError(f"ageing regimes out of order at (n={n}, k={k})")
+    for n in target.representative_levels():
+        plus, o, minus = (np.diagonal(system.V(n), -1) for system in (upper, target, lower))
+        bad = np.flatnonzero((plus > o) | (o > minus))
+        if bad.size:
+            raise AgeingOrderViolated(f"ageing rates out of order plus <= o <= minus at (n={n}, k={bad[0] + 1})")
     return lower, target, upper
 
 

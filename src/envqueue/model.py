@@ -267,6 +267,105 @@ class JointModel:
         return "\n".join(parts)
 
 
+# -- level blocks, the one encoding of the joint generator: with states indexed
+# level-major (level = queue length) it is block tridiagonal with blocks B_n
+# (local), U_n (up), D_n (down) (Gaver, Jacobs & Latouche, Adv. Appl. Prob. 16,
+# 1984)
+
+
+def _blocks(model: JointModel, n: int, capped: bool = False):
+    """Local (B), up (U) and down (D) blocks of level n.
+
+    B_n carries environment moves plus the conservative diagonal; U_n the
+    arrivals (zero at a cap); D_n the service completions with jump matrix.
+    """
+    m = model.n_env
+    working = model.env.working_mask().astype(float)
+    lam = 0.0 if capped else model.arrival(n)
+    Un = lam * np.diag(working)
+    Dn = model.service(n) * (working[:, None] * model.R(n)) if n > 0 else np.zeros((m, m))
+    Bn = model.V(n) - np.diag(np.diag(model.V(n)))
+    exit_rates = Un.sum(axis=1) + Dn.sum(axis=1) + Bn.sum(axis=1)
+    Bn = Bn - np.diag(exit_rates)
+    return Bn, Un, Dn
+
+
+def _level_classes(model: JointModel, levels: np.ndarray) -> np.ndarray:
+    """Index of the representative level whose blocks level n has: n itself
+    below T0 = tail_start + 1, T0 + (n - T0) mod p from there on."""
+    T0 = model.tail_start + 1
+    return np.where(levels < T0, levels, T0 + (levels - T0) % model.period)
+
+
+def _representative_blocks(model: JointModel):
+    """B, U, D of levels 0..T0+p-1 stacked; level n has the blocks of
+    representative `_level_classes(model, n)`."""
+    reps = range(model.tail_start + 1 + model.period)
+    return tuple(np.stack(part) for part in zip(*(_blocks(model, n) for n in reps)))
+
+
+def _level_blocks(model: JointModel, N: int):
+    """Blocks of the chain capped at N: the representative blocks plus the
+    capped level N's (last index), and the index of each level's blocks."""
+    cls = _level_classes(model, np.arange(N + 1))
+    blocks = _representative_blocks(model)
+    cls[N] = len(blocks[0])
+    B, U, D = (np.concatenate([X, top[None]]) for X, top in zip(blocks, _blocks(model, N, capped=True)))
+    return B, U, D, cls
+
+
+def build_truncated_generator(model: JointModel, N: int) -> csr_matrix:
+    """Sparse truncated generator with level-major state index n * |K| + k;
+    only nonzero rates are stored."""
+    B, U, D, cls = _level_blocks(model, N)
+    m = model.n_env
+    size = (N + 1) * m
+    rows, cols, vals = [], [], []
+    for c in range(len(B)):
+        levels = np.flatnonzero(cls == c)
+        for block, shift in ((B[c], 0), (D[c], -1), (U[c], 1)):
+            src = levels[(levels + shift >= 0) & (levels + shift <= N)]
+            ii, jj = np.nonzero(block)
+            rows.append((src[:, None] * m + ii).ravel())
+            cols.append(((src[:, None] + shift) * m + jj).ravel())
+            vals.append(np.broadcast_to(block[ii, jj], (src.size, ii.size)).ravel())
+    return csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size),
+    )
+
+
+def _balance_residual(pi, B, U, D, cls, rows: int) -> tuple[float, int]:
+    """max |pi_{n-1} U_{n-1} + pi_n B_n + pi_{n+1} D_{n+1}| over levels n < rows,
+    and the first level where it is reached; level n has blocks B[cls[n]],
+    U[cls[n]], D[cls[n]].  pi (and cls) may hold one level more than `rows`,
+    which feeds the last row's down flow."""
+    L = len(pi)
+    flow = np.zeros_like(pi)
+    for c in range(len(B)):
+        idx = np.flatnonzero(cls == c)
+        flow[idx] += pi[idx] @ B[c]
+        up = idx[idx + 1 < L]
+        flow[up + 1] += pi[up] @ U[c]
+        down = idx[idx > 0]
+        flow[down - 1] += pi[down] @ D[c]
+    defect = np.abs(flow[:rows]).max(axis=1)
+    worst = int(np.argmax(defect))
+    return float(defect[worst]), worst
+
+
+_MOVE_STEPS = (1, -1, 0)  # queue change of the U, D and B parts of a `_move_rates` row
+
+
+def _move_rates(B, U, D) -> np.ndarray:
+    """Row k of [U | D | off-diagonal B], for one level's blocks or stacked
+    ones: entry j is the rate of the move by _MOVE_STEPS[j // |K|] into
+    environment j % |K|, so a row lists arrival, service completions, then
+    environment moves."""
+    off = B * (1.0 - np.eye(B.shape[-1]))
+    return np.concatenate([U, D, off], axis=-1)
+
+
 @dataclass(frozen=True)
 class GeneratorRow:
     """One row of the joint generator: off-diagonal targets and the diagonal."""
@@ -280,26 +379,16 @@ class GeneratorRow:
 
 
 def generator_row(model: JointModel, state) -> GeneratorRow:
-    """Generator row at state (n, k): arrival, service-completion and
-    environment moves with the model's rates; k is a label index."""
+    """Generator row at state (n, k), read from the level blocks: arrival,
+    then service completions and environment moves by ascending target; k is
+    a label index."""
     n, k = state
     if n < 0 or not (0 <= k < model.n_env):
         raise IndexError(f"state {state} outside the state space")
-    working = model.env.working_mask()
-    out = []
-    if working[k]:
-        out.append(((n + 1, k), model.arrival(n)))
-        if n > 0:
-            mu = model.service(n)
-            row = model.R(n)[k]
-            for ell in np.flatnonzero(row):
-                out.append(((n - 1, int(ell)), mu * row[ell]))
-    vrow = model.V(n)[k]
-    for ell in range(model.n_env):
-        if ell != k and vrow[ell] != 0.0:
-            out.append(((n, ell), float(vrow[ell])))
-    total = sum(r for _, r in out)
-    return GeneratorRow(state=(n, k), transitions=tuple(out), diagonal=-total)
+    m = model.n_env
+    rates = _move_rates(*_blocks(model, n))[k]
+    out = tuple(((n + _MOVE_STEPS[j // m], int(j % m)), float(rates[j])) for j in np.flatnonzero(rates))
+    return GeneratorRow(state=(n, k), transitions=out, diagonal=-sum(r for _, r in out))
 
 
 @dataclass
@@ -350,18 +439,8 @@ def validate_model(model: JointModel, n_check: int) -> ValidationReport:
                 report.violations.append(
                     ("NotStochasticRow", f"R_{n} row {model.env.labels[k]}", f"row sum {rsums[k]:.6f}")
                 )
-    # strong connectivity of the truncated graph
-    rows, cols = [], []
-    for n in range(n_check + 1):
-        for k in range(m):
-            row = generator_row(model, (n, k))
-            i = n * m + k
-            for (nn, kk), rate in row.transitions:
-                if nn <= n_check and rate > 0:
-                    rows.append(i)
-                    cols.append(nn * m + kk)
-    size = (n_check + 1) * m
-    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(size, size))
+    # strong connectivity of the truncated graph: an edge per positive rate
+    graph = build_truncated_generator(model, n_check) > 0
     n_comp, comp = csgraph.connected_components(graph, directed=True, connection="strong")
     # the cap level is excluded from the requirement: states there may be
     # enterable only from level n_check + 1, which the truncation cuts off

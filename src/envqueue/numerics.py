@@ -1,9 +1,9 @@
 """Exact stationary analysis of the joint chain.
 
 States are indexed level-major (level = queue length), giving a block
-tridiagonal generator: B_n (local), U_n (up), D_n (down).  From
-T0 = tail_start + 1 on the blocks repeat with period p, so grouping p levels
-into one block level turns the tail into a level-independent
+tridiagonal generator: B_n (local), U_n (up), D_n (down), built in `model`.
+From T0 = tail_start + 1 on the blocks repeat with period p, so grouping p
+levels into one block level turns the tail into a level-independent
 quasi-birth-death process with blocks A0 (up), A1 (local), A2 (down).
 
 `auto_truncate` solves the infinite chain exactly: Neuts' mean-drift test
@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .model import EnvqueueError, JointModel
+from .model import EnvqueueError, JointModel, _balance_residual, _level_blocks, _level_classes, _representative_blocks
+from .model import build_truncated_generator
 from .separability import SingularSolve, gth_stationary
 
 UNIFORMIZATION_SLACK = 1.05
@@ -48,84 +49,6 @@ class NotIrreducibleTruncation(EnvqueueError):
 
 class NotErgodic(EnvqueueError):
     """The tail's mean drift is not towards level 0 (Neuts' condition)."""
-
-
-def _blocks(model: JointModel, n: int, capped: bool = False):
-    """Local (B), up (U) and down (D) blocks of level n.
-
-    B_n carries environment moves plus the conservative diagonal; U_n the
-    arrivals (zero at a cap); D_n the service completions with jump matrix.
-    """
-    m = model.n_env
-    working = model.env.working_mask().astype(float)
-    lam = 0.0 if capped else model.arrival(n)
-    Un = lam * np.diag(working)
-    Dn = model.service(n) * (working[:, None] * model.R(n)) if n > 0 else np.zeros((m, m))
-    Bn = model.V(n) - np.diag(np.diag(model.V(n)))
-    exit_rates = Un.sum(axis=1) + Dn.sum(axis=1) + Bn.sum(axis=1)
-    Bn = Bn - np.diag(exit_rates)
-    return Bn, Un, Dn
-
-
-def _level_classes(model: JointModel, levels: np.ndarray) -> np.ndarray:
-    """Index of the representative level whose blocks level n has: n itself
-    below T0 = tail_start + 1, T0 + (n - T0) mod p from there on."""
-    T0 = model.tail_start + 1
-    return np.where(levels < T0, levels, T0 + (levels - T0) % model.period)
-
-
-def _representative_blocks(model: JointModel):
-    """B, U, D of levels 0..T0+p-1 stacked; level n has the blocks of
-    representative `_level_classes(model, n)`."""
-    reps = range(model.tail_start + 1 + model.period)
-    return tuple(np.stack(part) for part in zip(*(_blocks(model, n) for n in reps)))
-
-
-def _level_blocks(model: JointModel, N: int):
-    """Blocks of the chain capped at N: the representative blocks plus the
-    capped level N's (last index), and the index of each level's blocks."""
-    cls = _level_classes(model, np.arange(N + 1))
-    blocks = _representative_blocks(model)
-    cls[N] = len(blocks[0])
-    B, U, D = (np.concatenate([X, top[None]]) for X, top in zip(blocks, _blocks(model, N, capped=True)))
-    return B, U, D, cls
-
-
-def build_truncated_generator(model: JointModel, N: int) -> sparse.csr_matrix:
-    """Sparse truncated generator with level-major state index n * |K| + k;
-    only nonzero rates are stored."""
-    B, U, D, cls = _level_blocks(model, N)
-    m = model.n_env
-    size = (N + 1) * m
-    rows, cols, vals = [], [], []
-    for c in range(len(B)):
-        levels = np.flatnonzero(cls == c)
-        for block, shift in ((B[c], 0), (D[c], -1), (U[c], 1)):
-            src = levels[(levels + shift >= 0) & (levels + shift <= N)]
-            ii, jj = np.nonzero(block)
-            rows.append((src[:, None] * m + ii).ravel())
-            cols.append(((src[:, None] + shift) * m + jj).ravel())
-            vals.append(np.broadcast_to(block[ii, jj], (src.size, ii.size)).ravel())
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    )
-
-
-def _balance_residual(pi, B, U, D, cls, rows: int) -> float:
-    """max |pi_{n-1} U_{n-1} + pi_n B_n + pi_{n+1} D_{n+1}| over levels n < rows,
-    level n having blocks B[cls[n]], U[cls[n]], D[cls[n]]; pi (and cls) may
-    hold one level more than `rows`, which feeds the last row's down flow."""
-    L = len(pi)
-    flow = np.zeros_like(pi)
-    for c in range(len(B)):
-        idx = np.flatnonzero(cls == c)
-        flow[idx] += pi[idx] @ B[c]
-        up = idx[idx + 1 < L]
-        flow[up + 1] += pi[up] @ U[c]
-        down = idx[idx > 0]
-        flow[down - 1] += pi[down] @ D[c]
-    return float(np.abs(flow[:rows]).max())
 
 
 @dataclass(frozen=True)
@@ -243,7 +166,7 @@ def solve_truncated(model: JointModel, N: int, method: str = "elimination") -> T
         raise NotIrreducibleTruncation("solver produced non-finite entries")
     pi_flat = np.maximum(pi_flat, 0.0)
     pi = (pi_flat / pi_flat.sum()).reshape(N + 1, model.n_env)
-    residual = _balance_residual(pi, B, U, D, cls, N + 1)
+    residual, _ = _balance_residual(pi, B, U, D, cls, N + 1)
     top = pi[N - max(N // 10, 1) + 1 :].sum()
     return TruncatedSolution(N=N, pi=pi, residual=residual, truncation_estimate=float(top))
 
@@ -372,7 +295,7 @@ def auto_truncate(model: JointModel, tol: float = 1e-9) -> TruncatedSolution:
         raise SingularSolve("exact solve produced non-finite or zero mass")
     tail = GeometricTail(start=T0, period=p, head=head / total, x0=x0 / total, R=R, drift=drift)
     exact, mass_above, N = _list_levels(tail, tol, model.tail_start + p)
-    residual = _balance_residual(exact, B, U, D, _level_classes(model, np.arange(N + 2)), N + 1)
+    residual, _ = _balance_residual(exact, B, U, D, _level_classes(model, np.arange(N + 2)), N + 1)
     pi = exact[: N + 1]
     return TruncatedSolution(N=N, pi=pi / pi.sum(), residual=residual, truncation_estimate=mass_above, tail=tail)
 

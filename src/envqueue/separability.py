@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
-from .model import EnvqueueError, JointModel
+from .model import EnvqueueError, JointModel, _balance_residual, _level_classes, _representative_blocks
 
 DEFAULT_TOL = 1e-10
 SUMMABLE_MARGIN = 1e-12
@@ -205,29 +205,6 @@ class NotSeparable:
     separable: bool = False
 
 
-def _balance_residual(model: JointModel, pi, n: int, k: int) -> float:
-    """Absolute global-balance defect at state (n, k) for the candidate pi."""
-    working = model.env.working_mask()
-    m = model.n_env
-    V = model.V(n)
-    out = pi(n, k) * (
-        (model.arrival(n) if working[k] else 0.0)
-        + sum(V[k, j] for j in range(m) if j != k)
-        + (model.service(n) if (working[k] and n > 0) else 0.0)
-    )
-    inflow = 0.0
-    if n > 0 and working[k]:
-        inflow += pi(n - 1, k) * model.arrival(n - 1)
-    R_up = model.R(n + 1)
-    mu_up = model.service(n + 1)
-    for j in range(m):
-        if working[j]:
-            inflow += pi(n + 1, j) * R_up[j, k] * mu_up
-        if j != k:
-            inflow += pi(n, j) * V[j, k]
-    return abs(out - inflow)
-
-
 def product_form(model: JointModel, tol: float = DEFAULT_TOL):
     """Full separability decision: returns a `ProductFormResult` with the
     exact steady state, or `NotSeparable` with the failure reason."""
@@ -243,23 +220,18 @@ def product_form(model: JointModel, tol: float = DEFAULT_TOL):
             offending_level=theta_res.offending_level,
         )
     theta = theta_res.theta
-
-    def pi(n, k):
-        return marginal.xi(n) * theta[k]
-
-    worst = 0.0
-    worst_state = None
-    for n in range(model.tail_start + model.period + 3):
-        for k in range(model.n_env):
-            res = _balance_residual(model, pi, n, k)
-            if res > worst:
-                worst, worst_state = res, (n, k)
+    # global balance of pi_n = xi(n) theta on levels 0..rows-1; level rows
+    # feeds the down flow into the last of them
+    rows = model.tail_start + model.period + 3
+    pi = np.outer([marginal.xi(n) for n in range(rows + 1)], theta)
+    B, U, D = _representative_blocks(model)
+    worst, worst_level = _balance_residual(pi, B, U, D, _level_classes(model, np.arange(rows + 1)), rows)
     if worst > tol:
         return NotSeparable(
             reason="BalanceResidual",
             residual=worst,
             tail_ratio=marginal.tail_ratio,
-            offending_level=worst_state[0],
+            offending_level=worst_level,
         )
     return ProductFormResult(
         theta=theta,

@@ -13,9 +13,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import sparse
+from scipy.special import stdtrit
 
-from .model import EnvqueueError, JointModel, generator_row
+from .model import _MOVE_STEPS, EnvqueueError, JointModel, _level_blocks, _move_rates, _representative_blocks
+from .model import build_truncated_generator
+from .model import generator_row  # noqa: F401  (perfbench/tracing.py counts calls through this name)
 
 
 class ZeroExitRate(EnvqueueError):
@@ -56,7 +59,9 @@ class SimulationResult:
 
 
 class _TransitionTable:
-    """Per-state-class transition data; classes collapse the periodic tail."""
+    """Per-state-class transition data: class c holds the moves of the
+    representative level c (`_representative_blocks`), each row in
+    `generator_row` order."""
 
     def __init__(self, model: JointModel):
         # rows repeat with period p only from tail_start + 1 on (mu(0) = 0
@@ -64,22 +69,26 @@ class _TransitionTable:
         self.base = model.tail_start + 1
         self.p = model.period
         self.m = model.n_env
+        rates = _move_rates(*_representative_blocks(model)).reshape(-1, 3 * self.m)
+        # totals are sequential row sums, in the order the cumulative probabilities use
+        cum = np.cumsum(rates, axis=1)
+        absorbing = np.flatnonzero(cum[:, -1] <= 0.0)
+        if absorbing.size:
+            n, k = divmod(int(absorbing[0]), self.m)
+            raise ZeroExitRate(f"state ({n}, {k}) has no outgoing transitions")
+        steps = np.repeat(np.array(_MOVE_STEPS, dtype=np.int64), self.m)
+        envs = np.tile(np.arange(self.m, dtype=np.int64), 3)
         self.rows = []  # class index -> (total, cum_probs, d_n, new_k, is_dep)
-        for n in range(self.base + self.p):
-            for k in range(self.m):
-                row = generator_row(model, (n, k))
-                total = row.total_rate()
-                if total <= 0.0:
-                    raise ZeroExitRate(f"state ({n}, {k}) has no outgoing transitions")
-                rates = np.array([r for _, r in row.transitions])
-                cum = np.cumsum(rates) / total
-                cum[-1] = 1.0
-                dn = np.array([nn - n for (nn, _), _ in row.transitions], dtype=np.int64)
-                nk = np.array([kk for (_, kk), _ in row.transitions], dtype=np.int64)
-                dep = dn == -1
-                self.rows.append((total, cum, dn, nk, dep))
+        for row, row_cum in zip(rates, cum):
+            moves = np.flatnonzero(row)
+            total = float(row_cum[-1])
+            probs = row_cum[moves] / total
+            probs[-1] = 1.0
+            dn = steps[moves]
+            self.rows.append((total, probs, dn, envs[moves], dn == -1))
 
     def row(self, n: int, k: int):
+        # the fold of `_level_classes`, on Python ints
         cls = n if n < self.base else self.base + (n - self.base) % self.p
         return self.rows[cls * self.m + k]
 
@@ -135,7 +144,9 @@ def simulate(model: JointModel, config: SimConfig) -> SimulationResult:
     mean = float(np.mean(rates))
     if config.replications > 1:
         sem = float(np.std(rates, ddof=1)) / math.sqrt(config.replications)
-        half = float(stats.t.ppf(0.975, config.replications - 1)) * sem
+        # the Student t quantile that scipy.stats.t.ppf returns, without
+        # importing scipy.stats, which would dominate every command's start-up
+        half = float(stdtrit(config.replications - 1, 0.975)) * sem
     else:
         half = float("inf")
     return SimulationResult(
@@ -181,25 +192,22 @@ def departure_values(model: JointModel, N_cap: int, horizon: int) -> DepartureVa
     probability."""
     m = model.n_env
     size = (N_cap + 1) * m
-    rows, cols, vals = [], [], []
-    reward = np.zeros(size)
-    for n in range(N_cap + 1):
-        for k in range(m):
-            row = generator_row(model, (n, k))
-            i = n * m + k
-            trans = [((nn, kk), rate) for (nn, kk), rate in row.transitions if nn <= N_cap]
-            total = sum(rate for _, rate in trans)
-            if total <= 0.0:
-                raise ZeroExitRate(f"truncated state ({n}, {k}) is absorbing")
-            for (nn, kk), rate in trans:
-                rows.append(i)
-                cols.append(nn * m + kk)
-                vals.append(rate / total)
-                if nn == n - 1:
-                    reward[i] += rate / total
-    from scipy import sparse
-
-    P = sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    B, U, D, cls = _level_blocks(model, N_cap)
+    # each row's total is summed in `generator_row` order
+    total = np.cumsum(_move_rates(B, U, D), axis=2)[:, :, -1][cls]
+    absorbing = np.flatnonzero(total <= 0.0)
+    if absorbing.size:
+        n, k = divmod(int(absorbing[0]), m)
+        raise ZeroExitRate(f"truncated state ({n}, {k}) is absorbing")
+    Q = build_truncated_generator(model, N_cap).tocoo()
+    move = Q.row != Q.col
+    src, dst = Q.row[move], Q.col[move]
+    prob = Q.data[move] / total.ravel()[src]
+    P = sparse.csr_matrix((prob, (src, dst)), shape=Q.shape)
+    # entries run by row and ascending column, so each state's departure
+    # probabilities are summed in `generator_row` order
+    down = dst < src - src % m
+    reward = np.bincount(src[down], weights=prob[down], minlength=size)
     history = np.zeros((horizon + 1, size))
     v = np.zeros(size)
     for j in range(1, horizon + 1):

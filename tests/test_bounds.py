@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+from envqueue import bounds
 from envqueue.bounds import (
+    AgeingOrderViolated,
     bound_report,
     build_triple,
     gamma_sweep,
     perishable_b1_closed_form,
     product_form_throughput,
 )
-from envqueue.catalog import base_stock
+from envqueue.catalog import base_stock, perishable_minus
 from envqueue.model import InvalidParam
 from envqueue.numerics import auto_truncate, metrics, solve_truncated
 from envqueue.separability import ProductFormResult, product_form
@@ -25,6 +27,12 @@ class TestBuildTriple:
     def test_unstable_rejected(self):
         with pytest.raises(InvalidParam):
             build_triple(2, 1, 1, 1, 2)
+
+    def test_out_of_order_rejected(self, monkeypatch):
+        # a plus system that ages every item exceeds the target's rates at n >= 1
+        monkeypatch.setattr(bounds, "perishable_plus", perishable_minus)
+        with pytest.raises(AgeingOrderViolated, match=r"n=1, k=1"):
+            build_triple(1, 2, 1, 1, 2)
 
     def test_gamma_zero_collapses_to_base_stock(self):
         lo, o, up = build_triple(1, 2, 1, 0.0, 2)

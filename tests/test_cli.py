@@ -146,6 +146,12 @@ class TestErrorContract:
                    "--nu", "1", "--gamma", "1", "--b", "2")
         self.expect_error(capsys, code, "NotSeparableBoundSystem")
 
+    def test_ageing_order_violated(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(bounds, "perishable_plus", bounds.perishable_minus)
+        code = run(tmp_path, "bounds", "--catalog", "perishable_o", "--lambda", "1", "--mu", "2",
+                   "--nu", "1", "--gamma", "1", "--b", "2")
+        self.expect_error(capsys, code, "AgeingOrderViolated")
+
     def test_not_convergent(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(numerics, "LOG_REDUCTION_STEPS", 1)
         code = run(tmp_path, "solve", "--catalog", "base_stock", "--lambda", "0.99", "--mu", "1",

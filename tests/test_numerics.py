@@ -95,7 +95,7 @@ class TestSolveTruncated:
         N = 40
         pi = np.random.default_rng(1).uniform(size=(N + 1, per_o_b2.n_env))
         dense = np.abs(pi.reshape(-1) @ build_truncated_generator(per_o_b2, N).toarray()).max()
-        blockwise = _balance_residual(pi, *_level_blocks(per_o_b2, N), N + 1)
+        blockwise, _ = _balance_residual(pi, *_level_blocks(per_o_b2, N), N + 1)
         assert blockwise == pytest.approx(dense, rel=1e-12)
 
     def test_normalized_nonnegative(self, per_o_b2):

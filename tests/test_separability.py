@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from envqueue import separability
 from envqueue.catalog import base_stock, mm1_plain, onoff_a, onoff_b, perishable_o
+from envqueue.model import EnvironmentSpec, JointModel, RateFamily
 from envqueue.separability import (
     NoCommonSolution,
     NotSeparable,
     ProductFormResult,
+    ThetaSolution,
     gth_stationary,
     product_form,
     queue_marginal,
@@ -182,6 +185,27 @@ class TestProductForm:
         pf = product_form(onoff_a(eta=1.0, gamma=2.0))
         assert isinstance(pf, ProductFormResult)
         assert np.allclose(pf.theta, [2 / 3, 1 / 3], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "model, level",
+        [
+            (base_stock(lam=1, mu=2, nu=1, b=2), 0),
+            # xi grows by 3 per level up to level 2, so the defect peaks there
+            (JointModel(
+                rates=RateFamily(lambda_prefix=(3.0, 3.0), mu_prefix=(1.0, 1.0), lambda_tail=(1.0,), mu_tail=(2.0,)),
+                env=EnvironmentSpec.constant((0, 1), (0,), np.array([[-1.0, 1.0], [2.0, -2.0]]), np.eye(2)),
+            ), 2),
+        ],
+        ids=["base_stock", "rising_prefix"],
+    )
+    def test_balance_residual_names_worst_level(self, model, level, monkeypatch):
+        theta = solve_theta(model).theta + np.r_[1e-3, np.zeros(model.n_env - 2), -1e-3]
+        monkeypatch.setattr(separability, "solve_theta", lambda model, tol: ThetaSolution(theta=theta, residual=0.0))
+        res = product_form(model)
+        assert isinstance(res, NotSeparable)
+        assert res.reason == "BalanceResidual"
+        assert res.offending_level == level
+        assert res.residual > 1e-4
 
     def test_report_round_trip(self, bs_model, per_o_b2):
         good = separability_report(bs_model)

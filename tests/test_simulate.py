@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from envqueue.catalog import base_stock, mm1_plain, perishable_plus
+from envqueue.catalog import base_stock, mm1_plain, perishable_o, perishable_plus
 from envqueue.simulate import (
     SimConfig,
     departure_values,
@@ -20,6 +20,22 @@ class TestSimulate:
         b = simulate(bs_model, config)
         assert a.estimate.per_replication == b.estimate.per_replication
         assert a.total_jumps == b.total_jumps
+
+    @pytest.mark.parametrize(
+        "model, per_replication, jumps",
+        [
+            (base_stock(lam=1, mu=2, nu=1, b=2), (0.7166666666666667, 0.7222222222222222, 0.5722222222222222), 1207),
+            (perishable_o(lam=1, mu=2, nu=1, gamma=1, b=2),
+             (0.48333333333333334, 0.5666666666666667, 0.4111111111111111), 1348),
+        ],
+        ids=["base_stock", "perishable_o"],
+    )
+    def test_trajectories_pinned(self, model, per_replication, jumps):
+        # values of the per-state transition table that the level blocks
+        # replaced: the rows, and so the trajectories, must not move
+        result = simulate(model, SimConfig(seed=5, horizon=200.0, replications=3))
+        assert result.estimate.per_replication == per_replication
+        assert result.total_jumps == jumps
 
     def test_different_seeds_differ(self, bs_model):
         config_a = SimConfig(seed=1, horizon=500.0, replications=2)
