@@ -10,6 +10,7 @@ product-order isotonicity check used by the throughput-bounding analysis.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,8 @@ class SimConfig:
     initial_state: tuple = (0, 0)
 
     def __post_init__(self):
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not (0.0 <= self.warmup < 1.0):
@@ -61,36 +64,38 @@ class SimulationResult:
 class _TransitionTable:
     """Per-state-class transition data: class c holds the moves of the
     representative level c (`_representative_blocks`), each row in
-    `generator_row` order."""
+    `generator_row` order, as Python objects for the per-jump loop."""
 
     def __init__(self, model: JointModel):
         # rows repeat with period p only from tail_start + 1 on (mu(0) = 0
         # makes level 0 special even for constant rates)
         self.base = model.tail_start + 1
         self.p = model.period
-        self.m = model.n_env
-        rates = _move_rates(*_representative_blocks(model)).reshape(-1, 3 * self.m)
+        self.m = m = model.n_env
+        rates = _move_rates(*_representative_blocks(model)).reshape(-1, 3 * m)
         # totals are sequential row sums, in the order the cumulative probabilities use
         cum = np.cumsum(rates, axis=1)
         absorbing = np.flatnonzero(cum[:, -1] <= 0.0)
         if absorbing.size:
-            n, k = divmod(int(absorbing[0]), self.m)
+            n, k = divmod(int(absorbing[0]), m)
             raise ZeroExitRate(f"state ({n}, {k}) has no outgoing transitions")
-        steps = np.repeat(np.array(_MOVE_STEPS, dtype=np.int64), self.m)
-        envs = np.tile(np.arange(self.m, dtype=np.int64), 3)
-        self.rows = []  # class index -> (total, cum_probs, d_n, new_k, is_dep)
+        self.rows = []  # class index * m + k -> (total, cum_probs, ((d_n, new_k), ...))
         for row, row_cum in zip(rates, cum):
             moves = np.flatnonzero(row)
             total = float(row_cum[-1])
             probs = row_cum[moves] / total
             probs[-1] = 1.0
-            dn = steps[moves]
-            self.rows.append((total, probs, dn, envs[moves], dn == -1))
+            self.rows.append((total, probs.tolist(), tuple((_MOVE_STEPS[j // m], j % m) for j in moves.tolist())))
 
-    def row(self, n: int, k: int):
-        # the fold of `_level_classes`, on Python ints
-        cls = n if n < self.base else self.base + (n - self.base) % self.p
-        return self.rows[cls * self.m + k]
+
+def _uniforms(rng):
+    """(u_time, u_pick) pairs as Python floats from chunks of 8192 times, then 8192 picks, converted
+    512 at a time: a whole chunk's conversion would cost more than a short replication's loop."""
+    while True:
+        u_time = rng.random(8192)
+        u_pick = rng.random(8192)
+        for i in range(0, 8192, 512):
+            yield from zip(u_time[i:i + 512].tolist(), u_pick[i:i + 512].tolist())
 
 
 def _run_replication(table: _TransitionTable, config: SimConfig, rep: int, log=None):
@@ -100,31 +105,26 @@ def _run_replication(table: _TransitionTable, config: SimConfig, rep: int, log=N
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=config.seed, spawn_key=(rep,))))
     horizon = config.horizon
     warmup_time = config.warmup * horizon
+    rows, base, p, m = table.rows, table.base, table.p, table.m
     n, k = config.initial_state
     t = 0.0
     departures = 0
     jumps = 0
-    chunk = 8192
-    u_time = u_pick = None
-    idx = chunk
-    while True:
-        total, cum, dn, nk, dep = table.row(n, k)
-        if idx >= chunk:
-            u_time = rng.random(chunk)
-            u_pick = rng.random(chunk)
-            idx = 0
-        dt = -math.log1p(-u_time[idx]) / total
+    for u_time, u_pick in _uniforms(rng):
+        # the fold of `_level_classes`
+        total, cum, moves = rows[(n if n < base else base + (n - base) % p) * m + k]
+        # math.log1p, not np.log1p: the two differ in the last bit on some
+        # draws, which would change the trajectories
+        dt = -math.log1p(-u_time) / total
         if t + dt > horizon:
             break
         t += dt
-        j = int(np.searchsorted(cum, u_pick[idx]))
-        idx += 1
+        dn, k = moves[bisect_left(cum, u_pick)]
         jumps += 1
-        if dep[j] and t >= warmup_time:
+        if dn == -1 and t >= warmup_time:
             departures += 1
-        n += int(dn[j])
-        k = int(nk[j])
-        if log is not None and not log(t, int(dn[j]), n, k):
+        n += dn
+        if log is not None and not log(t, dn, n, k):
             break
     rate = departures / (horizon - warmup_time)
     return rate, jumps, departures
@@ -232,16 +232,15 @@ def isotone_check(table: DepartureValueTable, atol: float = 1e-12) -> IsotoneRep
     via the two covering relations.  States within `horizon` jumps of the
     queue cap are flagged as boundary-affected."""
     v = table.values
-    N_cap = table.N_cap
-    violations = []
-    safe = N_cap - table.horizon
-    for m_ in range(N_cap + 1):
-        for k in range(v.shape[1]):
-            for dm, dk in ((1, 0), (0, 1)):
-                m2, k2 = m_ + dm, k + dk
-                if m2 > N_cap or k2 >= v.shape[1]:
-                    continue
-                gap = v[m_, k] - v[m2, k2]
-                if gap > atol:
-                    violations.append(((m_, k), (m2, k2), float(gap), m_ > safe or m2 > safe))
-    return IsotoneReport(isotone=not violations, violations=tuple(violations))
+    # gap[m, k, r] = v(m, k) - v at cover r of (m+1, k), (m, k+1); -inf off the table
+    gap = np.full(v.shape + (2,), -np.inf)
+    gap[:-1, :, 0] = v[:-1] - v[1:]
+    gap[:, :-1, 1] = v[:, :-1] - v[:, 1:]
+    # C order lists the violations by state, then relation
+    ms, ks, rel = np.nonzero(gap > atol)
+    safe = table.N_cap - table.horizon
+    violations = tuple(
+        ((m_, k), (m_ + 1 - r, k + r), g, m_ + 1 - r > safe)
+        for m_, k, r, g in zip(ms.tolist(), ks.tolist(), rel.tolist(), gap[ms, ks, rel].tolist())
+    )
+    return IsotoneReport(isotone=not violations, violations=violations)

@@ -29,3 +29,29 @@ def two_state_model(lam=1.0, mu=2.0, a=1.0, c=1.0, blocked=(0,)):
     V = np.array([[-a, a], [c, -c]])
     env = EnvironmentSpec.constant(labels=(0, 1), blocked=blocked, V=V, R=np.eye(2))
     return JointModel(rates=RateFamily.constant(lam, mu), env=env, name="two_state")
+
+
+def period_two_model():
+    """Non-separable model with a two-level prefix and a period-2 tail."""
+    rng = np.random.default_rng(4)
+
+    def rand_V():
+        V = rng.uniform(0.2, 2.0, size=(3, 3))
+        np.fill_diagonal(V, 0.0)
+        np.fill_diagonal(V, -V.sum(axis=1))
+        return V
+
+    def rand_R():
+        R = rng.uniform(0.1, 1.0, size=(3, 3))
+        return R / R.sum(axis=1, keepdims=True)
+
+    rates = RateFamily(lambda_prefix=(2.0, 0.5), mu_prefix=(1.0, 3.0), lambda_tail=(1.5, 0.5), mu_tail=(2.0, 1.5))
+    env = EnvironmentSpec(
+        labels=("a", "b", "c"),
+        blocked=frozenset(("a",)),
+        V_prefix=(rand_V(), rand_V()),
+        R_prefix=(rand_R(), rand_R()),
+        V_tail=(rand_V(), rand_V()),
+        R_tail=(rand_R(), rand_R()),
+    )
+    return JointModel(rates=rates, env=env, name="period_two")

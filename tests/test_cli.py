@@ -3,9 +3,12 @@
 import json
 
 import pytest
+import yaml
 
 from envqueue import bounds, numerics
 from envqueue.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
+from envqueue.model import InvalidParam
+from envqueue.modelfile import load_model
 from envqueue.separability import NotSeparable
 
 
@@ -166,6 +169,10 @@ class TestErrorContract:
     def test_value_error(self, tmp_path, capsys):
         self.expect_error(capsys, run(tmp_path, "solve", *BS, "--N", "1"), "ValueError")
 
+    @pytest.mark.parametrize("horizon", ["0", "-5"])
+    def test_bad_horizon(self, tmp_path, capsys, horizon):
+        self.expect_error(capsys, run(tmp_path, "simulate", *BS, "--horizon", horizon), "ValueError")
+
 
 class TestSimulateCommand:
     def test_reproducible_csv(self, tmp_path):
@@ -252,3 +259,14 @@ environment:
         path = tmp_path / "model.yaml"
         path.write_text("catalog:\n  name: base_stock\n  params: {lam: 1, mu: 2, nu: 1, b: 2}\n")
         assert main(["validate", "--model", str(path), "--out", str(tmp_path)]) == EXIT_OK
+
+    def test_without_libyaml(self, tmp_path, monkeypatch):
+        # PyYAML built without libyaml has no CSafeLoader: its pure-Python parser takes over
+        path = tmp_path / "model.yaml"
+        path.write_text("catalog:\n  name: base_stock\n  params: {lam: 1, mu: 2, nu: 1, b: 2}\n")
+        signature = load_model(path).signature()
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert load_model(path).signature() == signature
+        path.write_text("rates: [unclosed\n")
+        with pytest.raises(InvalidParam, match="not valid YAML"):
+            load_model(path)

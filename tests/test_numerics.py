@@ -25,6 +25,8 @@ from envqueue.numerics import (
 )
 from envqueue.separability import product_form
 
+from conftest import period_two_model
+
 
 def product_form_tv(model, sol, levels=None):
     """Total variation between truncated solve and exact product form."""
@@ -211,32 +213,6 @@ class TestAutoTruncate:
         assert np.abs(exact.pi * scale - trunc.pi[: exact.N + 1]).max() < 1e-10
         assert exact.residual <= 1e-12
         assert check_cut_structure(exact, model).passed
-
-
-def period_two_model():
-    """Non-separable model with a two-level prefix and a period-2 tail."""
-    rng = np.random.default_rng(4)
-
-    def rand_V():
-        V = rng.uniform(0.2, 2.0, size=(3, 3))
-        np.fill_diagonal(V, 0.0)
-        np.fill_diagonal(V, -V.sum(axis=1))
-        return V
-
-    def rand_R():
-        R = rng.uniform(0.1, 1.0, size=(3, 3))
-        return R / R.sum(axis=1, keepdims=True)
-
-    rates = RateFamily(lambda_prefix=(2.0, 0.5), mu_prefix=(1.0, 3.0), lambda_tail=(1.5, 0.5), mu_tail=(2.0, 1.5))
-    env = EnvironmentSpec(
-        labels=("a", "b", "c"),
-        blocked=frozenset(("a",)),
-        V_prefix=(rand_V(), rand_V()),
-        R_prefix=(rand_R(), rand_R()),
-        V_tail=(rand_V(), rand_V()),
-        R_tail=(rand_R(), rand_R()),
-    )
-    return JointModel(rates=rates, env=env, name="period_two")
 
 
 SEPARABLE = {"base_stock": base_stock, "perishable_minus": perishable_minus, "perishable_plus": perishable_plus}

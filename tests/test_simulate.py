@@ -1,16 +1,22 @@
 """Trajectory simulation, departure-value iteration, isotonicity."""
 
+import math
+
 import numpy as np
 import pytest
 
 from envqueue.catalog import base_stock, mm1_plain, perishable_o, perishable_plus
 from envqueue.simulate import (
+    DepartureValueTable,
+    IsotoneReport,
     SimConfig,
     departure_values,
     isotone_check,
     simulate,
     write_event_log,
 )
+
+from conftest import period_two_model
 
 
 class TestSimulate:
@@ -22,18 +28,23 @@ class TestSimulate:
         assert a.total_jumps == b.total_jumps
 
     @pytest.mark.parametrize(
-        "model, per_replication, jumps",
+        "model, horizon, replications, per_replication, jumps",
         [
-            (base_stock(lam=1, mu=2, nu=1, b=2), (0.7166666666666667, 0.7222222222222222, 0.5722222222222222), 1207),
-            (perishable_o(lam=1, mu=2, nu=1, gamma=1, b=2),
+            (base_stock(lam=1, mu=2, nu=1, b=2), 200.0, 3,
+             (0.7166666666666667, 0.7222222222222222, 0.5722222222222222), 1207),
+            (perishable_o(lam=1, mu=2, nu=1, gamma=1, b=2), 200.0, 3,
              (0.48333333333333334, 0.5666666666666667, 0.4111111111111111), 1348),
+            # more than one 8192-draw chunk per replication
+            (base_stock(lam=1, mu=2, nu=1, b=2), 5000.0, 2, (0.6722222222222223, 0.6606666666666666), 20003),
+            # a two-level prefix and period 2: every branch of the class fold
+            (period_two_model(), 3000.0, 2, (0.6937037037037037, 0.7144444444444444), 23779),
         ],
-        ids=["base_stock", "perishable_o"],
+        ids=["base_stock", "perishable_o", "base_stock_long", "period_two_long"],
     )
-    def test_trajectories_pinned(self, model, per_replication, jumps):
-        # values of the per-state transition table that the level blocks
-        # replaced: the rows, and so the trajectories, must not move
-        result = simulate(model, SimConfig(seed=5, horizon=200.0, replications=3))
+    def test_trajectories_pinned(self, model, horizon, replications, per_replication, jumps):
+        # values of the numpy-per-jump kernel with per-state transition
+        # tables: the trajectories for a seed must not move
+        result = simulate(model, SimConfig(seed=5, horizon=horizon, replications=replications))
         assert result.estimate.per_replication == per_replication
         assert result.total_jumps == jumps
 
@@ -57,6 +68,12 @@ class TestSimulate:
             SimConfig(replications=0)
         with pytest.raises(ValueError):
             SimConfig(warmup=1.5)
+
+    @pytest.mark.parametrize("horizon", [0.0, -5.0, math.inf, math.nan])
+    def test_invalid_horizon(self, horizon):
+        # a nan or infinite horizon would never end a replication
+        with pytest.raises(ValueError, match="horizon"):
+            SimConfig(horizon=horizon)
 
     def test_event_log(self, bs_model, tmp_path):
         path = tmp_path / "events.csv"
@@ -154,3 +171,28 @@ class TestIsotone:
         report = isotone_check(table)
         assert not report.isotone
         assert any(not v[3] for v in report.violations)
+        assert len(report.violations) == 122
+        assert report.violations[0] == ((0, 1), (0, 2), 0.17151598169818194, False)
+        assert report.violations[-1] == ((60, 2), (60, 3), 0.15876026599990434, True)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            departure_values(perishable_plus(lam=1.0, mu=2.0, nu=1.0, gamma=4.0, b=3), N_cap=60, horizon=12),
+            departure_values(perishable_o(lam=1.0, mu=2.0, nu=3.0, gamma=1.0, b=10), N_cap=30, horizon=8),
+            # violations of both covering relations, interleaved
+            DepartureValueTable(horizon=3, N_cap=9, values=np.random.default_rng(1).random((10, 4)), history=None),
+        ],
+        ids=["perishable_plus", "perishable_o_b10", "random_values"],
+    )
+    def test_matches_loop_reference(self, table):
+        v = table.values
+        safe = table.N_cap - table.horizon
+        expected = []
+        for m_ in range(table.N_cap + 1):
+            for k in range(v.shape[1]):
+                for dm, dk in ((1, 0), (0, 1)):
+                    m2, k2 = m_ + dm, k + dk
+                    if m2 <= table.N_cap and k2 < v.shape[1] and v[m_, k] - v[m2, k2] > 1e-12:
+                        expected.append(((m_, k), (m2, k2), float(v[m_, k] - v[m2, k2]), m_ > safe or m2 > safe))
+        assert isotone_check(table) == IsotoneReport(isotone=not expected, violations=tuple(expected))
