@@ -69,7 +69,7 @@ def _write_manifest(args, model, outdir: Path, extra=None):
         value = getattr(args, p, None)
         if value is not None:
             lines[p] = value
-    for key in ("N", "tol", "seed", "horizon", "replications", "kind", "method", "n_check"):
+    for key in ("N", "tol", "seed", "horizon", "replications", "kind", "n_check"):
         value = getattr(args, key, None)
         if value is not None:
             lines[key] = value
@@ -136,13 +136,11 @@ def _cmd_certify(args, outdir):
 
 def _cmd_solve(args, outdir):
     model = _resolve_model(args)
-    if args.N is None and args.method is not None:
-        raise InvalidParam("--method applies only with --N")
     _write_manifest(args, model, outdir)
     if args.N is None:
         sol = auto_truncate(model, tol=args.tol)
     else:
-        sol = solve_truncated(model, args.N, method=args.method or "elimination")
+        sol = solve_truncated(model, args.N)
     m = metrics(sol, model)
     cut = check_cut_structure(sol, model)
     export_csv(sol, model, outdir / "stationary.csv")
@@ -224,65 +222,61 @@ def _cmd_sweep(args, outdir):
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The command line parser.  Only the subcommands named in `commands`
+    (all when None) get their options: adding options is most of the cost of
+    building the parser, and a run parses one subcommand."""
     parser = argparse.ArgumentParser(
         prog="envqueue",
         description="Analysis of exponential queues in a finite interactive random environment",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="structural validation of a model")
-    _add_model_source(p)
-    p.add_argument("--n-check", type=int, default=None)
-    p.set_defaults(func=_cmd_validate)
+    def command(name, help_, func):
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(func=func)
+        if commands is None or name in commands:
+            _add_model_source(p)
+            return p
+        return None
 
-    p = sub.add_parser("separability", help="product-form decision and theta")
-    _add_model_source(p)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(func=_cmd_separability)
+    if p := command("validate", "structural validation of a model", _cmd_validate):
+        p.add_argument("--n-check", type=int, default=None)
 
-    p = sub.add_parser("certify", help="Lyapunov ergodicity certificate")
-    _add_model_source(p)
-    p.add_argument("--kind", choices=("linear_drift", "hitting_time"), default="linear_drift")
-    p.set_defaults(func=_cmd_certify)
+    if p := command("separability", "product-form decision and theta", _cmd_separability):
+        p.add_argument("--tol", type=float, default=1e-10)
 
-    p = sub.add_parser("solve", help="stationary distribution and metrics")
-    _add_model_source(p)
-    p.add_argument("--N", type=int, default=None,
-                   help="solve the chain capped at N (default: exact solve of the infinite chain)")
-    p.add_argument("--method", choices=("elimination", "power"), default=None,
-                   help="solver for the capped chain, only with --N (default: elimination)")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="exact solve: list levels up to the first with stationary mass above it below tol")
-    p.set_defaults(func=_cmd_solve)
+    if p := command("certify", "Lyapunov ergodicity certificate", _cmd_certify):
+        p.add_argument("--kind", choices=("linear_drift", "hitting_time"), default="linear_drift")
 
-    p = sub.add_parser("simulate", help="Monte Carlo throughput estimate")
-    _add_model_source(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=float, default=1e4)
-    p.add_argument("--replications", type=int, default=10)
-    p.set_defaults(func=_cmd_simulate)
+    if p := command("solve", "stationary distribution and metrics", _cmd_solve):
+        p.add_argument("--N", type=int, default=None,
+                       help="solve the chain capped at N (default: exact solve of the infinite chain)")
+        p.add_argument("--tol", type=float, default=1e-9,
+                       help="exact solve: list levels up to the first with stationary mass above it below tol")
 
-    p = sub.add_parser("bounds", help="two-sided throughput bounds for the perishable system")
-    _add_model_source(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=float, default=1e4)
-    p.add_argument("--replications", type=int, default=0, help="0 disables simulation")
-    p.set_defaults(func=_cmd_bounds)
+    if p := command("simulate", "Monte Carlo throughput estimate", _cmd_simulate):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--horizon", type=float, default=1e4)
+        p.add_argument("--replications", type=int, default=10)
 
-    p = sub.add_parser("sweep", help="bound throughputs over a gamma grid")
-    _add_model_source(p)
-    p.add_argument("--gamma-min", type=float, default=0.1)
-    p.add_argument("--gamma-max", type=float, default=2.0)
-    p.add_argument("--gamma-steps", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=_cmd_sweep)
+    if p := command("bounds", "two-sided throughput bounds for the perishable system", _cmd_bounds):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--horizon", type=float, default=1e4)
+        p.add_argument("--replications", type=int, default=0, help="0 disables simulation")
+
+    if p := command("sweep", "bound throughputs over a gamma grid", _cmd_sweep):
+        p.add_argument("--gamma-min", type=float, default=0.1)
+        p.add_argument("--gamma-max", type=float, default=2.0)
+        p.add_argument("--gamma-steps", type=int, default=10)
+        p.add_argument("--tol", type=float, default=1e-9)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option values, so its first bare word is the subcommand
+    args = build_parser(commands=[a for a in argv if not a.startswith("-")][:1]).parse_args(argv)
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
 
 class EnvqueueError(Exception):
@@ -314,27 +313,6 @@ def _level_blocks(model: JointModel, N: int):
     return B, U, D, cls
 
 
-def build_truncated_generator(model: JointModel, N: int) -> csr_matrix:
-    """Sparse truncated generator with level-major state index n * |K| + k;
-    only nonzero rates are stored."""
-    B, U, D, cls = _level_blocks(model, N)
-    m = model.n_env
-    size = (N + 1) * m
-    rows, cols, vals = [], [], []
-    for c in range(len(B)):
-        levels = np.flatnonzero(cls == c)
-        for block, shift in ((B[c], 0), (D[c], -1), (U[c], 1)):
-            src = levels[(levels + shift >= 0) & (levels + shift <= N)]
-            ii, jj = np.nonzero(block)
-            rows.append((src[:, None] * m + ii).ravel())
-            cols.append(((src[:, None] + shift) * m + jj).ravel())
-            vals.append(np.broadcast_to(block[ii, jj], (src.size, ii.size)).ravel())
-    return csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    )
-
-
 def _balance_residual(pi, B, U, D, cls, rows: int) -> tuple[float, int]:
     """max |pi_{n-1} U_{n-1} + pi_n B_n + pi_{n+1} D_{n+1}| over levels n < rows,
     and the first level where it is reached; level n has blocks B[cls[n]],
@@ -391,6 +369,57 @@ def generator_row(model: JointModel, state) -> GeneratorRow:
     return GeneratorRow(state=(n, k), transitions=out, diagonal=-sum(r for _, r in out))
 
 
+def _strong_components(src: np.ndarray, dst: np.ndarray, size: int) -> np.ndarray:
+    """Strong-component label of each of `size` nodes of the digraph with
+    edges src[i] -> dst[i], by an iterative Tarjan search (SIAM J. Comput. 1,
+    1972).  Roots are taken in index order, successors by descending index,
+    and components are labelled 0, 1, ... in the order they close: the
+    labelling of scipy's `connected_components(connection="strong")`."""
+    order = np.lexsort((-dst, src))
+    succ = dst[order].tolist()
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=size)))).tolist()
+    index = [-1] * size  # visit order; -1 unvisited
+    low = [0] * size
+    label = [-1] * size  # -1 while the node is on the Tarjan stack or unvisited
+    stack, work = [], []
+    visited = n_comp = 0
+    for root in range(size):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        work.append([root, ptr[root]])
+        while work:
+            frame = work[-1]
+            v, pos = frame
+            end = ptr[v + 1]
+            while pos < end:
+                w = succ[pos]
+                pos += 1
+                if index[w] < 0:
+                    frame[1] = pos
+                    index[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    work.append([w, ptr[w]])
+                    break
+                if label[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        label[w] = n_comp
+                        if w == v:
+                            break
+                    n_comp += 1
+    return np.array(label, dtype=np.intp)
+
+
 @dataclass
 class ValidationReport:
     """Outcome of structural validation on the truncated state graph."""
@@ -440,18 +469,29 @@ def validate_model(model: JointModel, n_check: int) -> ValidationReport:
                     ("NotStochasticRow", f"R_{n} row {model.env.labels[k]}", f"row sum {rsums[k]:.6f}")
                 )
     # strong connectivity of the truncated graph: an edge per positive rate
-    graph = build_truncated_generator(model, n_check) > 0
-    n_comp, comp = csgraph.connected_components(graph, directed=True, connection="strong")
+    B, U, D, cls = _level_blocks(model, n_check)
+    src, dst = [], []
+    for c in range(len(B)):
+        levels = np.flatnonzero(cls == c)
+        for block, shift in ((D[c], -1), (B[c], 0), (U[c], 1)):
+            from_ = levels[(levels + shift >= 0) & (levels + shift <= n_check)]
+            ii, jj = np.nonzero(block > 0)
+            src.append((from_[:, None] * m + ii).ravel())
+            dst.append(((from_[:, None] + shift) * m + jj).ravel())
+    comp = _strong_components(np.concatenate(src), np.concatenate(dst), (n_check + 1) * m)
     # the cap level is excluded from the requirement: states there may be
     # enterable only from level n_check + 1, which the truncation cuts off
     interior = comp[: n_check * m]
-    if np.unique(interior).size > 1:
-        counts = np.bincount(interior)
-        small = int(np.argmin(np.where(counts > 0, counts, np.iinfo(np.int64).max)))
-        members = [(i // m, model.env.labels[i % m]) for i in np.flatnonzero(interior == small)[:10]]
+    counts = np.bincount(interior)
+    n_interior = int(np.count_nonzero(counts))
+    if n_interior > 1:
+        # the smallest component; among equals, the one holding the lowest state
+        smallest = counts[counts > 0].min()
+        small = interior[np.flatnonzero(counts[interior] == smallest)[0]]
+        members = [(i // m, model.env.labels[i % m]) for i in np.flatnonzero(interior == small)[:10].tolist()]
         report.warnings.append(
             ("NotIrreducible",
-             f"{np.unique(interior).size} strong components below the cap",
+             f"{n_interior} strong components below the cap",
              f"example component: {members}")
         )
     report.passed = not report.violations and not report.warnings

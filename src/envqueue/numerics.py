@@ -24,13 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .model import EnvqueueError, JointModel, _balance_residual, _level_blocks, _level_classes, _representative_blocks
-from .model import build_truncated_generator
 from .separability import SingularSolve, gth_stationary
 
-UNIFORMIZATION_SLACK = 1.05
 # the tail is called null recurrent when its mean drift is below this
 # fraction of the level-crossing rates: round-off in the stationary vector of
 # A0 + A1 + A2 makes a smaller drift indistinguishable from zero
@@ -133,35 +130,16 @@ def _solve_elimination(B, U, D) -> list:
     return [y * math.exp(lw - shift) for y, lw in zip(ys, logw)]
 
 
-def _solve_power(model: JointModel, N: int, tol: float = 1e-13, max_iter: int = 2_000_000) -> np.ndarray:
-    Q = build_truncated_generator(model, N)
-    size = Q.shape[0]
-    Lam = UNIFORMIZATION_SLACK * float((-Q.diagonal()).max())
-    P = sparse.eye(size, format="csr") + Q / Lam
-    pi = np.full(size, 1.0 / size)
-    for _ in range(max_iter):
-        nxt = pi @ P
-        if np.abs(nxt - pi).max() <= tol:
-            return nxt
-        pi = nxt
-    raise NotConvergent(f"power iteration did not reach tol {tol} in {max_iter} steps")
-
-
-def solve_truncated(model: JointModel, N: int, method: str = "elimination") -> TruncatedSolution:
+def solve_truncated(model: JointModel, N: int) -> TruncatedSolution:
     """Stationary vector of the truncated chain (queue capped at N)."""
     if N < model.tail_start + model.period + 2:
         raise ValueError("truncation must cover the prefix plus one tail period")
     B, U, D, cls = _level_blocks(model, N)
-    if method == "elimination":
-        try:
-            per_level = ([blocks[c] for c in cls] for blocks in (B, U, D))
-            pi_flat = np.concatenate(_solve_elimination(*per_level))
-        except np.linalg.LinAlgError as exc:
-            raise NotIrreducibleTruncation(str(exc)) from exc
-    elif method == "power":
-        pi_flat = _solve_power(model, N)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    try:
+        per_level = ([blocks[c] for c in cls] for blocks in (B, U, D))
+        pi_flat = np.concatenate(_solve_elimination(*per_level))
+    except np.linalg.LinAlgError as exc:
+        raise NotIrreducibleTruncation(str(exc)) from exc
     if not np.all(np.isfinite(pi_flat)):
         raise NotIrreducibleTruncation("solver produced non-finite entries")
     pi_flat = np.maximum(pi_flat, 0.0)

@@ -16,9 +16,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
-from .model import EnvqueueError, JointModel, _balance_residual, _level_classes, _representative_blocks
+from .model import (EnvqueueError, JointModel, _balance_residual, _level_classes, _representative_blocks,
+                    _strong_components)
 
 DEFAULT_TOL = 1e-10
 SUMMABLE_MARGIN = 1e-12
@@ -53,16 +53,13 @@ def gth_stationary(Q: np.ndarray) -> np.ndarray:
 
 def _closed_classes(Q: np.ndarray):
     """Indices of the closed communicating classes of a generator matrix."""
-    m = Q.shape[0]
     off = Q - np.diag(np.diag(Q))
-    graph = csr_matrix((off > 0).astype(float))
-    n_comp, comp = csgraph.connected_components(graph, directed=True, connection="strong")
+    comp = _strong_components(*np.nonzero(off > 0), Q.shape[0])
     closed = []
-    for c in range(n_comp):
-        members = np.flatnonzero(comp == c)
-        outside = np.setdiff1d(np.arange(m), members)
-        if outside.size == 0 or off[np.ix_(members, outside)].sum() == 0.0:
-            closed.append(members)
+    for c in range(comp.max() + 1):
+        inside = comp == c
+        if off[inside][:, ~inside].sum() == 0.0:
+            closed.append(np.flatnonzero(inside))
     return closed
 
 

@@ -14,11 +14,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.special import stdtrit
+from numpy.random import Generator, Philox, SeedSequence
 
 from .model import _MOVE_STEPS, EnvqueueError, JointModel, _level_blocks, _move_rates, _representative_blocks
-from .model import build_truncated_generator
 from .model import generator_row  # noqa: F401  (perfbench/tracing.py counts calls through this name)
 
 
@@ -102,11 +100,13 @@ def _run_replication(table: _TransitionTable, config: SimConfig, rep: int, log=N
     """One trajectory; `log(t, step, n, k)`, if given, sees every jump (the
     queue change and the state after it) and stops the run by returning
     False."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=config.seed, spawn_key=(rep,))))
+    rng = Generator(Philox(SeedSequence(entropy=config.seed, spawn_key=(rep,))))
     horizon = config.horizon
     warmup_time = config.warmup * horizon
     rows, base, p, m = table.rows, table.base, table.p, table.m
     n, k = config.initial_state
+    if n < 0 or not 0 <= k < m:
+        raise ValueError(f"initial_state {config.initial_state} is not a state (n >= 0, 0 <= k < {m})")
     t = 0.0
     departures = 0
     jumps = 0
@@ -130,6 +130,76 @@ def _run_replication(table: _TransitionTable, config: SimConfig, rep: int, log=N
     return rate, jumps, departures
 
 
+_TINY = 1e-300  # keeps Lentz's continued fraction off a zero denominator
+
+
+def _log_gamma_ratio(a: float) -> float:
+    """ln(Gamma(a + 1/2) / Gamma(a)); from a = 50 on by its asymptotic series,
+    which avoids the cancellation between two large lgamma values."""
+    if a < 50.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    r = 1.0 / (a * a)
+    return 0.5 * math.log(a) - (1 / 8 - r * (1 / 192 - r * (1 / 640 - r * 17 / 14336))) / a
+
+
+def _t_sf(t: float, df: int) -> float:
+    """P(T > t), t >= 0, for Student's t with df degrees of freedom:
+    I_x(df/2, 1/2) / 2 with x = df / (df + t^2), the regularized incomplete
+    beta by Lentz's continued fraction on the side where it converges."""
+    if t == 0.0:
+        return 0.5
+    a, b = 0.5 * df, 0.5
+    x, xc = df / (df + t * t), t * t / (df + t * t)
+    # logs of x and 1 - x, each from whichever of the two is far from 1
+    lx = math.log(x) if x < 0.5 else math.log1p(-xc)
+    lxc = math.log(xc) if xc < 0.5 else math.log1p(-x)
+    front = a * lx + b * lxc - (math.lgamma(0.5) - _log_gamma_ratio(a))  # minus ln B(a, b)
+    flip = x > (a + 1) / (a + b + 2)
+    if flip:  # I_x(a, b) = 1 - I_{1-x}(b, a)
+        a, b, x = b, a, xc
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    h = d
+    for i in range(1, 1000):
+        for num in (i * (b - i) * x / ((a + 2 * i - 1) * (a + 2 * i)),
+                    -(a + i) * (a + b + i) * x / ((a + 2 * i) * (a + 2 * i + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + num / c
+            c = c if abs(c) > _TINY else _TINY
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            break
+    ib = math.exp(front) * h / a
+    return 0.5 * (1.0 - ib if flip else ib)
+
+
+def _t_quantile(df: int, p: float) -> float:
+    """Quantile of Student's t with df degrees of freedom at 1/2 < p < 1:
+    closed forms for df 1 and 2, else Newton on the distribution function.
+    Both distribution functions here are concave for t > 0, so Newton started
+    below the root stays below it and converges monotonically."""
+    if df == 1:
+        return math.tan(math.pi * (p - 0.5))
+    if df == 2:
+        return (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
+    z = 0.0  # the normal quantile, from 0
+    for _ in range(100):
+        step = (0.5 * math.erfc(z / math.sqrt(2.0)) - (1.0 - p)) * math.sqrt(2.0 * math.pi) * math.exp(0.5 * z * z)
+        z += step
+        if abs(step) <= 1e-12 * z:
+            break
+    # start from the first two Cornish-Fisher terms, which stay below the t quantile
+    t = z + z * (z * z + 1.0) / (4.0 * df)
+    log_c = _log_gamma_ratio(0.5 * df) - 0.5 * math.log(df * math.pi)  # log density at 0
+    for _ in range(100):
+        step = (_t_sf(t, df) - (1.0 - p)) / math.exp(log_c - 0.5 * (df + 1) * math.log1p(t * t / df))
+        t += step
+        if abs(step) <= 1e-12 * t:
+            break
+    return t
+
+
 def simulate(model: JointModel, config: SimConfig) -> SimulationResult:
     """Monte Carlo throughput estimate with a 95% t-interval over
     independent replications."""
@@ -144,9 +214,7 @@ def simulate(model: JointModel, config: SimConfig) -> SimulationResult:
     mean = float(np.mean(rates))
     if config.replications > 1:
         sem = float(np.std(rates, ddof=1)) / math.sqrt(config.replications)
-        # the Student t quantile that scipy.stats.t.ppf returns, without
-        # importing scipy.stats, which would dominate every command's start-up
-        half = float(stdtrit(config.replications - 1, 0.975)) * sem
+        half = _t_quantile(config.replications - 1, 0.975) * sem
     else:
         half = float("inf")
     return SimulationResult(
@@ -193,30 +261,46 @@ def departure_values(model: JointModel, N_cap: int, horizon: int) -> DepartureVa
     m = model.n_env
     size = (N_cap + 1) * m
     B, U, D, cls = _level_blocks(model, N_cap)
+    rates = _move_rates(B, U, D)
     # each row's total is summed in `generator_row` order
-    total = np.cumsum(_move_rates(B, U, D), axis=2)[:, :, -1][cls]
-    absorbing = np.flatnonzero(total <= 0.0)
+    total = np.cumsum(rates, axis=2)[:, :, -1]
+    absorbing = np.flatnonzero(total[cls] <= 0.0)
     if absorbing.size:
         n, k = divmod(int(absorbing[0]), m)
         raise ZeroExitRate(f"truncated state ({n}, {k}) is absorbing")
-    Q = build_truncated_generator(model, N_cap).tocoo()
-    move = Q.row != Q.col
-    src, dst = Q.row[move], Q.col[move]
-    prob = Q.data[move] / total.ravel()[src]
-    P = sparse.csr_matrix((prob, (src, dst)), shape=Q.shape)
-    # entries run by row and ascending column, so each state's departure
-    # probabilities are summed in `generator_row` order
-    down = dst < src - src % m
-    reward = np.bincount(src[down], weights=prob[down], minlength=size)
+    # each class's row of P by ascending target: level below, own level, level above; a class
+    # above N_cap is never used, and its zero totals are divided by 1 to keep it finite
+    prob = np.concatenate([rates[:, :, m:], rates[:, :, :m]], axis=2) / np.where(total > 0.0, total, 1.0)[:, :, None]
+    prob = prob.reshape(-1, 3 * m)
+    reward = np.cumsum(prob[:, :m], axis=1)[:, -1]  # departure probabilities summed in that order
+    # the nonzero entries of each row, in that order, padded with zeros to a common width
+    row, col = np.nonzero(prob)
+    counts = np.bincount(row, minlength=len(prob))
+    width = max(int(counts.max()), 1)
+    rank = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    vals = np.zeros((len(prob), width))
+    vals[row, rank] = prob[row, col]
+    # target state relative to the first state of the row's level; padding points at the row's own state
+    shift = np.repeat(np.arange(len(prob))[:, None] % m, width, axis=1)
+    shift[row, rank] = col - m
+    rows = (cls[:, None] * m + np.arange(m)).ravel()
+    cols = (np.repeat(np.arange(N_cap + 1) * m, m)[:, None] + shift[rows]).T.copy()
+    vals = vals[rows].T.copy()
+    reward = reward[rows]
     history = np.zeros((horizon + 1, size))
-    v = np.zeros(size)
+    v = history[0]
+    acc, term = np.empty(size), np.empty(size)
     for j in range(1, horizon + 1):
-        v = reward + P @ v
-        history[j] = v
+        # v_j = r + P v_{j-1}, each row's entries added one padded column at a time in target order
+        np.multiply(vals[0], v.take(cols[0]), out=acc)
+        for w in range(1, width):
+            acc += np.multiply(vals[w], v.take(cols[w]), out=term)
+        v = history[j]
+        np.add(reward, acc, out=v)
     return DepartureValueTable(
         horizon=horizon,
         N_cap=N_cap,
-        values=v.reshape(N_cap + 1, m),
+        values=v.reshape(N_cap + 1, m).copy(),
         history=history.reshape(horizon + 1, N_cap + 1, m),
     )
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from envqueue.catalog import base_stock, catalog, mm1_plain, perishable_o
-from envqueue.model import EnvironmentSpec, JointModel, RateFamily
+from envqueue.model import EnvironmentSpec, JointModel, RateFamily, _level_blocks
 
 
 @pytest.fixture
@@ -55,3 +55,19 @@ def period_two_model():
         R_tail=(rand_R(), rand_R()),
     )
     return JointModel(rates=rates, env=env, name="period_two")
+
+
+def truncated_generator(model, N):
+    """Dense generator of the chain capped at N, state index n * |K| + k,
+    assembled from the level blocks: the reference for the blockwise code."""
+    B, U, D, cls = _level_blocks(model, N)
+    m = model.n_env
+    Q = np.zeros(((N + 1) * m, (N + 1) * m))
+    for n, c in enumerate(cls):
+        level = slice(n * m, (n + 1) * m)
+        Q[level, level] = B[c]
+        if n < N:
+            Q[level, (n + 1) * m:(n + 2) * m] = U[c]
+        if n > 0:
+            Q[level, (n - 1) * m:n * m] = D[c]
+    return Q

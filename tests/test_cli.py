@@ -1,12 +1,17 @@
 """Command line front end: exit codes, manifests, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import envqueue
 from envqueue import bounds, numerics
-from envqueue.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
+from envqueue.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, build_parser, main
 from envqueue.model import InvalidParam
 from envqueue.modelfile import load_model
 from envqueue.separability import NotSeparable
@@ -97,10 +102,6 @@ class TestSolveCommand:
         assert code == EXIT_OK
         rec = json.loads((tmp_path / "metrics.json").read_text())
         assert rec["throughput"] == pytest.approx(0.9962678467, abs=1e-9)
-
-    def test_method_needs_N(self, tmp_path):
-        assert run(tmp_path, "solve", *BS, "--method", "power") == EXIT_ERROR
-        assert run(tmp_path, "solve", *BS, "--N", "60", "--method", "power") == EXIT_OK
 
 
 def write_model(path, labels, blocked, V, R, lam=1.0, mu=2.0):
@@ -270,3 +271,52 @@ environment:
         path.write_text("rates: [unclosed\n")
         with pytest.raises(InvalidParam, match="not valid YAML"):
             load_model(path)
+
+
+COMMANDS = ("validate", "separability", "certify", "solve", "simulate", "bounds", "sweep")
+
+# runs in a fresh interpreter: the modules `import envqueue.cli` loads, then those each command's `main` adds
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+import envqueue.cli
+BS = ["--catalog", "base_stock", "--lambda", "1", "--mu", "2", "--nu", "1", "--b", "2"]
+PER = ["--catalog", "perishable_o", "--lambda", "1", "--mu", "2", "--nu", "1", "--gamma", "1", "--b", "2"]
+runs = [["validate", *BS], ["separability", *BS], ["certify", *BS], ["solve", *BS],
+        ["simulate", *BS, "--horizon", "100", "--replications", "3"],
+        ["bounds", *PER, "--horizon", "50", "--replications", "3"], ["sweep", *PER, "--gamma-steps", "3"]]
+record = {"import": sorted(sys.modules)}
+for argv in runs:
+    before = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = envqueue.cli.main([*argv, "--out", sys.argv[1]])
+    record[argv[0]] = [code, sorted(set(sys.modules) - before)]
+print(json.dumps(record))
+"""
+
+
+class TestStartup:
+    def test_numpy_only_runtime(self, tmp_path):
+        path = os.pathsep.join([str(Path(envqueue.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path)], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, check=True)
+        record = json.loads(proc.stdout)
+        assert not [m for m in record.pop("import") if m.split(".")[0] == "scipy"]
+        assert set(record) == set(COMMANDS)
+        for command, (code, loaded) in record.items():
+            assert code in (EXIT_OK, EXIT_NEGATIVE), command
+            # numpy.random and numpy.ma load lazily, so a first use inside main would be timed as analysis
+            late = [m for m in loaded if m.split(".")[0] == "scipy" or m.startswith(("numpy.random", "numpy.ma"))]
+            assert not late, (command, late)
+
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    def test_help_unchanged_by_partial_parser(self, command, capsys):
+        # main builds only the named subcommand's options; the help must be the full parser's
+        argv = [command, "--help"] if command else ["--help"]
+        with pytest.raises(SystemExit) as exit_main:
+            main(argv)
+        from_main = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_full:
+            build_parser().parse_args(argv)
+        assert exit_main.value.code == exit_full.value.code == 0
+        assert from_main == capsys.readouterr().out
+        assert from_main.startswith(f"usage: envqueue {command or ''}".rstrip())

@@ -21,11 +21,12 @@ from envqueue.model import (
     JointModel,
     MalformedMatrix,
     RateFamily,
+    _strong_components,
     generator_row,
     validate_model,
 )
 
-from conftest import two_state_model
+from conftest import truncated_generator, two_state_model
 
 
 class TestRateFamily:
@@ -126,9 +127,7 @@ class TestGeneratorRow:
         assert r1[(3, 1)] == pytest.approx(0.5)  # 0.5 * 1
 
     def test_rows_conservative_against_builder(self, per_o_b2):
-        from envqueue.numerics import build_truncated_generator
-
-        Q = build_truncated_generator(per_o_b2, 20).toarray()
+        Q = truncated_generator(per_o_b2, 20)
         assert np.abs(Q.sum(axis=1)).max() < 1e-12
 
     def test_tail_periodicity(self, per_o_b2):
@@ -179,6 +178,23 @@ class TestValidateModel:
         kinds = {k for k, _, _ in report.warnings}
         assert "NotIrreducible" in kinds
 
+    @pytest.mark.parametrize(
+        "model, warning",
+        [
+            # no environment move changes the level: one component per level
+            (two_state_model(blocked=(0, 1)),
+             ("NotIrreducible", "6 strong components below the cap", "example component: [(0, 0), (0, 1)]")),
+            # a -> b -> c one way, and the blocked c freezes the queue: every (n, c) is its own component
+            (JointModel(rates=RateFamily.constant(1.0, 2.0), env=EnvironmentSpec.constant(
+                ("a", "b", "c"), ("c",), [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]], np.eye(3))),
+             ("NotIrreducible", "8 strong components below the cap", "example component: [(0, 'c')]")),
+        ],
+        ids=["all_blocked", "one_way"],
+    )
+    def test_not_irreducible_names_smallest_lowest_component(self, model, warning):
+        # plain ints, and among the smallest components the one holding the lowest state
+        assert validate_model(model, n_check=6).warnings == [warning]
+
     def test_unknown_catalog_name(self):
         with pytest.raises(UnknownModel):
             catalog("no_such_model")
@@ -197,6 +213,28 @@ class TestValidateModel:
         for n in range(4):
             assert np.array_equal(frozen.V(n), bs.V(n))
             assert np.array_equal(frozen.R(n + 1), bs.R(n + 1))
+
+
+class TestStrongComponents:
+    def test_matches_scipy(self):
+        # the labels, not only the partition: closed classes are taken in label order
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        from scipy.sparse import csr_matrix
+
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            size = int(rng.integers(1, 60))
+            adjacency = rng.random((size, size)) < rng.uniform(0.0, 0.2)
+            _, expected = csgraph.connected_components(csr_matrix(adjacency), directed=True, connection="strong")
+            assert np.array_equal(_strong_components(*np.nonzero(adjacency), size), expected)
+
+    def test_deep_graphs(self):
+        # a path and a cycle far deeper than the recursion limit
+        size = 20_000
+        path = np.arange(size - 1), np.arange(1, size)
+        assert np.array_equal(np.sort(_strong_components(*path, size)), np.arange(size))
+        cycle = np.arange(size), (np.arange(size) + 1) % size
+        assert not _strong_components(*cycle, size).any()
 
 
 class TestSignature:

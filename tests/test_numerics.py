@@ -17,7 +17,6 @@ from envqueue.model import EnvironmentSpec, JointModel, RateFamily
 from envqueue.numerics import (
     NotErgodic,
     auto_truncate,
-    build_truncated_generator,
     check_cut_structure,
     export_csv,
     metrics,
@@ -25,7 +24,7 @@ from envqueue.numerics import (
 )
 from envqueue.separability import product_form
 
-from conftest import period_two_model
+from conftest import period_two_model, truncated_generator
 
 
 def product_form_tv(model, sol, levels=None):
@@ -40,17 +39,12 @@ def product_form_tv(model, sol, levels=None):
 
 class TestBuildGenerator:
     def test_conservative(self, per_o_b2):
-        Q = build_truncated_generator(per_o_b2, 30).toarray()
+        Q = truncated_generator(per_o_b2, 30)
         assert np.abs(Q.sum(axis=1)).max() < 1e-12
-
-    def test_stores_only_nonzeros(self, per_o_b2):
-        Q = build_truncated_generator(per_o_b2, 30)
-        assert Q.nnz == np.count_nonzero(Q.toarray())
-        assert np.all(Q.data != 0.0)
 
     def test_cap_is_reflecting(self, bs_model):
         N = 10
-        Q = build_truncated_generator(bs_model, N).toarray()
+        Q = truncated_generator(bs_model, N)
         m = bs_model.n_env
         # no transition leaves the rectangle: rows at the cap level have no
         # mass beyond index (N+1)*m
@@ -70,11 +64,6 @@ class TestSolveTruncated:
     def test_base_stock_matches_product_form(self, bs_model):
         sol = solve_truncated(bs_model, 200)
         assert product_form_tv(bs_model, sol) < 1e-8
-
-    def test_methods_agree(self, per_o_b2):
-        a = solve_truncated(per_o_b2, 60, method="elimination")
-        b = solve_truncated(per_o_b2, 60, method="power")
-        assert np.abs(a.pi - b.pi).max() < 1e-8
 
     def test_residual_small(self, per_o_b2):
         sol = solve_truncated(per_o_b2, 80)
@@ -96,7 +85,7 @@ class TestSolveTruncated:
 
         N = 40
         pi = np.random.default_rng(1).uniform(size=(N + 1, per_o_b2.n_env))
-        dense = np.abs(pi.reshape(-1) @ build_truncated_generator(per_o_b2, N).toarray()).max()
+        dense = np.abs(pi.reshape(-1) @ truncated_generator(per_o_b2, N)).max()
         blockwise, _ = _balance_residual(pi, *_level_blocks(per_o_b2, N), N + 1)
         assert blockwise == pytest.approx(dense, rel=1e-12)
 
@@ -104,10 +93,6 @@ class TestSolveTruncated:
         sol = solve_truncated(per_o_b2, 80)
         assert sol.pi.min() >= 0.0
         assert sol.pi.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_unknown_method(self, mm1_model):
-        with pytest.raises(ValueError):
-            solve_truncated(mm1_model, 10, method="magic")
 
 
 class TestMetrics:

@@ -5,18 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from envqueue.catalog import base_stock, mm1_plain, perishable_o, perishable_plus
+from envqueue.catalog import base_stock, mm1_plain, onoff_b, perishable_o, perishable_plus
+from envqueue.model import _level_blocks, _move_rates
 from envqueue.simulate import (
     DepartureValueTable,
     IsotoneReport,
     SimConfig,
+    _t_quantile,
     departure_values,
     isotone_check,
     simulate,
     write_event_log,
 )
 
-from conftest import period_two_model
+from conftest import period_two_model, truncated_generator
 
 
 class TestSimulate:
@@ -75,6 +77,18 @@ class TestSimulate:
         with pytest.raises(ValueError, match="horizon"):
             SimConfig(horizon=horizon)
 
+    @pytest.mark.parametrize("state", [(0, 3), (-1, 0)])
+    def test_initial_state_outside_model(self, bs_model, state):
+        # base stock b = 2 has environment states 0..2
+        config = SimConfig(horizon=10.0, replications=2, initial_state=state)
+        with pytest.raises(ValueError, match="initial_state"):
+            simulate(bs_model, config)
+
+    def test_t_quantile_matches_scipy(self):
+        stdtrit = pytest.importorskip("scipy.special").stdtrit
+        for df in range(1, 2001):
+            assert _t_quantile(df, 0.975) == pytest.approx(stdtrit(df, 0.975), rel=1e-12, abs=0), df
+
     def test_event_log(self, bs_model, tmp_path):
         path = tmp_path / "events.csv"
         write_event_log(bs_model, SimConfig(seed=5, horizon=50.0), path)
@@ -101,6 +115,26 @@ class TestSimulate:
         path = tmp_path / "events.csv"
         write_event_log(bs_model, SimConfig(seed=3, horizon=300.0), path, max_events=5)
         assert len(path.read_text().strip().split("\n")) == 1 + 5
+
+
+def csr_departure_values(model, N_cap, horizon):
+    """The value iteration with scipy's CSR product on the dense reference generator."""
+    sparse = pytest.importorskip("scipy.sparse")
+    Q = truncated_generator(model, N_cap)
+    m, size = model.n_env, len(Q)
+    B, U, D, cls = _level_blocks(model, N_cap)
+    total = np.cumsum(_move_rates(B, U, D), axis=2)[:, :, -1][cls].ravel()
+    src, dst = np.nonzero(Q)
+    move = src != dst
+    src, dst = src[move], dst[move]
+    prob = Q[src, dst] / total[src]
+    P = sparse.csr_matrix((prob, (src, dst)), shape=Q.shape)
+    down = dst < src - src % m
+    reward = np.bincount(src[down], weights=prob[down], minlength=size)
+    history = np.zeros((horizon + 1, size))
+    for j in range(1, horizon + 1):
+        history[j] = reward + P @ history[j - 1]
+    return history.reshape(horizon + 1, N_cap + 1, m)
 
 
 class TestDepartureValues:
@@ -136,17 +170,33 @@ class TestDepartureValues:
     def test_long_run_rate_matches_throughput(self, bs_model):
         # v_n / n converges to departures-per-jump; scaled by the stationary
         # jump intensity of the truncated chain it recovers the throughput
-        from envqueue.numerics import build_truncated_generator, metrics, solve_truncated
+        from envqueue.numerics import metrics, solve_truncated
 
         N = 40
         sol = solve_truncated(bs_model, N)
         th = metrics(sol, bs_model).throughput
-        Q = build_truncated_generator(bs_model, N)
-        jump_intensity = float(sol.pi.reshape(-1) @ (-Q.diagonal()))
+        Q = truncated_generator(bs_model, N)
+        jump_intensity = float(sol.pi.reshape(-1) @ (-np.diag(Q)))
         n_jumps = 10_000
         table = departure_values(bs_model, N_cap=N, horizon=n_jumps)
         rate = table.values[0, 2] / n_jumps * jump_intensity
         assert rate == pytest.approx(th, abs=2e-3)
+
+    @pytest.mark.parametrize(
+        "model, N_cap, horizon",
+        [
+            (base_stock(lam=1, mu=2, nu=1, b=2), 20, 30),
+            (perishable_o(lam=1, mu=2, nu=3, gamma=1, b=10), 30, 12),
+            (perishable_plus(lam=1, mu=2, nu=1, gamma=4, b=3), 60, 12),
+            (onoff_b(lam=0.5, gamma=1, eta=1), 25, 20),
+            (period_two_model(), 15, 25),
+        ],
+        ids=["base_stock", "perishable_o_b10", "perishable_plus", "onoff_b", "period_two"],
+    )
+    def test_matches_csr_product(self, model, N_cap, horizon):
+        # the padded-row product adds each row's entries in the CSR product's order: equal bit for bit
+        assert np.array_equal(departure_values(model, N_cap, horizon).history,
+                              csr_departure_values(model, N_cap, horizon))
 
 
 class TestIsotone:
