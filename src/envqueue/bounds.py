@@ -19,14 +19,7 @@ from .catalog import perishable_minus, perishable_o, perishable_plus
 from .model import EnvqueueError, InvalidParam, JointModel
 from .numerics import auto_truncate, metrics
 from .separability import NotSeparable, ProductFormResult, product_form
-from .simulate import (
-    DepartureValueTable,
-    IsotoneReport,
-    SimConfig,
-    departure_values,
-    isotone_check,
-    simulate,
-)
+from .simulate import SimConfig, departure_values, isotone_check, simulate
 
 ORDER_TOL = 1e-9
 

@@ -56,8 +56,10 @@ def _resolve_model(args):
     return catalog(args.catalog, **params)
 
 
-def _write_manifest(args, model, outdir: Path, extra=None):
-    digest = hashlib.sha256(model.signature().encode()).hexdigest()
+def _write_manifest(args, models, outdir: Path, extra=None):
+    """`model_hash` is the SHA-256 of the models' signatures joined by newlines: the one model
+    a command analyses, or a sweep's models in grid order."""
+    digest = hashlib.sha256("\n".join(model.signature() for model in models).encode()).hexdigest()
     lines = {
         "tool": "envqueue",
         "version": __version__,
@@ -96,7 +98,7 @@ def _cmd_validate(args, outdir):
         "violations": [list(v) for v in report.violations],
         "warnings": [list(w) for w in report.warnings],
     }
-    _write_manifest(args, model, outdir)
+    _write_manifest(args, [model], outdir)
     _write_json(outdir, "validation.json", record)
     status = "PASS" if report.passed else "FAIL"
     print(f"validate: {status} ({len(report.violations)} violations, {len(report.warnings)} warnings)")
@@ -108,7 +110,7 @@ def _cmd_validate(args, outdir):
 def _cmd_separability(args, outdir):
     model = _resolve_model(args)
     record = separability_report(model, tol=args.tol)
-    _write_manifest(args, model, outdir)
+    _write_manifest(args, [model], outdir)
     _write_json(outdir, "separability.json", record)
     if record["separable"]:
         print("separable: product form steady state")
@@ -123,7 +125,7 @@ def _cmd_separability(args, outdir):
 def _cmd_certify(args, outdir):
     model = _resolve_model(args)
     result = certify(model, kind=args.kind)
-    _write_manifest(args, model, outdir)
+    _write_manifest(args, [model], outdir)
     if result.certified:
         _write_json(outdir, "certificate.json", result.to_record())
         print(f"certified ergodic: kind={result.kind}, eps={result.eps:.6g}, "
@@ -136,7 +138,7 @@ def _cmd_certify(args, outdir):
 
 def _cmd_solve(args, outdir):
     model = _resolve_model(args)
-    _write_manifest(args, model, outdir)
+    _write_manifest(args, [model], outdir)
     if args.N is None:
         sol = auto_truncate(model, tol=args.tol)
     else:
@@ -171,7 +173,7 @@ def _cmd_simulate(args, outdir):
         "seed": args.seed,
         "total_jumps": result.total_jumps,
     }
-    _write_manifest(args, model, outdir)
+    _write_manifest(args, [model], outdir)
     _write_json(outdir, "simulation.json", record)
     with open(outdir / "simulation.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("replication,throughput\n")
@@ -195,7 +197,7 @@ def _cmd_bounds(args, outdir):
     report = bound_report(args.lam, args.mu, args.nu, args.gamma, args.b, sim_config=sim_config)
     from .catalog import perishable_o
 
-    _write_manifest(args, perishable_o(args.lam, args.mu, args.nu, args.gamma, args.b), outdir)
+    _write_manifest(args, [perishable_o(args.lam, args.mu, args.nu, args.gamma, args.b)], outdir)
     _write_json(outdir, "bounds.json", report.to_record())
     with open(outdir / "bounds.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("gamma,TH_minus,TH_o,TH_plus\n")
@@ -212,7 +214,8 @@ def _cmd_sweep(args, outdir):
     rows = gamma_sweep(args.lam, args.mu, args.nu, args.b, gammas, truncation_tol=args.tol)
     from .catalog import perishable_o
 
-    _write_manifest(args, perishable_o(args.lam, args.mu, args.nu, gammas[0], args.b), outdir,
+    models = [perishable_o(args.lam, args.mu, args.nu, gamma, args.b) for gamma in gammas]
+    _write_manifest(args, models, outdir,
                     extra={"gamma_min": args.gamma_min, "gamma_max": args.gamma_max, "gamma_steps": args.gamma_steps})
     with open(outdir / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("gamma,TH_minus,TH_o,TH_plus\n")

@@ -11,7 +11,7 @@ is verified numerically on a horizon that covers all periodic representatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -86,46 +86,66 @@ class _TransitionTable:
             self.rows.append((total, probs.tolist(), tuple((_MOVE_STEPS[j // m], j % m) for j in moves.tolist())))
 
 
-def _uniforms(rng):
-    """(u_time, u_pick) pairs as Python floats from chunks of 8192 times, then 8192 picks, converted
-    512 at a time: a whole chunk's conversion would cost more than a short replication's loop."""
+_CHUNK = 8192  # chunk c of a replication's stream: 8192 holding-time uniforms, then 8192 pick uniforms
+_WINDOW = 512  # uniforms converted to Python floats at a time
+_SKIP = _CHUNK // 4  # Philox steps in half a chunk: each step gives four 64-bit words, one per uniform
+
+
+def _uniforms(seed: int, rep: int):
+    """The (u_time, u_pick) pairs of replication `rep`, one `zip` of Python floats per window.
+    Philox is counter-based, so two generators on the replication's key walk the times and the
+    picks of each chunk, drawing only the windows that are read and skipping the other half of
+    the chunk with `advance`.  Both are seeded from the SeedSequence: `Philox(key=...)` would
+    also read OS entropy."""
+    seq = SeedSequence(entropy=seed, spawn_key=(rep,))
+    times, picks = Philox(seq), Philox(seq).advance(_SKIP)
+    draw_times, draw_picks = Generator(times).random, Generator(picks).random
     while True:
-        u_time = rng.random(8192)
-        u_pick = rng.random(8192)
-        for i in range(0, 8192, 512):
-            yield from zip(u_time[i:i + 512].tolist(), u_pick[i:i + 512].tolist())
+        for _ in range(_CHUNK // _WINDOW):
+            yield zip(draw_times(_WINDOW).tolist(), draw_picks(_WINDOW).tolist())
+        times.advance(_SKIP)
+        picks.advance(_SKIP)
+
+
+def _initial_state(config: SimConfig, m: int) -> tuple:
+    """`config.initial_state`, checked to be a state of a model with m environment states."""
+    n, k = config.initial_state
+    if n < 0 or not 0 <= k < m:
+        raise ValueError(f"initial_state {config.initial_state} is not a state (n >= 0, 0 <= k < {m})")
+    return n, k
 
 
 def _run_replication(table: _TransitionTable, config: SimConfig, rep: int, log=None):
     """One trajectory; `log(t, step, n, k)`, if given, sees every jump (the
     queue change and the state after it) and stops the run by returning
     False."""
-    rng = Generator(Philox(SeedSequence(entropy=config.seed, spawn_key=(rep,))))
     horizon = config.horizon
     warmup_time = config.warmup * horizon
     rows, base, p, m = table.rows, table.base, table.p, table.m
-    n, k = config.initial_state
-    if n < 0 or not 0 <= k < m:
-        raise ValueError(f"initial_state {config.initial_state} is not a state (n >= 0, 0 <= k < {m})")
+    n, k = _initial_state(config, m)
     t = 0.0
     departures = 0
     jumps = 0
-    for u_time, u_pick in _uniforms(rng):
-        # the fold of `_level_classes`
-        total, cum, moves = rows[(n if n < base else base + (n - base) % p) * m + k]
-        # math.log1p, not np.log1p: the two differ in the last bit on some
-        # draws, which would change the trajectories
-        dt = -math.log1p(-u_time) / total
-        if t + dt > horizon:
-            break
-        t += dt
-        dn, k = moves[bisect_left(cum, u_pick)]
-        jumps += 1
-        if dn == -1 and t >= warmup_time:
-            departures += 1
-        n += dn
-        if log is not None and not log(t, dn, n, k):
-            break
+    for window in _uniforms(config.seed, rep):
+        for u_time, u_pick in window:
+            # the fold of `_level_classes`
+            total, cum, moves = rows[(n if n < base else base + (n - base) % p) * m + k]
+            # math.log1p, not np.log1p: the two differ in the last bit on some
+            # draws, which would change the trajectories
+            dt = -math.log1p(-u_time) / total
+            if t + dt > horizon:
+                break
+            t += dt
+            dn, k = moves[bisect_left(cum, u_pick)]
+            jumps += 1
+            if dn == -1 and t >= warmup_time:
+                departures += 1
+            n += dn
+            if log is not None and not log(t, dn, n, k):
+                break
+        else:
+            continue
+        break
     rate = departures / (horizon - warmup_time)
     return rate, jumps, departures
 
@@ -228,6 +248,8 @@ def simulate(model: JointModel, config: SimConfig) -> SimulationResult:
 def write_event_log(model: JointModel, config: SimConfig, path, max_events: int = 100_000) -> None:
     """Event log (time, n, k, event) of replication 0: the same random draws,
     so the same trajectory, as `simulate` makes, up to max_events events."""
+    table = _TransitionTable(model)
+    _initial_state(config, table.m)  # before the file exists
     labels = model.env.labels
     events = {1: "arrival", -1: "departure", 0: "env"}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -240,7 +262,7 @@ def write_event_log(model: JointModel, config: SimConfig, path, max_events: int 
             written += 1
             return written < max_events
 
-        _run_replication(_TransitionTable(model), config, 0, log)
+        _run_replication(table, config, 0, log)
 
 
 @dataclass(frozen=True)

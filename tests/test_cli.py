@@ -234,6 +234,16 @@ class TestManifest:
               "--nu", "1.5", "--b", "2", "--out", str(out_b)])
         assert read_manifest(out_a)["model_hash"] != read_manifest(out_b)["model_hash"]
 
+    def test_sweep_hash_covers_every_gamma(self, tmp_path):
+        # the same gamma_min, so the same first model: only the rest of the grid differs
+        hashes = []
+        for gamma_max in ("1.0", "1.5"):
+            out = tmp_path / gamma_max
+            main(["sweep", "--catalog", "perishable_o", "--lambda", "1", "--mu", "2", "--nu", "1", "--b", "2",
+                  "--gamma-min", "0.5", "--gamma-max", gamma_max, "--gamma-steps", "2", "--out", str(out)])
+            hashes.append(read_manifest(out)["model_hash"])
+        assert hashes[0] != hashes[1]
+
 
 class TestModelFile:
     def test_yaml_model_loads(self, tmp_path):

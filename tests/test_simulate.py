@@ -1,9 +1,11 @@
 """Trajectory simulation, departure-value iteration, isotonicity."""
 
 import math
+from itertools import chain, islice
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox, SeedSequence
 
 from envqueue.catalog import base_stock, mm1_plain, onoff_b, perishable_o, perishable_plus
 from envqueue.model import _level_blocks, _move_rates
@@ -12,6 +14,7 @@ from envqueue.simulate import (
     IsotoneReport,
     SimConfig,
     _t_quantile,
+    _uniforms,
     departure_values,
     isotone_check,
     simulate,
@@ -50,6 +53,24 @@ class TestSimulate:
         assert result.estimate.per_replication == per_replication
         assert result.total_jumps == jumps
 
+    def test_many_short_replications_pinned(self, bs_model):
+        # ~400 jumps a replication: each reads one window of its first chunk
+        result = simulate(bs_model, SimConfig(seed=5, horizon=200.0, replications=200))
+        assert result.total_jumps == 79389
+        assert result.total_departures == 23882
+        assert sum(result.estimate.per_replication) == 132.6777777777778
+
+    @pytest.mark.parametrize("seed, rep", [(0, 0), (5, 1), (123456789, 7), (2**40, 199)])
+    def test_uniforms_match_chunk_reference(self, seed, rep):
+        # the stream layout: chunk c holds 8192 holding-time uniforms, then 8192 pick uniforms
+        rng = Generator(Philox(SeedSequence(entropy=seed, spawn_key=(rep,))))
+        expected = []
+        for _ in range(3):  # two chunk crossings
+            u_time = rng.random(8192)
+            u_pick = rng.random(8192)
+            expected += zip(u_time.tolist(), u_pick.tolist())
+        assert list(islice(chain.from_iterable(_uniforms(seed, rep)), len(expected))) == expected
+
     def test_different_seeds_differ(self, bs_model):
         config_a = SimConfig(seed=1, horizon=500.0, replications=2)
         config_b = SimConfig(seed=2, horizon=500.0, replications=2)
@@ -83,6 +104,12 @@ class TestSimulate:
         config = SimConfig(horizon=10.0, replications=2, initial_state=state)
         with pytest.raises(ValueError, match="initial_state"):
             simulate(bs_model, config)
+
+    def test_event_log_bad_initial_state_writes_nothing(self, bs_model, tmp_path):
+        path = tmp_path / "events.csv"
+        with pytest.raises(ValueError, match="initial_state"):
+            write_event_log(bs_model, SimConfig(horizon=10.0, initial_state=(0, 3)), path)
+        assert not path.exists()
 
     def test_t_quantile_matches_scipy(self):
         stdtrit = pytest.importorskip("scipy.special").stdtrit
