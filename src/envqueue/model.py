@@ -15,6 +15,7 @@ finitely many checks.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -245,7 +246,9 @@ class JointModel:
         return range(self.tail_start + self.period)
 
     def signature(self) -> str:
-        """Canonical text rendering, used for run-manifest hashing."""
+        """Canonical text rendering, used for run-manifest hashing.  A matrix is
+        rendered by its shape and the SHA-256 of its little-endian float64
+        entries, so every entry counts at any size."""
         parts = [
             f"name={self.name}",
             f"lambda_prefix={self.rates.lambda_prefix}",
@@ -262,7 +265,8 @@ class JointModel:
             ("R_tail", self.env.R_tail),
         ):
             for i, mat in enumerate(mats):
-                parts.append(f"{tag}[{i}]={np.array2string(mat, precision=17)}")
+                digest = hashlib.sha256(np.ascontiguousarray(mat, dtype="<f8").tobytes()).hexdigest()
+                parts.append(f"{tag}[{i}]=shape{mat.shape} sha256:{digest}")
         return "\n".join(parts)
 
 
@@ -270,6 +274,11 @@ class JointModel:
 # level-major (level = queue length) it is block tridiagonal with blocks B_n
 # (local), U_n (up), D_n (down) (Gaver, Jacobs & Latouche, Adv. Appl. Prob. 16,
 # 1984)
+
+
+# a pass over the listed levels takes this many at a time, so that its
+# temporaries do not grow with the number of levels
+LEVEL_WINDOW = 2048
 
 
 def _blocks(model: JointModel, n: int, capped: bool = False):
@@ -317,19 +326,26 @@ def _balance_residual(pi, B, U, D, cls, rows: int) -> tuple[float, int]:
     """max |pi_{n-1} U_{n-1} + pi_n B_n + pi_{n+1} D_{n+1}| over levels n < rows,
     and the first level where it is reached; level n has blocks B[cls[n]],
     U[cls[n]], D[cls[n]].  pi (and cls) may hold one level more than `rows`,
-    which feeds the last row's down flow."""
-    L = len(pi)
-    flow = np.zeros_like(pi)
-    for c in range(len(B)):
-        idx = np.flatnonzero(cls == c)
-        flow[idx] += pi[idx] @ B[c]
-        up = idx[idx + 1 < L]
-        flow[up + 1] += pi[up] @ U[c]
-        down = idx[idx > 0]
-        flow[down - 1] += pi[down] @ D[c]
-    defect = np.abs(flow[:rows]).max(axis=1)
-    worst = int(np.argmax(defect))
-    return float(defect[worst]), worst
+    which feeds the last row's down flow.  Levels are checked LEVEL_WINDOW at a
+    time, so the temporaries stay small however many levels there are."""
+    worst = []  # per window: the largest defect and its first level
+    for start in range(0, rows, LEVEL_WINDOW):
+        stop = min(start + LEVEL_WINDOW, rows)
+        # the window's levels and their neighbours, whose flows enter the window
+        lo, hi = max(start - 1, 0), min(stop + 1, len(pi))
+        window, window_cls = pi[lo:hi], cls[lo:hi]
+        flow = np.zeros_like(window)
+        for c in range(len(B)):
+            idx = np.flatnonzero(window_cls == c)
+            flow[idx] += window[idx] @ B[c]
+            up = idx[idx + 1 < hi - lo]
+            flow[up + 1] += window[up] @ U[c]
+            down = idx[idx > 0]
+            flow[down - 1] += window[down] @ D[c]
+        defect = np.abs(flow[start - lo : stop - lo]).max(axis=1)
+        at = int(np.argmax(defect))
+        worst.append((float(defect[at]), start + at))
+    return worst[int(np.argmax([value for value, _ in worst]))]
 
 
 _MOVE_STEPS = (1, -1, 0)  # queue change of the U, D and B parts of a `_move_rates` row

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EnvqueueError, JointModel, _balance_residual, _level_blocks, _level_classes, _representative_blocks
+from .model import (LEVEL_WINDOW, EnvqueueError, JointModel, _balance_residual, _level_blocks, _level_classes,
+                    _representative_blocks)
 from .separability import SingularSolve, gth_stationary
 
 # the tail is called null recurrent when its mean drift is below this
@@ -294,6 +295,14 @@ class Metrics:
         }
 
 
+def _level_rates(model: JointModel, levels: np.ndarray):
+    """lambda(n) and mu(n) for each n in `levels`, read from the representative
+    levels: both rates repeat with period p from T0 = tail_start + 1 on."""
+    reps = range(model.tail_start + 1 + model.period)
+    cls = _level_classes(model, levels)
+    return np.array([model.arrival(n) for n in reps])[cls], np.array([model.service(n) for n in reps])[cls]
+
+
 def metrics(solution: TruncatedSolution, model: JointModel) -> Metrics:
     """Stationary metrics: of the truncated vector, or from the exact tail
     sums when the solution has a tail."""
@@ -302,8 +311,7 @@ def metrics(solution: TruncatedSolution, model: JointModel) -> Metrics:
         levels, pi, extra = np.arange(solution.N + 1), solution.pi, 0.0
     else:
         levels, pi, extra = solution.tail.level_sums()
-    mu = np.array([model.service(n) for n in levels])
-    lam = np.array([model.arrival(n) for n in levels])
+    lam, mu = _level_rates(model, levels)
     th = float((pi[1:, working].sum(axis=1) * mu[1:]).sum())
     mean_q = float((pi.sum(axis=1) * levels).sum()) + extra
     p_blocked = float(pi[:, ~working].sum())
@@ -333,8 +341,9 @@ def check_cut_structure(solution: TruncatedSolution, model: JointModel, tol: flo
     if interior <= 0:
         return CutReport(passed=True, worst_relative=0.0, worst_level=0, levels_checked=max(interior, 0))
     flow = solution.pi[: interior + 1, working].sum(axis=1)
-    lhs = flow[:-1] * np.array([model.arrival(n) for n in range(interior)])
-    rhs = flow[1:] * np.array([model.service(n + 1) for n in range(interior)])
+    lam, mu = _level_rates(model, np.arange(interior + 1))
+    lhs = flow[:-1] * lam[:-1]
+    rhs = flow[1:] * mu[1:]
     rel = np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1e-300)
     worst_n = int(np.argmax(rel))
     worst = float(rel[worst_n])
@@ -346,8 +355,9 @@ def export_csv(solution: TruncatedSolution, model: JointModel, path) -> None:
     labels = model.env.labels
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("n,k,pi\n")
-        fh.writelines(
-            f"{n},{label},{value:.17g}\n"
-            for n, row in enumerate(solution.pi.tolist())
-            for label, value in zip(labels, row)
-        )
+        for start in range(0, len(solution.pi), LEVEL_WINDOW):
+            fh.writelines(
+                f"{n},{label},{value:.17g}\n"
+                for n, row in enumerate(solution.pi[start : start + LEVEL_WINDOW].tolist(), start)
+                for label, value in zip(labels, row)
+            )

@@ -21,7 +21,7 @@ from envqueue.catalog import (
 )
 from envqueue.ergodicity import LyapunovCertificate, NotCertified, c_hat, certify, solve_tau
 from envqueue.model import generator_row
-from envqueue.numerics import check_cut_structure, metrics, solve_truncated
+from envqueue.numerics import NotErgodic, auto_truncate, check_cut_structure, metrics, solve_truncated
 from envqueue.separability import (
     NotSeparable,
     ProductFormResult,
@@ -200,3 +200,35 @@ def test_criterion_10_property_suites():
     b = simulate(models[0], config)
     ok = ok and a.estimate.per_replication == b.estimate.per_replication
     report(10, "property contracts: conservativeness, residuals, v_n monotone, v_1<=1, seed determinism", ok)
+
+
+# the catalog's certification verdicts: every model is certified but the M/M/1
+# queue with lam > mu, which fails the necessary condition
+CERTIFY_CATALOG = {
+    "mm1_plain": (mm1_plain(lam=1, mu=2), True),
+    "mm1_plain_unstable": (mm1_plain(lam=2, mu=1), False),
+    "base_stock_b2": (base_stock(lam=1, mu=2, nu=1, b=2), True),
+    "base_stock_b3": (base_stock(lam=1, mu=2, nu=1, b=3), True),
+    "onoff_a": (onoff_a(eta=1.0, gamma=2.0, lam=0.5, mu=2.0), True),
+    "perishable_minus": (perishable_minus(lam=1, mu=2, nu=1, gamma=1, b=2), True),
+    "perishable_o": (perishable_o(lam=1, mu=2, nu=1, gamma=1, b=2), True),
+    "perishable_plus": (perishable_plus(lam=1, mu=2, nu=1, gamma=1, b=2), True),
+}
+
+
+@pytest.mark.parametrize("kind", ["linear_drift", "hitting_time"])
+def test_catalog_certification_agrees_with_exact_solve(kind):
+    for name, (model, certified) in CERTIFY_CATALOG.items():
+        result = certify(model, kind=kind)
+        try:
+            auto_truncate(model)
+            ergodic = True
+        except NotErgodic:
+            ergodic = False
+        if certified:
+            assert isinstance(result, LyapunovCertificate) and result.eps > 0, (name, result)
+            assert result.worst_margin >= -1e-12, (name, result.worst_margin)
+        else:
+            assert isinstance(result, NotCertified) and result.reason == "NecessaryFails", (name, result)
+        # Neuts' drift test in the exact solve is the independent verdict
+        assert ergodic == certified, name

@@ -234,6 +234,21 @@ class TestManifest:
               "--nu", "1.5", "--b", "2", "--out", str(out_b)])
         assert read_manifest(out_a)["model_hash"] != read_manifest(out_b)["model_hash"]
 
+    def test_hash_covers_every_matrix_entry(self, tmp_path):
+        # 40 x 40 matrices, which a printed rendering would elide; the models differ in row 20 only
+        hashes = []
+        for rate in (1.0, 3.0):
+            V = [[0.0] * 40 for _ in range(40)]
+            R = [[float(j == k) for j in range(40)] for k in range(40)]
+            for k in range(40):
+                V[k][(k + 1) % 40], V[k][k] = 1.0, -1.0
+            V[20][21], V[20][20] = rate, -rate
+            out = tmp_path / str(rate)
+            path = write_model(tmp_path / f"model{rate}.json", list(range(40)), [0], V, R)
+            assert main(["validate", "--model", path, "--out", str(out)]) == EXIT_OK
+            hashes.append(read_manifest(out)["model_hash"])
+        assert hashes[0] != hashes[1]
+
     def test_sweep_hash_covers_every_gamma(self, tmp_path):
         # the same gamma_min, so the same first model: only the rest of the grid differs
         hashes = []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from envqueue import numerics
 from envqueue.bounds import product_form_throughput
 from envqueue.catalog import (
     base_stock,
@@ -88,6 +89,19 @@ class TestSolveTruncated:
         dense = np.abs(pi.reshape(-1) @ truncated_generator(per_o_b2, N)).max()
         blockwise, _ = _balance_residual(pi, *_level_blocks(per_o_b2, N), N + 1)
         assert blockwise == pytest.approx(dense, rel=1e-12)
+
+    def test_residual_windows_do_not_change_it(self, per_o_b2, monkeypatch):
+        from envqueue import model
+        from envqueue.numerics import _balance_residual, _level_blocks
+
+        N = 40
+        pi = np.random.default_rng(2).uniform(size=(N + 1, per_o_b2.n_env))
+        blocks = _level_blocks(per_o_b2, N)
+        # rows = N: pi holds one level more, which feeds the last row
+        whole = [_balance_residual(pi, *blocks, rows) for rows in (N + 1, N)]
+        for window in (1, 2, 7):
+            monkeypatch.setattr(model, "LEVEL_WINDOW", window)
+            assert [_balance_residual(pi, *blocks, rows) for rows in (N + 1, N)] == whole
 
     def test_normalized_nonnegative(self, per_o_b2):
         sol = solve_truncated(per_o_b2, 80)
@@ -220,6 +234,17 @@ def test_exact_solve_matches_product_form_in_heavy_traffic(kind, rho, nu, gamma,
     assert metrics(auto_truncate(model), model).throughput == pytest.approx(exact, abs=1e-10)
 
 
+@pytest.mark.parametrize("model", [mm1_plain(lam=1, mu=2), base_stock(lam=1, mu=2, nu=1, b=2), period_two_model()],
+                         ids=["mm1", "base_stock", "period_two_prefix"])
+def test_level_rates_match_per_level_rates(model):
+    from envqueue.numerics import _level_rates
+
+    levels = np.arange(40)
+    lam, mu = _level_rates(model, levels)
+    assert lam.tolist() == [model.arrival(n) for n in levels]
+    assert mu.tolist() == [model.service(n) for n in levels]
+
+
 class TestExportCsv:
     def test_round_trip(self, bs_model, tmp_path):
         sol = solve_truncated(bs_model, 20)
@@ -230,3 +255,10 @@ class TestExportCsv:
         assert len(lines) == 1 + 21 * 3
         total = sum(float(line.split(",")[2]) for line in lines[1:])
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_windows_do_not_change_bytes(self, per_o_b2, tmp_path, monkeypatch):
+        sol = solve_truncated(per_o_b2, 30)
+        export_csv(sol, per_o_b2, tmp_path / "whole.csv")
+        monkeypatch.setattr(numerics, "LEVEL_WINDOW", 4)
+        export_csv(sol, per_o_b2, tmp_path / "windows.csv")
+        assert (tmp_path / "windows.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
