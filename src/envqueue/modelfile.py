@@ -34,6 +34,11 @@ _YAML_ONLY = tuple(re.compile(pattern) for pattern in (
 # before the colon, a key of at most this many characters spans at most
 # 2 + 6 * 166 of the text, as an escape takes at most 6 characters.
 _MAX_KEY = 166
+# libyaml's composer recurses in C, ~300 bytes of stack a level: a file nested
+# some 30,000 levels deep overflows an 8 MB stack and kills the interpreter.
+# A model needs ~5 levels; the cap admits every text json.loads gives up on
+# (its recursion limit is ~1000) and keeps the composer within ~1.3 MB.
+_MAX_DEPTH = 4096
 
 
 def _short_keys(pairs):
@@ -44,7 +49,8 @@ def _short_keys(pairs):
 
 def _parse_document(text: str):
     """The YAML document in `text`, read by `json.loads` when the two parsers
-    agree on it.  Raises yaml.YAMLError on text that is not valid YAML."""
+    agree on it.  Raises yaml.YAMLError on text that is not valid YAML and
+    InvalidParam on collections nested deeper than `_MAX_DEPTH`."""
     # YAML rejects control characters and folds U+0085 into a space; json.loads
     # rejects every raw control character except DEL
     if text.isascii() and "\x7f" not in text and not any(p.search(text) for p in _YAML_ONLY):
@@ -53,7 +59,19 @@ def _parse_document(text: str):
         except (ValueError, RecursionError):  # not JSON, a long key, an over-long integer or deep nesting
             pass
     # libyaml's parser where PyYAML was built with it: ~6x faster on large explicit models
-    return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    # the parser's event stream is flat, so the depth is checked before the composer recurses; every
+    # collection opens at one of these characters, so a text with few of them needs no check
+    depth = 0
+    events = yaml.parse(text, Loader=loader) if sum(map(text.count, "[{-:?")) > _MAX_DEPTH else ()
+    for event in events:
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > _MAX_DEPTH:
+                raise InvalidParam(f"model file nests collections deeper than {_MAX_DEPTH} levels")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    return yaml.load(text, Loader=loader)
 
 
 def model_from_dict(doc: dict) -> JointModel:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -61,6 +62,7 @@ class GeometricTail:
     x0: np.ndarray  # shape (p |K|,)
     R: np.ndarray  # shape (p |K|, p |K|), spectral radius < 1
     drift: float  # alpha A2 1 - alpha A0 1 > 0
+    R_residual: float  # ||A0 + R A1 + R^2 A2|| in the max-row-sum norm
 
     def level_sums(self):
         """Stationary mass by rate class, as (levels, mass, extra): one row per
@@ -272,7 +274,8 @@ def auto_truncate(model: JointModel, tol: float = 1e-9) -> TruncatedSolution:
         raise SingularSolve(f"exact solve: {exc}") from exc
     if not (np.isfinite(R).all() and np.isfinite(total) and total > 0.0):
         raise SingularSolve("exact solve produced non-finite or zero mass")
-    tail = GeometricTail(start=T0, period=p, head=head / total, x0=x0 / total, R=R, drift=drift)
+    tail = GeometricTail(start=T0, period=p, head=head / total, x0=x0 / total, R=R, drift=drift,
+                         R_residual=float(np.linalg.norm(A0 + R @ (A1 + R @ A2), np.inf)))
     exact, mass_above, N = _list_levels(tail, tol, model.tail_start + p)
     residual, _ = _balance_residual(exact, B, U, D, _level_classes(model, np.arange(N + 2)), N + 1)
     pi = exact[: N + 1]
@@ -351,13 +354,14 @@ def check_cut_structure(solution: TruncatedSolution, model: JointModel, tol: flo
 
 
 def export_csv(solution: TruncatedSolution, model: JointModel, path) -> None:
-    """Write the stationary vector as CSV with columns (n, k, pi)."""
-    labels = model.env.labels
+    """Write the stationary vector as CSV with columns (n, k, pi), a window of
+    levels at a time through one `%` template of a level's rows."""
+    m = model.n_env
+    level = "".join(f"%d,{str(label).replace('%', '%%')},%.17g\n" for label in model.env.labels)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("n,k,pi\n")
         for start in range(0, len(solution.pi), LEVEL_WINDOW):
-            fh.writelines(
-                f"{n},{label},{value:.17g}\n"
-                for n, row in enumerate(solution.pi[start : start + LEVEL_WINDOW].tolist(), start)
-                for label, value in zip(labels, row)
-            )
+            values = solution.pi[start : start + LEVEL_WINDOW].ravel().tolist()
+            rows = len(values) // m
+            ns = chain.from_iterable(repeat(n, m) for n in range(start, start + rows))
+            fh.write((level * rows) % tuple(chain.from_iterable(zip(ns, values))))

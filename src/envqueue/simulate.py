@@ -2,14 +2,20 @@
 
 Replications use independent Philox-backed streams derived from
 (seed, replication index) via numpy's SeedSequence spawn keys, so identical
-configurations reproduce bit-identical trajectories.  Also contains the
+configurations reproduce bit-identical trajectories.  A long run splits its
+replications into contiguous blocks, one per CPU, and runs every block but the
+first in a forked child; as each replication has its own stream, the results
+are those of a sequential run.  Also contains the
 expected-departure-count value iteration on the embedded jump chain and the
 product-order isotonicity check used by the throughput-bounding analysis.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import os
+import pickle
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -22,6 +28,10 @@ from .model import generator_row  # noqa: F401  (perfbench/tracing.py counts cal
 
 class ZeroExitRate(EnvqueueError):
     """An absorbing state was reached; the model is defective."""
+
+
+class WorkerLost(EnvqueueError):
+    """A forked replication worker exited without sending its results."""
 
 
 @dataclass(frozen=True)
@@ -220,17 +230,86 @@ def _t_quantile(df: int, p: float) -> float:
     return t
 
 
+# ~10 ms of jump kernel, ~5x the 2 ms of a fork, exit and wait; the parent's
+# first write to each page after a fork also faults, ~1 us a page
+_FORK_MIN_JUMPS = 2e4
+
+
+def _workers(table: _TransitionTable, config: SimConfig) -> int:
+    """Processes to run the replications in: one per CPU in this process's
+    affinity mask, at most one per replication.  One where `os.fork` or the
+    mask is missing, or where the run is too short to pay for a fork: fewer
+    jumps than `_FORK_MIN_JUMPS` even if every replication stayed in the
+    state with the largest exit rate."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if config.horizon * config.replications * max(row[0] for row in table.rows) < _FORK_MIN_JUMPS:
+        return 1
+    return min(len(os.sched_getaffinity(0)), config.replications)
+
+
+def _fork(table: _TransitionTable, config: SimConfig, reps: range):
+    """Start a child that runs replications `reps` and pickles back through a
+    pipe (True, their results) or (False, the exception they raised); returns
+    the child's pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    try:  # the child: it never returns into the caller's stack
+        # a collection could run finalizers of the parent's garbage, such as a temporary directory's
+        gc.disable()
+        os.close(read_fd)
+        try:
+            result = (True, [_run_replication(table, config, rep) for rep in reps])
+        except BaseException as exc:
+            result = (False, exc)
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(pickle.dumps(result))
+    finally:
+        os._exit(0)
+
+
+def _run_blocks(table: _TransitionTable, config: SimConfig, blocks: list) -> list:
+    """(rate, jumps, departures) of each replication in `blocks`, in order:
+    the first block in this process, each other one in a forked child.  The
+    child runs only the jump kernel, pure Python and Philox, so forking beside
+    numpy's BLAS threads is safe."""
+    children = []
+    try:
+        for reps in blocks[1:]:
+            children.append(_fork(table, config, reps))
+        runs = [_run_replication(table, config, rep) for rep in blocks[0]]
+        for pid, fh in children:
+            try:
+                ok, value = pickle.loads(fh.read())
+            except (EOFError, pickle.UnpicklingError):
+                raise WorkerLost(f"replication worker {pid} exited without a result") from None
+            if not ok:
+                raise value
+            runs += value
+        return runs
+    finally:
+        for pid, fh in children:
+            fh.close()
+            os.waitpid(pid, 0)
+
+
 def simulate(model: JointModel, config: SimConfig) -> SimulationResult:
     """Monte Carlo throughput estimate with a 95% t-interval over
     independent replications."""
     table = _TransitionTable(model)
-    rates, jumps, deps = [], 0, 0
-    for rep in range(config.replications):
-        rate, j, d = _run_replication(table, config, rep)
-        rates.append(rate)
-        jumps += j
-        deps += d
-    rates = tuple(rates)
+    _initial_state(config, table.m)  # before any fork
+    n_reps, workers = config.replications, _workers(table, config)
+    blocks = [range(n_reps * i // workers, n_reps * (i + 1) // workers) for i in range(workers)]
+    runs = _run_blocks(table, config, blocks)
+    rates = tuple(rate for rate, _, _ in runs)
     mean = float(np.mean(rates))
     if config.replications > 1:
         sem = float(np.std(rates, ddof=1)) / math.sqrt(config.replications)
@@ -240,8 +319,8 @@ def simulate(model: JointModel, config: SimConfig) -> SimulationResult:
     return SimulationResult(
         estimate=ThroughputEstimate(mean=mean, half_width=half, per_replication=rates),
         config=config,
-        total_jumps=jumps,
-        total_departures=deps,
+        total_jumps=sum(jumps for _, jumps, _ in runs),
+        total_departures=sum(deps for _, _, deps in runs),
     )
 
 

@@ -221,10 +221,13 @@ def test_catalog_certification_agrees_with_exact_solve(kind):
     for name, (model, certified) in CERTIFY_CATALOG.items():
         result = certify(model, kind=kind)
         try:
-            auto_truncate(model)
+            tail = auto_truncate(model).tail
             ergodic = True
         except NotErgodic:
             ergodic = False
+        else:
+            # R solves A0 + R A1 + R^2 A2 = 0 to round-off
+            assert tail.R_residual <= 1e-12, (name, tail.R_residual)
         if certified:
             assert isinstance(result, LyapunovCertificate) and result.eps > 0, (name, result)
             assert result.worst_margin >= -1e-12, (name, result.worst_margin)

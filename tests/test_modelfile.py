@@ -2,11 +2,16 @@
 and both give the document YAML gives."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import envqueue
 from envqueue import modelfile
 from envqueue.model import InvalidParam
 from envqueue.modelfile import _parse_document, load_model, model_from_dict
@@ -146,6 +151,37 @@ class TestJsonPath:
         path.write_text(json.dumps(base_stock_doc(3))[:-5])
         with pytest.raises(InvalidParam, match="not valid YAML"):
             load_model(path)
+
+
+class TestNestingCap:
+    @pytest.mark.parametrize("nest", [lambda d: "[" * d + "]" * d, lambda d: "- " * d + "x"], ids=["flow", "block"])
+    def test_cap(self, nest):
+        doc = _parse_document(nest(modelfile._MAX_DEPTH))
+        for _ in range(modelfile._MAX_DEPTH - 1):
+            (doc,) = doc
+        assert doc in ([], ["x"])
+        with pytest.raises(InvalidParam, match="deeper than 4096 levels"):
+            _parse_document(nest(modelfile._MAX_DEPTH + 1))
+
+    @pytest.mark.parametrize("text", [TWO_STATE, CATALOG, "? a\n: b\n", "? - x\n", "a: {b: [c, d: e]}\n",
+                                      "- - - x\n", "[a: b, {c}]\n", "!!set {a, b}\n", "x: &r [1]\ny: *r\n",
+                                      "- a:\n    - b: {}\n", "--- []\n"])
+    def test_openers_bound_the_collections(self, text):
+        # the check is skipped on texts with at most _MAX_DEPTH of these characters
+        starts = sum(isinstance(event, yaml.CollectionStartEvent) for event in yaml.parse(text, Loader=LOADER))
+        assert 0 < starts <= sum(map(text.count, "[{-:?"))
+
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "- " * 100_000 + "x"], ids=["json", "yaml"])
+    def test_deep_file_exits_2(self, text, tmp_path):
+        # either file overflowed the C stack in libyaml's composer and killed the interpreter (exit 139)
+        path = tmp_path / "deep.yaml"
+        path.write_text(text)
+        pythonpath = os.pathsep.join([str(Path(envqueue.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-m", "envqueue.cli", "validate", "--model", str(path),
+                               "--out", str(tmp_path)], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": pythonpath})
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: InvalidParam: model file nests collections deeper than 4096 levels"]
 
 
 JSON_VALUES = st.recursive(

@@ -262,3 +262,15 @@ class TestExportCsv:
         monkeypatch.setattr(numerics, "LEVEL_WINDOW", 4)
         export_csv(sol, per_o_b2, tmp_path / "windows.csv")
         assert (tmp_path / "windows.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    def test_matches_per_row_format(self, tmp_path, monkeypatch):
+        # labels with `%` in them, and windows that cut the levels unevenly
+        V = np.array([[-1.0, 0.5, 0.5], [2.0, -3.0, 1.0], [0.25, 0.25, -0.5]])
+        env = EnvironmentSpec.constant(labels=("50%", "%d%%", 7), blocked=("50%",), V=V, R=np.eye(3))
+        model = JointModel(rates=RateFamily.constant(1.0, 2.0), env=env)
+        sol = solve_truncated(model, 40)
+        monkeypatch.setattr(numerics, "LEVEL_WINDOW", 7)
+        export_csv(sol, model, tmp_path / "stationary.csv")
+        expected = "n,k,pi\n" + "".join(f"{n},{label},{value:.17g}\n" for n, row in enumerate(sol.pi.tolist())
+                                        for label, value in zip(env.labels, row))
+        assert (tmp_path / "stationary.csv").read_bytes() == expected.encode()

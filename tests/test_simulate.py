@@ -1,18 +1,23 @@
 """Trajectory simulation, departure-value iteration, isotonicity."""
 
 import math
+import os
 from itertools import chain, islice
 
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox, SeedSequence
 
+from envqueue import simulate as simulate_module
 from envqueue.catalog import base_stock, mm1_plain, onoff_b, perishable_o, perishable_plus
+from envqueue.cli import EXIT_ERROR, main
 from envqueue.model import _level_blocks, _move_rates
 from envqueue.simulate import (
     DepartureValueTable,
     IsotoneReport,
     SimConfig,
+    WorkerLost,
+    ZeroExitRate,
     _t_quantile,
     _uniforms,
     departure_values,
@@ -142,6 +147,118 @@ class TestSimulate:
         path = tmp_path / "events.csv"
         write_event_log(bs_model, SimConfig(seed=3, horizon=300.0), path, max_events=5)
         assert len(path.read_text().strip().split("\n")) == 1 + 5
+
+
+def count_forks(monkeypatch):
+    """A list that gets one entry per `os.fork` call."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    return forks
+
+
+def set_cpus(monkeypatch, cpus, min_jumps=None):
+    """Pretend the affinity mask holds `cpus` CPUs, and optionally fork from `min_jumps` jumps on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    if min_jumps is not None:
+        monkeypatch.setattr(simulate_module, "_FORK_MIN_JUMPS", min_jumps)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+PARALLEL_MODELS = {
+    "base_stock_b2": base_stock(lam=1, mu=2, nu=1, b=2),
+    "base_stock_b50": base_stock(lam=1, mu=2, nu=10, b=50),
+    "perishable_o_b2": perishable_o(lam=1, mu=2, nu=1, gamma=2, b=2),
+    "perishable_o_b50": perishable_o(lam=1, mu=2, nu=10, gamma=2, b=50),
+    "period_two": period_two_model(),
+}
+
+
+class TestParallelReplications:
+    @pytest.mark.parametrize("name", PARALLEL_MODELS)
+    @pytest.mark.parametrize("replications, horizon, initial_state", [
+        (1, 50.0, (0, 0)),
+        (2, 5000.0, (0, 0)),  # more than one 8192-draw chunk per replication
+        (3, 300.0, (4, 1)),
+        (200, 10.0, (0, 0)),
+    ], ids=["one", "two_long", "three_started_at_4_1", "two_hundred"])
+    def test_workers_give_the_sequential_result(self, name, replications, horizon, initial_state, monkeypatch):
+        model = PARALLEL_MODELS[name]
+        config = SimConfig(seed=17, horizon=horizon, replications=replications, initial_state=initial_state)
+        set_cpus(monkeypatch, 1)
+        sequential = simulate(model, config)
+        forks = count_forks(monkeypatch)
+        assert not forks
+        for cpus in (2, 3):
+            set_cpus(monkeypatch, cpus, min_jumps=0)
+            assert simulate(model, config) == sequential, cpus
+            assert len(forks) == min(cpus, replications) - 1
+            forks.clear()
+        assert_no_children()
+
+    @pytest.mark.parametrize("failing_rep", [0, 150, 199], ids=["parent", "second_worker", "last_worker"])
+    def test_worker_exception_is_raised_with_its_type(self, bs_model, failing_rep, monkeypatch):
+        run = simulate_module._run_replication
+
+        def failing(table, config, rep, log=None):
+            if rep == failing_rep:
+                raise ZeroExitRate(f"replication {rep}")
+            return run(table, config, rep, log)
+
+        monkeypatch.setattr(simulate_module, "_run_replication", failing)
+        set_cpus(monkeypatch, 3, min_jumps=0)
+        with pytest.raises(ZeroExitRate, match=f"replication {failing_rep}$"):
+            simulate(bs_model, SimConfig(horizon=10.0, replications=200))
+        assert_no_children()
+
+    def test_worker_without_a_result_exits_2(self, monkeypatch, tmp_path, capsys):
+        run = simulate_module._run_replication
+
+        def dying(table, config, rep, log=None):
+            if rep == 3:
+                os._exit(0)
+            return run(table, config, rep, log)
+
+        monkeypatch.setattr(simulate_module, "_run_replication", dying)
+        set_cpus(monkeypatch, 2)
+        with pytest.raises(WorkerLost, match="without a result"):
+            simulate(base_stock(lam=1, mu=2, nu=1, b=2), SimConfig(horizon=5000.0, replications=4))
+        assert_no_children()
+        argv = ["simulate", "--catalog", "base_stock", "--lambda", "1", "--mu", "2", "--nu", "1", "--b", "2",
+                "--horizon", "5000", "--replications", "4", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: WorkerLost: ")
+        assert_no_children()
+
+    @pytest.mark.parametrize("horizon, replications", [(10.0, 2), (200.0, 3), (1000.0, 4)])
+    def test_short_runs_stay_in_process(self, bs_model, horizon, replications, monkeypatch):
+        # the largest exit rate of base stock b = 2 is 4: fewer than 2e4 jumps even at that rate
+        forks = count_forks(monkeypatch)
+        set_cpus(monkeypatch, 2)
+        simulate(bs_model, SimConfig(horizon=horizon, replications=replications))
+        assert not forks
+
+    def test_one_worker_per_cpu(self, bs_model, monkeypatch):
+        forks = count_forks(monkeypatch)
+        config = SimConfig(seed=3, horizon=5000.0, replications=4)
+        set_cpus(monkeypatch, 1)
+        sequential = simulate(bs_model, config)
+        assert not forks
+        for cpus, expected in ((2, 1), (4, 3), (64, 3)):
+            set_cpus(monkeypatch, cpus)
+            assert simulate(bs_model, config) == sequential
+            assert len(forks) == expected, cpus
+            forks.clear()
+
+    def test_initial_state_checked_before_forking(self, bs_model, monkeypatch):
+        forks = count_forks(monkeypatch)
+        set_cpus(monkeypatch, 2, min_jumps=0)
+        with pytest.raises(ValueError, match="initial_state"):
+            simulate(bs_model, SimConfig(horizon=100.0, replications=4, initial_state=(0, 3)))
+        assert not forks
 
 
 def csr_departure_values(model, N_cap, horizon):
