@@ -4,9 +4,10 @@ The target system protects the item in production from ageing while the
 server is busy ("o" regime); it is not separable for base stock b >= 2.  Two
 companion systems with queue-length independent ageing are separable and
 bound it: the "minus" system ages all k items (lower bound) and the "plus"
-system always protects one item (upper bound).  Their exact throughputs come
-from the product form; the target throughput comes from truncation and
-simulation.
+system always protects one item (upper bound).  All three exact throughputs
+come from `numerics.metrics`: the bounds' from their product forms, the
+target's from its exact solve, which lists no levels.  Simulation gives an
+independent estimate of the target's.
 """
 
 from __future__ import annotations
@@ -17,11 +18,14 @@ import numpy as np
 
 from .catalog import perishable_minus, perishable_o, perishable_plus
 from .model import EnvqueueError, InvalidParam, JointModel
-from .numerics import auto_truncate, metrics
-from .separability import NotSeparable, ProductFormResult, product_form
+from .numerics import auto_truncate  # noqa: F401  (perfbench/tracing.py wraps this name)
+from .numerics import exact_solve, metrics
+from .separability import NotSeparable, product_form
 from .simulate import SimConfig, departure_values, isotone_check, simulate
 
 ORDER_TOL = 1e-9
+JUMP_HORIZON = 50  # value-iteration steps of the isotonicity evidence
+VALUE_CAP = 100  # queue levels of its value tables
 
 
 class AgeingOrderViolated(EnvqueueError):
@@ -53,17 +57,16 @@ def build_triple(lam, mu, nu, gamma, b) -> tuple[JointModel, JointModel, JointMo
     return lower, target, upper
 
 
-def product_form_throughput(model: JointModel, pf: ProductFormResult) -> float:
-    """Exact throughput sum_{n>=1} xi(n) mu(n) * sum_{k working} theta(k),
-    with the tail summed in closed form over period blocks."""
-    marginal = pf.marginal
-    N0, p = model.tail_start, model.period
-    start = N0 + p  # >= 1, so mu(n) is periodic from here on
-    head = sum(marginal.xi(n) * model.service(n) for n in range(1, start))
-    block = sum(marginal.xi(start + j) * model.service(start + j) for j in range(p))
-    busy = head + block / (1.0 - marginal.tail_ratio)
-    working = model.env.working_mask()
-    return busy * float(pf.theta[working].sum())
+def _exact_throughputs(lower, target, upper):
+    """TH-, TH_o and TH+ from `metrics`, and the bounds' product forms by tag."""
+    pfs = {}
+    for tag, system in (("minus", lower), ("plus", upper)):
+        pf = product_form(system)
+        if isinstance(pf, NotSeparable):
+            raise NotSeparableBoundSystem(f"{tag} system: {pf.reason} (residual {pf.residual})")
+        pfs[tag] = pf
+    th_o = metrics(exact_solve(target), target).throughput
+    return metrics(pfs["minus"], lower).throughput, th_o, metrics(pfs["plus"], upper).throughput, pfs
 
 
 def perishable_b1_closed_form(lam, mu, nu, gamma):
@@ -123,41 +126,20 @@ def _bound_regime(lam, mu, gamma) -> str:
     return "conjecture"
 
 
-def bound_report(
-    lam,
-    mu,
-    nu,
-    gamma,
-    b,
-    sim_config: SimConfig | None = None,
-    truncation_tol: float = 1e-9,
-    jump_horizon: int = 50,
-    value_cap: int | None = None,
-) -> BoundReport:
-    """Full bounding pipeline: exact product-form bounds, truncated and
-    simulated target throughput, isotonicity evidence, and the verdict."""
+def bound_report(lam, mu, nu, gamma, b, sim_config: SimConfig | None = None) -> BoundReport:
+    """Full bounding pipeline: exact bounds and target throughput, simulated
+    target throughput, isotonicity evidence, and the verdict."""
     lower, target, upper = build_triple(lam, mu, nu, gamma, b)
-    pf_bounds = {}
-    for tag, system in (("minus", lower), ("plus", upper)):
-        pf = product_form(system)
-        if isinstance(pf, NotSeparable):
-            raise NotSeparableBoundSystem(f"{tag} system: {pf.reason} (residual {pf.residual})")
-        pf_bounds[tag] = pf
-    th_minus = product_form_throughput(lower, pf_bounds["minus"])
-    th_plus = product_form_throughput(upper, pf_bounds["plus"])
-
-    sol = auto_truncate(target, tol=truncation_tol)
-    th_o = metrics(sol, target).throughput
+    th_minus, th_o, th_plus, pf_bounds = _exact_throughputs(lower, target, upper)
     th_closed = perishable_b1_closed_form(lam, mu, nu, gamma)[1] if b == 1 else None
 
     sim_estimate = None
     if sim_config is not None:
         sim_estimate = simulate(target, sim_config).estimate
 
-    cap = value_cap if value_cap is not None else max(2 * jump_horizon, 40)
     isotone = {}
     for tag, system in (("minus", lower), ("o", target), ("plus", upper)):
-        table = departure_values(system, N_cap=cap, horizon=jump_horizon)
+        table = departure_values(system, N_cap=VALUE_CAP, horizon=JUMP_HORIZON)
         isotone[tag] = isotone_check(table)
 
     lower_ok = th_minus <= th_o + ORDER_TOL
@@ -188,13 +170,10 @@ def bound_report(
     )
 
 
-def gamma_sweep(lam, mu, nu, b, gammas, truncation_tol: float = 1e-9):
+def gamma_sweep(lam, mu, nu, b, gammas):
     """Rows (gamma, TH_minus, TH_o, TH_plus) for a grid of ageing rates."""
     rows = []
     for gamma in gammas:
-        lower, target, upper = build_triple(lam, mu, nu, gamma, b)
-        th_minus = product_form_throughput(lower, product_form(lower))
-        th_plus = product_form_throughput(upper, product_form(upper))
-        th_o = metrics(auto_truncate(target, tol=truncation_tol), target).throughput
+        th_minus, th_o, th_plus, _ = _exact_throughputs(*build_triple(lam, mu, nu, gamma, b))
         rows.append((gamma, th_minus, th_o, th_plus))
     return rows

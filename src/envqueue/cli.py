@@ -211,7 +211,7 @@ def _cmd_bounds(args, outdir):
 def _cmd_sweep(args, outdir):
     _require(args, "lam", "mu", "nu", "b")
     gammas = np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps)
-    rows = gamma_sweep(args.lam, args.mu, args.nu, args.b, gammas, truncation_tol=args.tol)
+    rows = gamma_sweep(args.lam, args.mu, args.nu, args.b, gammas)
     from .catalog import perishable_o
 
     models = [perishable_o(args.lam, args.mu, args.nu, gamma, args.b) for gamma in gammas]
@@ -272,7 +272,6 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
         p.add_argument("--gamma-min", type=float, default=0.1)
         p.add_argument("--gamma-max", type=float, default=2.0)
         p.add_argument("--gamma-steps", type=int, default=10)
-        p.add_argument("--tol", type=float, default=1e-9)
     return parser
 
 

@@ -6,11 +6,11 @@ From T0 = tail_start + 1 on the blocks repeat with period p, so grouping p
 levels into one block level turns the tail into a level-independent
 quasi-birth-death process with blocks A0 (up), A1 (local), A2 (down).
 
-`auto_truncate` solves the infinite chain exactly: Neuts' mean-drift test
-decides ergodicity, logarithmic reduction (Latouche & Ramaswami, J. Appl.
-Prob. 30, 1993) gives G, R = A0 (-A1 - A0 G)^{-1}, the boundary levels come
-from the level-elimination sweep seeded with A1 + A0 G, and the tail is summed
-in closed form through (I - R)^{-1}.
+`exact_solve` solves the infinite chain exactly and lists no level: Neuts'
+mean-drift test decides ergodicity, logarithmic reduction gives G and
+R = A0 (-A1 - A0 G)^{-1}, level elimination seeded with A1 + A0 G gives the
+boundary, and `metrics` sums the tail in closed form through (I - R)^{-1}.
+`auto_truncate` adds the listing of levels 0..N that `solve` exports.
 
 `solve_truncated` solves the chain capped at N by setting lambda(N) = 0
 (reflecting); all other rates are kept, so the generator stays conservative
@@ -89,8 +89,9 @@ class TruncatedSolution:
     truncation_estimate: float
     tail: GeometricTail | None = None  # auto_truncate only
 
-    def level_mass(self) -> np.ndarray:
-        return self.pi.sum(axis=1)
+    def level_sums(self):
+        """As `GeometricTail.level_sums`: the tail's, or one row per level."""
+        return self.tail.level_sums() if self.tail is not None else (np.arange(self.N + 1), self.pi, 0.0)
 
     def env_marginal(self) -> np.ndarray:
         return self.pi.sum(axis=0)
@@ -185,11 +186,18 @@ def _mean_drift(A0, A1, A2) -> float:
 
 
 def _log_reduction(A0, A1, A2) -> np.ndarray:
-    """Minimal nonnegative solution G of A2 + A1 G + A0 G^2 = 0 by
-    logarithmic reduction; G is stochastic for a positive recurrent tail."""
-    I = np.eye(A1.shape[0])
-    H0 = np.linalg.solve(-A1, A0)
-    H2 = np.linalg.solve(-A1, A2)
+    """Minimal nonnegative solution G of A2 + A1 G + A0 G^2 = 0 by logarithmic
+    reduction (Latouche & Ramaswami, J. Appl. Prob. 30, 1993); G is stochastic
+    for a positive recurrent tail.  Near rho = 1 plain reduction loses digits
+    (G's row sums 1e-10 off at 0.99999), so it solves for G - 1 u, which has
+    G's eigenvalue 1 moved to 0 (He, Meini & Rhee, SIAM J. Matrix Anal. Appl.
+    23, 2001).  u, A2's entry distribution, keeps G's zero columns zero, and
+    one step G <- (-A1 - A0 G)^{-1} A2 mends the signs that round-off flipped."""
+    I = np.eye(len(A1))
+    shift = np.outer(np.ones(len(A1)), A2.sum(axis=0) / A2.sum())  # 1 u, with u 1 = 1
+    A1_shifted = A1 + A0 @ shift
+    H0 = np.linalg.solve(-A1_shifted, A0)
+    H2 = np.linalg.solve(-A1_shifted, A2 - A2 @ shift)
     G, T = H2.copy(), H0.copy()
     for _ in range(LOG_REDUCTION_STEPS):
         W = I - H0 @ H2 - H2 @ H0
@@ -202,6 +210,7 @@ def _log_reduction(A0, A1, A2) -> np.ndarray:
             break
     else:
         raise NotConvergent(f"logarithmic reduction did not converge in {LOG_REDUCTION_STEPS} steps")
+    G = np.linalg.solve(-A1 - A0 @ np.maximum(G + shift, 0.0), A2)
     defect = float(np.abs(1.0 - G.sum(axis=1)).max())
     if defect > 1e-10:
         raise NotConvergent(f"G is not stochastic: row sums miss 1 by {defect:.3e}")
@@ -244,15 +253,10 @@ def _list_levels(tail: GeometricTail, tol: float, min_level: int):
         above = (_later(xs.reshape(-1, p, m).sum(axis=2)) + (xs @ after)[:, None]).ravel()
 
 
-def auto_truncate(model: JointModel, tol: float = 1e-9) -> TruncatedSolution:
-    """Exact stationary vector of the infinite chain, listed on levels 0..N
-    with N >= tail_start + period the first level whose mass above it is
-    below tol.  The metrics come from exact tail sums and do not depend on N.
-
-    Raises NotErgodic when the tail's mean drift is not towards level 0.
-    """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+def exact_solve(model: JointModel) -> GeometricTail:
+    """Exact stationary vector of the infinite chain as a `GeometricTail`,
+    listing no level.  Raises NotErgodic when the tail's mean drift is not
+    towards level 0."""
     T0, p, m = model.tail_start + 1, model.period, model.n_env
     M = p * m
     B, U, D = _representative_blocks(model)
@@ -274,9 +278,18 @@ def auto_truncate(model: JointModel, tol: float = 1e-9) -> TruncatedSolution:
         raise SingularSolve(f"exact solve: {exc}") from exc
     if not (np.isfinite(R).all() and np.isfinite(total) and total > 0.0):
         raise SingularSolve("exact solve produced non-finite or zero mass")
-    tail = GeometricTail(start=T0, period=p, head=head / total, x0=x0 / total, R=R, drift=drift,
+    return GeometricTail(start=T0, period=p, head=head / total, x0=x0 / total, R=R, drift=drift,
                          R_residual=float(np.linalg.norm(A0 + R @ (A1 + R @ A2), np.inf)))
-    exact, mass_above, N = _list_levels(tail, tol, model.tail_start + p)
+
+
+def auto_truncate(model: JointModel, tol: float = 1e-9) -> TruncatedSolution:
+    """`exact_solve` listed on levels 0..N, N >= tail_start + period the first
+    level whose mass above it is below tol; the metrics do not depend on N."""
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    tail = exact_solve(model)
+    exact, mass_above, N = _list_levels(tail, tol, model.tail_start + model.period)
+    B, U, D = _representative_blocks(model)
     residual, _ = _balance_residual(exact, B, U, D, _level_classes(model, np.arange(N + 2)), N + 1)
     pi = exact[: N + 1]
     return TruncatedSolution(N=N, pi=pi / pi.sum(), residual=residual, truncation_estimate=mass_above, tail=tail)
@@ -306,14 +319,11 @@ def _level_rates(model: JointModel, levels: np.ndarray):
     return np.array([model.arrival(n) for n in reps])[cls], np.array([model.service(n) for n in reps])[cls]
 
 
-def metrics(solution: TruncatedSolution, model: JointModel) -> Metrics:
-    """Stationary metrics: of the truncated vector, or from the exact tail
-    sums when the solution has a tail."""
+def metrics(result, model: JointModel) -> Metrics:
+    """Stationary metrics of any result with `level_sums()`: a `GeometricTail`,
+    a `TruncatedSolution` or a `ProductFormResult`."""
     working = model.env.working_mask()
-    if solution.tail is None:
-        levels, pi, extra = np.arange(solution.N + 1), solution.pi, 0.0
-    else:
-        levels, pi, extra = solution.tail.level_sums()
+    levels, pi, extra = result.level_sums()
     lam, mu = _level_rates(model, levels)
     th = float((pi[1:, working].sum(axis=1) * mu[1:]).sum())
     mean_q = float((pi.sum(axis=1) * levels).sum()) + extra

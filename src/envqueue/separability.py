@@ -192,6 +192,17 @@ class ProductFormResult:
     def level_vector(self, n: int) -> np.ndarray:
         return self.xi(n) * self.theta
 
+    def level_sums(self):
+        """As `GeometricTail.level_sums`, the tail starting at T0 = tail_start + 1,
+        where mu(n) turns periodic: tail row i sums xi(T0 + i + j p) theta =
+        xi(T0 + i) r^j theta over j >= 0, for the tail ratio r."""
+        model, r = self.marginal.model, self.marginal.tail_ratio
+        T0, p = model.tail_start + 1, model.period
+        xi = np.array([self.xi(n) for n in range(T0 + p)])
+        extra = p * r / (1.0 - r) ** 2 * float(xi[T0:].sum())
+        xi[T0:] /= 1.0 - r
+        return np.arange(T0 + p), np.outer(xi, self.theta), extra
+
 
 @dataclass(frozen=True)
 class NotSeparable:

@@ -57,6 +57,19 @@ def period_two_model():
     return JointModel(rates=rates, env=env, name="period_two")
 
 
+def separable_period_two_model(rho):
+    """Separable model with a two-level prefix and a period-2 tail whose tail
+    ratio is rho: identity jump matrices and every V_n a multiple of one
+    generator, so theta is that generator's stationary vector."""
+    V = np.array([[-1.0, 0.6, 0.4], [0.5, -0.9, 0.4], [0.3, 0.7, -1.0]])
+    I = np.eye(3)
+    rates = RateFamily(lambda_prefix=(2.0, 0.5), mu_prefix=(1.0, 3.0), lambda_tail=(1.5 * rho, 0.5),
+                       mu_tail=(1.0, 0.75))
+    env = EnvironmentSpec(labels=("a", "b", "c"), blocked=frozenset(("a",)), V_prefix=(2.0 * V, 0.5 * V),
+                          R_prefix=(I, I), V_tail=(V, 3.0 * V), R_tail=(I, I))
+    return JointModel(rates=rates, env=env, name="separable_period_two")
+
+
 def truncated_generator(model, N):
     """Dense generator of the chain capped at N, state index n * |K| + k,
     assembled from the level blocks: the reference for the blockwise code."""

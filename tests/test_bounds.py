@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
-from envqueue import bounds
+from envqueue import bounds, numerics
 from envqueue.bounds import (
     AgeingOrderViolated,
     bound_report,
     build_triple,
     gamma_sweep,
     perishable_b1_closed_form,
-    product_form_throughput,
 )
 from envqueue.catalog import base_stock, perishable_minus
 from envqueue.model import InvalidParam
-from envqueue.numerics import auto_truncate, metrics, solve_truncated
+from envqueue.numerics import metrics, solve_truncated
 from envqueue.separability import ProductFormResult, product_form
 from envqueue.simulate import SimConfig
 
@@ -46,14 +45,14 @@ class TestProductFormThroughput:
     def test_base_stock_reference(self):
         bs = base_stock(lam=1, mu=2, nu=1, b=2)
         pf = product_form(bs)
-        assert product_form_throughput(bs, pf) == pytest.approx(2 / 3, rel=1e-12)
+        assert metrics(pf, bs).throughput == pytest.approx(2 / 3, rel=1e-12)
 
     def test_matches_truncation(self):
         lo, _, up = build_triple(1, 2, 1, 0.7, 2)
         for model in (lo, up):
             pf = product_form(model)
             assert isinstance(pf, ProductFormResult)
-            exact = product_form_throughput(model, pf)
+            exact = metrics(pf, model).throughput
             sol = solve_truncated(model, 200)
             assert metrics(sol, model).throughput == pytest.approx(exact, abs=1e-10)
 
@@ -137,3 +136,19 @@ class TestGammaSweep:
             gaps.append(th_p - th_m)
         # continuity: the exact gap shrinks monotonically as gamma decreases
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+
+class LevelsListed(Exception):
+    pass
+
+
+def test_bounds_and_sweep_list_no_levels(monkeypatch):
+    def list_levels(*args):
+        raise LevelsListed
+
+    monkeypatch.setattr(numerics, "_list_levels", list_levels)
+    with pytest.raises(LevelsListed):  # the patch reaches the listing
+        numerics.auto_truncate(base_stock(lam=1, mu=2, nu=1, b=2))
+    config = SimConfig(seed=2, horizon=200.0, replications=2)
+    assert bound_report(0.99, 1.0, 3.0, 1.0, 5, sim_config=config).TH_o_sim is not None
+    assert len(gamma_sweep(0.99, 1.0, 3.0, 5, [0.5, 1.0])) == 2

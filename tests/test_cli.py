@@ -214,6 +214,13 @@ class TestBoundsCommands:
         assert code == EXIT_OK
         lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
         assert len(lines) == 3
+        assert "tol" not in read_manifest(tmp_path)
+
+    def test_sweep_takes_no_tol(self, tmp_path):
+        # the sweep's values are exact, so there is no cut-off to set
+        with pytest.raises(SystemExit) as usage:
+            run(tmp_path, "sweep", *PER, "--tol", "1e-9")
+        assert usage.value.code == EXIT_ERROR
 
 
 class TestManifest:

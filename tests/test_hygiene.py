@@ -1,11 +1,14 @@
-"""Source hygiene checks that need no linter: every imported name is used."""
+"""Source hygiene checks that need no linter: every imported name is used,
+and every name the benchmark's tracer wraps exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "envqueue").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "envqueue").glob("*.py"))
 
 
 def unused_imports(path: Path) -> list:
@@ -45,3 +48,32 @@ def test_scan_finds_unused_import(tmp_path):
         "print(os.sep, pi)\n"
     )
     assert unused_imports(path) == [(5, "field")]
+
+
+def tracer_refs() -> set:
+    """The (module, attribute) pairs that perfbench/tracing.py patches, read
+    from the file itself, which imports only the standard library."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {ref for refs in tracing.LAYERS.values() for ref in refs} | set(tracing.ROW_REFS)
+
+
+def test_tracer_names_resolve():
+    importlib.import_module("envqueue.cli")
+    missing = [(module, attr) for module, attr in sorted(tracer_refs())
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
+
+
+def test_kept_imports_are_tracer_names():
+    # a `# noqa: F401` import is kept only so the tracer can patch the name
+    kept = []
+    for path in SOURCES:
+        module = "envqueue" if path.stem == "__init__" else f"envqueue.{path.stem}"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and "# noqa: F401" in lines[node.lineno - 1]:
+                kept += [(module, alias.asname or alias.name.split(".")[0]) for alias in node.names]
+    assert kept
+    assert [ref for ref in kept if ref not in tracer_refs()] == []

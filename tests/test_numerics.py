@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from envqueue import numerics
-from envqueue.bounds import product_form_throughput
 from envqueue.catalog import (
     base_stock,
     mm1_plain,
     onoff_a,
+    onoff_b,
     perishable_minus,
     perishable_o,
     perishable_plus,
@@ -19,13 +19,14 @@ from envqueue.numerics import (
     NotErgodic,
     auto_truncate,
     check_cut_structure,
+    exact_solve,
     export_csv,
     metrics,
     solve_truncated,
 )
 from envqueue.separability import product_form
 
-from conftest import period_two_model, truncated_generator
+from conftest import period_two_model, separable_period_two_model, truncated_generator
 
 
 def product_form_tv(model, sol, levels=None):
@@ -214,24 +215,36 @@ class TestAutoTruncate:
         assert check_cut_structure(exact, model).passed
 
 
-SEPARABLE = {"base_stock": base_stock, "perishable_minus": perishable_minus, "perishable_plus": perishable_plus}
+# separable models with tail ratio rho, built from (rho, nu, gamma, b)
+SEPARABLE = {
+    "base_stock": lambda rho, nu, gamma, b: base_stock(lam=rho, mu=1.0, nu=nu, b=b),
+    "perishable_minus": lambda rho, nu, gamma, b: perishable_minus(lam=rho, mu=1.0, nu=nu, gamma=gamma, b=b),
+    "perishable_plus": lambda rho, nu, gamma, b: perishable_plus(lam=rho, mu=1.0, nu=nu, gamma=gamma, b=b),
+    # prefix 8 with lambda(n) = lam (n + 1), then lambda = 9 lam against mu = 2
+    "onoff_b": lambda rho, nu, gamma, b: onoff_b(lam=2.0 * rho / 9.0, gamma=gamma, eta=nu),
+    "separable_period_two": lambda rho, nu, gamma, b: separable_period_two_model(rho),
+}
 
 
 @given(
     kind=st.sampled_from(sorted(SEPARABLE)),
-    rho=st.floats(0.95, 0.999),
+    rho=st.floats(0.95, 0.99999),
     nu=st.floats(0.5, 5.0),
     gamma=st.floats(0.1, 3.0),
     b=st.integers(1, 50),
 )
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
+# unshifted, logarithmic reduction left G's row sums 1.0e-10 off 1 here and raised NotConvergent
+@example(kind="separable_period_two", rho=0.99999, nu=1.0, gamma=1.0, b=1)
 def test_exact_solve_matches_product_form_in_heavy_traffic(kind, rho, nu, gamma, b):
-    if kind == "base_stock":
-        model = base_stock(lam=rho, mu=1.0, nu=nu, b=b)
-    else:
-        model = SEPARABLE[kind](lam=rho, mu=1.0, nu=nu, gamma=gamma, b=b)
-    exact = product_form_throughput(model, product_form(model))
-    assert metrics(auto_truncate(model), model).throughput == pytest.approx(exact, abs=1e-10)
+    model = SEPARABLE[kind](rho, nu, gamma, b)
+    pf, exact = metrics(product_form(model), model), metrics(exact_solve(model), model)
+    for field in ("throughput", "blocked_probability", "loss_rate"):
+        assert getattr(exact, field) == pytest.approx(getattr(pf, field), abs=1e-10), field
+    # the mean sums j x0 R^j through (I - R)^{-2}: its round-off grows like
+    # (1 - rho)^{-2} while the mean grows like (1 - rho)^{-1}, so it is bounded
+    # relatively (at most 5e-10 in 1500 draws)
+    assert exact.mean_queue_length == pytest.approx(pf.mean_queue_length, rel=1e-8)
 
 
 @pytest.mark.parametrize("model", [mm1_plain(lam=1, mu=2), base_stock(lam=1, mu=2, nu=1, b=2), period_two_model()],

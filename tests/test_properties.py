@@ -194,3 +194,24 @@ def test_exact_solve_against_truncation_and_certificates(model):
     a, b = metrics(exact, model), metrics(solve_truncated(model, 600), model)
     for field in ("throughput", "mean_queue_length", "blocked_probability", "loss_rate"):
         assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9, abs=1e-9), field
+
+
+@given(
+    mu=st.floats(0.5, 3.0),
+    rho=st.floats(0.05, 0.999),
+    ageing=st.floats(0.01, 0.99),
+    nu=st.floats(0.2, 5.0),
+    b=st.integers(1, 50),
+)
+@settings(max_examples=100, deadline=None)
+def test_bound_ordering_in_conjecture_regime(mu, rho, ageing, nu, b):
+    # gamma < lam < mu: the regime where the paper only conjectures
+    # TH- <= TH_o <= TH+; gamma_sweep does no value iteration.  The ordering
+    # holds up to round-off: the smallest margins seen were about -1e-15.
+    from envqueue.bounds import ORDER_TOL, gamma_sweep
+
+    lam = rho * mu
+    gamma = ageing * lam
+    [(_, th_minus, th_o, th_plus)] = gamma_sweep(lam, mu, nu, b, [gamma])
+    assert th_minus <= th_o + ORDER_TOL
+    assert th_o <= th_plus + ORDER_TOL
