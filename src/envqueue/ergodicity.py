@@ -120,7 +120,12 @@ class CannotBuild:
     reason: str
 
 
-def build_mm1_lyapunov(model: JointModel, kind: str = "linear_drift", horizon: int | None = None):
+def _check_horizon(model: JointModel) -> int:
+    """The top level of `certify`'s drift check: the prefix and two tail periods."""
+    return model.tail_start + 2 * model.period + 2
+
+
+def build_mm1_lyapunov(model: JointModel, kind: str = "linear_drift"):
     """Construct a Lyapunov function for the isolated birth-death queue.
 
     linear_drift: L(n) = n with the exception set covering levels before the
@@ -129,8 +134,7 @@ def build_mm1_lyapunov(model: JointModel, kind: str = "linear_drift", horizon: i
     eventually constant tail.
     """
     N0, p = model.tail_start, model.period
-    if horizon is None:
-        horizon = N0 + 2 * p + 4
+    horizon = _check_horizon(model)
     if kind == "linear_drift":
         drifts = [model.service(n) - model.arrival(n) for n in range(1, N0 + p + 1)]
         N = None
@@ -224,8 +228,8 @@ def certify(model: JointModel, kind: str = "linear_drift"):
     if not passes:
         return NotCertified(reason="NecessaryFails", detail=f"queue tail ratio {ratio} >= 1")
     N0, p = model.tail_start, model.period
-    horizon = N0 + 2 * p + 2
-    base = build_mm1_lyapunov(model, kind=kind, horizon=horizon)
+    horizon = _check_horizon(model)
+    base = build_mm1_lyapunov(model, kind=kind)
     if isinstance(base, CannotBuild):
         return NotCertified(reason="NoLyapunov", detail=f"{base.kind}: {base.reason}")
     reps = range(N0 + p)

@@ -74,28 +74,39 @@ def _parse_document(text: str):
     return yaml.load(text, Loader=loader)
 
 
+def _get(section: dict, key: str, kind, default=None):
+    """`section[key]`, or `default` where an optional key is missing, checked to be a `kind`."""
+    value = section[key] if default is None else section.get(key, default)
+    if not isinstance(value, kind):
+        raise InvalidParam(f"model file: `{key}` must be a {kind.__name__}, got {value!r:.60}")
+    return value
+
+
 def model_from_dict(doc: dict) -> JointModel:
     if "catalog" in doc:
-        entry = doc["catalog"]
-        return catalog(entry["name"], **entry.get("params", {}))
+        entry = _get(doc, "catalog", dict)
+        name, params = entry["name"], _get(entry, "params", dict, {})
+        if not isinstance(name, str) or not all(isinstance(key, str) for key in params):
+            raise InvalidParam("model file: a catalog `name` and its `params` keys must be strings")
+        return catalog(name, **params)
     try:
-        rates_doc = doc["rates"]
-        env_doc = doc["environment"]
+        rates_doc = _get(doc, "rates", dict)
+        env_doc = _get(doc, "environment", dict)
     except KeyError as exc:
         raise InvalidParam(f"model file needs `catalog` or `rates`+`environment`: missing {exc}") from exc
     rates = RateFamily(
-        lambda_prefix=tuple(rates_doc.get("lambda_prefix", ())),
-        mu_prefix=tuple(rates_doc.get("mu_prefix", ())),
-        lambda_tail=tuple(rates_doc["lambda_tail"]),
-        mu_tail=tuple(rates_doc["mu_tail"]),
+        lambda_prefix=tuple(_get(rates_doc, "lambda_prefix", list, [])),
+        mu_prefix=tuple(_get(rates_doc, "mu_prefix", list, [])),
+        lambda_tail=tuple(_get(rates_doc, "lambda_tail", list)),
+        mu_tail=tuple(_get(rates_doc, "mu_tail", list)),
     )
     env = EnvironmentSpec(
-        labels=tuple(env_doc["labels"]),
-        blocked=frozenset(env_doc.get("blocked", ())),
-        V_prefix=tuple(env_doc.get("V_prefix", ())),
-        R_prefix=tuple(env_doc.get("R_prefix", ())),
-        V_tail=tuple(env_doc["V_tail"]),
-        R_tail=tuple(env_doc["R_tail"]),
+        labels=tuple(_get(env_doc, "labels", list)),
+        blocked=frozenset(_get(env_doc, "blocked", list, [])),
+        V_prefix=tuple(_get(env_doc, "V_prefix", list, [])),
+        R_prefix=tuple(_get(env_doc, "R_prefix", list, [])),
+        V_tail=tuple(_get(env_doc, "V_tail", list)),
+        R_tail=tuple(_get(env_doc, "R_tail", list)),
     )
     return JointModel(rates=rates, env=env, name=str(doc.get("name", "")))
 

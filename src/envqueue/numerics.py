@@ -36,6 +36,7 @@ from .separability import SingularSolve, gth_stationary
 DRIFT_RTOL = 1e-12
 LOG_REDUCTION_STEPS = 100
 TAIL_CHUNK = 256  # block levels generated between two tail-mass checks
+CUT_TOL = 1e-8  # largest relative level-cut defect `check_cut_structure` passes
 
 
 class NotConvergent(EnvqueueError):
@@ -348,7 +349,7 @@ class CutReport:
     levels_checked: int
 
 
-def check_cut_structure(solution: TruncatedSolution, model: JointModel, tol: float = 1e-8) -> CutReport:
+def check_cut_structure(solution: TruncatedSolution, model: JointModel) -> CutReport:
     working = model.env.working_mask()
     interior = solution.N - max(solution.N // 10, 1)
     if interior <= 0:
@@ -360,7 +361,7 @@ def check_cut_structure(solution: TruncatedSolution, model: JointModel, tol: flo
     rel = np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1e-300)
     worst_n = int(np.argmax(rel))
     worst = float(rel[worst_n])
-    return CutReport(passed=worst <= tol, worst_relative=worst, worst_level=worst_n, levels_checked=interior)
+    return CutReport(passed=worst <= CUT_TOL, worst_relative=worst, worst_level=worst_n, levels_checked=interior)
 
 
 def export_csv(solution: TruncatedSolution, model: JointModel, path) -> None:

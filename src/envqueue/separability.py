@@ -32,7 +32,9 @@ class SingularSolve(EnvqueueError):
 def gth_stationary(Q: np.ndarray) -> np.ndarray:
     """Stationary probability vector of an irreducible generator matrix by
     GTH (state censoring) elimination; uses no subtraction of like-signed
-    quantities, so it is accurate to round-off."""
+    quantities, so it is accurate to round-off.  The back substitution
+    rescales its partial vector before it can overflow, as it does when the
+    stationary probabilities span more than ~300 decades."""
     A = np.array(Q, dtype=float)
     m = A.shape[0]
     if m == 1:
@@ -48,7 +50,12 @@ def gth_stationary(Q: np.ndarray) -> np.ndarray:
     for j in range(1, m):
         s = A[j, :j].sum()
         x[j] = x[:j] @ A[:j, j] / s
-    return x / x.sum()
+        if x[j] > 1e250:
+            x[: j + 1] /= x[j]
+    x /= x.sum()
+    if not np.isfinite(x).all():
+        raise SingularSolve("stationary vector is not finite")
+    return x
 
 
 def _closed_classes(Q: np.ndarray):

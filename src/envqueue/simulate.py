@@ -26,6 +26,9 @@ from .model import _MOVE_STEPS, EnvqueueError, JointModel, _level_blocks, _move_
 from .model import generator_row  # noqa: F401  (perfbench/tracing.py counts calls through this name)
 
 
+WARMUP = 0.1  # fraction of each replication's horizon discarded before departures count
+
+
 class ZeroExitRate(EnvqueueError):
     """An absorbing state was reached; the model is defective."""
 
@@ -39,7 +42,6 @@ class SimConfig:
     seed: int = 0
     horizon: float = 1e4  # simulated time units per replication
     replications: int = 10
-    warmup: float = 0.1  # fraction of the horizon discarded
     initial_state: tuple = (0, 0)
 
     def __post_init__(self):
@@ -47,8 +49,6 @@ class SimConfig:
             raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if not (0.0 <= self.warmup < 1.0):
-            raise ValueError("warmup fraction must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -125,12 +125,10 @@ def _initial_state(config: SimConfig, m: int) -> tuple:
     return n, k
 
 
-def _run_replication(table: _TransitionTable, config: SimConfig, rep: int, log=None):
-    """One trajectory; `log(t, step, n, k)`, if given, sees every jump (the
-    queue change and the state after it) and stops the run by returning
-    False."""
+def _run_replication(table: _TransitionTable, config: SimConfig, rep: int):
+    """(departure rate after the warm-up, jumps, departures) of one trajectory."""
     horizon = config.horizon
-    warmup_time = config.warmup * horizon
+    warmup_time = WARMUP * horizon
     rows, base, p, m = table.rows, table.base, table.p, table.m
     n, k = _initial_state(config, m)
     t = 0.0
@@ -151,8 +149,6 @@ def _run_replication(table: _TransitionTable, config: SimConfig, rep: int, log=N
             if dn == -1 and t >= warmup_time:
                 departures += 1
             n += dn
-            if log is not None and not log(t, dn, n, k):
-                break
         else:
             continue
         break
@@ -324,26 +320,6 @@ def simulate(model: JointModel, config: SimConfig) -> SimulationResult:
     )
 
 
-def write_event_log(model: JointModel, config: SimConfig, path, max_events: int = 100_000) -> None:
-    """Event log (time, n, k, event) of replication 0: the same random draws,
-    so the same trajectory, as `simulate` makes, up to max_events events."""
-    table = _TransitionTable(model)
-    _initial_state(config, table.m)  # before the file exists
-    labels = model.env.labels
-    events = {1: "arrival", -1: "departure", 0: "env"}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("time,n,k,event\n")
-        written = 0
-
-        def log(t, step, n, k):
-            nonlocal written
-            fh.write(f"{t:.9f},{n},{labels[k]},{events[step]}\n")
-            written += 1
-            return written < max_events
-
-        _run_replication(table, config, 0, log)
-
-
 @dataclass(frozen=True)
 class DepartureValueTable:
     """Expected departure counts within a jump horizon, per starting state,
@@ -406,13 +382,16 @@ def departure_values(model: JointModel, N_cap: int, horizon: int) -> DepartureVa
     )
 
 
+ISOTONE_ATOL = 1e-12  # a value gap up to this is round-off, not a violation
+
+
 @dataclass(frozen=True)
 class IsotoneReport:
     isotone: bool
     violations: tuple  # ((m, k), (m', k'), margin, boundary_affected)
 
 
-def isotone_check(table: DepartureValueTable, atol: float = 1e-12) -> IsotoneReport:
+def isotone_check(table: DepartureValueTable) -> IsotoneReport:
     """Check monotonicity in the product order on (queue length, env index)
     via the two covering relations.  States within `horizon` jumps of the
     queue cap are flagged as boundary-affected."""
@@ -422,7 +401,7 @@ def isotone_check(table: DepartureValueTable, atol: float = 1e-12) -> IsotoneRep
     gap[:-1, :, 0] = v[:-1] - v[1:]
     gap[:, :-1, 1] = v[:, :-1] - v[:, 1:]
     # C order lists the violations by state, then relation
-    ms, ks, rel = np.nonzero(gap > atol)
+    ms, ks, rel = np.nonzero(gap > ISOTONE_ATOL)
     safe = table.N_cap - table.horizon
     violations = tuple(
         ((m_, k), (m_ + 1 - r, k + r), g, m_ + 1 - r > safe)

@@ -128,14 +128,16 @@ class TestBoundReport:
 
 class TestGammaSweep:
     def test_ordering_and_gap_shrinks(self):
-        gammas = [1.6, 0.8, 0.4, 0.2, 0.1]
-        rows = gamma_sweep(1.0, 2.0, 1.0, 2, gammas)
-        gaps = []
-        for gamma, th_m, th_o, th_p in rows:
-            assert th_m <= th_o + 1e-9 <= th_p + 2e-9
-            gaps.append(th_p - th_m)
-        # continuity: the exact gap shrinks monotonically as gamma decreases
-        assert all(a > b for a, b in zip(gaps, gaps[1:]))
+        # the bounds pinch the target as gamma -> 0: a halving grid, then 25 points from 3 to 1e-3
+        for gammas in ([1.6, 0.8, 0.4, 0.2, 0.1], np.geomspace(3.0, 1e-3, 25)):
+            rows = gamma_sweep(1.0, 2.0, 1.0, 2, gammas)
+            assert [row[0] for row in rows] == list(gammas)
+            gaps = []
+            for gamma, th_m, th_o, th_p in rows:
+                assert th_m <= th_o + 1e-9 <= th_p + 2e-9
+                gaps.append(th_p - th_m)
+            # continuity: the exact gap shrinks monotonically as gamma decreases
+            assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
 class LevelsListed(Exception):

@@ -1,7 +1,9 @@
 """Command line front end: exit codes, manifests, file outputs."""
 
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +118,18 @@ def absorbing_model(tmp_path):
     return write_model(tmp_path / "absorbing.yaml", [0], [0], [[0.0]], [[1.0]])
 
 
+# a section, list or `params` of the wrong type; each raised TypeError or AttributeError
+ONE_STATE_ENV = "environment: {labels: [0], V_tail: [[[0.0]]], R_tail: [[[1.0]]]}\n"
+MISTYPED_MODELS = {
+    "tail.yaml": "rates: {lambda_tail: 1.0, mu_tail: [2.0]}\n" + ONE_STATE_ENV,
+    "catalog.yaml": "catalog: base_stock\n",
+    "rates.yaml": "rates: [1]\n" + ONE_STATE_ENV,
+    "blocked.json": json.dumps({"rates": {"lambda_tail": [1.0], "mu_tail": [2.0]},
+                                "environment": {"labels": [0, 1], "blocked": 5, "V_tail": [[[-1, 1], [1, -1]]],
+                                                "R_tail": [[[1, 0], [0, 1]]]}}),
+}
+
+
 class TestErrorContract:
     """A valid negative answer exits 1; every library error exits 2 with one
     line on stderr."""
@@ -167,12 +181,30 @@ class TestErrorContract:
         path.write_text("rates: [unclosed\n")
         self.expect_error(capsys, main(["validate", "--model", str(path), "--out", str(tmp_path)]), "InvalidParam")
 
+    @pytest.mark.parametrize("name", sorted(MISTYPED_MODELS))
+    def test_mistyped_model_file(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_text(MISTYPED_MODELS[name])
+        self.expect_error(capsys, main(["validate", "--model", str(path), "--out", str(tmp_path)]), "InvalidParam")
+
     def test_value_error(self, tmp_path, capsys):
         self.expect_error(capsys, run(tmp_path, "solve", *BS, "--N", "1"), "ValueError")
 
     @pytest.mark.parametrize("horizon", ["0", "-5"])
     def test_bad_horizon(self, tmp_path, capsys, horizon):
         self.expect_error(capsys, run(tmp_path, "simulate", *BS, "--horizon", horizon), "ValueError")
+
+
+@pytest.mark.parametrize("b", ["320", "400"])
+def test_large_environment_answers_are_finite(tmp_path, b):
+    # theta spans more than the float range: unscaled, GTH gave theta = nan ("separable") and a
+    # nan tail drift ("not ergodic")
+    model = ("--catalog", "base_stock", "--lambda", "0.9", "--mu", "1", "--nu", "10", "--b", b)
+    assert run(tmp_path, "separability", *model) == EXIT_OK
+    theta = json.loads((tmp_path / "separability.json").read_text())["theta"]
+    assert all(map(math.isfinite, theta)) and sum(theta) == pytest.approx(1.0)
+    assert run(tmp_path, "solve", *model) == EXIT_OK
+    assert json.loads((tmp_path / "metrics.json").read_text())["throughput"] == pytest.approx(0.9, abs=1e-14)
 
 
 class TestSimulateCommand:
@@ -303,6 +335,17 @@ environment:
         path.write_text("rates: [unclosed\n")
         with pytest.raises(InvalidParam, match="not valid YAML"):
             load_model(path)
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    # every line of the first shell block under the README's "Command line" heading
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines()]
+    assert len(commands) >= 6
+    for i, (program, *argv) in enumerate(commands):
+        assert program == "envqueue"
+        assert main([*argv, "--out", str(tmp_path / str(i))]) == EXIT_OK, argv
 
 
 COMMANDS = ("validate", "separability", "certify", "solve", "simulate", "bounds", "sweep")

@@ -247,6 +247,16 @@ def test_exact_solve_matches_product_form_in_heavy_traffic(kind, rho, nu, gamma,
     assert exact.mean_queue_length == pytest.approx(pf.mean_queue_length, rel=1e-8)
 
 
+@pytest.mark.parametrize("b", [320, 400])
+def test_exact_solve_matches_product_form_on_large_environments(b):
+    # theta spans more than the float range: unscaled, GTH overflowed to nan and the mean-drift
+    # test called the model not ergodic
+    model = base_stock(lam=0.9, mu=1.0, nu=10.0, b=b)
+    pf, exact = metrics(product_form(model), model), metrics(exact_solve(model), model)
+    assert exact.throughput == pytest.approx(pf.throughput, abs=1e-14)
+    assert pf.throughput == pytest.approx(0.9, abs=1e-14)
+
+
 @pytest.mark.parametrize("model", [mm1_plain(lam=1, mu=2), base_stock(lam=1, mu=2, nu=1, b=2), period_two_model()],
                          ids=["mm1", "base_stock", "period_two_prefix"])
 def test_level_rates_match_per_level_rates(model):

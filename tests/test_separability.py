@@ -47,6 +47,20 @@ class TestGTH:
         assert abs(pi.sum() - 1.0) < 1e-14
         assert np.abs(pi @ Q).max() < 1e-12
 
+    def test_spans_more_than_the_float_range(self):
+        # birth-death chain whose probabilities grow 100-fold a state: 400 states span 800 decades
+        m = 400
+        Q = np.diag(np.full(m - 1, 100.0), 1) + np.diag(np.ones(m - 1), -1)
+        Q -= np.diag(Q.sum(axis=1))
+        pi = gth_stationary(Q)
+        assert np.isfinite(pi).all()
+        assert pi[-1] == pytest.approx(0.99, rel=1e-12)
+        assert pi[-100:-1] / pi[-99:] == pytest.approx(np.full(99, 0.01), rel=1e-12)
+
+    def test_non_finite_raises(self):
+        with pytest.raises(separability.SingularSolve, match="not finite"):
+            gth_stationary(np.array([[-1.0, 1.0], [np.nan, np.nan]]))
+
 
 class TestReducedGenerator:
     def test_base_stock_entries(self, bs_model):

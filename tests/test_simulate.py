@@ -23,7 +23,6 @@ from envqueue.simulate import (
     departure_values,
     isotone_check,
     simulate,
-    write_event_log,
 )
 
 from conftest import period_two_model, truncated_generator
@@ -94,8 +93,6 @@ class TestSimulate:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             SimConfig(replications=0)
-        with pytest.raises(ValueError):
-            SimConfig(warmup=1.5)
 
     @pytest.mark.parametrize("horizon", [0.0, -5.0, math.inf, math.nan])
     def test_invalid_horizon(self, horizon):
@@ -110,43 +107,10 @@ class TestSimulate:
         with pytest.raises(ValueError, match="initial_state"):
             simulate(bs_model, config)
 
-    def test_event_log_bad_initial_state_writes_nothing(self, bs_model, tmp_path):
-        path = tmp_path / "events.csv"
-        with pytest.raises(ValueError, match="initial_state"):
-            write_event_log(bs_model, SimConfig(horizon=10.0, initial_state=(0, 3)), path)
-        assert not path.exists()
-
     def test_t_quantile_matches_scipy(self):
         stdtrit = pytest.importorskip("scipy.special").stdtrit
         for df in range(1, 2001):
             assert _t_quantile(df, 0.975) == pytest.approx(stdtrit(df, 0.975), rel=1e-12, abs=0), df
-
-    def test_event_log(self, bs_model, tmp_path):
-        path = tmp_path / "events.csv"
-        write_event_log(bs_model, SimConfig(seed=5, horizon=50.0), path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "time,n,k,event"
-        events = {line.split(",")[3] for line in lines[1:]}
-        assert events <= {"arrival", "departure", "env"}
-        assert "arrival" in events and "departure" in events
-        times = [float(line.split(",")[0]) for line in lines[1:]]
-        assert times == sorted(times)
-
-    def test_event_log_is_replication_zero(self, bs_model, tmp_path):
-        config = SimConfig(seed=3, horizon=300.0, replications=2)
-        path = tmp_path / "events.csv"
-        write_event_log(bs_model, config, path)
-        rows = [line.split(",") for line in path.read_text().strip().split("\n")[1:]]
-        assert 0 < len(rows) < 100_000  # the horizon, not max_events, ended the log
-        warmup = config.warmup * config.horizon
-        departures = sum(1 for t, _, _, event in rows if event == "departure" and float(t) >= warmup)
-        rate = departures / (config.horizon - warmup)
-        assert rate == simulate(bs_model, config).estimate.per_replication[0]
-
-    def test_event_log_stops_at_max_events(self, bs_model, tmp_path):
-        path = tmp_path / "events.csv"
-        write_event_log(bs_model, SimConfig(seed=3, horizon=300.0), path, max_events=5)
-        assert len(path.read_text().strip().split("\n")) == 1 + 5
 
 
 def count_forks(monkeypatch):
@@ -203,10 +167,10 @@ class TestParallelReplications:
     def test_worker_exception_is_raised_with_its_type(self, bs_model, failing_rep, monkeypatch):
         run = simulate_module._run_replication
 
-        def failing(table, config, rep, log=None):
+        def failing(table, config, rep):
             if rep == failing_rep:
                 raise ZeroExitRate(f"replication {rep}")
-            return run(table, config, rep, log)
+            return run(table, config, rep)
 
         monkeypatch.setattr(simulate_module, "_run_replication", failing)
         set_cpus(monkeypatch, 3, min_jumps=0)
@@ -217,10 +181,10 @@ class TestParallelReplications:
     def test_worker_without_a_result_exits_2(self, monkeypatch, tmp_path, capsys):
         run = simulate_module._run_replication
 
-        def dying(table, config, rep, log=None):
+        def dying(table, config, rep):
             if rep == 3:
                 os._exit(0)
-            return run(table, config, rep, log)
+            return run(table, config, rep)
 
         monkeypatch.setattr(simulate_module, "_run_replication", dying)
         set_cpus(monkeypatch, 2)
