@@ -39,18 +39,36 @@ class MalformedMatrix(ModelError):
 
 
 def _as_rate_tuple(values, name):
-    out = tuple(float(v) for v in values)
+    try:
+        out = tuple(float(v) for v in values)
+    except TypeError as exc:
+        raise InvalidParam(f"{name} must contain numbers: {exc}") from None
     for v in out:
         if not (v > 0.0) or not math.isfinite(v):
             raise InvalidParam(f"{name} must contain positive finite rates, got {v}")
     return out
 
 
-def _freeze(mat, size, name):
-    a = np.asarray(mat, dtype=float)
-    if a.shape != (size, size):
-        raise MalformedMatrix(f"{name} has shape {a.shape}, expected {(size, size)}")
-    a = a.copy()
+def _freeze(mat, labels, name):
+    """`mat` as a read-only |K| x |K| array, checked to be a generator, or a
+    stochastic matrix where `name` is an R's.  A row may miss its sum, 0 or 1,
+    by round-off: 1e-12 of a generator row's absolute sum, 1e-12 for an R."""
+    m = len(labels)
+    a = np.array(mat, dtype=float)
+    if a.shape != (m, m):
+        raise MalformedMatrix(f"{name} has shape {a.shape}, expected {(m, m)}")
+    stochastic = name.startswith("R")
+    with np.errstate(all="ignore"):  # non-finite entries and sums are reported, not warned about
+        off = a if stochastic else a - np.diag(np.diag(a))  # a generator's diagonal is minus its exit rates
+        sums, target = a.sum(axis=1), int(stochastic)
+        # halved, the absolute sum of a conservative row of finite rates is finite
+        tol = 1e-12 if stochastic else 2e-12 * np.abs(a / 2).sum(axis=1)
+        for bad, defect in ((~np.isfinite(a).all(axis=1), "has a non-finite entry"),
+                            ((off < 0).any(axis=1), f"has a negative {'probability' if stochastic else 'rate'}"),
+                            (~(np.abs(sums - target) <= tol) | np.isinf(tol), f"sums to {{:.12g}}, not {target}")):
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise MalformedMatrix(f"{name} row {labels[k]} " + defect.format(float(sums[k])))
     a.setflags(write=False)
     return a
 
@@ -134,30 +152,27 @@ class EnvironmentSpec:
         labels = tuple(self.labels)
         if not labels:
             raise InvalidParam("environment needs at least one state")
-        if len(set(labels)) != len(labels):
+        try:
+            distinct, blocked = len(set(labels)) == len(labels), frozenset(self.blocked)
+        except TypeError as exc:
+            raise InvalidParam(f"environment labels and blocked states must be hashable: {exc}") from None
+        if not distinct:
             raise InvalidParam("environment labels must be distinct")
-        blocked = frozenset(self.blocked)
         if not blocked <= set(labels):
             raise InvalidParam("blocked set must be a subset of the labels")
-        m = len(labels)
-        V_prefix = tuple(_freeze(v, m, f"V_prefix[{i}]") for i, v in enumerate(self.V_prefix))
-        R_prefix = tuple(_freeze(r, m, f"R_prefix[{i}]") for i, r in enumerate(self.R_prefix))
-        V_tail = tuple(_freeze(v, m, f"V_tail[{i}]") for i, v in enumerate(self.V_tail))
-        R_tail = tuple(_freeze(r, m, f"R_tail[{i}]") for i, r in enumerate(self.R_tail))
-        if len(V_prefix) != len(R_prefix):
-            raise InvalidParam("V_prefix and R_prefix must have equal length")
-        if len(V_tail) != len(R_tail) or not V_tail:
-            raise InvalidParam("V_tail and R_tail must have equal positive length")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "blocked", blocked)
-        object.__setattr__(self, "V_prefix", V_prefix)
-        object.__setattr__(self, "R_prefix", R_prefix)
-        object.__setattr__(self, "V_tail", V_tail)
-        object.__setattr__(self, "R_tail", R_tail)
+        for name in ("V_prefix", "R_prefix", "V_tail", "R_tail"):
+            mats = tuple(_freeze(a, labels, f"{name}[{i}]") for i, a in enumerate(getattr(self, name)))
+            object.__setattr__(self, name, mats)
+        if len(self.V_prefix) != len(self.R_prefix):
+            raise InvalidParam("V_prefix and R_prefix must have equal length")
+        if len(self.V_tail) != len(self.R_tail) or not self.V_tail:
+            raise InvalidParam("V_tail and R_tail must have equal positive length")
 
     @classmethod
     def constant(cls, labels, blocked, V, R):
-        return cls(labels=tuple(labels), blocked=frozenset(blocked), V_tail=(V,), R_tail=(R,))
+        return cls(labels=labels, blocked=blocked, V_tail=(V,), R_tail=(R,))
 
     @property
     def size(self) -> int:
@@ -208,6 +223,16 @@ class JointModel:
     rates: RateFamily
     env: EnvironmentSpec
     name: str = ""
+
+    def __post_init__(self):
+        # finite rates can still sum past the largest float; with V conservative and
+        # R stochastic, a state's exit rate is its arrival and service rates less V[k, k]
+        working = self.env.working_mask()
+        for n in range(self.tail_start + 1 + self.period):  # levels with every block the chain has
+            with np.errstate(over="ignore"):
+                ok = np.isfinite(np.where(working, self.arrival(n) + self.service(n), 0.0) - np.diag(self.V(n)))
+            if not ok.all():
+                raise InvalidParam(f"the total exit rate of state ({n}, {self.env.labels[np.argmin(ok)]}) overflows")
 
     @property
     def tail_start(self) -> int:
@@ -438,52 +463,24 @@ def _strong_components(src: np.ndarray, dst: np.ndarray, size: int) -> np.ndarra
 
 @dataclass
 class ValidationReport:
-    """Outcome of structural validation on the truncated state graph."""
+    """Outcome of the connectivity check on the truncated state graph."""
 
     n_check: int
-    violations: list = field(default_factory=list)  # (kind, where, detail)
-    warnings: list = field(default_factory=list)
+    warnings: list = field(default_factory=list)  # (kind, where, detail)
     passed: bool = False
-
-    def kinds(self):
-        return {kind for kind, _, _ in self.violations}
-
-
-_CONSERVATIVE_TOL = 1e-12
 
 
 def validate_model(model: JointModel, n_check: int) -> ValidationReport:
-    """Check matrix well-formedness for all n <= n_check and strong
-    connectivity of the state graph restricted to {0..n_check} x K.
+    """Check strong connectivity of the state graph restricted to
+    {0..n_check} x K; the matrices were checked when the model was built.
 
-    Connectivity failures are recorded as warnings (truncation can break true
-    connectivity); matrix violations fail the report.
+    A failure is recorded as a warning: truncation can break true
+    connectivity.
     """
     if n_check < model.tail_start + model.period:
         raise InvalidParam("n_check must cover prefix plus one tail period")
     report = ValidationReport(n_check=n_check)
     m = model.n_env
-    for n in range(n_check + 1):
-        V = model.V(n)
-        off = V - np.diag(np.diag(V))
-        if (off < 0).any():
-            report.violations.append(("NegativeRate", f"V_{n}", "negative off-diagonal entry"))
-        rowsums = V.sum(axis=1)
-        bad = np.flatnonzero(np.abs(rowsums) > _CONSERVATIVE_TOL)
-        for k in bad:
-            report.violations.append(
-                ("NonConservativeRow", f"V_{n} row {model.env.labels[k]}", f"row sum {rowsums[k]:.3e}")
-            )
-        if n >= 1:
-            R = model.R(n)
-            if (R < 0).any():
-                report.violations.append(("NegativeRate", f"R_{n}", "negative entry"))
-            rsums = R.sum(axis=1)
-            bad = np.flatnonzero(np.abs(rsums - 1.0) > _CONSERVATIVE_TOL)
-            for k in bad:
-                report.violations.append(
-                    ("NotStochasticRow", f"R_{n} row {model.env.labels[k]}", f"row sum {rsums[k]:.6f}")
-                )
     # strong connectivity of the truncated graph: an edge per positive rate
     B, U, D, cls = _level_blocks(model, n_check)
     src, dst = [], []
@@ -510,5 +507,5 @@ def validate_model(model: JointModel, n_check: int) -> ValidationReport:
              f"{n_interior} strong components below the cap",
              f"example component: {members}")
         )
-    report.passed = not report.violations and not report.warnings
+    report.passed = not report.warnings
     return report

@@ -34,11 +34,11 @@ _YAML_ONLY = tuple(re.compile(pattern) for pattern in (
 # before the colon, a key of at most this many characters spans at most
 # 2 + 6 * 166 of the text, as an escape takes at most 6 characters.
 _MAX_KEY = 166
-# libyaml's composer recurses in C, ~300 bytes of stack a level: a file nested
-# some 30,000 levels deep overflows an 8 MB stack and kills the interpreter.
-# A model needs ~5 levels; the cap admits every text json.loads gives up on
-# (its recursion limit is ~1000) and keeps the composer within ~1.3 MB.
-_MAX_DEPTH = 4096
+# libyaml's composer recurses in C, ~300 bytes of stack a level: a file 30,000
+# levels deep overflows an 8 MB stack and kills the interpreter, one 4000 deep
+# a 1 MB stack.  A model needs ~5 levels; the cap sits where json.loads gives
+# up (its recursion limit is ~1000) and keeps the composer within ~0.3 MB.
+_MAX_DEPTH = 1000
 
 
 def _short_keys(pairs):
@@ -102,7 +102,7 @@ def model_from_dict(doc: dict) -> JointModel:
     )
     env = EnvironmentSpec(
         labels=tuple(_get(env_doc, "labels", list)),
-        blocked=frozenset(_get(env_doc, "blocked", list, [])),
+        blocked=tuple(_get(env_doc, "blocked", list, [])),
         V_prefix=tuple(_get(env_doc, "V_prefix", list, [])),
         R_prefix=tuple(_get(env_doc, "R_prefix", list, [])),
         V_tail=tuple(_get(env_doc, "V_tail", list)),

@@ -124,9 +124,28 @@ MISTYPED_MODELS = {
     "tail.yaml": "rates: {lambda_tail: 1.0, mu_tail: [2.0]}\n" + ONE_STATE_ENV,
     "catalog.yaml": "catalog: base_stock\n",
     "rates.yaml": "rates: [1]\n" + ONE_STATE_ENV,
+    "rate.yaml": "rates: {lambda_tail: [null], mu_tail: [2.0]}\n" + ONE_STATE_ENV,
     "blocked.json": json.dumps({"rates": {"lambda_tail": [1.0], "mu_tail": [2.0]},
                                 "environment": {"labels": [0, 1], "blocked": 5, "V_tail": [[[-1, 1], [1, -1]]],
                                                 "R_tail": [[[1, 0], [0, 1]]]}}),
+}
+
+
+
+def two_state_text(labels="[0, 1]", blocked="[0]", V="[[-1, 1], [1, -1]]", R="[[1, 0], [0, 1]]"):
+    return ("rates: {lambda_tail: [1], mu_tail: [2]}\n"
+            f"environment: {{labels: {labels}, blocked: {blocked}, V_tail: [{V}], R_tail: [{R}]}}\n")
+
+
+# two-state models, each malformed in one place, and the one error line every command gives for it
+MALFORMED_MODELS = {
+    "R_row_sums_half": (dict(R="[[0.5, 0], [0, 0.5]]"), "MalformedMatrix: R_tail[0] row 0 sums to 0.5, not 1"),
+    "R_negative": (dict(R="[[1.5, -0.5], [0, 1]]"), "MalformedMatrix: R_tail[0] row 0 has a negative probability"),
+    "V_nan": (dict(V="[[-1, .nan], [1, -1]]"), "MalformedMatrix: V_tail[0] row 0 has a non-finite entry"),
+    "labels_list": (dict(labels="[[0]]"),
+                    "InvalidParam: environment labels and blocked states must be hashable: unhashable type: 'list'"),
+    "blocked_list": (dict(blocked="[[0]]"),
+                     "InvalidParam: environment labels and blocked states must be hashable: unhashable type: 'list'"),
 }
 
 
@@ -186,6 +205,17 @@ class TestErrorContract:
         path = tmp_path / name
         path.write_text(MISTYPED_MODELS[name])
         self.expect_error(capsys, main(["validate", "--model", str(path), "--out", str(tmp_path)]), "InvalidParam")
+
+    @pytest.mark.parametrize("command", ["validate", "separability", "certify", "solve", "simulate"])
+    @pytest.mark.parametrize("name", sorted(MALFORMED_MODELS))
+    def test_malformed_model_refused(self, tmp_path, capsys, command, name):
+        fields, message = MALFORMED_MODELS[name]
+        path = tmp_path / "model.yaml"
+        path.write_text(two_state_text(**fields))
+        out = tmp_path / "out"
+        assert main([command, "--model", str(path), "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(out.iterdir())
 
     def test_value_error(self, tmp_path, capsys):
         self.expect_error(capsys, run(tmp_path, "solve", *BS, "--N", "1"), "ValueError")

@@ -77,23 +77,70 @@ class TestEnvironmentSpec:
 
     def test_nonstochastic_R_flagged(self):
         R = np.array([[0.5, 0.4], [0.0, 1.0]])
-        env = EnvironmentSpec.constant(labels=(0, 1), blocked=(), V=np.zeros((2, 2)), R=R)
-        model = JointModel(rates=RateFamily.constant(1.0, 2.0), env=env, name="bad_R")
-        report = validate_model(model, n_check=4)
-        assert not report.passed
-        assert "NotStochasticRow" in {k for k, _, _ in report.violations}
+        with pytest.raises(MalformedMatrix, match=r"^R_tail\[0\] row 0 sums to 0.9, not 1$"):
+            EnvironmentSpec.constant(labels=(0, 1), blocked=(), V=np.zeros((2, 2)), R=R)
 
     def test_nonconservative_V_flagged(self):
         V = np.array([[-1.0, 0.5], [1.0, -1.0]])
-        env = EnvironmentSpec.constant(labels=(0, 1), blocked=(), V=V, R=np.eye(2))
-        model = JointModel(rates=RateFamily.constant(1.0, 2.0), env=env, name="bad_V")
-        report = validate_model(model, n_check=4)
-        assert not report.passed
-        assert "NonConservativeRow" in {k for k, _, _ in report.violations}
+        with pytest.raises(MalformedMatrix, match=r"^V_tail\[0\] row 0 sums to -0.5, not 0$"):
+            EnvironmentSpec.constant(labels=(0, 1), blocked=(), V=V, R=np.eye(2))
+
+    @pytest.mark.parametrize("field, mat, message", [
+        ("V_prefix", [[-1.0, 1.0], [-1.0, 1.0]], "V_prefix[1] row b has a negative rate"),
+        ("V_prefix", [[-1.0, 1.0], [np.inf, -np.inf]], "V_prefix[1] row b has a non-finite entry"),
+        ("R_prefix", [[1.0, 0.0], [np.nan, 1.0]], "R_prefix[1] row b has a non-finite entry"),
+        ("R_prefix", [[1.0, 0.0], [-1e-300, 1.0]], "R_prefix[1] row b has a negative probability"),
+        ("R_prefix", [[1.0, 0.0], [1e-11, 1.0]], "R_prefix[1] row b sums to 1.00000000001, not 1"),
+        ("V_tail", [[-2.0, 1.0], [1.0, -1.0]], "V_tail[1] row a sums to -1, not 0"),
+        ("R_tail", [[0.0, 0.0], [0.0, 1.0]], "R_tail[1] row a sums to 0, not 1"),
+    ])
+    def test_each_matrix_checked_where_named(self, field, mat, message):
+        # a negative diagonal is a V's exit rate, not a defect; the message names the matrix as written
+        mats = dict.fromkeys(("V_prefix", "V_tail"), ([[-1.0, 1.0], [1.0, -1.0]],) * 2)
+        mats.update(dict.fromkeys(("R_prefix", "R_tail"), (np.eye(2),) * 2))
+        mats[field] = (mats[field][0], mat)
+        with pytest.raises(MalformedMatrix) as err:
+            EnvironmentSpec(labels=("a", "b"), blocked=frozenset(), **mats)
+        assert str(err.value) == message
+
+    def test_round_off_row_sums_accepted(self):
+        # a generator row within 1e-12 of its absolute sum; a stochastic row within 1e-12 of 1
+        V = np.array([[-3e4, 2e4, 1e4 + 1e-8], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+        R = np.array([[1.0 - 1e-13, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        EnvironmentSpec.constant(labels=(0, 1, 2), blocked=(), V=V, R=R)
+        with pytest.raises(MalformedMatrix, match="V_tail"):
+            EnvironmentSpec.constant(labels=(0, 1, 2), blocked=(), V=V + np.diag([0.0, 1e-11, 0.0]), R=R)
+
+    def test_row_sums_of_huge_rates_checked(self):
+        # both absolute sums pass the float range; the first row's rates sum to 3e307, the second's to 0
+        rows = [[-1.7e308, 1e308, 1e308], [-1.7e308, 1e308, 0.7e308]]
+        with pytest.raises(MalformedMatrix, match=r"^V_tail\[0\] row 0 sums to 3e\+307, not 0$"):
+            EnvironmentSpec.constant(labels=(0, 1, 2), blocked=(), V=[rows[0], [0] * 3, [0] * 3], R=np.eye(3))
+        EnvironmentSpec.constant(labels=(0, 1, 2), blocked=(), V=[rows[1], [0] * 3, [0] * 3], R=np.eye(3))
+
+    @pytest.mark.parametrize("labels, blocked", [([[0], 1], ()), ((0, 1), [[0]]), (({}, 1), ())])
+    def test_unhashable_labels_rejected(self, labels, blocked):
+        with pytest.raises(InvalidParam, match="must be hashable"):
+            EnvironmentSpec.constant(labels=labels, blocked=blocked, V=np.zeros((2, 2)), R=np.eye(2))
 
     def test_unknown_blocked_label_rejected(self):
         with pytest.raises(InvalidParam):
             EnvironmentSpec.constant(labels=(0, 1), blocked=(7,), V=np.zeros((2, 2)), R=np.eye(2))
+
+
+class TestJointModel:
+    @pytest.mark.parametrize("model", [
+        lambda: mm1_plain(lam=1e308, mu=1.7e308),
+        lambda: JointModel(rates=RateFamily.constant(1e308, 2.0), env=EnvironmentSpec.constant(
+            (0, 1), (), [[-1.7e308, 1.7e308], [1.0, -1.0]], np.eye(2))),
+    ], ids=["arrival_plus_service", "arrival_plus_move"])
+    def test_overflowing_exit_rate_rejected(self, model):
+        # every rate is finite, their sum is not
+        with pytest.raises(InvalidParam, match=r"total exit rate of state \(\d+, 0\) overflows"):
+            model()
+
+    def test_largest_finite_exit_rate_accepted(self):
+        assert generator_row(mm1_plain(lam=1e308, mu=7e307), (1, 0)).total_rate() == 1.7e308
 
 
 class TestGeneratorRow:
@@ -152,14 +199,15 @@ class TestValidateModel:
             ("perishable_o", dict(lam=1, mu=2, nu=1, gamma=1, b=2)),
             ("perishable_minus", dict(lam=1, mu=2, nu=1, gamma=1, b=2)),
             ("perishable_plus", dict(lam=1, mu=2, nu=1, gamma=1, b=2)),
+            # row sums of round-off, up to 7e-12 absolute and 4.9e-17 relative
+            ("perishable_minus", dict(lam=1, mu=2, nu=7.1e4, gamma=0.37, b=200)),
         ],
     )
     def test_catalog_models_pass(self, name, params):
         model = catalog(name, **params)
         n_check = max(8, model.tail_start + model.period + 2)
         report = validate_model(model, n_check=n_check)
-        assert report.passed, report.violations
-        assert not report.warnings, report.warnings
+        assert report.passed and not report.warnings, report.warnings
 
     def test_all_catalog_names_covered(self):
         assert set(CATALOG_NAMES) == {

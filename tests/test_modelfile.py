@@ -127,10 +127,9 @@ class TestJsonPath:
         assert_reads_as_yaml(text)
 
     def test_nesting_deeper_than_json_recurses(self):
-        doc = _parse_document("[" * 3000 + "]" * 3000)
-        for _ in range(2999):
-            (doc,) = doc
-        assert doc == []
+        # json.loads gives up near 1000 levels and hands the text to YAML, where the depth cap stops it
+        with pytest.raises(InvalidParam, match="deeper than 1000 levels"):
+            _parse_document("[" * 3000 + "]" * 3000)
 
     def test_surrogate_escape_is_not_valid_yaml(self, tmp_path):
         path = tmp_path / "model.json"
@@ -160,7 +159,7 @@ class TestNestingCap:
         for _ in range(modelfile._MAX_DEPTH - 1):
             (doc,) = doc
         assert doc in ([], ["x"])
-        with pytest.raises(InvalidParam, match="deeper than 4096 levels"):
+        with pytest.raises(InvalidParam, match=f"deeper than {modelfile._MAX_DEPTH} levels"):
             _parse_document(nest(modelfile._MAX_DEPTH + 1))
 
     @pytest.mark.parametrize("text", [TWO_STATE, CATALOG, "? a\n: b\n", "? - x\n", "a: {b: [c, d: e]}\n",
@@ -174,14 +173,30 @@ class TestNestingCap:
     @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "- " * 100_000 + "x"], ids=["json", "yaml"])
     def test_deep_file_exits_2(self, text, tmp_path):
         # either file overflowed the C stack in libyaml's composer and killed the interpreter (exit 139)
-        path = tmp_path / "deep.yaml"
-        path.write_text(text)
-        pythonpath = os.pathsep.join([str(Path(envqueue.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
-        proc = subprocess.run([sys.executable, "-m", "envqueue.cli", "validate", "--model", str(path),
-                               "--out", str(tmp_path)], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": pythonpath})
+        proc = run_validate(text, tmp_path)
         assert proc.returncode == 2
-        assert proc.stderr.splitlines() == ["error: InvalidParam: model file nests collections deeper than 4096 levels"]
+        assert proc.stderr.splitlines() == ["error: InvalidParam: model file nests collections deeper than 1000 levels"]
+
+    def test_cap_fits_a_1mb_stack(self, tmp_path):
+        # a 4000-deep text overflowed a 1 MB stack in libyaml's composer; the limit binds only the child process
+        head = '{"catalog": {"name": "mm1_plain", "params": {"lam": 1, "mu": 2}}, "x": '
+        deep = [head + "[" * (d - 1) + "]" * (d - 1) + "}" for d in (modelfile._MAX_DEPTH, modelfile._MAX_DEPTH + 1)]
+        assert run_validate(deep[0], tmp_path, stack_kb=1024).returncode == 0
+        proc = run_validate(deep[1], tmp_path, stack_kb=1024)
+        assert (proc.returncode, proc.stderr.splitlines()) == (
+            2, ["error: InvalidParam: model file nests collections deeper than 1000 levels"])
+
+
+def run_validate(text, tmp_path, stack_kb=None):
+    """`envqueue validate` on a model file holding `text`, in a child process; with `stack_kb`, the
+    child's stack is capped at that many kB."""
+    path = tmp_path / "deep.yaml"
+    path.write_text(text)
+    pythonpath = os.pathsep.join([str(Path(envqueue.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    argv = [sys.executable, "-m", "envqueue.cli", "validate", "--model", str(path), "--out", str(tmp_path)]
+    if stack_kb is not None:
+        argv = ["sh", "-c", f'ulimit -s {stack_kb} && exec "$@"', "sh", *argv]
+    return subprocess.run(argv, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath})
 
 
 JSON_VALUES = st.recursive(
