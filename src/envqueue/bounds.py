@@ -23,7 +23,7 @@ from .numerics import exact_solve, metrics
 from .separability import NotSeparable, product_form
 from .simulate import SimConfig, departure_values, isotone_check, simulate
 
-ORDER_TOL = 1e-9
+ORDER_RTOL = 1e-9  # the ordering tolerates a TH excess of this times TH+
 JUMP_HORIZON = 50  # value-iteration steps of the isotonicity evidence
 VALUE_CAP = 100  # queue levels of its value tables
 
@@ -142,8 +142,8 @@ def bound_report(lam, mu, nu, gamma, b, sim_config: SimConfig | None = None) -> 
         table = departure_values(system, N_cap=VALUE_CAP, horizon=JUMP_HORIZON)
         isotone[tag] = isotone_check(table)
 
-    lower_ok = th_minus <= th_o + ORDER_TOL
-    upper_ok = th_o <= th_plus + ORDER_TOL
+    lower_ok = th_minus <= th_o + ORDER_RTOL * th_plus
+    upper_ok = th_o <= th_plus + ORDER_RTOL * th_plus
     ordering = lower_ok and upper_ok
     if sim_estimate is not None:
         ordering = ordering and (

@@ -31,16 +31,27 @@ CATALOG_NAMES = (
 )
 
 
-def _check_positive(**params):
+def _number(value) -> float:
+    """`value` as a float; nan, which fails every check, where it is no number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return float("nan")
+
+
+def _check_positive(**params) -> list:
+    """The parameters as floats, each checked to be positive."""
     for name, value in params.items():
-        if value is None or not (float(value) > 0):
-            raise InvalidParam(f"parameter {name} must be positive, got {value}")
+        if not _number(value) > 0:
+            raise InvalidParam(f"parameter {name} must be a positive number, got {value}")
+    return [float(value) for value in params.values()]
 
 
-def _check_base_level(b):
-    if b is None or int(b) != b or b < 1:
+def _check_base_level(b) -> int:
+    level = _number(b)
+    if not (level >= 1 and level.is_integer() and level == b):
         raise InvalidParam(f"base stock level b must be an integer >= 1, got {b}")
-    return int(b)
+    return int(level)
 
 
 def _inventory_jump_matrix(b):
@@ -66,7 +77,7 @@ def _inventory_generator(b, nu, downrates):
 
 def mm1_plain(lam, mu) -> JointModel:
     """Plain M/M/1: trivial one-state environment, never blocked."""
-    _check_positive(lam=lam, mu=mu)
+    lam, mu = _check_positive(lam=lam, mu=mu)
     env = EnvironmentSpec.constant(labels=(0,), blocked=(), V=np.zeros((1, 1)), R=np.ones((1, 1)))
     return JointModel(rates=RateFamily.constant(lam, mu), env=env, name="mm1_plain")
 
@@ -76,7 +87,7 @@ def base_stock(lam, mu, nu, b) -> JointModel:
 
     Environment state = stock on hand, 0..b; stock-out blocks the server.
     """
-    _check_positive(lam=lam, mu=mu, nu=nu)
+    lam, mu, nu = _check_positive(lam=lam, mu=mu, nu=nu)
     b = _check_base_level(b)
     V = _inventory_generator(b, nu, np.zeros(b + 1))
     env = EnvironmentSpec.constant(
@@ -107,7 +118,7 @@ def onoff_a(eta, gamma, lam=1.0, mu=2.0, depth=_ONOFF_DEPTH) -> JointModel:
     the environment stationary vector is unaffected because scaling a
     generator does not change its kernel.
     """
-    _check_positive(eta=eta, gamma=gamma, lam=lam, mu=mu)
+    eta, gamma, lam, mu = _check_positive(eta=eta, gamma=gamma, lam=lam, mu=mu)
     mats = _onoff_generators(eta, gamma, depth)
     eye = np.eye(2)
     env = EnvironmentSpec(
@@ -127,7 +138,7 @@ def onoff_b(lam, gamma, eta, mu=2.0, depth=_ONOFF_DEPTH) -> JointModel:
 
     Same freeze-beyond-depth representation as `onoff_a`.
     """
-    _check_positive(lam=lam, gamma=gamma, eta=eta, mu=mu)
+    lam, gamma, eta, mu = _check_positive(lam=lam, gamma=gamma, eta=eta, mu=mu)
     mats = _onoff_generators(eta, gamma, depth)
     R = np.array([[1.0, 0.0], [1.0, 0.0]])
     env = EnvironmentSpec(
@@ -147,17 +158,18 @@ def onoff_b(lam, gamma, eta, mu=2.0, depth=_ONOFF_DEPTH) -> JointModel:
     return JointModel(rates=rates, env=env, name="onoff_b")
 
 
-def _check_ageing(gamma):
-    if gamma is None or float(gamma) < 0:
-        raise InvalidParam(f"ageing rate gamma must be >= 0, got {gamma}")
+def _check_ageing(gamma) -> float:
+    if not _number(gamma) >= 0:
+        raise InvalidParam(f"ageing rate gamma must be a number >= 0, got {gamma}")
+    return float(gamma)
 
 
 def perishable_o(lam, mu, nu, gamma, b) -> JointModel:
     """Base-stock inventory with perishable items where the item in
     production is protected: total loss rate gamma*k at n = 0 and
     gamma*(k-1) at n > 0."""
-    _check_positive(lam=lam, mu=mu, nu=nu)
-    _check_ageing(gamma)
+    lam, mu, nu = _check_positive(lam=lam, mu=mu, nu=nu)
+    gamma = _check_ageing(gamma)
     b = _check_base_level(b)
     ks = np.arange(b + 1, dtype=float)
     V0 = _inventory_generator(b, nu, gamma * ks)
@@ -175,8 +187,8 @@ def perishable_o(lam, mu, nu, gamma, b) -> JointModel:
 
 
 def _perishable_uniform(lam, mu, nu, gamma, b, decay, name) -> JointModel:
-    _check_positive(lam=lam, mu=mu, nu=nu)
-    _check_ageing(gamma)
+    lam, mu, nu = _check_positive(lam=lam, mu=mu, nu=nu)
+    gamma = _check_ageing(gamma)
     b = _check_base_level(b)
     V = _inventory_generator(b, nu, gamma * decay(np.arange(b + 1, dtype=float)))
     env = EnvironmentSpec.constant(

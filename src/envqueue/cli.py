@@ -83,8 +83,10 @@ def _write_manifest(args, models, outdir: Path, extra=None):
 
 
 def _write_json(outdir: Path, name: str, record) -> None:
+    # JSON has no infinity: a non-finite number is written as null, which stands for an unbounded value
+    text = json.dumps(record, sort_keys=True, default=float)
     with open(outdir / name, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True, default=float)
+        json.dump(json.loads(text, parse_constant=lambda constant: None), fh, indent=2)
         fh.write("\n")
 
 
@@ -109,7 +111,7 @@ def _cmd_validate(args, outdir):
 
 def _cmd_separability(args, outdir):
     model = _resolve_model(args)
-    record = separability_report(model, tol=args.tol)
+    record = separability_report(model)
     _write_manifest(args, [model], outdir)
     _write_json(outdir, "separability.json", record)
     if record["separable"]:
@@ -246,8 +248,7 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
     if p := command("validate", "structural validation of a model", _cmd_validate):
         p.add_argument("--n-check", type=int, default=None)
 
-    if p := command("separability", "product-form decision and theta", _cmd_separability):
-        p.add_argument("--tol", type=float, default=1e-10)
+    command("separability", "product-form decision and theta", _cmd_separability)
 
     if p := command("certify", "Lyapunov ergodicity certificate", _cmd_certify):
         p.add_argument("--kind", choices=("linear_drift", "hitting_time"), default="linear_drift")

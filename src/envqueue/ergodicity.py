@@ -20,7 +20,7 @@ from .model import generator_row  # noqa: F401  (perfbench/tracing.py counts cal
 from .separability import queue_marginal
 
 TAU_RESIDUAL_TOL = 1e-10
-DRIFT_SLACK = 1e-12
+DRIFT_RTOL = 1e-12  # a drift may exceed -eps by this times the sum of its terms' absolute values
 
 
 class SingularSystem(EnvqueueError):
@@ -257,10 +257,13 @@ def certify(model: JointModel, kind: str = "linear_drift"):
     # level 0 has no down moves; its own values stand in for level -1
     targets = np.concatenate([values[1:], values[np.maximum(checked - 1, 0)], here], axis=1)
     rates = _move_rates(*_representative_blocks(model))[_level_classes(model, checked)]
-    drift = np.cumsum(rates * (targets[:, None, :] - here[:, :, None]), axis=2)[:, :, -1]
+    terms = rates * (targets[:, None, :] - here[:, :, None])
+    drift = np.cumsum(terms, axis=2)[:, :, -1]
     in_F = np.isin(checked, base.F_levels)[:, None]
     margin = -eps - drift
-    bad = np.flatnonzero(np.where(in_F, ~np.isfinite(drift), margin < -DRIFT_SLACK))
+    slack = DRIFT_RTOL * np.abs(terms).sum(axis=2)
+    # an infinite drift makes the slack infinite too, so non-finite drifts are caught on their own
+    bad = np.flatnonzero(~np.isfinite(drift) | (~in_F & (margin < -slack)))
     if bad.size:
         n, k = divmod(int(bad[0]), model.n_env)
         if in_F[n, 0]:

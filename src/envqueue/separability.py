@@ -20,7 +20,7 @@ import numpy as np
 from .model import (EnvqueueError, JointModel, _balance_residual, _level_classes, _representative_blocks,
                     _strong_components)
 
-DEFAULT_TOL = 1e-10
+RESIDUAL_RTOL = 1e-10
 SUMMABLE_MARGIN = 1e-12
 NEAR_CRITICAL = 1e-9
 
@@ -56,6 +56,12 @@ def gth_stationary(Q: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise SingularSolve("stationary vector is not finite")
     return x
+
+
+def _residual_tol(B: np.ndarray) -> float:
+    """The largest theta or balance residual that passes: `RESIDUAL_RTOL` times the
+    largest total exit rate (-min of the B diagonals), whatever the time unit."""
+    return RESIDUAL_RTOL * -float(np.diagonal(B, axis1=1, axis2=2).min())
 
 
 def _closed_classes(Q: np.ndarray):
@@ -98,7 +104,7 @@ class NoCommonSolution:
     found: bool = False
 
 
-def solve_theta(model: JointModel, tol: float = DEFAULT_TOL):
+def solve_theta(model: JointModel):
     """Find a probability vector solving theta * Qred(n) = 0 for every
     representative level, or report the best-failing candidate.
 
@@ -124,7 +130,7 @@ def solve_theta(model: JointModel, tol: float = DEFAULT_TOL):
         if best is None or worst < best[0]:
             best = (worst, worst_n, theta)
     worst, worst_n, theta = best
-    if worst <= tol:
+    if worst <= _residual_tol(_representative_blocks(model)[0]):
         return ThetaSolution(theta=theta, residual=worst)
     return NoCommonSolution(residual=worst, offending_level=worst_n)
 
@@ -220,13 +226,13 @@ class NotSeparable:
     separable: bool = False
 
 
-def product_form(model: JointModel, tol: float = DEFAULT_TOL):
+def product_form(model: JointModel):
     """Full separability decision: returns a `ProductFormResult` with the
     exact steady state, or `NotSeparable` with the failure reason."""
     marginal = queue_marginal(model)
     if not marginal.summable:
         return NotSeparable(reason="NotSummable", tail_ratio=marginal.tail_ratio)
-    theta_res = solve_theta(model, tol=tol)
+    theta_res = solve_theta(model)
     if not theta_res.found:
         return NotSeparable(
             reason="NoCommonSolution",
@@ -241,7 +247,7 @@ def product_form(model: JointModel, tol: float = DEFAULT_TOL):
     pi = np.outer([marginal.xi(n) for n in range(rows + 1)], theta)
     B, U, D = _representative_blocks(model)
     worst, worst_level = _balance_residual(pi, B, U, D, _level_classes(model, np.arange(rows + 1)), rows)
-    if worst > tol:
+    if worst > _residual_tol(B):
         return NotSeparable(
             reason="BalanceResidual",
             residual=worst,
@@ -257,10 +263,10 @@ def product_form(model: JointModel, tol: float = DEFAULT_TOL):
     )
 
 
-def separability_report(model: JointModel, tol: float = DEFAULT_TOL) -> dict:
+def separability_report(model: JointModel) -> dict:
     """Flat record for serialization: {separable, theta, C, residuals,
     tail_ratio, reason}."""
-    result = product_form(model, tol=tol)
+    result = product_form(model)
     if result.separable:
         return {
             "separable": True,

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from envqueue.bounds import bound_report, perishable_b1_closed_form
+from envqueue.bounds import bound_report, gamma_sweep, perishable_b1_closed_form
 from envqueue.catalog import (
     base_stock,
     mm1_plain,
@@ -20,8 +20,8 @@ from envqueue.catalog import (
     perishable_plus,
 )
 from envqueue.ergodicity import LyapunovCertificate, NotCertified, c_hat, certify, solve_tau
-from envqueue.model import generator_row
-from envqueue.numerics import NotErgodic, auto_truncate, check_cut_structure, metrics, solve_truncated
+from envqueue.model import EnvqueueError, generator_row
+from envqueue.numerics import NotErgodic, auto_truncate, check_cut_structure, exact_solve, metrics, solve_truncated
 from envqueue.separability import (
     NotSeparable,
     ProductFormResult,
@@ -235,3 +235,52 @@ def test_catalog_certification_agrees_with_exact_solve(kind):
             assert isinstance(result, NotCertified) and result.reason == "NecessaryFails", (name, result)
         # Neuts' drift test in the exact solve is the independent verdict
         assert ergodic == certified, name
+
+
+# catalog models with every rate a multiple of the scale c
+SCALED_CATALOG = {
+    "mm1_plain": lambda c: mm1_plain(lam=1 * c, mu=2 * c),
+    "mm1_plain_unstable": lambda c: mm1_plain(lam=2 * c, mu=1 * c),
+    "base_stock_b2": lambda c: base_stock(lam=1 * c, mu=2 * c, nu=1 * c, b=2),
+    "base_stock_b5": lambda c: base_stock(lam=1 * c, mu=2 * c, nu=1 * c, b=5),
+    "onoff_a": lambda c: onoff_a(eta=1 * c, gamma=2 * c, lam=0.5 * c, mu=2 * c),
+    "onoff_b": lambda c: onoff_b(lam=0.1 * c, gamma=1 * c, eta=2 * c, mu=2 * c),
+    "perishable_minus": lambda c: perishable_minus(lam=1 * c, mu=2 * c, nu=1 * c, gamma=1 * c, b=2),
+    "perishable_o": lambda c: perishable_o(lam=1 * c, mu=2 * c, nu=1 * c, gamma=2 * c, b=2),
+    "perishable_plus": lambda c: perishable_plus(lam=1 * c, mu=2 * c, nu=1 * c, gamma=1 * c, b=2),
+}
+BOUND_TRIPLES = [(1, mu, 1, gamma, b) for mu in (1.5, 2) for gamma in (0.5, 1.5, 2) for b in (2, 3)]
+
+
+def verdict(answer):
+    try:
+        return answer()
+    except EnvqueueError as exc:
+        return type(exc).__name__
+
+
+def scaled_verdicts(c):
+    """Every verdict on the models above, with all rates multiplied by c."""
+    out = {}
+    for name, build in SCALED_CATALOG.items():
+        model = build(c)
+        out[name, "separable"] = verdict(lambda: product_form(model).separable)
+        for kind in ("linear_drift", "hitting_time"):
+            out[name, kind] = verdict(lambda: certify(model, kind=kind).certified)
+        out[name, "ergodic"] = verdict(lambda: exact_solve(model) is not None)
+    for lam, mu, nu, gamma, b in BOUND_TRIPLES:
+        out["bounds", lam, mu, nu, gamma, b] = verdict(
+            lambda: bound_report(lam * c, mu * c, nu * c, gamma * c, b).ordering_holds)
+    out["sweep"] = verdict(lambda: len(gamma_sweep(c, 2 * c, c, 2, c * np.linspace(0.1, 2, 10))))
+    return out
+
+
+def test_no_verdict_depends_on_the_time_unit():
+    # scaling every rate by c leaves the stationary distribution unchanged; with absolute tolerances,
+    # perishable_o read separable at 1e-12 and the bound systems not separable at 1e6 and above
+    expected = scaled_verdicts(1.0)
+    assert len(expected) == 49
+    assert expected["perishable_o", "separable"] is False and expected["base_stock_b5", "separable"] is True
+    for c in (1e-12, 1e6, 1e9, 1e12):
+        got = scaled_verdicts(c)
+        assert {key: got[key] for key in expected if got[key] != expected[key]} == {}, c

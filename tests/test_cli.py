@@ -128,6 +128,8 @@ MISTYPED_MODELS = {
     "blocked.json": json.dumps({"rates": {"lambda_tail": [1.0], "mu_tail": [2.0]},
                                 "environment": {"labels": [0, 1], "blocked": 5, "V_tail": [[[-1, 1], [1, -1]]],
                                                 "R_tail": [[[1, 0], [0, 1]]]}}),
+    "catalog_rate.yaml": "catalog: {name: mm1_plain, params: {lam: [1], mu: 2}}\n",
+    "catalog_level.yaml": "catalog: {name: base_stock, params: {lam: 1, mu: 2, nu: 1, b: [2]}}\n",
 }
 
 
@@ -278,17 +280,65 @@ class TestBoundsCommands:
         assert len(lines) == 3
         assert "tol" not in read_manifest(tmp_path)
 
-    def test_sweep_takes_no_tol(self, tmp_path):
-        # the sweep's values are exact, so there is no cut-off to set
+    @pytest.mark.parametrize("command", ["sweep", "separability"])
+    def test_takes_no_tol(self, tmp_path, command):
+        # the sweep's values are exact, and separability measures its residuals against the model's rates
         with pytest.raises(SystemExit) as usage:
-            run(tmp_path, "sweep", *PER, "--tol", "1e-9")
+            run(tmp_path, command, *PER, "--tol", "1e-9")
         assert usage.value.code == EXIT_ERROR
+
+
+# each ran at unit rates scaled by a power of ten, where an absolute tolerance gave another verdict
+SCALED_RUNS = [
+    (["separability", "--catalog", "perishable_o", "--lambda", "1e-12", "--mu", "2e-12", "--nu", "1e-12",
+      "--gamma", "2e-12", "--b", "2"], EXIT_NEGATIVE),
+    (["separability", "--catalog", "base_stock", "--lambda", "1e9", "--mu", "2e9", "--nu", "1e9", "--b", "5"],
+     EXIT_OK),
+    (["bounds", "--catalog", "perishable_o", "--lambda", "1e6", "--mu", "2e6", "--nu", "1e6", "--gamma", "2e6",
+      "--b", "3"], EXIT_OK),
+]
+
+
+@pytest.mark.parametrize("argv, code", SCALED_RUNS, ids=["perishable_o_1e-12", "base_stock_1e9", "bounds_1e6"])
+def test_unit_rate_verdicts_at_any_scale(tmp_path, argv, code):
+    assert run(tmp_path, *argv) == code
+
+
+def strict_json(path):
+    """The file's JSON, read as RFC 8259 reads it: NaN and Infinity are no JSON."""
+    def reject(name):
+        raise ValueError(f"{name} in {path.name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+MM1 = ("--catalog", "mm1_plain", "--lambda", "1", "--mu", "2")
+
+
+class TestJsonOutputs:
+    @pytest.mark.parametrize("kind", ["linear_drift", "hitting_time"])
+    def test_certificate_writes_null_for_unbounded(self, tmp_path, kind):
+        # one environment state, never blocked: c_hat(0) is unbounded
+        assert run(tmp_path, "certify", *MM1, "--kind", kind) == EXIT_OK
+        record = strict_json(tmp_path / "certificate.json")
+        assert record["c_n"]["0"] is None and record["c_hat_n"]["0"] is None
+
+    def test_simulation_half_width_of_one_replication(self, tmp_path):
+        assert run(tmp_path, "simulate", *BS, "--horizon", "100", "--replications", "1") == EXIT_OK
+        record = strict_json(tmp_path / "simulation.json")
+        assert record["half_width"] is None and record["mean"] > 0
+
+    def test_bounds_half_width_of_one_replication(self, tmp_path):
+        assert run(tmp_path, "bounds", *PER, "--horizon", "100", "--replications", "1") == EXIT_OK
+        record = strict_json(tmp_path / "bounds.json")
+        assert record["TH_o_sim_half_width"] is None and record["TH_o_sim_mean"] > 0
 
 
 class TestManifest:
     def test_written_with_hash_and_options(self, tmp_path):
         run(tmp_path, "separability", *BS)
         manifest = read_manifest(tmp_path)
+        assert "tol" not in manifest
         assert manifest["tool"] == "envqueue"
         assert manifest["command"] == "separability"
         assert len(manifest["model_hash"]) == 64

@@ -1,8 +1,9 @@
-"""Model files: a JSON text is read by json.loads, every other file by YAML,
-and both give the document YAML gives."""
+"""Model files: a JSON text is read by json.loads, as YAML 1.2 reads it, and
+every other file by YAML."""
 
 import json
 import os
+import string
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import envqueue
 from envqueue import modelfile
+from envqueue.catalog import catalog
 from envqueue.model import InvalidParam
 from envqueue.modelfile import _parse_document, load_model, model_from_dict
 
@@ -75,6 +77,7 @@ def no_yaml(monkeypatch):
         raise AssertionError("YAML parser called")
 
     monkeypatch.setattr(modelfile.yaml, "load", fail)
+    monkeypatch.setattr(modelfile.yaml, "parse", fail)
 
 
 class TestJsonPath:
@@ -101,29 +104,36 @@ class TestJsonPath:
         assert _parse_document(text) == {"name": "b", "catalog": {"name": "mm1_plain"}}
 
     @pytest.mark.parametrize("value", ["1e-05", "1.5e3", "1.5E+3", "2.5e-3", "NaN", "-Infinity"])
-    def test_numbers_read_as_yaml_reads_them(self, value, tmp_path):
-        # YAML 1.1 reads 1e-05, 1.5e3, NaN and -Infinity as strings
+    def test_numbers_read_as_yaml_reads_them(self, value, tmp_path, monkeypatch):
+        # YAML 1.1 reads 1e-05, 1.5e3, NaN and -Infinity as strings, and the model converts them alike
         text = json.dumps(base_stock_doc(2)).replace('"lambda_tail": [0.7]', f'"lambda_tail": [{value}]')
         assert value in text
-        assert_reads_as_yaml(text)
         path = tmp_path / "model.json"
         path.write_text(text)
-        assert model_outcome(lambda: load_model(path)) == model_outcome(lambda: model_from_dict(yaml_reads(text)))
+        expected = model_outcome(lambda: model_from_dict(yaml_reads(text)))
+        no_yaml(monkeypatch)
+        assert model_outcome(lambda: load_model(path)) == expected
 
     @pytest.mark.parametrize("text", [
-        '{"a"\n: 1}',  # YAML rejects a line break before the colon
+        '{"a"\n: 1}',  # YAML 1.1 rejects a line break before the colon
         '{"a"' + " " * 1030 + ": 1}",
-        '{"' + "k" * 1023 + '": 1}',  # a YAML simple key spans at most 1024 characters
+        '{"' + "k" * 1023 + '": 1}',  # a YAML 1.1 simple key spans at most 1024 characters
         '{"' + "k" * 200 + '": 1}',
         '{"' + r"\u0041" * 171 + '": 1}',
-        '{"a": "x\x7fy"}',  # YAML rejects DEL
-        '{"a": "\x85"}',  # YAML folds NEL into a space
+        '{"a": "x\x7fy"}',  # YAML 1.1 rejects DEL
+        '{"a": "\x85"}',  # YAML 1.1 folds NEL into a space
         '{"a" : 1, "b": "é"}',
+    ], ids=["break_before_colon", "spaces_before_colon", "long_key", "key_past_hook_bound", "escaped_long_key",
+            "del", "nel", "non_ascii"])
+    def test_json_texts_read_as_json_reads_them(self, text, monkeypatch):
+        no_yaml(monkeypatch)
+        assert repr(_parse_document(text)) == repr(json.loads(text))
+
+    @pytest.mark.parametrize("text", [
         "[" + "1" * 5000 + "]",  # past Python's integer digit limit
         "\ufeff{}",
-    ], ids=["break_before_colon", "spaces_before_colon", "long_key", "key_past_hook_bound", "escaped_long_key",
-            "del", "nel", "non_ascii", "long_integer", "bom"])
-    def test_texts_the_parsers_disagree_on(self, text):
+    ], ids=["long_integer", "bom"])
+    def test_texts_json_rejects_read_as_yaml(self, text):
         assert_reads_as_yaml(text)
 
     def test_nesting_deeper_than_json_recurses(self):
@@ -131,12 +141,23 @@ class TestJsonPath:
         with pytest.raises(InvalidParam, match="deeper than 1000 levels"):
             _parse_document("[" * 3000 + "]" * 3000)
 
-    def test_surrogate_escape_is_not_valid_yaml(self, tmp_path):
+    def test_surrogate_escape_loads(self, tmp_path, monkeypatch):
+        # json.dump writes the emoji as the escape pair "\\ud83d\\ude00", which YAML 1.1 rejects
         path = tmp_path / "model.json"
-        path.write_text(json.dumps({"name": "\U0001F600", "catalog": {"name": "mm1_plain"}}))
-        assert json.loads(path.read_text())["name"] == "\U0001F600"
-        with pytest.raises(InvalidParam, match="not valid YAML"):
-            load_model(path)
+        path.write_text(json.dumps({**base_stock_doc(2), "name": "\U0001F600"}))
+        assert "\\ud83d\\ude00" in path.read_text()
+        no_yaml(monkeypatch)
+        assert load_model(path).name == "\U0001F600"
+
+    def test_exponent_file_takes_the_json_path(self, tmp_path, monkeypatch):
+        doc = base_stock_doc(50)
+        doc["rates"]["mu_tail"] = [1.5e-07]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert "1.5e-07" in path.read_text()
+        signature = model_from_dict(yaml_reads(path.read_text())).signature()
+        no_yaml(monkeypatch)
+        assert load_model(path).signature() == signature
 
     @pytest.mark.parametrize("text", [TWO_STATE, CATALOG])
     def test_block_yaml_takes_the_yaml_path(self, text, monkeypatch):
@@ -150,6 +171,16 @@ class TestJsonPath:
         path.write_text(json.dumps(base_stock_doc(3))[:-5])
         with pytest.raises(InvalidParam, match="not valid YAML"):
             load_model(path)
+
+
+@pytest.mark.parametrize("text, built", [
+    ("{name: perishable_o, params: {lam: 1, mu: 2, nu: 1e0, gamma: 1e-1, b: 2}}",
+     lambda: catalog("perishable_o", lam=1, mu=2, nu=1, gamma=0.1, b=2)),
+    ("{name: onoff_a, params: {eta: 1e0, gamma: 2e0}}", lambda: catalog("onoff_a", eta=1, gamma=2)),
+], ids=["perishable_o", "onoff_a"])
+def test_catalog_numbers_yaml_reads_as_strings(text, built):
+    # YAML 1.1 reads 1e0 and 1e-1 as strings; a catalog parameter is converted as a rate is
+    assert model_from_dict(yaml_reads("catalog: " + text)).signature() == built().signature()
 
 
 class TestNestingCap:
@@ -199,20 +230,45 @@ def run_validate(text, tmp_path, stack_kb=None):
     return subprocess.run(argv, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath})
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=12,
-)
+POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+LABELS = st.lists(st.integers() | st.text(string.ascii_letters, min_size=1, max_size=8), min_size=1, max_size=3,
+                  unique=True)
 
 
-@given(
-    value=JSON_VALUES,
-    ensure_ascii=st.booleans(),
-    indent=st.sampled_from([None, 0, 2, "\t"]),
-    separators=st.sampled_from([None, (",", ":"), (" ,", " : ")]),
-)
-@settings(max_examples=300, deadline=None)
-def test_any_json_text_reads_as_yaml_reads_it(value, ensure_ascii, indent, separators):
-    text = json.dumps(value, ensure_ascii=ensure_ascii, indent=indent, separators=separators)
-    assert_reads_as_yaml(text)
+@st.composite
+def explicit_models(draw):
+    """An explicit-matrix model document: positive finite rates, each V with positive off-diagonals and
+    each R with positive entries scaled to sum to one in each row."""
+    labels = draw(LABELS)
+    m = len(labels)
+    prefix = draw(st.integers(0, 2))
+
+    def generator():
+        rows = [draw(st.lists(POSITIVE, min_size=m, max_size=m)) for _ in range(m)]
+        for k, row in enumerate(rows):
+            row[k] = 0.0
+            row[k] = -sum(row)
+        return rows
+
+    def stochastic():
+        rows = [draw(st.lists(POSITIVE, min_size=m, max_size=m)) for _ in range(m)]
+        return [[p / sum(row) for p in row] for row in rows]
+
+    return {"name": draw(st.text(string.ascii_letters, max_size=8)),
+            "rates": {"lambda_prefix": draw(st.lists(POSITIVE, min_size=prefix, max_size=prefix)),
+                      "mu_prefix": draw(st.lists(POSITIVE, min_size=prefix, max_size=prefix)),
+                      "lambda_tail": [draw(POSITIVE)], "mu_tail": [draw(POSITIVE)]},
+            "environment": {"labels": labels, "blocked": labels[:draw(st.integers(0, m - 1))],
+                            "V_tail": [generator()], "R_tail": [stochastic()]}}
+
+
+@given(doc=explicit_models(), ensure_ascii=st.booleans(), indent=st.sampled_from([None, 2, "\t"]))
+@settings(max_examples=200, deadline=None)
+def test_explicit_model_files_take_the_json_path(tmp_path_factory, doc, ensure_ascii, indent):
+    text = json.dumps(doc, ensure_ascii=ensure_ascii, indent=indent)
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    path.write_text(text)
+    expected = model_outcome(lambda: model_from_dict(yaml_reads(text)))
+    with pytest.MonkeyPatch.context() as patch:
+        no_yaml(patch)
+        assert model_outcome(lambda: load_model(path)) == expected

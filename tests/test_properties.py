@@ -208,10 +208,10 @@ def test_bound_ordering_in_conjecture_regime(mu, rho, ageing, nu, b):
     # gamma < lam < mu: the regime where the paper only conjectures
     # TH- <= TH_o <= TH+; gamma_sweep does no value iteration.  The ordering
     # holds up to round-off: the smallest margins seen were about -1e-15.
-    from envqueue.bounds import ORDER_TOL, gamma_sweep
+    from envqueue.bounds import gamma_sweep
 
     lam = rho * mu
     gamma = ageing * lam
     [(_, th_minus, th_o, th_plus)] = gamma_sweep(lam, mu, nu, b, [gamma])
-    assert th_minus <= th_o + ORDER_TOL
-    assert th_o <= th_plus + ORDER_TOL
+    assert th_minus <= th_o + 1e-9
+    assert th_o <= th_plus + 1e-9

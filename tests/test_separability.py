@@ -214,7 +214,7 @@ class TestProductForm:
     )
     def test_balance_residual_names_worst_level(self, model, level, monkeypatch):
         theta = solve_theta(model).theta + np.r_[1e-3, np.zeros(model.n_env - 2), -1e-3]
-        monkeypatch.setattr(separability, "solve_theta", lambda model, tol: ThetaSolution(theta=theta, residual=0.0))
+        monkeypatch.setattr(separability, "solve_theta", lambda model: ThetaSolution(theta=theta, residual=0.0))
         res = product_form(model)
         assert isinstance(res, NotSeparable)
         assert res.reason == "BalanceResidual"
