@@ -47,10 +47,10 @@ def _check_positive(**params) -> list:
     return [float(value) for value in params.values()]
 
 
-def _check_base_level(b) -> int:
-    level = _number(b)
-    if not (level >= 1 and level.is_integer() and level == b):
-        raise InvalidParam(f"base stock level b must be an integer >= 1, got {b}")
+def _check_integer(value, least, name) -> int:
+    level = _number(value)
+    if not (level >= least and level.is_integer() and level == value):
+        raise InvalidParam(f"{name} must be an integer >= {least}, got {value}")
     return int(level)
 
 
@@ -88,7 +88,7 @@ def base_stock(lam, mu, nu, b) -> JointModel:
     Environment state = stock on hand, 0..b; stock-out blocks the server.
     """
     lam, mu, nu = _check_positive(lam=lam, mu=mu, nu=nu)
-    b = _check_base_level(b)
+    b = _check_integer(b, 1, "base stock level b")
     V = _inventory_generator(b, nu, np.zeros(b + 1))
     env = EnvironmentSpec.constant(
         labels=tuple(range(b + 1)), blocked=(0,), V=V, R=_inventory_jump_matrix(b)
@@ -119,6 +119,7 @@ def onoff_a(eta, gamma, lam=1.0, mu=2.0, depth=_ONOFF_DEPTH) -> JointModel:
     generator does not change its kernel.
     """
     eta, gamma, lam, mu = _check_positive(eta=eta, gamma=gamma, lam=lam, mu=mu)
+    depth = _check_integer(depth, 0, "on-off depth")
     mats = _onoff_generators(eta, gamma, depth)
     eye = np.eye(2)
     env = EnvironmentSpec(
@@ -139,6 +140,7 @@ def onoff_b(lam, gamma, eta, mu=2.0, depth=_ONOFF_DEPTH) -> JointModel:
     Same freeze-beyond-depth representation as `onoff_a`.
     """
     lam, gamma, eta, mu = _check_positive(lam=lam, gamma=gamma, eta=eta, mu=mu)
+    depth = _check_integer(depth, 0, "on-off depth")
     mats = _onoff_generators(eta, gamma, depth)
     R = np.array([[1.0, 0.0], [1.0, 0.0]])
     env = EnvironmentSpec(
@@ -170,7 +172,7 @@ def perishable_o(lam, mu, nu, gamma, b) -> JointModel:
     gamma*(k-1) at n > 0."""
     lam, mu, nu = _check_positive(lam=lam, mu=mu, nu=nu)
     gamma = _check_ageing(gamma)
-    b = _check_base_level(b)
+    b = _check_integer(b, 1, "base stock level b")
     ks = np.arange(b + 1, dtype=float)
     V0 = _inventory_generator(b, nu, gamma * ks)
     Vn = _inventory_generator(b, nu, gamma * np.maximum(ks - 1, 0.0))
@@ -189,7 +191,7 @@ def perishable_o(lam, mu, nu, gamma, b) -> JointModel:
 def _perishable_uniform(lam, mu, nu, gamma, b, decay, name) -> JointModel:
     lam, mu, nu = _check_positive(lam=lam, mu=mu, nu=nu)
     gamma = _check_ageing(gamma)
-    b = _check_base_level(b)
+    b = _check_integer(b, 1, "base stock level b")
     V = _inventory_generator(b, nu, gamma * decay(np.arange(b + 1, dtype=float)))
     env = EnvironmentSpec.constant(
         labels=tuple(range(b + 1)), blocked=(0,), V=V, R=_inventory_jump_matrix(b)

@@ -328,13 +328,13 @@ class DepartureValueTable:
     horizon: int
     N_cap: int
     values: np.ndarray  # shape (N_cap+1, |K|), the horizon-step table
-    history: np.ndarray  # shape (horizon+1, N_cap+1, |K|)
 
 
 def departure_values(model: JointModel, N_cap: int, horizon: int) -> DepartureValueTable:
     """Backward value iteration v_{j+1} = r + P v_j on the embedded jump
     chain of the truncated model, where r is the one-jump departure
-    probability."""
+    probability.  Only v_j and the product P v_j are kept, so memory does not
+    grow with the horizon."""
     m = model.n_env
     size = (N_cap + 1) * m
     B, U, D, cls = _level_blocks(model, N_cap)
@@ -364,47 +364,44 @@ def departure_values(model: JointModel, N_cap: int, horizon: int) -> DepartureVa
     cols = (np.repeat(np.arange(N_cap + 1) * m, m)[:, None] + shift[rows]).T.copy()
     vals = vals[rows].T.copy()
     reward = reward[rows]
-    history = np.zeros((horizon + 1, size))
-    v = history[0]
+    v = np.zeros(size)
     acc, term = np.empty(size), np.empty(size)
-    for j in range(1, horizon + 1):
+    for _ in range(horizon):
         # v_j = r + P v_{j-1}, each row's entries added one padded column at a time in target order
         np.multiply(vals[0], v.take(cols[0]), out=acc)
         for w in range(1, width):
             acc += np.multiply(vals[w], v.take(cols[w]), out=term)
-        v = history[j]
         np.add(reward, acc, out=v)
-    return DepartureValueTable(
-        horizon=horizon,
-        N_cap=N_cap,
-        values=v.reshape(N_cap + 1, m).copy(),
-        history=history.reshape(horizon + 1, N_cap + 1, m),
-    )
+    return DepartureValueTable(horizon=horizon, N_cap=N_cap, values=v.reshape(N_cap + 1, m))
 
 
 ISOTONE_ATOL = 1e-12  # a value gap up to this is round-off, not a violation
+
+# one record per violation: state (m, k) and its cover (m + 1 - relation, k + relation)
+VIOLATION = np.dtype([("state", np.intp, (2,)), ("relation", np.int8), ("margin", float), ("boundary", bool)])
 
 
 @dataclass(frozen=True)
 class IsotoneReport:
     isotone: bool
-    violations: tuple  # ((m, k), (m', k'), margin, boundary_affected)
+    violations: np.ndarray  # of `VIOLATION` records: margin = v(state) - v(cover) > ISOTONE_ATOL
 
 
 def isotone_check(table: DepartureValueTable) -> IsotoneReport:
     """Check monotonicity in the product order on (queue length, env index)
-    via the two covering relations.  States within `horizon` jumps of the
-    queue cap are flagged as boundary-affected."""
+    via the two covering relations.  A violation whose cover lies within
+    `horizon` jumps of the queue cap is flagged as boundary-affected."""
     v = table.values
     # gap[m, k, r] = v(m, k) - v at cover r of (m+1, k), (m, k+1); -inf off the table
     gap = np.full(v.shape + (2,), -np.inf)
-    gap[:-1, :, 0] = v[:-1] - v[1:]
-    gap[:, :-1, 1] = v[:, :-1] - v[:, 1:]
+    np.subtract(v[:-1], v[1:], out=gap[:-1, :, 0])
+    np.subtract(v[:, :-1], v[:, 1:], out=gap[:, :-1, 1])
     # C order lists the violations by state, then relation
-    ms, ks, rel = np.nonzero(gap > ISOTONE_ATOL)
-    safe = table.N_cap - table.horizon
-    violations = tuple(
-        ((m_, k), (m_ + 1 - r, k + r), g, m_ + 1 - r > safe)
-        for m_, k, r, g in zip(ms.tolist(), ks.tolist(), rel.tolist(), gap[ms, ks, rel].tolist())
-    )
-    return IsotoneReport(isotone=not violations, violations=violations)
+    index = np.flatnonzero(gap > ISOTONE_ATOL)
+    violations = np.empty(index.size, VIOLATION)
+    violations["margin"] = gap.ravel()[index]
+    violations["relation"] = index % 2
+    state = violations["state"]
+    state[:, 0], state[:, 1] = np.divmod(index // 2, v.shape[1])
+    violations["boundary"] = state[:, 0] + 1 - violations["relation"] > table.N_cap - table.horizon
+    return IsotoneReport(isotone=not index.size, violations=violations)

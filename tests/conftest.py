@@ -5,6 +5,7 @@ import pytest
 
 from envqueue.catalog import base_stock, catalog, mm1_plain, perishable_o
 from envqueue.model import EnvironmentSpec, JointModel, RateFamily, _level_blocks
+from envqueue.simulate import departure_values
 
 
 @pytest.fixture
@@ -84,3 +85,8 @@ def truncated_generator(model, N):
         if n > 0:
             Q[level, (n - 1) * m:n * m] = D[c]
     return Q
+
+
+def value_history(model, N_cap, horizon):
+    """The tables v_0 .. v_horizon of `departure_values`, one call per horizon."""
+    return np.stack([departure_values(model, N_cap, j).values for j in range(horizon + 1)])

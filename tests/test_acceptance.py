@@ -29,7 +29,9 @@ from envqueue.separability import (
     reduced_generator,
     solve_theta,
 )
-from envqueue.simulate import SimConfig, departure_values, simulate
+from envqueue.simulate import SimConfig, simulate
+
+from conftest import value_history
 
 
 def report(num, label, ok, detail=""):
@@ -192,9 +194,9 @@ def test_criterion_10_property_suites():
             ok = ok and np.abs(Qr.sum(axis=1)).max() < 1e-12
             tab = solve_tau(model, n)
             ok = ok and tab.residual <= 1e-10
-    table = departure_values(base_stock(lam=1, mu=2, nu=1, b=2), N_cap=12, horizon=6)
-    ok = ok and np.all(table.history[1:] >= table.history[:-1] - 1e-12)
-    ok = ok and table.history[1].max() <= 1.0 + 1e-14
+    values = value_history(base_stock(lam=1, mu=2, nu=1, b=2), N_cap=12, horizon=6)
+    ok = ok and np.all(values[1:] >= values[:-1] - 1e-12)
+    ok = ok and values[1].max() <= 1.0 + 1e-14
     config = SimConfig(seed=9, horizon=100.0, replications=3)
     a = simulate(models[0], config)
     b = simulate(models[0], config)

@@ -130,6 +130,7 @@ MISTYPED_MODELS = {
                                                 "R_tail": [[[1, 0], [0, 1]]]}}),
     "catalog_rate.yaml": "catalog: {name: mm1_plain, params: {lam: [1], mu: 2}}\n",
     "catalog_level.yaml": "catalog: {name: base_stock, params: {lam: 1, mu: 2, nu: 1, b: [2]}}\n",
+    "catalog_depth.yaml": "catalog: {name: onoff_a, params: {eta: 1, gamma: 1, depth: 2.5}}\n",
 }
 
 
@@ -207,6 +208,14 @@ class TestErrorContract:
         path = tmp_path / name
         path.write_text(MISTYPED_MODELS[name])
         self.expect_error(capsys, main(["validate", "--model", str(path), "--out", str(tmp_path)]), "InvalidParam")
+
+    @pytest.mark.parametrize("catalog", [("onoff_a",), ("onoff_b", "--lambda", "0.1")], ids=["onoff_a", "onoff_b"])
+    def test_onoff_depth_checked(self, tmp_path, capsys, catalog):
+        # a negative depth raised IndexError; depth 0 has no prefix and builds
+        onoff = ("--catalog", *catalog, "--eta", "1", "--gamma", "1")
+        assert run(tmp_path, "validate", *onoff, "--depth", "-1") == EXIT_ERROR
+        assert capsys.readouterr().err == "error: InvalidParam: on-off depth must be an integer >= 0, got -1\n"
+        assert run(tmp_path, "validate", *onoff, "--depth", "0") == EXIT_OK
 
     @pytest.mark.parametrize("command", ["validate", "separability", "certify", "solve", "simulate"])
     @pytest.mark.parametrize("name", sorted(MALFORMED_MODELS))

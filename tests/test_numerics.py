@@ -257,6 +257,25 @@ def test_exact_solve_matches_product_form_on_large_environments(b):
     assert pf.throughput == pytest.approx(0.9, abs=1e-14)
 
 
+@given(
+    kind=st.sampled_from(["base_stock", "perishable_minus", "perishable_plus"]),
+    rho=st.floats(0.05, 0.99),
+    nu=st.floats(0.01, 100.0),  # nu / mu, as mu = 1
+    gamma=st.floats(0.1, 3.0),
+    b=st.integers(1, 600),
+)
+# exact_solve grows like (b + 1)^3 and takes ~2 s at b = 600, so the budget is a few draws
+@settings(max_examples=4, deadline=None)
+def test_exact_solve_matches_product_form_up_to_b_600(kind, rho, nu, gamma, b):
+    # at large b, theta can span more than the float range; the largest throughput gap
+    # in 14 draws from these ranges, 3 of them at b = 600 and nu = 100, was 7.8e-14 relative
+    model = SEPARABLE[kind](rho, nu, gamma, b)
+    pf, exact = product_form(model), exact_solve(model)
+    assert np.isfinite(pf.theta).all()
+    assert np.isfinite(exact.level_sums()[1]).all()
+    assert metrics(exact, model).throughput == pytest.approx(metrics(pf, model).throughput, rel=1e-12)
+
+
 @pytest.mark.parametrize("model", [mm1_plain(lam=1, mu=2), base_stock(lam=1, mu=2, nu=1, b=2), period_two_model()],
                          ids=["mm1", "base_stock", "period_two_prefix"])
 def test_level_rates_match_per_level_rates(model):

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from envqueue.ergodicity import SingularSystem, c_hat, solve_tau
 from envqueue.model import EnvironmentSpec, JointModel, RateFamily, generator_row
 from envqueue.separability import gth_stationary, reduced_generator
-from envqueue.simulate import SimConfig, departure_values, simulate
+from envqueue.simulate import SimConfig, simulate
+
+from conftest import value_history
 
 rates_st = st.floats(min_value=0.05, max_value=5.0, allow_nan=False, allow_infinity=False)
 
@@ -158,16 +160,15 @@ def test_simulation_seed_determinism(seed):
 @settings(max_examples=25, deadline=None)
 def test_departure_values_monotone_in_horizon_and_bounded(model, horizon):
     try:
-        table = departure_values(model, N_cap=8, horizon=horizon)
+        h = value_history(model, N_cap=8, horizon=horizon)
     except Exception:
         # fully blocked environments can make truncated states absorbing
         blocked = model.blocked_indices()
         assert blocked.size >= 1
         return
-    h = table.history
     assert np.all(h[1:] >= h[:-1] - 1e-12)  # one more jump never hurts
     assert h[1].max() <= 1.0 + 1e-12  # v_1 is a probability
-    assert table.values.max() <= horizon + 1e-9  # at most one departure per jump
+    assert h[-1].max() <= horizon + 1e-9  # at most one departure per jump
 
 
 @pytest.mark.filterwarnings("ignore:tail ratio .* is nearly critical:RuntimeWarning")  # certify on critical draws

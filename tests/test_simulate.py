@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 from itertools import chain, islice
 
 import numpy as np
@@ -14,7 +15,6 @@ from envqueue.cli import EXIT_ERROR, main
 from envqueue.model import _level_blocks, _move_rates
 from envqueue.simulate import (
     DepartureValueTable,
-    IsotoneReport,
     SimConfig,
     WorkerLost,
     ZeroExitRate,
@@ -25,7 +25,7 @@ from envqueue.simulate import (
     simulate,
 )
 
-from conftest import period_two_model, truncated_generator
+from conftest import period_two_model, truncated_generator, value_history
 
 
 class TestSimulate:
@@ -263,8 +263,7 @@ class TestDepartureValues:
         assert table.values.max() <= 1.0 + 1e-14
 
     def test_monotone_in_horizon(self, bs_model):
-        table = departure_values(bs_model, N_cap=15, horizon=8)
-        h = table.history
+        h = value_history(bs_model, N_cap=15, horizon=8)
         assert np.all(h[1:] >= h[:-1] - 1e-14)
 
     def test_bounded_by_horizon(self, bs_model):
@@ -272,8 +271,9 @@ class TestDepartureValues:
         assert table.values.max() <= 8.0 + 1e-12
 
     def test_zero_horizon_start(self, bs_model):
-        table = departure_values(bs_model, N_cap=8, horizon=3)
-        assert np.all(table.history[0] == 0.0)
+        table = departure_values(bs_model, N_cap=8, horizon=0)
+        assert table.values.shape == (9, 3)
+        assert np.all(table.values == 0.0)
 
     def test_long_run_rate_matches_throughput(self, bs_model):
         # v_n / n converges to departures-per-jump; scaled by the stationary
@@ -303,22 +303,28 @@ class TestDepartureValues:
     )
     def test_matches_csr_product(self, model, N_cap, horizon):
         # the padded-row product adds each row's entries in the CSR product's order: equal bit for bit
-        assert np.array_equal(departure_values(model, N_cap, horizon).history,
-                              csr_departure_values(model, N_cap, horizon))
+        assert np.array_equal(value_history(model, N_cap, horizon), csr_departure_values(model, N_cap, horizon))
+
+
+def violation_tuples(report):
+    """The report's violations as ((m, k), cover (m', k'), margin, boundary_affected), in its order."""
+    viol = report.violations
+    return [((m_, k), (m_ + 1 - r, k + r), g, b) for (m_, k), r, g, b in
+            zip(viol["state"].tolist(), viol["relation"].tolist(), viol["margin"].tolist(), viol["boundary"].tolist())]
 
 
 class TestIsotone:
     def test_base_stock_isotone(self, bs_model):
         table = departure_values(bs_model, N_cap=40, horizon=15)
         report = isotone_check(table)
-        interior = [v for v in report.violations if not v[3]]
+        interior = [v for v in violation_tuples(report) if not v[3]]
         assert not interior, interior
 
     def test_boundary_flagged(self, bs_model):
         # tight cap: any violation must be attributed to the reflecting cap
         table = departure_values(bs_model, N_cap=6, horizon=20)
         report = isotone_check(table)
-        assert all(v[3] for v in report.violations)
+        assert all(v[3] for v in violation_tuples(report))
 
     def test_violation_reported_not_suppressed(self):
         # the protected-item upper system genuinely breaks product-order
@@ -327,11 +333,12 @@ class TestIsotone:
         model = perishable_plus(lam=1.0, mu=2.0, nu=1.0, gamma=4.0, b=3)
         table = departure_values(model, N_cap=60, horizon=12)
         report = isotone_check(table)
+        violations = violation_tuples(report)
         assert not report.isotone
-        assert any(not v[3] for v in report.violations)
-        assert len(report.violations) == 122
-        assert report.violations[0] == ((0, 1), (0, 2), 0.17151598169818194, False)
-        assert report.violations[-1] == ((60, 2), (60, 3), 0.15876026599990434, True)
+        assert any(not v[3] for v in violations)
+        assert len(report.violations) == len(violations) == 122
+        assert violations[0] == ((0, 1), (0, 2), 0.17151598169818194, False)
+        assert violations[-1] == ((60, 2), (60, 3), 0.15876026599990434, True)
 
     @pytest.mark.parametrize(
         "table",
@@ -339,7 +346,7 @@ class TestIsotone:
             departure_values(perishable_plus(lam=1.0, mu=2.0, nu=1.0, gamma=4.0, b=3), N_cap=60, horizon=12),
             departure_values(perishable_o(lam=1.0, mu=2.0, nu=3.0, gamma=1.0, b=10), N_cap=30, horizon=8),
             # violations of both covering relations, interleaved
-            DepartureValueTable(horizon=3, N_cap=9, values=np.random.default_rng(1).random((10, 4)), history=None),
+            DepartureValueTable(horizon=3, N_cap=9, values=np.random.default_rng(1).random((10, 4))),
         ],
         ids=["perishable_plus", "perishable_o_b10", "random_values"],
     )
@@ -353,4 +360,30 @@ class TestIsotone:
                     m2, k2 = m_ + dm, k + dk
                     if m2 <= table.N_cap and k2 < v.shape[1] and v[m_, k] - v[m2, k2] > 1e-12:
                         expected.append(((m_, k), (m2, k2), float(v[m_, k] - v[m2, k2]), m_ > safe or m2 > safe))
-        assert isotone_check(table) == IsotoneReport(isotone=not expected, violations=tuple(expected))
+        report = isotone_check(table)
+        assert report.isotone == (not expected)
+        assert violation_tuples(report) == expected
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced while `fn(*args)` runs; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_departure_values_do_not_grow_with_horizon(self):
+        # keeping every v_j would hold 501 x 82 kB at horizon 500: a peak of 45.9 MB against 9.2 MB at 50
+        model = perishable_o(lam=1.0, mu=2.0, nu=10.0, gamma=2.0, b=100)
+        short, long = (traced_peak(departure_values, model, 100, horizon) for horizon in (50, 500))
+        assert long <= 1.2 * short
+
+    def test_isotone_check_does_not_grow_per_violation(self):
+        # a Python tuple per violation would take ~36 times the table's bytes here
+        table = DepartureValueTable(horizon=3, N_cap=100, values=np.random.default_rng(1).random((101, 101)))
+        assert isotone_check(table).violations.size >= 5000
+        assert traced_peak(isotone_check, table) <= 12 * table.values.nbytes
