@@ -20,7 +20,7 @@ from .model import generator_row  # noqa: F401  (perfbench/tracing.py counts cal
 from .separability import queue_marginal
 
 TAU_RESIDUAL_TOL = 1e-10
-DRIFT_RTOL = 1e-12  # a drift may exceed -eps by this times the sum of its terms' absolute values
+DRIFT_RTOL = 1e-12  # a drift may exceed -eps by this times the sum of rate * (|L(target)| + |L(here)|)
 
 
 class SingularSystem(EnvqueueError):
@@ -261,7 +261,8 @@ def certify(model: JointModel, kind: str = "linear_drift"):
     drift = np.cumsum(terms, axis=2)[:, :, -1]
     in_F = np.isin(checked, base.F_levels)[:, None]
     margin = -eps - drift
-    slack = DRIFT_RTOL * np.abs(terms).sum(axis=2)
+    # each difference of two values of L is off by round-off of their size, not of the difference's
+    slack = DRIFT_RTOL * (rates * (np.abs(targets)[:, None, :] + np.abs(here)[:, :, None])).sum(axis=2)
     # an infinite drift makes the slack infinite too, so non-finite drifts are caught on their own
     bad = np.flatnonzero(~np.isfinite(drift) | (~in_F & (margin < -slack)))
     if bad.size:

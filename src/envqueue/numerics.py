@@ -366,9 +366,13 @@ def check_cut_structure(solution: TruncatedSolution, model: JointModel) -> CutRe
 
 def export_csv(solution: TruncatedSolution, model: JointModel, path) -> None:
     """Write the stationary vector as CSV with columns (n, k, pi), a window of
-    levels at a time through one `%` template of a level's rows."""
+    levels at a time through one `%` template of a level's rows.  A label that
+    holds `,`, `"`, CR or LF is quoted with its quotes doubled, as `csv.writer`
+    quotes it."""
     m = model.n_env
-    level = "".join(f"%d,{str(label).replace('%', '%%')},%.17g\n" for label in model.env.labels)
+    labels = [str(label) for label in model.env.labels]
+    labels = ['"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s for s in labels]
+    level = "".join(f"%d,{label.replace('%', '%%')},%.17g\n" for label in labels)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("n,k,pi\n")
         for start in range(0, len(solution.pi), LEVEL_WINDOW):

@@ -108,14 +108,21 @@ def solve_theta(model: JointModel):
     """Find a probability vector solving theta * Qred(n) = 0 for every
     representative level, or report the best-failing candidate.
 
-    If Qred(0) is reducible, every closed communicating class contributes one
-    extreme stationary vector and each is tried.
+    Each closed communicating class of Qred(0) contributes one extreme
+    stationary vector, and each is tried.  Where Qred(0) has more than one, a
+    common theta may mix them; it is also stationary for the sum of Qred(n)
+    over the representative levels, and unique on each closed class of that
+    sum, so the candidates come from the sum's closed classes instead.
     """
-    Q0 = reduced_generator(model, 0)
+    Q = reduced_generator(model, 0)
+    classes = _closed_classes(Q)
+    if len(classes) > 1:
+        Q = sum(reduced_generator(model, n) for n in model.representative_levels())
+        classes = _closed_classes(Q)
     candidates = []
-    for members in _closed_classes(Q0):
+    for members in classes:
         theta = np.zeros(model.n_env)
-        theta[members] = gth_stationary(Q0[np.ix_(members, members)])
+        theta[members] = gth_stationary(Q[np.ix_(members, members)])
         candidates.append(theta)
     if not candidates:
         raise SingularSolve("reduced generator at level 0 has no closed class")

@@ -156,74 +156,46 @@ def _run_replication(table: _TransitionTable, config: SimConfig, rep: int):
     return rate, jumps, departures
 
 
-_TINY = 1e-300  # keeps Lentz's continued fraction off a zero denominator
-
-
-def _log_gamma_ratio(a: float) -> float:
-    """ln(Gamma(a + 1/2) / Gamma(a)); from a = 50 on by its asymptotic series,
-    which avoids the cancellation between two large lgamma values."""
-    if a < 50.0:
-        return math.lgamma(a + 0.5) - math.lgamma(a)
-    r = 1.0 / (a * a)
-    return 0.5 * math.log(a) - (1 / 8 - r * (1 / 192 - r * (1 / 640 - r * 17 / 14336))) / a
-
-
-def _t_sf(t: float, df: int) -> float:
-    """P(T > t), t >= 0, for Student's t with df degrees of freedom:
-    I_x(df/2, 1/2) / 2 with x = df / (df + t^2), the regularized incomplete
-    beta by Lentz's continued fraction on the side where it converges."""
-    if t == 0.0:
-        return 0.5
-    a, b = 0.5 * df, 0.5
-    x, xc = df / (df + t * t), t * t / (df + t * t)
-    # logs of x and 1 - x, each from whichever of the two is far from 1
-    lx = math.log(x) if x < 0.5 else math.log1p(-xc)
-    lxc = math.log(xc) if xc < 0.5 else math.log1p(-x)
-    front = a * lx + b * lxc - (math.lgamma(0.5) - _log_gamma_ratio(a))  # minus ln B(a, b)
-    flip = x > (a + 1) / (a + b + 2)
-    if flip:  # I_x(a, b) = 1 - I_{1-x}(b, a)
-        a, b, x = b, a, xc
-    c, d = 1.0, 1.0 - (a + b) * x / (a + 1)
-    d = 1.0 / (d if abs(d) > _TINY else _TINY)
-    h = d
-    for i in range(1, 1000):
-        for num in (i * (b - i) * x / ((a + 2 * i - 1) * (a + 2 * i)),
-                    -(a + i) * (a + b + i) * x / ((a + 2 * i) * (a + 2 * i + 1))):
-            d = 1.0 + num * d
-            d = 1.0 / (d if abs(d) > _TINY else _TINY)
-            c = 1.0 + num / c
-            c = c if abs(c) > _TINY else _TINY
-            h *= d * c
-        if abs(d * c - 1.0) < 1e-15:
-            break
-    ib = math.exp(front) * h / a
-    return 0.5 * (1.0 - ib if flip else ib)
+def _t_tail(t: float, df: int) -> tuple:
+    """(P(T > t), density at t) of Student's t with integer df >= 2 at t >= 0, from the
+    finite sums in theta = atan(t / sqrt(df)) (Abramowitz & Stegun 26.7.3-4):
+    P(|T| <= t) is sin(theta) S for even df and (2 theta + sin(2 theta) S) / pi for odd
+    df, where x = cos(theta)^2 and S = 1 + r_a x (1 + r_{a+2} x (1 + ... r_{df-3} x)),
+    r_a = a / (a + 1) from a = 1 + df % 2.  S is added by Horner's rule from its last
+    term, so every partial sum is positive.  The density is
+    sqrt(df) cos(theta)^(df+1) / 2 times the product of r_a up to a = df - 1, and
+    times 2 / pi for odd df."""
+    d = df + t * t
+    x = df / d
+    sin, cos = t / math.sqrt(d), math.sqrt(x)
+    s, c = 1.0, (df - 1) / df
+    for a in range(df - 3, 0, -2):
+        r = a / (a + 1)
+        s = 1.0 + r * x * s
+        c *= r
+    density = 0.5 * math.sqrt(df) * c * cos ** (df + 1)
+    if df % 2:
+        return (math.atan2(math.sqrt(df), t) - sin * cos * s) / math.pi, density * 2.0 / math.pi
+    return 0.5 * (1.0 - sin * s), density
 
 
 def _t_quantile(df: int, p: float) -> float:
     """Quantile of Student's t with df degrees of freedom at 1/2 < p < 1:
-    closed forms for df 1 and 2, else Newton on the distribution function.
-    Both distribution functions here are concave for t > 0, so Newton started
-    below the root stays below it and converges monotonically."""
+    closed forms for df 1 and 2, else Newton on the tail from t = 0.  The tail
+    is convex for t > 0, so the iterates rise monotonically to the root, and a
+    step that does not rise is round-off."""
     if df == 1:
         return math.tan(math.pi * (p - 0.5))
     if df == 2:
         return (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
-    z = 0.0  # the normal quantile, from 0
+    t = 0.0
     for _ in range(100):
-        step = (0.5 * math.erfc(z / math.sqrt(2.0)) - (1.0 - p)) * math.sqrt(2.0 * math.pi) * math.exp(0.5 * z * z)
-        z += step
-        if abs(step) <= 1e-12 * z:
-            break
-    # start from the first two Cornish-Fisher terms, which stay below the t quantile
-    t = z + z * (z * z + 1.0) / (4.0 * df)
-    log_c = _log_gamma_ratio(0.5 * df) - 0.5 * math.log(df * math.pi)  # log density at 0
-    for _ in range(100):
-        step = (_t_sf(t, df) - (1.0 - p)) / math.exp(log_c - 0.5 * (df + 1) * math.log1p(t * t / df))
+        tail, density = _t_tail(t, df)
+        step = (tail - (1.0 - p)) / density
         t += step
-        if abs(step) <= 1e-12 * t:
-            break
-    return t
+        if step <= 1e-12 * t:
+            return t
+    raise ArithmeticError(f"t quantile at df = {df}, p = {p} did not converge")
 
 
 # ~10 ms of jump kernel, ~5x the 2 ms of a fork, exit and wait; the parent's

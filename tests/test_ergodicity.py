@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from envqueue.catalog import base_stock, mm1_plain, onoff_b, perishable_o
+from envqueue.catalog import base_stock, mm1_plain, onoff_a, onoff_b, perishable_o
 from envqueue.ergodicity import (
     BothBranchesZero,
     CannotBuild,
@@ -177,3 +177,11 @@ class TestCertify:
         # every separable ergodic catalog model should also certify
         cert = certify(two_state_model(lam=0.5, mu=2.0))
         assert isinstance(cert, LyapunovCertificate)
+
+    def test_drift_equal_to_minus_eps_certifies(self):
+        # the construction makes the blocked state (8, 0) drift exactly -c_n = -eps; its drift sums
+        # differences of values ~8 apart by ~2e-3, and their round-off is of the values' size
+        model = onoff_a(eta=0.71472, gamma=2.40009, lam=2.37801, mu=2.40763)
+        cert = certify(model)
+        assert isinstance(cert, LyapunovCertificate)
+        assert cert.worst_margin >= -1e-12

@@ -1,5 +1,7 @@
 """Truncated and exact stationary solves, metrics, cut identity."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -316,3 +318,18 @@ class TestExportCsv:
         expected = "n,k,pi\n" + "".join(f"{n},{label},{value:.17g}\n" for n, row in enumerate(sol.pi.tolist())
                                         for label, value in zip(env.labels, row))
         assert (tmp_path / "stationary.csv").read_bytes() == expected.encode()
+
+    def test_labels_read_back_by_csv_reader(self, tmp_path):
+        labels = ("on,fast", 'off"x', "a\r\nb", "50%,", 7)
+        V = np.ones((5, 5)) - 5 * np.eye(5)
+        env = EnvironmentSpec.constant(labels=labels, blocked=(), V=V, R=np.eye(5))
+        model = JointModel(rates=RateFamily.constant(1.0, 2.0), env=env)
+        sol = solve_truncated(model, 3)
+        export_csv(sol, model, tmp_path / "stationary.csv")
+        with open(tmp_path / "stationary.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["n", "k", "pi"]
+        assert len(rows) == 1 + 4 * len(labels)
+        assert all(len(row) == 3 for row in rows)
+        assert [row[1] for row in rows[1:]] == [str(label) for label in labels] * 4
+        assert [float(row[2]) for row in rows[1:]] == sol.pi.ravel().tolist()

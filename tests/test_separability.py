@@ -1,11 +1,16 @@
 """Product-form decision: reduced generators, theta, queue marginal."""
 
+import json
+
 import numpy as np
 import pytest
 
 from envqueue import separability
 from envqueue.catalog import base_stock, mm1_plain, onoff_a, onoff_b, perishable_o
+from envqueue.cli import EXIT_OK, main
 from envqueue.model import EnvironmentSpec, JointModel, RateFamily
+from envqueue.modelfile import model_from_dict
+from envqueue.numerics import exact_solve, metrics
 from envqueue.separability import (
     NoCommonSolution,
     NotSeparable,
@@ -109,6 +114,25 @@ class TestSolveTheta:
         res = solve_theta(perishable_o(lam=1, mu=2, nu=1, gamma=1, b=2))
         assert isinstance(res, NoCommonSolution)
         assert res.residual >= 1e-4
+
+    def test_theta_mixing_the_closed_classes_of_level_0(self, tmp_path):
+        # V_0 = 0 and R = I split Qred(0) into two closed classes; from level 1 on V mixes
+        # them, and pi(n, k) = 2^-(n+1) / 2 balances with theta = (1/2, 1/2)
+        doc = {"rates": {"lambda_tail": [1], "mu_tail": [2]},
+               "environment": {"labels": ["a", "b"],
+                               "V_prefix": [[[0, 0], [0, 0]]], "R_prefix": [[[1, 0], [0, 1]]],
+                               "V_tail": [[[-1, 1], [1, -1]]], "R_tail": [[[1, 0], [0, 1]]]}}
+        model = model_from_dict(doc)
+        res = solve_theta(model)
+        assert res.found
+        assert res.theta.tolist() == [0.5, 0.5]
+        pf = product_form(model)
+        assert isinstance(pf, ProductFormResult)
+        exact = metrics(exact_solve(model), model).throughput
+        assert metrics(pf, model).throughput == pytest.approx(exact, rel=1e-12)
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["separability", "--model", str(path), "--out", str(tmp_path)]) == EXIT_OK
 
     def test_perishable_uniform_denominator_form(self):
         # for the level-uniform ageing regimes theta climbs the replenishment

@@ -112,6 +112,27 @@ class TestSimulate:
         for df in range(1, 2001):
             assert _t_quantile(df, 0.975) == pytest.approx(stdtrit(df, 0.975), rel=1e-12, abs=0), df
 
+    def test_t_quantile_closed_forms(self):
+        p = 0.975
+        assert _t_quantile(1, p) == pytest.approx(math.tan(math.pi * (p - 0.5)), rel=1e-15)
+        assert _t_quantile(2, p) == pytest.approx((2 * p - 1) / math.sqrt(2 * p * (1 - p)), rel=1e-15)
+        # df = 4 solves a cubic: t = 2 sqrt(q - 1), q = cos(arccos(sqrt(alpha)) / 3) / sqrt(alpha)
+        alpha = 4 * p * (1 - p)
+        q = math.cos(math.acos(math.sqrt(alpha)) / 3) / math.sqrt(alpha)
+        assert _t_quantile(4, p) == pytest.approx(2 * math.sqrt(q - 1), rel=1e-13)
+        assert _t_quantile(4, p) == pytest.approx(2.7764451051977934, rel=1e-13)
+
+    def test_t_quantile_falls_to_the_normal_quantile(self):
+        quantiles = [_t_quantile(df, 0.975) for df in range(1, 301)]
+        assert all(a > b for a, b in zip(quantiles, quantiles[1:]))
+        # Cornish-Fisher: t = z + z (z^2 + 1) / (4 df) + O(df^-2), 2.4e-4 above z at df = 10^4
+        z, df = 1.959963984540054, 10**4
+        assert _t_quantile(df, 0.975) == pytest.approx(z + z * (z * z + 1) / (4 * df), abs=1e-7)
+
+    def test_t_quantile_raises_where_newton_does_not_converge(self):
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _t_quantile(9, math.nan)
+
 
 def count_forks(monkeypatch):
     """A list that gets one entry per `os.fork` call."""
