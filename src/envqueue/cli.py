@@ -92,7 +92,7 @@ def _write_json(outdir: Path, name: str, record) -> None:
 
 def _cmd_validate(args, outdir):
     model = _resolve_model(args)
-    n_check = args.n_check or (model.tail_start + model.period + 4)
+    n_check = args.n_check if args.n_check is not None else model.tail_start + model.period + 4
     report = validate_model(model, n_check)
     record = {
         "passed": report.passed,
@@ -191,7 +191,19 @@ def _require(args, *names):
         raise InvalidParam(f"missing required options: {', '.join('--' + m for m in missing)}")
 
 
+def _perishable_only(args, *unread):
+    """bounds and sweep analyse perishable_o from their rate options alone: refuse any other
+    model source and every option in `unread`, and record the source as perishable_o."""
+    offending = [f"--catalog {args.catalog}"] if args.catalog not in (None, "perishable_o") else []
+    offending += ["--" + name for name in ("model", "eta", "depth", *unread) if getattr(args, name) is not None]
+    if offending:
+        raise InvalidParam(f"{args.command} takes --catalog perishable_o and its rate options only, "
+                           f"not {', '.join(offending)}")
+    args.catalog = "perishable_o"
+
+
 def _cmd_bounds(args, outdir):
+    _perishable_only(args)
     _require(args, "lam", "mu", "nu", "gamma", "b")
     sim_config = None
     if args.replications:
@@ -211,7 +223,10 @@ def _cmd_bounds(args, outdir):
 
 
 def _cmd_sweep(args, outdir):
+    _perishable_only(args, "gamma")
     _require(args, "lam", "mu", "nu", "b")
+    if args.gamma_steps < 1:
+        raise InvalidParam(f"--gamma-steps must be at least 1, got {args.gamma_steps}")
     gammas = np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps)
     rows = gamma_sweep(args.lam, args.mu, args.nu, args.b, gammas)
     from .catalog import perishable_o

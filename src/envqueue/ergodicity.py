@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EnvqueueError, JointModel, _level_classes, _move_rates, _representative_blocks
+from .model import EnvqueueError, JointModel, _level_classes, _move_rates, _periodic, _representative_blocks
 from .model import generator_row  # noqa: F401  (perfbench/tracing.py counts calls through this name)
 from .separability import queue_marginal
 
@@ -216,11 +216,6 @@ class NotCertified:
     certified: bool = False
 
 
-def _fold_level(model: JointModel, n: int) -> int:
-    N0, p = model.tail_start, model.period
-    return n if n < N0 else N0 + (n - N0) % p
-
-
 def certify(model: JointModel, kind: str = "linear_drift"):
     """Build and numerically verify a Lyapunov certificate for the joint
     chain, or explain why none was obtained."""
@@ -242,7 +237,7 @@ def certify(model: JointModel, kind: str = "linear_drift"):
     eps = min([base.eps_tilde / 2.0] + finite_c)
 
     def L(n):
-        fold = _fold_level(model, n)
+        fold = _periodic(reps[:N0], reps[N0:], n)
         tau = tau_tables[fold].tau
         out = np.full(model.n_env, base.value(n))
         blocked = tau != 0.0

@@ -73,6 +73,14 @@ def _freeze(mat, labels, name):
     return a
 
 
+def _periodic(prefix, tail, i):
+    """Entry i of a finite prefix followed by a periodic tail: prefix[i], or
+    tail[(i - len(prefix)) % len(tail)] past the prefix."""
+    if i < 0:
+        raise IndexError(f"position {i} is negative")
+    return prefix[i] if i < len(prefix) else tail[(i - len(prefix)) % len(tail)]
+
+
 @dataclass(frozen=True, eq=False)
 class RateFamily:
     """Queue-indexed arrival/service rates with eventually periodic tail.
@@ -114,21 +122,11 @@ class RateFamily:
 
     def arrival(self, n: int) -> float:
         """lambda(n), n >= 0."""
-        if n < 0:
-            raise IndexError("queue length must be nonnegative")
-        if n < self.tail_start:
-            return self.lambda_prefix[n]
-        return self.lambda_tail[(n - self.tail_start) % self.period]
+        return _periodic(self.lambda_prefix, self.lambda_tail, n)
 
     def service(self, n: int) -> float:
         """mu(n); mu(0) = 0."""
-        if n == 0:
-            return 0.0
-        if n < 0:
-            raise IndexError("queue length must be nonnegative")
-        if n - 1 < self.tail_start:
-            return self.mu_prefix[n - 1]
-        return self.mu_tail[(n - 1 - self.tail_start) % self.period]
+        return 0.0 if n == 0 else _periodic(self.mu_prefix, self.mu_tail, n - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,19 +195,11 @@ class EnvironmentSpec:
 
     def V(self, n: int) -> np.ndarray:
         """Continuous-move generator at queue length n >= 0."""
-        if n < 0:
-            raise IndexError("queue length must be nonnegative")
-        if n < self.tail_start:
-            return self.V_prefix[n]
-        return self.V_tail[(n - self.tail_start) % self.period]
+        return _periodic(self.V_prefix, self.V_tail, n)
 
     def R(self, n: int) -> np.ndarray:
         """Service-completion jump matrix at queue length n >= 1."""
-        if n < 1:
-            raise IndexError("R_n is defined for n >= 1")
-        if n - 1 < self.tail_start:
-            return self.R_prefix[n - 1]
-        return self.R_tail[(n - 1 - self.tail_start) % self.period]
+        return _periodic(self.R_prefix, self.R_tail, n - 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,6 +12,7 @@ levels {0, ..., N0* + p* - 1}.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -147,51 +148,41 @@ class QueueMarginal:
     """Isolated birth-death marginal xi(n) with closed-form normalization."""
 
     summable: bool
-    tail_ratio: float  # product of lambda/mu over one tail period
+    tail_ratio: float  # r, the product of lambda/mu over one tail period
     C: float | None
-    model: JointModel
+    weights: np.ndarray  # weight(0..N0+p), read-only
+    period: int
 
     def weight(self, n: int) -> float:
-        """Unnormalized product prod_{i<n} lambda(i)/mu(i+1)."""
-        N0, p = self.model.tail_start, self.model.period
-        if n <= N0 + p:
-            w = 1.0
-            for i in range(n):
-                w *= self.model.arrival(i) / self.model.service(i + 1)
-            return w
-        base = N0 + (n - N0) % p
-        blocks = (n - N0) // p
-        return self.weight(base) * self.tail_ratio**blocks
+        """Unnormalized product prod_{i<n} lambda(i)/mu(i+1): stored up to
+        N0 + p, beyond it a stored tail weight times r per tail period."""
+        w, p = self.weights, self.period
+        if n < 0:
+            raise IndexError(f"position {n} is negative")
+        if n < len(w):
+            return float(w[n])
+        N0 = len(w) - 1 - p
+        return float(w[N0 + (n - N0) % p]) * self.tail_ratio ** ((n - N0) // p)
 
     def xi(self, n: int) -> float:
         if not self.summable:
             raise ValueError("queue marginal is not summable")
         return self.weight(n) / self.C
 
-    def series(self, f) -> float:
-        """Closed-form sum_{n>=0} weight(n) * f(n) for f eventually periodic
-        with the model's tail discipline (tail blocks summed geometrically)."""
-        if not self.summable:
-            raise ValueError("queue marginal is not summable")
-        N0, p = self.model.tail_start, self.model.period
-        head = sum(self.weight(n) * f(n) for n in range(N0))
-        block = sum(self.weight(N0 + j) * f(N0 + j) for j in range(p))
-        return head + block / (1.0 - self.tail_ratio)
-
 
 def queue_marginal(model: JointModel) -> QueueMarginal:
-    """Summability check and normalization of the isolated queue marginal."""
+    """Summability check and normalization of the isolated queue marginal:
+    C sums the prefix weights and, geometrically, the tail blocks."""
     N0, p = model.tail_start, model.period
-    ratio = 1.0
-    for j in range(p):
-        ratio *= model.arrival(N0 + j) / model.service(N0 + j + 1)
+    steps = [model.arrival(i) / model.service(i + 1) for i in range(N0 + p)]
+    w = np.cumprod([1.0] + steps)
+    w.setflags(write=False)
+    ratio = math.prod(steps[N0:])
     if abs(ratio - 1.0) < NEAR_CRITICAL:
         warnings.warn(f"tail ratio {ratio} is nearly critical", RuntimeWarning, stacklevel=2)
-    marginal = QueueMarginal(summable=ratio < 1.0 - SUMMABLE_MARGIN, tail_ratio=ratio, C=None, model=model)
-    if not marginal.summable:
-        return marginal
-    C = marginal.series(lambda n: 1.0)
-    return QueueMarginal(summable=True, tail_ratio=ratio, C=C, model=model)
+    summable = ratio < 1.0 - SUMMABLE_MARGIN
+    C = sum(w[:N0].tolist()) + sum(w[N0:-1].tolist()) / (1.0 - ratio) if summable else None
+    return QueueMarginal(summable=summable, tail_ratio=ratio, C=C, weights=w, period=p)
 
 
 @dataclass(frozen=True)
@@ -216,12 +207,12 @@ class ProductFormResult:
         """As `GeometricTail.level_sums`, the tail starting at T0 = tail_start + 1,
         where mu(n) turns periodic: tail row i sums xi(T0 + i + j p) theta =
         xi(T0 + i) r^j theta over j >= 0, for the tail ratio r."""
-        model, r = self.marginal.model, self.marginal.tail_ratio
-        T0, p = model.tail_start + 1, model.period
-        xi = np.array([self.xi(n) for n in range(T0 + p)])
+        r, p = self.marginal.tail_ratio, self.marginal.period
+        xi = self.marginal.weights / self.C
+        T0 = len(xi) - p
         extra = p * r / (1.0 - r) ** 2 * float(xi[T0:].sum())
         xi[T0:] /= 1.0 - r
-        return np.arange(T0 + p), np.outer(xi, self.theta), extra
+        return np.arange(len(xi)), np.outer(xi, self.theta), extra
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ def read_manifest(tmp_path):
 
 BS = ("--catalog", "base_stock", "--lambda", "1", "--mu", "2", "--nu", "1", "--b", "2")
 PER = ("--catalog", "perishable_o", "--lambda", "1", "--mu", "2", "--nu", "1", "--gamma", "1", "--b", "2")
+RATES = ("--lambda", "1", "--mu", "2", "--nu", "1", "--b", "2")  # the options every perishable_o command reads
 
 
 class TestExitCodes:
@@ -72,6 +73,12 @@ class TestExitCodes:
 
     def test_missing_file_errors(self, tmp_path):
         assert run(tmp_path, "validate", "--model", "/no/such/file.yaml") == EXIT_ERROR
+
+    def test_validate_n_check_zero_refused(self, tmp_path, capsys):
+        # 0 is a level count below the prefix plus one tail period, not a request for the default
+        assert run(tmp_path, "validate", *BS, "--n-check", "0") == EXIT_ERROR
+        assert "n_check must cover" in capsys.readouterr().err
+        assert not (tmp_path / "validation.json").exists()
 
 
 class TestSolveCommand:
@@ -289,6 +296,35 @@ class TestBoundsCommands:
         assert len(lines) == 3
         assert "tol" not in read_manifest(tmp_path)
 
+    @pytest.mark.parametrize("command, extra", [
+        ("bounds", ("--catalog", "base_stock", "--gamma", "1")),
+        ("bounds", ("--model", "/no/such/file.yaml", "--gamma", "1")),
+        ("bounds", ("--catalog", "perishable_o", "--gamma", "1", "--eta", "5")),
+        ("bounds", ("--catalog", "perishable_o", "--gamma", "1", "--depth", "3")),
+        ("sweep", ("--catalog", "perishable_minus",)),
+        ("sweep", ("--model", "/no/such/file.yaml")),
+        ("sweep", ("--catalog", "perishable_o", "--eta", "5")),
+        ("sweep", ("--catalog", "perishable_o", "--gamma", "7")),
+    ])
+    def test_refuses_options_it_does_not_read(self, tmp_path, capsys, command, extra):
+        # both commands analyse perishable_o from --lambda, --mu, --nu, --b (and bounds' --gamma) alone
+        assert run(tmp_path, command, *RATES, *extra) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: InvalidParam: {command} takes --catalog perishable_o")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, extra", [("bounds", ("--gamma", "1")), ("sweep", ("--gamma-steps", "1"))])
+    def test_source_is_perishable_o_without_catalog(self, tmp_path, command, extra):
+        assert run(tmp_path, command, *RATES, *extra) == EXIT_OK
+        assert read_manifest(tmp_path)["model_source"] == "catalog:perishable_o"
+
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_sweep_needs_a_step(self, tmp_path, capsys, steps):
+        assert run(tmp_path, "sweep", "--catalog", "perishable_o", *RATES, "--gamma-steps", steps) == EXIT_ERROR
+        assert "--gamma-steps must be at least 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["sweep", "separability"])
     def test_takes_no_tol(self, tmp_path, command):
         # the sweep's values are exact, and separability measures its residuals against the model's rates
@@ -447,7 +483,9 @@ BS = ["--catalog", "base_stock", "--lambda", "1", "--mu", "2", "--nu", "1", "--b
 PER = ["--catalog", "perishable_o", "--lambda", "1", "--mu", "2", "--nu", "1", "--gamma", "1", "--b", "2"]
 runs = [["validate", *BS], ["separability", *BS], ["certify", *BS], ["solve", *BS],
         ["simulate", *BS, "--horizon", "100", "--replications", "3"],
-        ["bounds", *PER, "--horizon", "50", "--replications", "3"], ["sweep", *PER, "--gamma-steps", "3"],
+        ["bounds", *PER, "--horizon", "50", "--replications", "3"],
+        ["sweep", "--catalog", "perishable_o", "--lambda", "1", "--mu", "2", "--nu", "1", "--b", "2",
+         "--gamma-steps", "3"],
         # long enough to run its replications in forked workers
         ["simulate", *BS, "--horizon", "5000", "--replications", "4"]]
 record = {"import": sorted(sys.modules), "runs": []}

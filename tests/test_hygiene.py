@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: every imported name is used,
-and every name the benchmark's tracer wraps exists."""
+every private top-level name is referenced, and every name the benchmark's
+tracer wraps exists."""
 
 import ast
 import importlib.util
@@ -48,6 +49,52 @@ def test_scan_finds_unused_import(tmp_path):
         "print(os.sep, pi)\n"
     )
     assert unused_imports(path) == [(5, "field")]
+
+
+def _top_level(path: Path):
+    """(names the statement binds, names it references) per top-level statement of `path`; a
+    reference is a bare name, an attribute or an imported name."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = {node.name}
+        else:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            bound = {n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)}
+        refs = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                refs.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                refs.add(sub.attr)
+            elif isinstance(sub, ast.ImportFrom):
+                refs |= {alias.name for alias in sub.names}
+        yield bound, refs - bound
+
+
+def unreferenced_private_names(paths) -> list:
+    """(file name, name) of each private top-level name of `paths` that no other top-level
+    statement of `paths` references: a leftover of deleted code."""
+    statements = [(path.name, bound, refs) for path in paths for bound, refs in _top_level(path)]
+    referenced = set().union(*(refs for _, _, refs in statements))
+    return [(file, name) for file, bound, _ in statements for name in sorted(bound)
+            if name.startswith("_") and not name.endswith("__") and name not in referenced]
+
+
+def test_private_names_referenced():
+    assert unreferenced_private_names(SOURCES) == []
+
+
+def test_scan_finds_unreferenced_private_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_LIMIT = 3\n"
+        "def _fold(n):\n"
+        "    return _fold(n - 1) if n else 0\n"
+        "def _used():\n"
+        "    return _LIMIT\n"
+        "__all__ = []\n"
+    )
+    (tmp_path / "b.py").write_text("from a import _used\n_used()\n")
+    assert unreferenced_private_names([tmp_path / "a.py", tmp_path / "b.py"]) == [("a.py", "_fold")]
 
 
 def tracer_refs() -> set:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from envqueue.ergodicity import SingularSystem, c_hat, solve_tau
 from envqueue.model import EnvironmentSpec, JointModel, RateFamily, generator_row
-from envqueue.separability import gth_stationary, reduced_generator
+from envqueue.separability import gth_stationary, queue_marginal, reduced_generator
 from envqueue.simulate import SimConfig, simulate
 
 from conftest import value_history
@@ -17,12 +17,16 @@ rates_st = st.floats(min_value=0.05, max_value=5.0, allow_nan=False, allow_infin
 
 
 @st.composite
-def joint_models(draw, max_env=4, max_prefix=2, max_period=2):
+def joint_models(draw, max_env=4, max_prefix=2, max_period=2, split=False):
     """Random valid model: random conservative V, random row-stochastic R,
-    random positive rates, prefix + periodic tail."""
+    random positive rates, prefix + periodic tail.  With `split` the
+    environment draws its own prefix length and period."""
     m = draw(st.integers(2, max_env))
     n_prefix = draw(st.integers(0, max_prefix))
     p = draw(st.integers(1, max_period))
+    env_prefix, env_p = n_prefix, p
+    if split:
+        env_prefix, env_p = draw(st.integers(0, max_prefix)), draw(st.integers(1, max_period))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def rand_V():
@@ -46,10 +50,10 @@ def joint_models(draw, max_env=4, max_prefix=2, max_period=2):
     env = EnvironmentSpec(
         labels=tuple(range(m)),
         blocked=frozenset(blocked),
-        V_prefix=tuple(rand_V() for _ in range(n_prefix)),
-        R_prefix=tuple(rand_R() for _ in range(n_prefix)),
-        V_tail=tuple(rand_V() for _ in range(p)),
-        R_tail=tuple(rand_R() for _ in range(p)),
+        V_prefix=tuple(rand_V() for _ in range(env_prefix)),
+        R_prefix=tuple(rand_R() for _ in range(env_prefix)),
+        V_tail=tuple(rand_V() for _ in range(env_p)),
+        R_tail=tuple(rand_R() for _ in range(env_p)),
     )
     return JointModel(rates=rates, env=env, name="random")
 
@@ -92,6 +96,43 @@ def test_generator_rows_eventually_periodic(model):
         assert {((nn - base, kk), rate) for (nn, kk), rate in r1.transitions} == {
             ((nn - base - p, kk), rate) for (nn, kk), rate in r2.transitions
         }
+
+
+@pytest.mark.filterwarnings("ignore:tail ratio .* is nearly critical:RuntimeWarning")
+@given(joint_models(max_prefix=4, max_period=3, split=True))
+@settings(max_examples=60, deadline=None)
+def test_periodic_lookups_and_queue_marginal(model):
+    # rates and environment keep their own prefix and period, so the merged
+    # N0 and p differ from each part's own
+    rates, env = model.rates, model.env
+    assert (model.tail_start, model.period) == (max(rates.tail_start, env.tail_start),
+                                                math.lcm(rates.period, env.period))
+
+    def expand(prefix, tail):  # prefix + repeated tail, 40 entries at least
+        return list(prefix) + list(tail) * 40
+
+    lam, mu = expand(rates.lambda_prefix, rates.lambda_tail), expand(rates.mu_prefix, rates.mu_tail)
+    Vs, Rs = expand(env.V_prefix, env.V_tail), expand(env.R_prefix, env.R_tail)
+    assert model.service(0) == 0.0
+    for lookup, n in ((model.arrival, -1), (model.service, -1), (model.V, -1), (model.R, 0)):
+        with pytest.raises(IndexError):
+            lookup(n)
+    for n in range(40):
+        assert (model.arrival(n), model.service(n + 1)) == (lam[n], mu[n])
+        assert model.V(n) is Vs[n] and model.R(n + 1) is Rs[n]
+    marginal = queue_marginal(model)
+    with pytest.raises(IndexError):
+        marginal.weight(-1)
+    brute = 1.0
+    for n in range(40):
+        assert marginal.weight(n) == pytest.approx(brute, rel=1e-12)
+        brute *= lam[n] / mu[n]
+    r = marginal.tail_ratio
+    # past N0 + p K the weights left sum to at most r^K C, below 1e-14 C
+    periods = math.ceil(math.log(1e-14) / math.log(r)) if 0.0 < r < 1.0 else 0
+    if marginal.summable and periods <= 2000:
+        partial = math.fsum(marginal.weight(n) for n in range(model.tail_start + model.period * periods))
+        assert marginal.C == pytest.approx(partial, rel=1e-12)
 
 
 @given(joint_models(), st.integers(0, 8))

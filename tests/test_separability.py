@@ -171,15 +171,15 @@ class TestQueueMarginal:
         with pytest.warns(RuntimeWarning):
             queue_marginal(model)
 
-    def test_series_matches_partial_sum(self):
+    def test_normalization_matches_partial_sum(self):
         model = onoff_b(lam=0.1, gamma=1.0, eta=1.0)  # level-dependent arrivals
         marg = queue_marginal(model)
         assert marg.summable
-        # f must share the tail discipline (eventually periodic); use an
-        # eventually constant profile
-        f = lambda n: min(n, 8) + 2.0
-        brute = sum(marg.weight(n) * f(n) for n in range(500))
-        assert marg.series(f) == pytest.approx(brute, rel=1e-12)
+        assert marg.C == pytest.approx(sum(marg.weight(n) for n in range(500)), rel=1e-12)
+
+    def test_weights_read_only(self, bs_model):
+        with pytest.raises(ValueError):
+            queue_marginal(bs_model).weights[0] = 2.0
 
     def test_weight_periodic_fold(self):
         model = onoff_b(lam=0.1, gamma=1.0, eta=1.0)
