@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EnvqueueError, JointModel, _level_classes, _move_rates, _periodic, _representative_blocks
+from .model import EnvqueueError, JointModel, _level_classes, _level_moves, _periodic, _representatives
 from .model import generator_row  # noqa: F401  (perfbench/tracing.py counts calls through this name)
 from .separability import queue_marginal
 
@@ -216,6 +216,25 @@ class NotCertified:
     certified: bool = False
 
 
+def _drift(model: JointModel, values: np.ndarray):
+    """Drift of L at every state of levels 0..H-1 and its round-off slack, for
+    L given on levels 0..H as `values` (shape (H + 1, |K|)).  The drift is in
+    difference form, sum over moves of rate * (L(target) - L(here)), summed
+    in `generator_row` order; the slack is `DRIFT_RTOL` times the sum of
+    rate * (|L(target)| + |L(here)|)."""
+    checked = np.arange(len(values) - 1)
+    moves = _level_moves(model, _representatives(model))
+    cls = _level_classes(model, checked)
+    step, target, rate = moves.step[cls], moves.target[cls], moves.rate[cls]
+    here = values[:-1, :, None]
+    # level 0 has no down moves, so every target is on the table; padding points at the state itself
+    there = values[checked[:, None, None] + step, target]
+    drift = np.cumsum(rate * (there - here), axis=2)[:, :, -1]
+    # each difference of two values of L is off by round-off of their size, not of the difference's
+    slack = DRIFT_RTOL * (rate * (np.abs(there) + np.abs(here))).sum(axis=2)
+    return drift, slack
+
+
 def certify(model: JointModel, kind: str = "linear_drift"):
     """Build and numerically verify a Lyapunov certificate for the joint
     chain, or explain why none was obtained."""
@@ -244,20 +263,9 @@ def certify(model: JointModel, kind: str = "linear_drift"):
         out[blocked] += c_table[fold] * tau[blocked]
         return out
 
-    # drift per state in difference form, summed in `generator_row` order:
-    # U_n (L_{n+1} - L_n(k)) + D_n (L_{n-1} - L_n(k)) + B_off (L_n - L_n(k))
-    checked = np.arange(horizon + 1)
-    values = np.array([L(n) for n in range(horizon + 2)])
-    here = values[:-1]
-    # level 0 has no down moves; its own values stand in for level -1
-    targets = np.concatenate([values[1:], values[np.maximum(checked - 1, 0)], here], axis=1)
-    rates = _move_rates(*_representative_blocks(model))[_level_classes(model, checked)]
-    terms = rates * (targets[:, None, :] - here[:, :, None])
-    drift = np.cumsum(terms, axis=2)[:, :, -1]
-    in_F = np.isin(checked, base.F_levels)[:, None]
+    drift, slack = _drift(model, np.array([L(n) for n in range(horizon + 2)]))
+    in_F = np.isin(np.arange(horizon + 1), base.F_levels)[:, None]
     margin = -eps - drift
-    # each difference of two values of L is off by round-off of their size, not of the difference's
-    slack = DRIFT_RTOL * (rates * (np.abs(targets)[:, None, :] + np.abs(here)[:, :, None])).sum(axis=2)
     # an infinite drift makes the slack infinite too, so non-finite drifts are caught on their own
     bad = np.flatnonzero(~np.isfinite(drift) | (~in_F & (margin < -slack)))
     if bad.size:

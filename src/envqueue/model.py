@@ -285,10 +285,11 @@ class JointModel:
         return "\n".join(parts)
 
 
-# -- level blocks, the one encoding of the joint generator: with states indexed
-# level-major (level = queue length) it is block tridiagonal with blocks B_n
-# (local), U_n (up), D_n (down) (Gaver, Jacobs & Latouche, Adv. Appl. Prob. 16,
-# 1984)
+# -- level blocks: with states indexed level-major (level = queue length) the
+# joint generator is block tridiagonal with blocks B_n (local), U_n (up), D_n
+# (down) (Gaver, Jacobs & Latouche, Adv. Appl. Prob. 16, 1984).  The dense
+# blocks feed the linear algebra; the per-state layers read the same entries
+# as padded sparse rows (`LevelMoves`), whose cost follows the nonzero moves.
 
 
 # a pass over the listed levels takes this many at a time, so that its
@@ -296,21 +297,34 @@ class JointModel:
 LEVEL_WINDOW = 2048
 
 
-def _blocks(model: JointModel, n: int, capped: bool = False):
-    """Local (B), up (U) and down (D) blocks of level n.
+def _representatives(model: JointModel) -> range:
+    """Levels 0..T0+p-1, T0 = tail_start + 1: every level has the blocks and
+    moves of one of them (`_level_classes`)."""
+    return range(model.tail_start + 1 + model.period)
+
+
+def _blocks(model: JointModel, levels, cap: int | None = None):
+    """Local (B), up (U) and down (D) blocks of each level in `levels`,
+    stacked, then of level `cap` without its arrivals if one is given.
 
     B_n carries environment moves plus the conservative diagonal; U_n the
-    arrivals (zero at a cap); D_n the service completions with jump matrix.
-    """
+    arrivals; D_n the service completions with jump matrix.  Each level is
+    written in place into the preallocated stacks."""
+    ns = [*levels, *([] if cap is None else [cap])]
     m = model.n_env
-    working = model.env.working_mask().astype(float)
-    lam = 0.0 if capped else model.arrival(n)
-    Un = lam * np.diag(working)
-    Dn = model.service(n) * (working[:, None] * model.R(n)) if n > 0 else np.zeros((m, m))
-    Bn = model.V(n) - np.diag(np.diag(model.V(n)))
-    exit_rates = Un.sum(axis=1) + Dn.sum(axis=1) + Bn.sum(axis=1)
-    Bn = Bn - np.diag(exit_rates)
-    return Bn, Un, Dn
+    working = model.env.working_mask()
+    w, diag = np.flatnonzero(working), np.arange(m)
+    B, U, D = (np.zeros((len(ns), m, m)) for _ in range(3))
+    for i, n in enumerate(ns):
+        if i < len(levels):
+            U[i, w, w] = model.arrival(n)
+        if n > 0:
+            np.multiply(working[:, None], model.R(n), out=D[i])
+            D[i] *= model.service(n)
+        B[i] = model.V(n)
+        B[i, diag, diag] = 0.0
+        B[i, diag, diag] -= U[i].sum(axis=1) + D[i].sum(axis=1) + B[i].sum(axis=1)
+    return B, U, D
 
 
 def _level_classes(model: JointModel, levels: np.ndarray) -> np.ndarray:
@@ -320,21 +334,25 @@ def _level_classes(model: JointModel, levels: np.ndarray) -> np.ndarray:
     return np.where(levels < T0, levels, T0 + (levels - T0) % model.period)
 
 
+def _capped_classes(model: JointModel, N: int) -> np.ndarray:
+    """`_level_classes` of levels 0..N, where the capped level N has the index
+    after the representatives', as `_blocks(..., cap=N)` and
+    `_level_moves(..., cap=N)` list it."""
+    cls = _level_classes(model, np.arange(N + 1))
+    cls[N] = len(_representatives(model))
+    return cls
+
+
 def _representative_blocks(model: JointModel):
     """B, U, D of levels 0..T0+p-1 stacked; level n has the blocks of
     representative `_level_classes(model, n)`."""
-    reps = range(model.tail_start + 1 + model.period)
-    return tuple(np.stack(part) for part in zip(*(_blocks(model, n) for n in reps)))
+    return _blocks(model, _representatives(model))
 
 
 def _level_blocks(model: JointModel, N: int):
     """Blocks of the chain capped at N: the representative blocks plus the
     capped level N's (last index), and the index of each level's blocks."""
-    cls = _level_classes(model, np.arange(N + 1))
-    blocks = _representative_blocks(model)
-    cls[N] = len(blocks[0])
-    B, U, D = (np.concatenate([X, top[None]]) for X, top in zip(blocks, _blocks(model, N, capped=True)))
-    return B, U, D, cls
+    return (*_blocks(model, _representatives(model), cap=N), _capped_classes(model, N))
 
 
 def _balance_residual(pi, B, U, D, cls, rows: int) -> tuple[float, int]:
@@ -363,16 +381,57 @@ def _balance_residual(pi, B, U, D, cls, rows: int) -> tuple[float, int]:
     return worst[int(np.argmax([value for value, _ in worst]))]
 
 
-_MOVE_STEPS = (1, -1, 0)  # queue change of the U, D and B parts of a `_move_rates` row
+@dataclass(frozen=True)
+class LevelMoves:
+    """The moves out of the states of some levels as padded sparse
+    ("ELLPACK") rows (Saad, Iterative Methods for Sparse Linear Systems,
+    2003).  Row [i, k] lists the nonzero moves out of state k of the i-th
+    level in `generator_row` order -- the arrival, then service completions
+    and environment moves by ascending target -- as queue change `step`,
+    environment `target` and `rate`, then padding up to the common width:
+    zero rates that stay at (n, k).  These are the nonzero entries of the
+    rows of [U | D | off-diagonal B]."""
+
+    step: np.ndarray  # shape (levels, |K|, width): +1 arrival, -1 service completion, 0 environment move
+    target: np.ndarray
+    rate: np.ndarray
 
 
-def _move_rates(B, U, D) -> np.ndarray:
-    """Row k of [U | D | off-diagonal B], for one level's blocks or stacked
-    ones: entry j is the rate of the move by _MOVE_STEPS[j // |K|] into
-    environment j % |K|, so a row lists arrival, service completions, then
-    environment moves."""
-    off = B * (1.0 - np.eye(B.shape[-1]))
-    return np.concatenate([U, D, off], axis=-1)
+def _level_moves(model: JointModel, levels, cap: int | None = None) -> LevelMoves:
+    """The `LevelMoves` of each level in `levels`, then of level `cap` without
+    its arrivals if one is given: the levels of `_blocks`.  Rates are the
+    blocks' entries, read from the model without building the blocks."""
+    ns = [*levels, *([] if cap is None else [cap])]
+    m = model.n_env
+    w = model.working_indices()
+    parts = []  # (row, step, target, rate) per level: arrivals, service completions, environment moves
+    for i, n in enumerate(ns):
+        if i < len(levels):
+            parts.append((i * m + w, 1, w, np.full(w.size, model.arrival(n))))
+        if n > 0:
+            D = model.service(n) * model.R(n)[w]  # the working rows; a product may underflow to zero
+            k, j = np.nonzero(D)
+            parts.append((i * m + w[k], -1, j, D[k, j]))
+        V = model.V(n)
+        k, j = np.nonzero(V)
+        off = k != j
+        parts.append((i * m + k[off], 0, j[off], V[k[off], j[off]]))
+    row, step, target, rate = zip(*parts)
+    step = np.repeat(step, [len(r) for r in row])
+    row, target, rate = map(np.concatenate, (row, target, rate))
+    # np.nonzero lists each part row-major, so a stable sort by row puts each
+    # row's moves in `generator_row` order
+    order = np.argsort(row, kind="stable")
+    row = row[order]
+    size = len(ns) * m
+    counts = np.bincount(row, minlength=size)
+    width = max(int(counts.max()), 1)
+    rank = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    out = (np.zeros((size, width), np.intp), np.repeat(np.arange(size)[:, None] % m, width, axis=1),
+           np.zeros((size, width)))
+    for padded, values in zip(out, (step, target, rate)):
+        padded[row, rank] = values[order]
+    return LevelMoves(*(a.reshape(len(ns), m, width) for a in out))
 
 
 @dataclass(frozen=True)
@@ -388,15 +447,16 @@ class GeneratorRow:
 
 
 def generator_row(model: JointModel, state) -> GeneratorRow:
-    """Generator row at state (n, k), read from the level blocks: arrival,
-    then service completions and environment moves by ascending target; k is
-    a label index."""
+    """Generator row at state (n, k), read from the level's `LevelMoves`:
+    arrival, then service completions and environment moves by ascending
+    target; k is a label index."""
     n, k = state
     if n < 0 or not (0 <= k < model.n_env):
         raise IndexError(f"state {state} outside the state space")
-    m = model.n_env
-    rates = _move_rates(*_blocks(model, n))[k]
-    out = tuple(((n + _MOVE_STEPS[j // m], int(j % m)), float(rates[j])) for j in np.flatnonzero(rates))
+    moves = _level_moves(model, [n])
+    count = np.count_nonzero(moves.rate[0, k])
+    step, target, rate = (a[0, k, :count].tolist() for a in (moves.step, moves.target, moves.rate))
+    out = tuple(((n + dn, j), r) for dn, j, r in zip(step, target, rate))
     return GeneratorRow(state=(n, k), transitions=out, diagonal=-sum(r for _, r in out))
 
 
@@ -471,16 +531,17 @@ def validate_model(model: JointModel, n_check: int) -> ValidationReport:
         raise InvalidParam("n_check must cover prefix plus one tail period")
     report = ValidationReport(n_check=n_check)
     m = model.n_env
-    # strong connectivity of the truncated graph: an edge per positive rate
-    B, U, D, cls = _level_blocks(model, n_check)
+    # strong connectivity of the truncated graph: an edge per move
+    moves = _level_moves(model, _representatives(model), cap=n_check)
+    cls = _capped_classes(model, n_check)
     src, dst = [], []
-    for c in range(len(B)):
-        levels = np.flatnonzero(cls == c)
-        for block, shift in ((D[c], -1), (B[c], 0), (U[c], 1)):
-            from_ = levels[(levels + shift >= 0) & (levels + shift <= n_check)]
-            ii, jj = np.nonzero(block > 0)
-            src.append((from_[:, None] * m + ii).ravel())
-            dst.append(((from_[:, None] + shift) * m + jj).ravel())
+    for c in range(len(moves.rate)):
+        levels = np.flatnonzero(cls == c)[:, None]
+        k, slot = np.nonzero(moves.rate[c])
+        to = levels + moves.step[c, k, slot]
+        inside = (to >= 0) & (to <= n_check)
+        src.append((levels * m + k)[inside])
+        dst.append((to * m + moves.target[c, k, slot])[inside])
     comp = _strong_components(np.concatenate(src), np.concatenate(dst), (n_check + 1) * m)
     # the cap level is excluded from the requirement: states there may be
     # enterable only from level n_check + 1, which the truncation cuts off

@@ -27,7 +27,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .model import (LEVEL_WINDOW, EnvqueueError, JointModel, _balance_residual, _level_blocks, _level_classes,
-                    _representative_blocks)
+                    _representative_blocks, _representatives)
 from .separability import SingularSolve, gth_stationary
 
 # the tail is called null recurrent when its mean drift is below this
@@ -315,7 +315,7 @@ class Metrics:
 def _level_rates(model: JointModel, levels: np.ndarray):
     """lambda(n) and mu(n) for each n in `levels`, read from the representative
     levels: both rates repeat with period p from T0 = tail_start + 1 on."""
-    reps = range(model.tail_start + 1 + model.period)
+    reps = _representatives(model)
     cls = _level_classes(model, levels)
     return np.array([model.arrival(n) for n in reps])[cls], np.array([model.service(n) for n in reps])[cls]
 

@@ -105,9 +105,11 @@ class NoCommonSolution:
     found: bool = False
 
 
-def solve_theta(model: JointModel):
+def solve_theta(model: JointModel, B: np.ndarray | None = None):
     """Find a probability vector solving theta * Qred(n) = 0 for every
-    representative level, or report the best-failing candidate.
+    representative level, or report the best-failing candidate.  `B` is the
+    stack of representative local blocks, which set the residual tolerance;
+    they are built here unless the caller has them.
 
     Each closed communicating class of Qred(0) contributes one extreme
     stationary vector, and each is tried.  Where Qred(0) has more than one, a
@@ -138,7 +140,9 @@ def solve_theta(model: JointModel):
         if best is None or worst < best[0]:
             best = (worst, worst_n, theta)
     worst, worst_n, theta = best
-    if worst <= _residual_tol(_representative_blocks(model)[0]):
+    if B is None:
+        B = _representative_blocks(model)[0]
+    if worst <= _residual_tol(B):
         return ThetaSolution(theta=theta, residual=worst)
     return NoCommonSolution(residual=worst, offending_level=worst_n)
 
@@ -230,7 +234,8 @@ def product_form(model: JointModel):
     marginal = queue_marginal(model)
     if not marginal.summable:
         return NotSeparable(reason="NotSummable", tail_ratio=marginal.tail_ratio)
-    theta_res = solve_theta(model)
+    B, U, D = _representative_blocks(model)
+    theta_res = solve_theta(model, B)
     if not theta_res.found:
         return NotSeparable(
             reason="NoCommonSolution",
@@ -243,7 +248,6 @@ def product_form(model: JointModel):
     # feeds the down flow into the last of them
     rows = model.tail_start + model.period + 3
     pi = np.outer([marginal.xi(n) for n in range(rows + 1)], theta)
-    B, U, D = _representative_blocks(model)
     worst, worst_level = _balance_residual(pi, B, U, D, _level_classes(model, np.arange(rows + 1)), rows)
     if worst > _residual_tol(B):
         return NotSeparable(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .model import _MOVE_STEPS, EnvqueueError, JointModel, _level_blocks, _move_rates, _representative_blocks
+from .model import EnvqueueError, JointModel, _capped_classes, _level_moves, _representatives
 from .model import generator_row  # noqa: F401  (perfbench/tracing.py counts calls through this name)
 
 
@@ -71,8 +71,8 @@ class SimulationResult:
 
 class _TransitionTable:
     """Per-state-class transition data: class c holds the moves of the
-    representative level c (`_representative_blocks`), each row in
-    `generator_row` order, as Python objects for the per-jump loop."""
+    representative level c (`_level_moves`), each row in `generator_row`
+    order, as Python objects for the per-jump loop."""
 
     def __init__(self, model: JointModel):
         # rows repeat with period p only from tail_start + 1 on (mu(0) = 0
@@ -80,20 +80,22 @@ class _TransitionTable:
         self.base = model.tail_start + 1
         self.p = model.period
         self.m = m = model.n_env
-        rates = _move_rates(*_representative_blocks(model)).reshape(-1, 3 * m)
+        moves = _level_moves(model, _representatives(model))
+        rate = moves.rate.reshape(-1, moves.rate.shape[2])
         # totals are sequential row sums, in the order the cumulative probabilities use
-        cum = np.cumsum(rates, axis=1)
+        cum = np.cumsum(rate, axis=1)
         absorbing = np.flatnonzero(cum[:, -1] <= 0.0)
         if absorbing.size:
             n, k = divmod(int(absorbing[0]), m)
             raise ZeroExitRate(f"state ({n}, {k}) has no outgoing transitions")
+        probs = cum / cum[:, -1:]
+        counts = np.count_nonzero(rate, axis=1)  # the moves come first, then the padding
+        probs[np.arange(len(probs)), counts - 1] = 1.0
         self.rows = []  # class index * m + k -> (total, cum_probs, ((d_n, new_k), ...))
-        for row, row_cum in zip(rates, cum):
-            moves = np.flatnonzero(row)
-            total = float(row_cum[-1])
-            probs = row_cum[moves] / total
-            probs[-1] = 1.0
-            self.rows.append((total, probs.tolist(), tuple((_MOVE_STEPS[j // m], j % m) for j in moves.tolist())))
+        for total, count, row_probs, steps, targets in zip(cum[:, -1].tolist(), counts.tolist(), probs.tolist(),
+                                                           moves.step.reshape(rate.shape).tolist(),
+                                                           moves.target.reshape(rate.shape).tolist()):
+            self.rows.append((total, row_probs[:count], tuple(zip(steps[:count], targets[:count]))))
 
 
 _CHUNK = 8192  # chunk c of a replication's stream: 8192 holding-time uniforms, then 8192 pick uniforms
@@ -309,33 +311,27 @@ def departure_values(model: JointModel, N_cap: int, horizon: int) -> DepartureVa
     grow with the horizon."""
     m = model.n_env
     size = (N_cap + 1) * m
-    B, U, D, cls = _level_blocks(model, N_cap)
-    rates = _move_rates(B, U, D)
+    moves = _level_moves(model, _representatives(model), cap=N_cap)
+    cls = _capped_classes(model, N_cap)
     # each row's total is summed in `generator_row` order
-    total = np.cumsum(rates, axis=2)[:, :, -1]
+    total = np.cumsum(moves.rate, axis=2)[:, :, -1]
     absorbing = np.flatnonzero(total[cls] <= 0.0)
     if absorbing.size:
         n, k = divmod(int(absorbing[0]), m)
         raise ZeroExitRate(f"truncated state ({n}, {k}) is absorbing")
-    # each class's row of P by ascending target: level below, own level, level above; a class
-    # above N_cap is never used, and its zero totals are divided by 1 to keep it finite
-    prob = np.concatenate([rates[:, :, m:], rates[:, :, :m]], axis=2) / np.where(total > 0.0, total, 1.0)[:, :, None]
-    prob = prob.reshape(-1, 3 * m)
-    reward = np.cumsum(prob[:, :m], axis=1)[:, -1]  # departure probabilities summed in that order
-    # the nonzero entries of each row, in that order, padded with zeros to a common width
-    row, col = np.nonzero(prob)
-    counts = np.bincount(row, minlength=len(prob))
-    width = max(int(counts.max()), 1)
-    rank = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    vals = np.zeros((len(prob), width))
-    vals[row, rank] = prob[row, col]
+    # each class's row of P by ascending target: level below, own level, level above, then the
+    # padding; a class above N_cap is never used, and its zero totals are divided by 1 to keep it finite
+    order = np.argsort(np.where(moves.rate != 0.0, moves.step, 2), axis=2, kind="stable")
+    step, target, rate = (np.take_along_axis(a, order, axis=2) for a in (moves.step, moves.target, moves.rate))
+    prob = rate / np.where(total > 0.0, total, 1.0)[:, :, None]
+    reward = np.cumsum(np.where(step == -1, prob, 0.0), axis=2)[:, :, -1]  # departure probabilities in that order
     # target state relative to the first state of the row's level; padding points at the row's own state
-    shift = np.repeat(np.arange(len(prob))[:, None] % m, width, axis=1)
-    shift[row, rank] = col - m
+    shift = step * m + target
+    width = prob.shape[2]
     rows = (cls[:, None] * m + np.arange(m)).ravel()
-    cols = (np.repeat(np.arange(N_cap + 1) * m, m)[:, None] + shift[rows]).T.copy()
-    vals = vals[rows].T.copy()
-    reward = reward[rows]
+    cols = (np.repeat(np.arange(N_cap + 1) * m, m)[:, None] + shift.reshape(-1, width)[rows]).T.copy()
+    vals = prob.reshape(-1, width)[rows].T.copy()
+    reward = reward.ravel()[rows]
     v = np.zeros(size)
     acc, term = np.empty(size), np.empty(size)
     for _ in range(horizon):

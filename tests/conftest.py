@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from envqueue import ergodicity
 from envqueue.catalog import base_stock, catalog, mm1_plain, perishable_o
-from envqueue.model import EnvironmentSpec, JointModel, RateFamily, _level_blocks
+from envqueue.model import EnvironmentSpec, JointModel, RateFamily, _level_blocks, _level_classes, _representative_blocks
 from envqueue.simulate import departure_values
 
 
@@ -85,6 +86,42 @@ def truncated_generator(model, N):
         if n > 0:
             Q[level, (n - 1) * m:n * m] = D[c]
     return Q
+
+
+def dense_move_rates(B, U, D):
+    """Row k of [U | D | off-diagonal B], for one level's blocks or stacked
+    ones: entry j is the rate of the move into environment j % |K| with queue
+    change (1, -1, 0)[j // |K|].  The dense reference for `LevelMoves`."""
+    return np.concatenate([U, D, B * (1.0 - np.eye(B.shape[-1]))], axis=-1)
+
+
+def dense_drift(model, values):
+    """`ergodicity._drift` from dense `dense_move_rates` rows: every column is
+    summed, zeros included, and level 0's values stand in for level -1."""
+    checked = np.arange(len(values) - 1)
+    here = values[:-1]
+    targets = np.concatenate([values[1:], values[np.maximum(checked - 1, 0)], here], axis=1)
+    rates = dense_move_rates(*_representative_blocks(model))[_level_classes(model, checked)]
+    drift = np.cumsum(rates * (targets[:, None, :] - here[:, :, None]), axis=2)[:, :, -1]
+    slack = ergodicity.DRIFT_RTOL * (rates * (np.abs(targets)[:, None, :] + np.abs(here)[:, :, None])).sum(axis=2)
+    return drift, slack
+
+
+def certify_outcome(result):
+    """What `certify` decides: the verdict and, for a certificate, its record
+    and worst margin, else the reason, detail and violating state."""
+    if result.certified:
+        return True, result.to_record(), result.worst_margin
+    return False, result.reason, result.detail, result.violating_state
+
+
+def check_certify_against_dense(model, kind):
+    """`certify`'s outcome equals that of a run whose drift comes from dense rows."""
+    sparse = certify_outcome(ergodicity.certify(model, kind))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ergodicity, "_drift", dense_drift)
+        dense = certify_outcome(ergodicity.certify(model, kind))
+    assert sparse == dense
 
 
 def value_history(model, N_cap, horizon):

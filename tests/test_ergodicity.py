@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from envqueue.catalog import base_stock, mm1_plain, onoff_a, onoff_b, perishable_o
+from envqueue.catalog import base_stock, mm1_plain, onoff_a, onoff_b, perishable_minus, perishable_o, perishable_plus
 from envqueue.ergodicity import (
     BothBranchesZero,
     CannotBuild,
@@ -20,7 +20,7 @@ from envqueue.ergodicity import (
 )
 from envqueue.model import EnvironmentSpec, JointModel, RateFamily
 
-from conftest import two_state_model
+from conftest import check_certify_against_dense, period_two_model, separable_period_two_model, two_state_model
 
 
 class TestCheckNecessary:
@@ -185,3 +185,27 @@ class TestCertify:
         cert = certify(model)
         assert isinstance(cert, LyapunovCertificate)
         assert cert.worst_margin >= -1e-12
+
+
+@pytest.mark.parametrize("kind", ["linear_drift", "hitting_time"])
+@pytest.mark.parametrize(
+    "model",
+    [
+        base_stock(lam=1, mu=2, nu=1, b=2),
+        base_stock(lam=1, mu=2, nu=1.5, b=50),
+        perishable_o(lam=1, mu=2, nu=1, gamma=1, b=2),
+        perishable_o(lam=1, mu=2, nu=10, gamma=2, b=50),
+        perishable_minus(lam=1, mu=2, nu=1, gamma=1, b=3),
+        perishable_plus(lam=1, mu=2, nu=1, gamma=1, b=3),
+        onoff_a(eta=0.71472, gamma=2.40009, lam=2.37801, mu=2.40763),
+        onoff_b(lam=0.2, gamma=2.0, eta=1.0, depth=3),
+        onoff_b(lam=0.5, gamma=1.0, eta=1.0, mu=2.0),
+        mm1_plain(lam=1.0, mu=2.0),
+        period_two_model(),
+        separable_period_two_model(0.5),
+    ],
+    ids=["bs_b2", "bs_b50", "po_b2", "po_b50", "pminus", "pplus", "onoff_a", "onoff_b", "onoff_b_unstable", "mm1",
+         "period_two", "separable_period_two"],
+)
+def test_certify_matches_dense_rows(model, kind):
+    check_certify_against_dense(model, kind)

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from envqueue.ergodicity import SingularSystem, c_hat, solve_tau
-from envqueue.model import EnvironmentSpec, JointModel, RateFamily, generator_row
+from envqueue.ergodicity import SingularSystem, _drift, c_hat, solve_tau
+from envqueue.model import (EnvironmentSpec, JointModel, RateFamily, _level_blocks, _level_moves, _representatives,
+                            generator_row)
 from envqueue.separability import gth_stationary, queue_marginal, reduced_generator
 from envqueue.simulate import SimConfig, simulate
 
-from conftest import value_history
+from conftest import check_certify_against_dense, dense_drift, dense_move_rates, value_history
 
 rates_st = st.floats(min_value=0.05, max_value=5.0, allow_nan=False, allow_infinity=False)
 
@@ -96,6 +97,42 @@ def test_generator_rows_eventually_periodic(model):
         assert {((nn - base, kk), rate) for (nn, kk), rate in r1.transitions} == {
             ((nn - base - p, kk), rate) for (nn, kk), rate in r2.transitions
         }
+
+
+@given(joint_models(split=True), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_level_moves_are_the_nonzeros_of_dense_rows(model, above):
+    # the representative levels and a capped level N, as `departure_values` lists them
+    N = model.tail_start + model.period + above
+    moves = _level_moves(model, _representatives(model), cap=N)
+    dense = dense_move_rates(*_level_blocks(model, N)[:3])
+    m = model.n_env
+    assert moves.rate.shape == moves.step.shape == moves.target.shape == dense.shape[:2] + (moves.rate.shape[2],)
+    counts = np.count_nonzero(dense, axis=2)
+    assert moves.rate.shape[2] == max(counts.max(), 1)
+    for level, k in np.ndindex(*dense.shape[:2]):
+        j = np.flatnonzero(dense[level, k])
+        count = counts[level, k]
+        assert moves.step[level, k, :count].tolist() == [(1, -1, 0)[i] for i in j // m]
+        assert moves.target[level, k, :count].tolist() == (j % m).tolist()
+        assert moves.rate[level, k, :count].tolist() == dense[level, k, j].tolist()
+        # padding: zero rates that stay at the state
+        assert not moves.rate[level, k, count:].any() and not moves.step[level, k, count:].any()
+        assert (moves.target[level, k, count:] == k).all()
+
+
+@pytest.mark.filterwarnings("ignore:tail ratio .* is nearly critical:RuntimeWarning")
+@given(joint_models(split=True), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_certify_matches_dense_rows(model, seed):
+    # the drift of any L bit for bit, and certify's outcome of both kinds
+    values = np.random.default_rng(seed).uniform(0.0, 50.0, size=(model.tail_start + 2 * model.period + 4, model.n_env))
+    drift, slack = _drift(model, values)
+    dense, dense_slack = dense_drift(model, values)
+    assert np.array_equal(drift, dense)
+    np.testing.assert_allclose(slack, dense_slack, rtol=1e-14)
+    for kind in ("linear_drift", "hitting_time"):
+        check_certify_against_dense(model, kind)
 
 
 @pytest.mark.filterwarnings("ignore:tail ratio .* is nearly critical:RuntimeWarning")

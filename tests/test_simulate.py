@@ -12,7 +12,8 @@ from numpy.random import Generator, Philox, SeedSequence
 from envqueue import simulate as simulate_module
 from envqueue.catalog import base_stock, mm1_plain, onoff_b, perishable_o, perishable_plus
 from envqueue.cli import EXIT_ERROR, main
-from envqueue.model import _level_blocks, _move_rates
+from envqueue.ergodicity import certify
+from envqueue.model import _level_blocks, validate_model
 from envqueue.simulate import (
     DepartureValueTable,
     SimConfig,
@@ -25,7 +26,7 @@ from envqueue.simulate import (
     simulate,
 )
 
-from conftest import period_two_model, truncated_generator, value_history
+from conftest import dense_move_rates, period_two_model, truncated_generator, value_history
 
 
 class TestSimulate:
@@ -252,7 +253,7 @@ def csr_departure_values(model, N_cap, horizon):
     Q = truncated_generator(model, N_cap)
     m, size = model.n_env, len(Q)
     B, U, D, cls = _level_blocks(model, N_cap)
-    total = np.cumsum(_move_rates(B, U, D), axis=2)[:, :, -1][cls].ravel()
+    total = np.cumsum(dense_move_rates(B, U, D), axis=2)[:, :, -1][cls].ravel()
     src, dst = np.nonzero(Q)
     move = src != dst
     src, dst = src[move], dst[move]
@@ -396,7 +397,21 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+# traced peaks in MiB at base stock b = 400 while these layers built dense |K| x 3|K| rate rows; on the
+# model below `_TransitionTable` reached 25.8, and the bound keeps a lower reading
+DENSE_ROW_PEAKS_MIB = {"certify": 88.6, "departure_values": 73.7, "validate_model": 29.4, "_TransitionTable": 17.2}
+
+
 class TestMemory:
+    @pytest.mark.parametrize("layer", sorted(DENSE_ROW_PEAKS_MIB))
+    def test_per_state_layers_stay_sparse(self, layer):
+        # the padded move rows hold ~4 nonzeros per state here, where a dense row holds 1203 entries
+        model = perishable_o(lam=1.0, mu=2.0, nu=10.0, gamma=2.0, b=400)
+        calls = {"certify": (certify, model), "departure_values": (departure_values, model, 100, 50),
+                 "validate_model": (validate_model, model, model.tail_start + model.period + 4),
+                 "_TransitionTable": (simulate_module._TransitionTable, model)}
+        assert traced_peak(*calls[layer]) < DENSE_ROW_PEAKS_MIB[layer] * 2**20 / 3
+
     def test_departure_values_do_not_grow_with_horizon(self):
         # keeping every v_j would hold 501 x 82 kB at horizon 500: a peak of 45.9 MB against 9.2 MB at 50
         model = perishable_o(lam=1.0, mu=2.0, nu=10.0, gamma=2.0, b=100)
