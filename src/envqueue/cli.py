@@ -209,9 +209,8 @@ def _cmd_bounds(args, outdir):
     if args.replications:
         sim_config = SimConfig(seed=args.seed, horizon=args.horizon, replications=args.replications)
     report = bound_report(args.lam, args.mu, args.nu, args.gamma, args.b, sim_config=sim_config)
-    from .catalog import perishable_o
-
-    _write_manifest(args, [perishable_o(args.lam, args.mu, args.nu, args.gamma, args.b)], outdir)
+    model = catalog("perishable_o", lam=args.lam, mu=args.mu, nu=args.nu, gamma=args.gamma, b=args.b)
+    _write_manifest(args, [model], outdir)
     _write_json(outdir, "bounds.json", report.to_record())
     with open(outdir / "bounds.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("gamma,TH_minus,TH_o,TH_plus\n")
@@ -229,9 +228,7 @@ def _cmd_sweep(args, outdir):
         raise InvalidParam(f"--gamma-steps must be at least 1, got {args.gamma_steps}")
     gammas = np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps)
     rows = gamma_sweep(args.lam, args.mu, args.nu, args.b, gammas)
-    from .catalog import perishable_o
-
-    models = [perishable_o(args.lam, args.mu, args.nu, gamma, args.b) for gamma in gammas]
+    models = [catalog("perishable_o", lam=args.lam, mu=args.mu, nu=args.nu, gamma=gamma, b=args.b) for gamma in gammas]
     _write_manifest(args, models, outdir,
                     extra={"gamma_min": args.gamma_min, "gamma_max": args.gamma_max, "gamma_steps": args.gamma_steps})
     with open(outdir / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -270,7 +267,9 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
 
     if p := command("solve", "stationary distribution and metrics", _cmd_solve):
         p.add_argument("--N", type=int, default=None,
-                       help="solve the chain capped at N (default: exact solve of the infinite chain)")
+                       help="solve the finite-buffer variant, where an arrival that finds N customers is lost "
+                            "(lambda(N) = 0); its metrics describe that model (default: exact solve of the "
+                            "infinite chain)")
         p.add_argument("--tol", type=float, default=1e-9,
                        help="exact solve: list levels up to the first with stationary mass above it below tol")
 

@@ -184,10 +184,6 @@ class EnvironmentSpec:
     def period(self) -> int:
         return len(self.V_tail)
 
-    @property
-    def working(self) -> tuple:
-        return tuple(k for k in self.labels if k not in self.blocked)
-
     def working_mask(self) -> np.ndarray:
         mask = np.array([k not in self.blocked for k in self.labels], dtype=bool)
         mask.setflags(write=False)
@@ -287,9 +283,10 @@ class JointModel:
 
 # -- level blocks: with states indexed level-major (level = queue length) the
 # joint generator is block tridiagonal with blocks B_n (local), U_n (up), D_n
-# (down) (Gaver, Jacobs & Latouche, Adv. Appl. Prob. 16, 1984).  The dense
-# blocks feed the linear algebra; the per-state layers read the same entries
-# as padded sparse rows (`LevelMoves`), whose cost follows the nonzero moves.
+# (down) (Gaver, Jacobs & Latouche, Adv. Appl. Prob. 16, 1984).  The model's
+# rates are read once, into padded sparse rows (`LevelMoves`), whose cost
+# follows the nonzero moves; the dense blocks, which feed the linear algebra,
+# are placed from those rows.
 
 
 # a pass over the listed levels takes this many at a time, so that its
@@ -301,30 +298,6 @@ def _representatives(model: JointModel) -> range:
     """Levels 0..T0+p-1, T0 = tail_start + 1: every level has the blocks and
     moves of one of them (`_level_classes`)."""
     return range(model.tail_start + 1 + model.period)
-
-
-def _blocks(model: JointModel, levels, cap: int | None = None):
-    """Local (B), up (U) and down (D) blocks of each level in `levels`,
-    stacked, then of level `cap` without its arrivals if one is given.
-
-    B_n carries environment moves plus the conservative diagonal; U_n the
-    arrivals; D_n the service completions with jump matrix.  Each level is
-    written in place into the preallocated stacks."""
-    ns = [*levels, *([] if cap is None else [cap])]
-    m = model.n_env
-    working = model.env.working_mask()
-    w, diag = np.flatnonzero(working), np.arange(m)
-    B, U, D = (np.zeros((len(ns), m, m)) for _ in range(3))
-    for i, n in enumerate(ns):
-        if i < len(levels):
-            U[i, w, w] = model.arrival(n)
-        if n > 0:
-            np.multiply(working[:, None], model.R(n), out=D[i])
-            D[i] *= model.service(n)
-        B[i] = model.V(n)
-        B[i, diag, diag] = 0.0
-        B[i, diag, diag] -= U[i].sum(axis=1) + D[i].sum(axis=1) + B[i].sum(axis=1)
-    return B, U, D
 
 
 def _level_classes(model: JointModel, levels: np.ndarray) -> np.ndarray:
@@ -341,18 +314,6 @@ def _capped_classes(model: JointModel, N: int) -> np.ndarray:
     cls = _level_classes(model, np.arange(N + 1))
     cls[N] = len(_representatives(model))
     return cls
-
-
-def _representative_blocks(model: JointModel):
-    """B, U, D of levels 0..T0+p-1 stacked; level n has the blocks of
-    representative `_level_classes(model, n)`."""
-    return _blocks(model, _representatives(model))
-
-
-def _level_blocks(model: JointModel, N: int):
-    """Blocks of the chain capped at N: the representative blocks plus the
-    capped level N's (last index), and the index of each level's blocks."""
-    return (*_blocks(model, _representatives(model), cap=N), _capped_classes(model, N))
 
 
 def _balance_residual(pi, B, U, D, cls, rows: int) -> tuple[float, int]:
@@ -399,8 +360,8 @@ class LevelMoves:
 
 def _level_moves(model: JointModel, levels, cap: int | None = None) -> LevelMoves:
     """The `LevelMoves` of each level in `levels`, then of level `cap` without
-    its arrivals if one is given: the levels of `_blocks`.  Rates are the
-    blocks' entries, read from the model without building the blocks."""
+    its arrivals if one is given.  The one reader of the model's rates: the
+    dense blocks of `_blocks` are placed from these rows."""
     ns = [*levels, *([] if cap is None else [cap])]
     m = model.n_env
     w = model.working_indices()
@@ -432,6 +393,24 @@ def _level_moves(model: JointModel, levels, cap: int | None = None) -> LevelMove
     for padded, values in zip(out, (step, target, rate)):
         padded[row, rank] = values[order]
     return LevelMoves(*(a.reshape(len(ns), m, width) for a in out))
+
+
+def _blocks(model: JointModel, cap: int | None = None):
+    """Local (B), up (U) and down (D) blocks of the representative levels,
+    stacked, then of level `cap` without its arrivals if one is given: the
+    levels of `_level_moves(model, _representatives(model), cap)`, whose rows
+    they are placed from.  Each move's rate goes to its target in the block of
+    its queue step; padding, a zero rate that stays at the state, lands on B's
+    diagonal, which then takes the conservative value."""
+    moves = _level_moves(model, _representatives(model), cap)
+    levels, m, _ = moves.rate.shape
+    blocks = np.zeros((3, levels, m, m))
+    # step % 3 is 0 for an environment move, 1 for an arrival, 2 for a service completion
+    blocks[moves.step % 3, np.arange(levels)[:, None, None], np.arange(m)[:, None], moves.target] = moves.rate
+    B, U, D = blocks
+    diag = np.arange(m)
+    B[:, diag, diag] -= U.sum(axis=2) + D.sum(axis=2) + B.sum(axis=2)
+    return B, U, D
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,9 @@ def _parse_document(text: str):
 
 def _get(section: dict, key: str, kind, default=None):
     """`section[key]`, or `default` where an optional key is missing, checked to be a `kind`."""
-    value = section[key] if default is None else section.get(key, default)
+    if default is None and key not in section:
+        raise InvalidParam(f"model file: missing `{key}`")
+    value = section.get(key, default)
     if not isinstance(value, kind):
         raise InvalidParam(f"model file: `{key}` must be a {kind.__name__}, got {value!r:.60}")
     return value
@@ -61,15 +63,12 @@ def _get(section: dict, key: str, kind, default=None):
 def model_from_dict(doc: dict) -> JointModel:
     if "catalog" in doc:
         entry = _get(doc, "catalog", dict)
-        name, params = entry["name"], _get(entry, "params", dict, {})
-        if not isinstance(name, str) or not all(isinstance(key, str) for key in params):
-            raise InvalidParam("model file: a catalog `name` and its `params` keys must be strings")
+        name, params = _get(entry, "name", str), _get(entry, "params", dict, {})
+        if not all(isinstance(key, str) for key in params):
+            raise InvalidParam("model file: catalog `params` keys must be strings")
         return catalog(name, **params)
-    try:
-        rates_doc = _get(doc, "rates", dict)
-        env_doc = _get(doc, "environment", dict)
-    except KeyError as exc:
-        raise InvalidParam(f"model file needs `catalog` or `rates`+`environment`: missing {exc}") from exc
+    rates_doc = _get(doc, "rates", dict)
+    env_doc = _get(doc, "environment", dict)
     rates = RateFamily(
         lambda_prefix=tuple(_get(rates_doc, "lambda_prefix", list, [])),
         mu_prefix=tuple(_get(rates_doc, "mu_prefix", list, [])),

@@ -26,8 +26,8 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .model import (LEVEL_WINDOW, EnvqueueError, JointModel, _balance_residual, _level_blocks, _level_classes,
-                    _representative_blocks, _representatives)
+from .model import (LEVEL_WINDOW, EnvqueueError, JointModel, _balance_residual, _blocks, _capped_classes,
+                    _level_classes, _representatives)
 from .separability import SingularSolve, gth_stationary
 
 # the tail is called null recurrent when its mean drift is below this
@@ -139,7 +139,8 @@ def solve_truncated(model: JointModel, N: int) -> TruncatedSolution:
     """Stationary vector of the truncated chain (queue capped at N)."""
     if N < model.tail_start + model.period + 2:
         raise ValueError("truncation must cover the prefix plus one tail period")
-    B, U, D, cls = _level_blocks(model, N)
+    B, U, D = _blocks(model, cap=N)
+    cls = _capped_classes(model, N)
     try:
         per_level = ([blocks[c] for c in cls] for blocks in (B, U, D))
         pi_flat = np.concatenate(_solve_elimination(*per_level))
@@ -258,9 +259,13 @@ def exact_solve(model: JointModel) -> GeometricTail:
     """Exact stationary vector of the infinite chain as a `GeometricTail`,
     listing no level.  Raises NotErgodic when the tail's mean drift is not
     towards level 0."""
+    return _exact_tail(model, *_blocks(model))
+
+
+def _exact_tail(model: JointModel, B, U, D) -> GeometricTail:
+    """`exact_solve` from the representative levels' blocks B, U, D."""
     T0, p, m = model.tail_start + 1, model.period, model.n_env
     M = p * m
-    B, U, D = _representative_blocks(model)
     A0, A1, A2 = _tail_qbd(model, B, U, D)
     drift = _mean_drift(A0, A1, A2)
     try:
@@ -288,9 +293,9 @@ def auto_truncate(model: JointModel, tol: float = 1e-9) -> TruncatedSolution:
     level whose mass above it is below tol; the metrics do not depend on N."""
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    tail = exact_solve(model)
+    B, U, D = _blocks(model)
+    tail = _exact_tail(model, B, U, D)
     exact, mass_above, N = _list_levels(tail, tol, model.tail_start + model.period)
-    B, U, D = _representative_blocks(model)
     residual, _ = _balance_residual(exact, B, U, D, _level_classes(model, np.arange(N + 2)), N + 1)
     pi = exact[: N + 1]
     return TruncatedSolution(N=N, pi=pi / pi.sum(), residual=residual, truncation_estimate=mass_above, tail=tail)

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (EnvqueueError, JointModel, _balance_residual, _level_classes, _representative_blocks,
-                    _strong_components)
+from .model import EnvqueueError, JointModel, _balance_residual, _blocks, _level_classes, _strong_components
 
 RESIDUAL_RTOL = 1e-10
 SUMMABLE_MARGIN = 1e-12
@@ -141,7 +140,7 @@ def solve_theta(model: JointModel, B: np.ndarray | None = None):
             best = (worst, worst_n, theta)
     worst, worst_n, theta = best
     if B is None:
-        B = _representative_blocks(model)[0]
+        B = _blocks(model)[0]
     if worst <= _residual_tol(B):
         return ThetaSolution(theta=theta, residual=worst)
     return NoCommonSolution(residual=worst, offending_level=worst_n)
@@ -234,7 +233,7 @@ def product_form(model: JointModel):
     marginal = queue_marginal(model)
     if not marginal.summable:
         return NotSeparable(reason="NotSummable", tail_ratio=marginal.tail_ratio)
-    B, U, D = _representative_blocks(model)
+    B, U, D = _blocks(model)
     theta_res = solve_theta(model, B)
     if not theta_res.found:
         return NotSeparable(

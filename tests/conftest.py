@@ -5,7 +5,7 @@ import pytest
 
 from envqueue import ergodicity
 from envqueue.catalog import base_stock, catalog, mm1_plain, perishable_o
-from envqueue.model import EnvironmentSpec, JointModel, RateFamily, _level_blocks, _level_classes, _representative_blocks
+from envqueue.model import EnvironmentSpec, JointModel, RateFamily, _capped_classes, _level_classes
 from envqueue.simulate import departure_values
 
 
@@ -72,10 +72,38 @@ def separable_period_two_model(rho):
     return JointModel(rates=rates, env=env, name="separable_period_two")
 
 
+def reference_blocks(model, N=None):
+    """B, U, D of levels 0..T0+p-1 (T0 = tail_start + 1), stacked, then of the
+    capped level N without its arrivals if N is given, built straight from the
+    model's V, R, lambda and mu: the dense reference for `model._blocks`, which
+    places them from the padded move rows.
+
+    B_n carries environment moves plus the conservative diagonal; U_n the
+    arrivals; D_n the service completions with jump matrix.  Each level is
+    written in place into the preallocated stacks."""
+    levels = range(model.tail_start + 1 + model.period)
+    ns = [*levels, *([] if N is None else [N])]
+    m = model.n_env
+    working = model.env.working_mask()
+    w, diag = np.flatnonzero(working), np.arange(m)
+    B, U, D = (np.zeros((len(ns), m, m)) for _ in range(3))
+    for i, n in enumerate(ns):
+        if i < len(levels):
+            U[i, w, w] = model.arrival(n)
+        if n > 0:
+            np.multiply(working[:, None], model.R(n), out=D[i])
+            D[i] *= model.service(n)
+        B[i] = model.V(n)
+        B[i, diag, diag] = 0.0
+        B[i, diag, diag] -= U[i].sum(axis=1) + D[i].sum(axis=1) + B[i].sum(axis=1)
+    return B, U, D
+
+
 def truncated_generator(model, N):
     """Dense generator of the chain capped at N, state index n * |K| + k,
-    assembled from the level blocks: the reference for the blockwise code."""
-    B, U, D, cls = _level_blocks(model, N)
+    assembled from `reference_blocks`: the reference for the blockwise code."""
+    B, U, D = reference_blocks(model, N)
+    cls = _capped_classes(model, N)
     m = model.n_env
     Q = np.zeros(((N + 1) * m, (N + 1) * m))
     for n, c in enumerate(cls):
@@ -101,7 +129,7 @@ def dense_drift(model, values):
     checked = np.arange(len(values) - 1)
     here = values[:-1]
     targets = np.concatenate([values[1:], values[np.maximum(checked - 1, 0)], here], axis=1)
-    rates = dense_move_rates(*_representative_blocks(model))[_level_classes(model, checked)]
+    rates = dense_move_rates(*reference_blocks(model))[_level_classes(model, checked)]
     drift = np.cumsum(rates * (targets[:, None, :] - here[:, :, None]), axis=2)[:, :, -1]
     slack = ergodicity.DRIFT_RTOL * (rates * (np.abs(targets)[:, None, :] + np.abs(here)[:, :, None])).sum(axis=2)
     return drift, slack

@@ -140,6 +140,14 @@ MISTYPED_MODELS = {
     "catalog_depth.yaml": "catalog: {name: onoff_a, params: {eta: 1, gamma: 1, depth: 2.5}}\n",
 }
 
+# a required key left out; each raised a bare KeyError
+MISSING_KEY_MODELS = {
+    "name": '{"catalog": {"params": {}}}',
+    "lambda_tail": "rates: {mu_tail: [2.0]}\n" + ONE_STATE_ENV,
+    "labels": "rates: {lambda_tail: [1.0], mu_tail: [2.0]}\nenvironment: {V_tail: [[[0.0]]], R_tail: [[[1.0]]]}\n",
+    "R_tail": "rates: {lambda_tail: [1.0], mu_tail: [2.0]}\nenvironment: {labels: [0], V_tail: [[[0.0]]]}\n",
+}
+
 
 
 def two_state_text(labels="[0, 1]", blocked="[0]", V="[[-1, 1], [1, -1]]", R="[[1, 0], [0, 1]]"):
@@ -215,6 +223,23 @@ class TestErrorContract:
         path = tmp_path / name
         path.write_text(MISTYPED_MODELS[name])
         self.expect_error(capsys, main(["validate", "--model", str(path), "--out", str(tmp_path)]), "InvalidParam")
+
+    @pytest.mark.parametrize("text, message", [
+        ("catalog: {name: 3}\n", "`name` must be a str, got 3"),
+        ("catalog: {name: mm1_plain, params: {1: 2}}\n", "catalog `params` keys must be strings"),
+    ], ids=["name", "params_key"])
+    def test_catalog_entry_typed(self, tmp_path, capsys, text, message):
+        path = tmp_path / "model.yaml"
+        path.write_text(text)
+        assert main(["validate", "--model", str(path), "--out", str(tmp_path / "out")]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: InvalidParam: model file: {message}\n"
+
+    @pytest.mark.parametrize("key", sorted(MISSING_KEY_MODELS))
+    def test_missing_key_named(self, tmp_path, capsys, key):
+        path = tmp_path / "model.yaml"
+        path.write_text(MISSING_KEY_MODELS[key])
+        assert main(["validate", "--model", str(path), "--out", str(tmp_path / "out")]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: InvalidParam: model file: missing `{key}`\n"
 
     @pytest.mark.parametrize("catalog", [("onoff_a",), ("onoff_b", "--lambda", "0.1")], ids=["onoff_a", "onoff_b"])
     def test_onoff_depth_checked(self, tmp_path, capsys, catalog):

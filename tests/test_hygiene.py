@@ -1,6 +1,6 @@
 """Source hygiene checks that need no linter: every imported name is used,
-every private top-level name is referenced, and every name the benchmark's
-tracer wraps exists."""
+every private top-level name is referenced, every name the benchmark's
+tracer wraps exists, and the model's rates are read in one place."""
 
 import ast
 import importlib.util
@@ -124,3 +124,41 @@ def test_kept_imports_are_tracer_names():
                 kept += [(module, alias.asname or alias.name.split(".")[0]) for alias in node.names]
     assert kept
     assert [ref for ref in kept if ref not in tracer_refs()] == []
+
+
+# the model's rates are read in one place: elsewhere in these files a rate accessor
+# may be called only inside the named top-level functions and classes
+RATE_ACCESSORS = {"V", "R", "arrival", "service"}
+RATE_READERS = {"model.py": {"_level_moves", "JointModel"}, "numerics.py": {"_level_rates"}, "simulate.py": set()}
+
+
+def rate_reads_outside(path: Path, readers) -> list:
+    """(line, accessor) of each call `x.V(...)`, `x.R(...)`, `x.arrival(...)` or `x.service(...)` in
+    `path` outside the top-level functions and classes named in `readers`."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if getattr(node, "name", None) in readers:
+            continue
+        found += [(sub.lineno, sub.func.attr) for sub in ast.walk(node) if isinstance(sub, ast.Call)
+                  and isinstance(sub.func, ast.Attribute) and sub.func.attr in RATE_ACCESSORS]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", sorted(RATE_READERS))
+def test_rates_read_in_one_place(name):
+    assert rate_reads_outside(ROOT / "src" / "envqueue" / name, RATE_READERS[name]) == []
+
+
+def test_scan_finds_rate_read(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "class JointModel:\n"
+        "    def V(self, n):\n"
+        "        return self.env.V(n)\n"
+        "def _level_moves(model, n):\n"
+        "    return model.arrival(n), model.service(n)\n"
+        "def _blocks(model, n):\n"
+        "    return model.V(n), [model.service(k) for k in range(n)]\n"
+        "LAMBDA = model.arrival(0)\n"
+    )
+    assert rate_reads_outside(path, {"JointModel", "_level_moves"}) == [(7, "V"), (7, "service"), (8, "arrival")]

@@ -28,7 +28,7 @@ from envqueue.numerics import (
 )
 from envqueue.separability import product_form
 
-from conftest import period_two_model, separable_period_two_model, truncated_generator
+from conftest import period_two_model, reference_blocks, separable_period_two_model, truncated_generator
 
 
 def product_form_tv(model, sol, levels=None):
@@ -85,21 +85,21 @@ class TestSolveTruncated:
 
     def test_blockwise_residual_is_generator_residual(self, per_o_b2):
         # on a vector far from stationary, so the defect is not round-off
-        from envqueue.numerics import _balance_residual, _level_blocks
+        from envqueue.numerics import _balance_residual, _capped_classes
 
         N = 40
         pi = np.random.default_rng(1).uniform(size=(N + 1, per_o_b2.n_env))
         dense = np.abs(pi.reshape(-1) @ truncated_generator(per_o_b2, N)).max()
-        blockwise, _ = _balance_residual(pi, *_level_blocks(per_o_b2, N), N + 1)
+        blockwise, _ = _balance_residual(pi, *reference_blocks(per_o_b2, N), _capped_classes(per_o_b2, N), N + 1)
         assert blockwise == pytest.approx(dense, rel=1e-12)
 
     def test_residual_windows_do_not_change_it(self, per_o_b2, monkeypatch):
         from envqueue import model
-        from envqueue.numerics import _balance_residual, _level_blocks
+        from envqueue.numerics import _balance_residual, _capped_classes
 
         N = 40
         pi = np.random.default_rng(2).uniform(size=(N + 1, per_o_b2.n_env))
-        blocks = _level_blocks(per_o_b2, N)
+        blocks = (*reference_blocks(per_o_b2, N), _capped_classes(per_o_b2, N))
         # rows = N: pi holds one level more, which feeds the last row
         whole = [_balance_residual(pi, *blocks, rows) for rows in (N + 1, N)]
         for window in (1, 2, 7):

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from envqueue.ergodicity import SingularSystem, _drift, c_hat, solve_tau
-from envqueue.model import (EnvironmentSpec, JointModel, RateFamily, _level_blocks, _level_moves, _representatives,
+from envqueue.model import (EnvironmentSpec, JointModel, RateFamily, _blocks, _level_moves, _representatives,
                             generator_row)
 from envqueue.separability import gth_stationary, queue_marginal, reduced_generator
 from envqueue.simulate import SimConfig, simulate
 
-from conftest import check_certify_against_dense, dense_drift, dense_move_rates, value_history
+from conftest import check_certify_against_dense, dense_drift, dense_move_rates, reference_blocks, value_history
 
 rates_st = st.floats(min_value=0.05, max_value=5.0, allow_nan=False, allow_infinity=False)
 
@@ -105,7 +105,7 @@ def test_level_moves_are_the_nonzeros_of_dense_rows(model, above):
     # the representative levels and a capped level N, as `departure_values` lists them
     N = model.tail_start + model.period + above
     moves = _level_moves(model, _representatives(model), cap=N)
-    dense = dense_move_rates(*_level_blocks(model, N)[:3])
+    dense = dense_move_rates(*reference_blocks(model, N))
     m = model.n_env
     assert moves.rate.shape == moves.step.shape == moves.target.shape == dense.shape[:2] + (moves.rate.shape[2],)
     counts = np.count_nonzero(dense, axis=2)
@@ -119,6 +119,17 @@ def test_level_moves_are_the_nonzeros_of_dense_rows(model, above):
         # padding: zero rates that stay at the state
         assert not moves.rate[level, k, count:].any() and not moves.step[level, k, count:].any()
         assert (moves.target[level, k, count:] == k).all()
+
+
+@given(joint_models(split=True), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_blocks_are_the_reference_blocks(model, above):
+    # placed from the padded move rows, byte for byte the blocks read from V, R, lambda and mu
+    N = model.tail_start + model.period + above
+    for placed, reference in ((_blocks(model), reference_blocks(model)),
+                              (_blocks(model, cap=N), reference_blocks(model, N))):
+        assert [a.shape for a in placed] == [a.shape for a in reference]
+        assert [a.tobytes() for a in placed] == [a.tobytes() for a in reference]
 
 
 @pytest.mark.filterwarnings("ignore:tail ratio .* is nearly critical:RuntimeWarning")

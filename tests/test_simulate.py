@@ -13,7 +13,7 @@ from envqueue import simulate as simulate_module
 from envqueue.catalog import base_stock, mm1_plain, onoff_b, perishable_o, perishable_plus
 from envqueue.cli import EXIT_ERROR, main
 from envqueue.ergodicity import certify
-from envqueue.model import _level_blocks, validate_model
+from envqueue.model import _capped_classes, validate_model
 from envqueue.simulate import (
     DepartureValueTable,
     SimConfig,
@@ -26,7 +26,7 @@ from envqueue.simulate import (
     simulate,
 )
 
-from conftest import dense_move_rates, period_two_model, truncated_generator, value_history
+from conftest import dense_move_rates, period_two_model, reference_blocks, truncated_generator, value_history
 
 
 class TestSimulate:
@@ -252,8 +252,8 @@ def csr_departure_values(model, N_cap, horizon):
     sparse = pytest.importorskip("scipy.sparse")
     Q = truncated_generator(model, N_cap)
     m, size = model.n_env, len(Q)
-    B, U, D, cls = _level_blocks(model, N_cap)
-    total = np.cumsum(dense_move_rates(B, U, D), axis=2)[:, :, -1][cls].ravel()
+    total = np.cumsum(dense_move_rates(*reference_blocks(model, N_cap)), axis=2)[:, :, -1]
+    total = total[_capped_classes(model, N_cap)].ravel()
     src, dst = np.nonzero(Q)
     move = src != dst
     src, dst = src[move], dst[move]
