@@ -40,10 +40,13 @@ class MalformedMatrix(ModelError):
 
 def _as_rate_tuple(values, name):
     try:
+        values = tuple(values)
         out = tuple(float(v) for v in values)
     except TypeError as exc:
         raise InvalidParam(f"{name} must contain numbers: {exc}") from None
-    for v in out:
+    for value, v in zip(values, out):
+        if isinstance(value, (bool, np.bool_)):  # YAML's yes/no/on/off, JSON's true/false; float(True) is 1.0
+            raise InvalidParam(f"{name} must contain numbers, got {value}")
         if not (v > 0.0) or not math.isfinite(v):
             raise InvalidParam(f"{name} must contain positive finite rates, got {v}")
     return out
@@ -371,16 +374,16 @@ def _level_moves(model: JointModel, levels, cap: int | None = None) -> LevelMove
             parts.append((i * m + w, 1, w, np.full(w.size, model.arrival(n))))
         if n > 0:
             D = model.service(n) * model.R(n)[w]  # the working rows; a product may underflow to zero
-            k, j = np.nonzero(D)
+            k, j = np.divmod(np.flatnonzero(D), m)
             parts.append((i * m + w[k], -1, j, D[k, j]))
         V = model.V(n)
-        k, j = np.nonzero(V)
+        k, j = np.divmod(np.flatnonzero(V), m)
         off = k != j
         parts.append((i * m + k[off], 0, j[off], V[k[off], j[off]]))
     row, step, target, rate = zip(*parts)
     step = np.repeat(step, [len(r) for r in row])
     row, target, rate = map(np.concatenate, (row, target, rate))
-    # np.nonzero lists each part row-major, so a stable sort by row puts each
+    # np.flatnonzero lists each part row-major, so a stable sort by row puts each
     # row's moves in `generator_row` order
     order = np.argsort(row, kind="stable")
     row = row[order]

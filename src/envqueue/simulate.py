@@ -49,6 +49,8 @@ class SimConfig:
             raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,9 @@ MISTYPED_MODELS = {
     "catalog_rate.yaml": "catalog: {name: mm1_plain, params: {lam: [1], mu: 2}}\n",
     "catalog_level.yaml": "catalog: {name: base_stock, params: {lam: 1, mu: 2, nu: 1, b: [2]}}\n",
     "catalog_depth.yaml": "catalog: {name: onoff_a, params: {eta: 1, gamma: 1, depth: 2.5}}\n",
+    # YAML 1.1 booleans, which were read as 1 and 0
+    "catalog_bool.yaml": "catalog: {name: perishable_o, params: {lam: yes, mu: 2, nu: 1, gamma: off, b: on}}\n",
+    "rate_bool.yaml": "rates: {lambda_tail: [yes], mu_tail: [2]}\n" + ONE_STATE_ENV,
 }
 
 # a required key left out; each raised a bare KeyError
@@ -248,6 +251,13 @@ class TestErrorContract:
         assert run(tmp_path, "validate", *onoff, "--depth", "-1") == EXIT_ERROR
         assert capsys.readouterr().err == "error: InvalidParam: on-off depth must be an integer >= 0, got -1\n"
         assert run(tmp_path, "validate", *onoff, "--depth", "0") == EXIT_OK
+
+    def test_negative_seed_refused_before_solving(self, tmp_path, capsys, monkeypatch):
+        # numpy's SeedSequence refused it after the triple's exact solves, in its own words
+        monkeypatch.setattr(bounds, "build_triple", lambda *args: pytest.fail("the triple was built"))
+        argv = ("--lambda", "1", "--mu", "2", "--nu", "1", "--gamma", "1", "--b", "2", "--seed", "-1")
+        assert run(tmp_path, "bounds", *argv, "--replications", "5") == EXIT_ERROR
+        assert capsys.readouterr().err == "error: ValueError: seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("command", ["validate", "separability", "certify", "solve", "simulate"])
     @pytest.mark.parametrize("name", sorted(MALFORMED_MODELS))

@@ -1,5 +1,7 @@
 """Model types, generator rows, and structural validation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,12 @@ class TestRateFamily:
             RateFamily.constant(0.0, 1.0)
         with pytest.raises(InvalidParam):
             RateFamily.constant(1.0, -2.0)
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_boolean_rate_rejected(self, flag):
+        # float(True) is 1.0, so a YAML `yes` was read as the rate 1
+        with pytest.raises(InvalidParam, match=f"lambda_tail must contain numbers, got {flag}"):
+            RateFamily(lambda_tail=(flag,), mu_tail=(2.0,))
 
 
 class TestEnvironmentSpec:
@@ -255,6 +263,16 @@ class TestValidateModel:
         with pytest.raises(InvalidParam):
             perishable_o(lam=1, mu=2, nu=1, gamma=-0.5, b=2)
 
+    @pytest.mark.parametrize("params, message", [
+        (dict(lam=True, mu=2, nu=1, gamma=1, b=2), "parameter lam must be a positive number, got True"),
+        (dict(lam=1, mu=2, nu=1, gamma=False, b=2), "ageing rate gamma must be a number >= 0, got False"),
+        (dict(lam=1, mu=2, nu=1, gamma=1, b=True), "base stock level b must be an integer >= 1, got True"),
+        (dict(lam=1, mu=2, nu=1, gamma=1, b=np.True_), "base stock level b must be an integer >= 1, got True"),
+    ])
+    def test_boolean_parameter_rejected(self, params, message):
+        with pytest.raises(InvalidParam, match=message):
+            perishable_o(**params)
+
     def test_gamma_zero_degenerates_to_base_stock(self):
         frozen = perishable_minus(lam=1, mu=2, nu=1, gamma=0.0, b=2)
         bs = base_stock(lam=1, mu=2, nu=1, b=2)
@@ -285,7 +303,54 @@ class TestStrongComponents:
         assert not _strong_components(*cycle, size).any()
 
 
+# points that reach every branch of the builders: gamma = 0 and > 0, b = 1 and > 1,
+# on-off depth 0, 1 and the default 8; one bit moved in any rate or matrix entry changes a digest
+PINNED_SIGNATURES = [
+    ("mm1_plain", dict(lam=1, mu=2),
+     "85cde6c03fcf72f89930458b8bf3519b0051a28c231585c12af92cb049bdefea"),
+    ("base_stock", dict(lam=1, mu=2, nu=1.5, b=1),
+     "9f290677419f4e3806d21c5f8777b5c4d1c7499a798fad511f3572d49441e3b0"),
+    ("base_stock", dict(lam=0.9, mu=1, nu=3, b=5),
+     "aa44598bd58a8060ab95794d17196cc66f117703d3653767db7801131b29a78b"),
+    ("perishable_minus", dict(lam=1, mu=2, nu=1, gamma=0, b=1),
+     "1a9400befd9074dc0bd2b604ba09de97e331e1e4f7577be7f4e3b46352b3d52a"),
+    ("perishable_minus", dict(lam=1, mu=2, nu=1, gamma=2, b=3),
+     "0244620f343722343a1a6274dfae875268fd2fb424dc0ea83b329825c42ad213"),
+    ("perishable_o", dict(lam=1, mu=2, nu=1, gamma=0, b=2),
+     "cb6959b24fddc6a7cbdae196938245adda90a4bec93e4c5a18b04053502e2965"),
+    ("perishable_o", dict(lam=1, mu=2, nu=1, gamma=0.5, b=1),
+     "90ddd5e3a62a76301483fe3137137dbf6ab0bbf2a80be1168ff5ffe00d83b5e2"),
+    ("perishable_o", dict(lam=1, mu=2, nu=10, gamma=2, b=30),
+     "bf0e9b97f566d0a3bf7a466a3350de07917d56f86479da2592d0ef82586de38d"),
+    ("perishable_plus", dict(lam=1, mu=2, nu=1, gamma=0, b=2),
+     "142454511d5c82a55541b935b69bb35312c525ee44b7aa7c9258e58cf01e1930"),
+    ("perishable_plus", dict(lam=1, mu=2, nu=1, gamma=2, b=1),
+     "eb67793fe360ce6b3f8eac0f4cce4aaa070f3e426c76d16c80f1f6bcd499417c"),
+    ("perishable_plus", dict(lam=1, mu=2, nu=1, gamma=0.5, b=3),
+     "99b0cd7d0d2244c61295eace2dc40c035f1ce9caf7674c18148381a2c75e6a5c"),
+    ("onoff_a", dict(eta=0.5, gamma=1, depth=0),
+     "e64165d616a776a7a7d1bfae0917fbc4a4c042f62251ebed1ee89abe6f979b41"),
+    ("onoff_a", dict(eta=0.5, gamma=1, lam=1.5, mu=3, depth=1),
+     "0e594bc8afe5942bdfb066b48580e22a6a7839e9c33faabc81ea911818c35019"),
+    ("onoff_a", dict(eta=0.71472, gamma=2.40009, lam=2.37801, mu=2.40763),
+     "4af4ac254d06a5d4b12b124f3a102e5c1f0d23276fefbec79c541968fcb632bc"),
+    ("onoff_b", dict(lam=0.2, gamma=1, eta=2, depth=0),
+     "4e00f04c30a58c0b31ced1139324eccc79f7b1080e667684ebca8cea9fa2c961"),
+    ("onoff_b", dict(lam=0.2, gamma=1, eta=2, mu=3, depth=1),
+     "45e52310b076af725341a9fd1981792a68409ce93f09aa7892ecd03adb782e6b"),
+    ("onoff_b", dict(lam=0.2, gamma=1, eta=2),
+     "200cda8f164e836e85d86ad7cabd4aaeb7c1b5ce550072297cc163051e2450ef"),
+]
+
+
 class TestSignature:
+    @pytest.mark.parametrize("name, params, digest", PINNED_SIGNATURES)
+    def test_catalog_models_pinned(self, name, params, digest):
+        assert hashlib.sha256(catalog(name, **params).signature().encode()).hexdigest() == digest
+
+    def test_pins_cover_the_catalog(self):
+        assert {name for name, _, _ in PINNED_SIGNATURES} == set(CATALOG_NAMES)
+
     def test_signature_stable_and_distinct(self):
         a = base_stock(lam=1, mu=2, nu=1, b=2)
         b = base_stock(lam=1, mu=2, nu=1, b=2)

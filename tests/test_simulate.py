@@ -239,6 +239,14 @@ class TestParallelReplications:
             assert len(forks) == expected, cpus
             forks.clear()
 
+    def test_negative_seed_refused_before_forking(self, bs_model, monkeypatch):
+        # numpy's SeedSequence refused it in the first replication, after a fork
+        forks = count_forks(monkeypatch)
+        set_cpus(monkeypatch, 2, min_jumps=0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            simulate(bs_model, SimConfig(seed=-1, horizon=100.0, replications=4))
+        assert not forks
+
     def test_initial_state_checked_before_forking(self, bs_model, monkeypatch):
         forks = count_forks(monkeypatch)
         set_cpus(monkeypatch, 2, min_jumps=0)
