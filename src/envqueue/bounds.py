@@ -7,7 +7,8 @@ bound it: the "minus" system ages all k items (lower bound) and the "plus"
 system always protects one item (upper bound).  All three exact throughputs
 come from `numerics.metrics`: the bounds' from their product forms, the
 target's from its exact solve, which lists no levels.  Simulation gives an
-independent estimate of the target's.
+independent estimate of the target's; a departure-count value iteration on
+each system's jump chain gives isotonicity evidence.
 """
 
 from __future__ import annotations
@@ -17,21 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import perishable_minus, perishable_o, perishable_plus
-from .model import EnvqueueError, InvalidParam, JointModel
+from .model import EnvqueueError, InvalidParam, JointModel, _capped_classes, _level_moves, _representatives
 from .numerics import auto_truncate  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .numerics import exact_solve, metrics
 from .separability import NotSeparable, product_form
-from .simulate import SimConfig, departure_values, isotone_check, simulate
+from .simulate import SimConfig, ZeroExitRate, simulate
 
 ORDER_RTOL = 1e-9  # the ordering tolerates a TH excess of this times TH+
 JUMP_HORIZON = 50  # value-iteration steps of the isotonicity evidence
 VALUE_CAP = 100  # queue levels of its value tables
-
-
-class AgeingOrderViolated(EnvqueueError):
-    """The built systems' ageing rates are not ordered plus <= o <= minus;
-    this indicates a construction bug in the catalog, not a property of the
-    parameters."""
 
 
 class NotSeparableBoundSystem(EnvqueueError):
@@ -41,20 +36,12 @@ class NotSeparableBoundSystem(EnvqueueError):
 
 
 def build_triple(lam, mu, nu, gamma, b) -> tuple[JointModel, JointModel, JointModel]:
-    """The (minus, o, plus) systems with shared parameters; verifies on the
-    target's representative levels that the built ageing rates V_n[k, k-1]
-    are ordered plus <= o <= minus."""
+    """The (minus, o, plus) systems with shared parameters; the catalog builds
+    their ageing rates V_n[k, k-1] ordered plus <= o <= minus."""
     if not lam < mu:
         raise InvalidParam(f"need lam < mu for ergodic bounding systems, got {lam} >= {mu}")
-    lower = perishable_minus(lam, mu, nu, gamma, b)
-    target = perishable_o(lam, mu, nu, gamma, b)
-    upper = perishable_plus(lam, mu, nu, gamma, b)
-    for n in target.representative_levels():
-        plus, o, minus = (np.diagonal(system.V(n), -1) for system in (upper, target, lower))
-        bad = np.flatnonzero((plus > o) | (o > minus))
-        if bad.size:
-            raise AgeingOrderViolated(f"ageing rates out of order plus <= o <= minus at (n={n}, k={bad[0] + 1})")
-    return lower, target, upper
+    return (perishable_minus(lam, mu, nu, gamma, b), perishable_o(lam, mu, nu, gamma, b),
+            perishable_plus(lam, mu, nu, gamma, b))
 
 
 def _exact_throughputs(lower, target, upper):
@@ -84,6 +71,87 @@ def perishable_b1_closed_form(lam, mu, nu, gamma):
 
     th = lam * mu / (mu - lam) / C
     return pi, th
+
+
+@dataclass(frozen=True)
+class DepartureValueTable:
+    """Expected departure counts within a jump horizon, per starting state,
+    on the truncated rectangle {0..N_cap} x K."""
+
+    horizon: int
+    N_cap: int
+    values: np.ndarray  # shape (N_cap+1, |K|), the horizon-step table
+
+
+def departure_values(model: JointModel, N_cap: int, horizon: int) -> DepartureValueTable:
+    """Backward value iteration v_{j+1} = r + P v_j on the embedded jump
+    chain of the truncated model, where r is the one-jump departure
+    probability.  Only v_j and the product P v_j are kept, so memory does not
+    grow with the horizon."""
+    m = model.n_env
+    size = (N_cap + 1) * m
+    moves = _level_moves(model, _representatives(model), cap=N_cap)
+    cls = _capped_classes(model, N_cap)
+    # each row's total is summed in `generator_row` order
+    total = np.cumsum(moves.rate, axis=2)[:, :, -1]
+    absorbing = np.flatnonzero(total[cls] <= 0.0)
+    if absorbing.size:
+        n, k = divmod(int(absorbing[0]), m)
+        raise ZeroExitRate(f"truncated state ({n}, {k}) is absorbing")
+    # each class's row of P by ascending target: level below, own level, level above, then the
+    # padding; a class above N_cap is never used, and its zero totals are divided by 1 to keep it finite
+    order = np.argsort(np.where(moves.rate != 0.0, moves.step, 2), axis=2, kind="stable")
+    step, target, rate = (np.take_along_axis(a, order, axis=2) for a in (moves.step, moves.target, moves.rate))
+    prob = rate / np.where(total > 0.0, total, 1.0)[:, :, None]
+    reward = np.cumsum(np.where(step == -1, prob, 0.0), axis=2)[:, :, -1]  # departure probabilities in that order
+    # target state relative to the first state of the row's level; padding points at the row's own state
+    shift = step * m + target
+    width = prob.shape[2]
+    rows = (cls[:, None] * m + np.arange(m)).ravel()
+    cols = (np.repeat(np.arange(N_cap + 1) * m, m)[:, None] + shift.reshape(-1, width)[rows]).T.copy()
+    vals = prob.reshape(-1, width)[rows].T.copy()
+    reward = reward.ravel()[rows]
+    v = np.zeros(size)
+    acc, term = np.empty(size), np.empty(size)
+    for _ in range(horizon):
+        # v_j = r + P v_{j-1}, each row's entries added one padded column at a time in target order
+        np.multiply(vals[0], v.take(cols[0]), out=acc)
+        for w in range(1, width):
+            acc += np.multiply(vals[w], v.take(cols[w]), out=term)
+        np.add(reward, acc, out=v)
+    return DepartureValueTable(horizon=horizon, N_cap=N_cap, values=v.reshape(N_cap + 1, m))
+
+
+ISOTONE_ATOL = 1e-12  # a value gap up to this is round-off, not a violation
+
+# one record per violation: state (m, k) and its cover (m + 1 - relation, k + relation)
+VIOLATION = np.dtype([("state", np.intp, (2,)), ("relation", np.int8), ("margin", float), ("boundary", bool)])
+
+
+@dataclass(frozen=True)
+class IsotoneReport:
+    isotone: bool
+    violations: np.ndarray  # of `VIOLATION` records: margin = v(state) - v(cover) > ISOTONE_ATOL
+
+
+def isotone_check(table: DepartureValueTable) -> IsotoneReport:
+    """Check monotonicity in the product order on (queue length, env index)
+    via the two covering relations.  A violation whose cover lies within
+    `horizon` jumps of the queue cap is flagged as boundary-affected."""
+    v = table.values
+    # gap[m, k, r] = v(m, k) - v at cover r of (m+1, k), (m, k+1); -inf off the table
+    gap = np.full(v.shape + (2,), -np.inf)
+    np.subtract(v[:-1], v[1:], out=gap[:-1, :, 0])
+    np.subtract(v[:, :-1], v[:, 1:], out=gap[:, :-1, 1])
+    # C order lists the violations by state, then relation
+    index = np.flatnonzero(gap > ISOTONE_ATOL)
+    violations = np.empty(index.size, VIOLATION)
+    violations["margin"] = gap.ravel()[index]
+    violations["relation"] = index % 2
+    state = violations["state"]
+    state[:, 0], state[:, 1] = np.divmod(index // 2, v.shape[1])
+    violations["boundary"] = state[:, 0] + 1 - violations["relation"] > table.N_cap - table.horizon
+    return IsotoneReport(isotone=not index.size, violations=violations)
 
 
 @dataclass(frozen=True)

@@ -44,10 +44,12 @@ def _number(value) -> float:
 
 
 def _check_positive(**params) -> list:
-    """The parameters as floats, each checked to be positive."""
+    """The parameters as floats, each checked to be positive and finite."""
     for name, value in params.items():
         if not _number(value) > 0:
             raise InvalidParam(f"parameter {name} must be a positive number, got {value}")
+        if _number(value) == np.inf:
+            raise InvalidParam(f"parameter {name} must be finite, got {value}")
     return [float(value) for value in params.values()]
 
 
@@ -78,6 +80,8 @@ def _inventory(name, lam, mu, nu, b, gamma, protected) -> JointModel:
     lam, mu, nu = _check_positive(lam=lam, mu=mu, nu=nu)
     if not _number(gamma) >= 0:
         raise InvalidParam(f"ageing rate gamma must be a number >= 0, got {gamma}")
+    if _number(gamma) == np.inf:
+        raise InvalidParam(f"ageing rate gamma must be finite, got {gamma}")
     gamma = float(gamma)
     b = _check_integer(b, 1, "base stock level b")
     R = np.eye(b + 1, k=-1)  # a service completion consumes one item

@@ -2,8 +2,8 @@
 
 Every run writes its outputs plus a `manifest.txt` (model hash, options, tool
 version, seed) sufficient to reproduce the run.  Exit codes: 0 analytic
-success, 1 analytic negative result (e.g. not separable, not certified, not
-ergodic), 2 usage, model or solver errors.
+success, 1 only a valid analytic negative result (e.g. not separable, not
+certified, not ergodic), 2 usage, model or solver errors and any other failure.
 """
 
 from __future__ import annotations
@@ -301,9 +301,14 @@ def main(argv=None) -> int:
     except NotErgodic as exc:
         print(f"not ergodic: {exc}")
         return EXIT_NEGATIVE
-    except (EnvqueueError, OSError, KeyError, ValueError) as exc:
+    except (EnvqueueError, OSError, KeyError, ValueError, ArithmeticError) as exc:
         message = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception:  # a bug: its traceback, and the exit code of an error, not of a negative answer
+        import traceback
+
+        traceback.print_exc()
         return EXIT_ERROR
 
 

@@ -60,6 +60,16 @@ def _get(section: dict, key: str, kind, default=None):
     return value
 
 
+def _matrices(env_doc: dict, key: str, default=None) -> tuple:
+    """`env_doc[key]`, a list of matrices, none with a boolean entry: numpy
+    would read YAML's yes/no or JSON's true/false as 1 or 0."""
+    matrices = _get(env_doc, key, list, default)
+    for i, matrix in enumerate(matrices):
+        if isinstance(matrix, list) and any(bool in map(type, row) for row in matrix if isinstance(row, list)):
+            raise InvalidParam(f"model file: {key}[{i}] must contain numbers, got a boolean")
+    return tuple(matrices)
+
+
 def model_from_dict(doc: dict) -> JointModel:
     if "catalog" in doc:
         entry = _get(doc, "catalog", dict)
@@ -78,10 +88,10 @@ def model_from_dict(doc: dict) -> JointModel:
     env = EnvironmentSpec(
         labels=tuple(_get(env_doc, "labels", list)),
         blocked=tuple(_get(env_doc, "blocked", list, [])),
-        V_prefix=tuple(_get(env_doc, "V_prefix", list, [])),
-        R_prefix=tuple(_get(env_doc, "R_prefix", list, [])),
-        V_tail=tuple(_get(env_doc, "V_tail", list)),
-        R_tail=tuple(_get(env_doc, "R_tail", list)),
+        V_prefix=_matrices(env_doc, "V_prefix", []),
+        R_prefix=_matrices(env_doc, "R_prefix", []),
+        V_tail=_matrices(env_doc, "V_tail"),
+        R_tail=_matrices(env_doc, "R_tail"),
     )
     return JointModel(rates=rates, env=env, name=str(doc.get("name", "")))
 

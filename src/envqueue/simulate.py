@@ -5,9 +5,7 @@ Replications use independent Philox-backed streams derived from
 configurations reproduce bit-identical trajectories.  A long run splits its
 replications into contiguous blocks, one per CPU, and runs every block but the
 first in a forked child; as each replication has its own stream, the results
-are those of a sequential run.  Also contains the
-expected-departure-count value iteration on the embedded jump chain and the
-product-order isotonicity check used by the throughput-bounding analysis.
+are those of a sequential run.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .model import EnvqueueError, JointModel, _capped_classes, _level_moves, _representatives
+from .model import EnvqueueError, JointModel, _level_moves, _representatives
 from .model import generator_row  # noqa: F401  (perfbench/tracing.py counts calls through this name)
 
 
@@ -294,84 +292,3 @@ def simulate(model: JointModel, config: SimConfig) -> SimulationResult:
         total_jumps=sum(jumps for _, jumps, _ in runs),
         total_departures=sum(deps for _, _, deps in runs),
     )
-
-
-@dataclass(frozen=True)
-class DepartureValueTable:
-    """Expected departure counts within a jump horizon, per starting state,
-    on the truncated rectangle {0..N_cap} x K."""
-
-    horizon: int
-    N_cap: int
-    values: np.ndarray  # shape (N_cap+1, |K|), the horizon-step table
-
-
-def departure_values(model: JointModel, N_cap: int, horizon: int) -> DepartureValueTable:
-    """Backward value iteration v_{j+1} = r + P v_j on the embedded jump
-    chain of the truncated model, where r is the one-jump departure
-    probability.  Only v_j and the product P v_j are kept, so memory does not
-    grow with the horizon."""
-    m = model.n_env
-    size = (N_cap + 1) * m
-    moves = _level_moves(model, _representatives(model), cap=N_cap)
-    cls = _capped_classes(model, N_cap)
-    # each row's total is summed in `generator_row` order
-    total = np.cumsum(moves.rate, axis=2)[:, :, -1]
-    absorbing = np.flatnonzero(total[cls] <= 0.0)
-    if absorbing.size:
-        n, k = divmod(int(absorbing[0]), m)
-        raise ZeroExitRate(f"truncated state ({n}, {k}) is absorbing")
-    # each class's row of P by ascending target: level below, own level, level above, then the
-    # padding; a class above N_cap is never used, and its zero totals are divided by 1 to keep it finite
-    order = np.argsort(np.where(moves.rate != 0.0, moves.step, 2), axis=2, kind="stable")
-    step, target, rate = (np.take_along_axis(a, order, axis=2) for a in (moves.step, moves.target, moves.rate))
-    prob = rate / np.where(total > 0.0, total, 1.0)[:, :, None]
-    reward = np.cumsum(np.where(step == -1, prob, 0.0), axis=2)[:, :, -1]  # departure probabilities in that order
-    # target state relative to the first state of the row's level; padding points at the row's own state
-    shift = step * m + target
-    width = prob.shape[2]
-    rows = (cls[:, None] * m + np.arange(m)).ravel()
-    cols = (np.repeat(np.arange(N_cap + 1) * m, m)[:, None] + shift.reshape(-1, width)[rows]).T.copy()
-    vals = prob.reshape(-1, width)[rows].T.copy()
-    reward = reward.ravel()[rows]
-    v = np.zeros(size)
-    acc, term = np.empty(size), np.empty(size)
-    for _ in range(horizon):
-        # v_j = r + P v_{j-1}, each row's entries added one padded column at a time in target order
-        np.multiply(vals[0], v.take(cols[0]), out=acc)
-        for w in range(1, width):
-            acc += np.multiply(vals[w], v.take(cols[w]), out=term)
-        np.add(reward, acc, out=v)
-    return DepartureValueTable(horizon=horizon, N_cap=N_cap, values=v.reshape(N_cap + 1, m))
-
-
-ISOTONE_ATOL = 1e-12  # a value gap up to this is round-off, not a violation
-
-# one record per violation: state (m, k) and its cover (m + 1 - relation, k + relation)
-VIOLATION = np.dtype([("state", np.intp, (2,)), ("relation", np.int8), ("margin", float), ("boundary", bool)])
-
-
-@dataclass(frozen=True)
-class IsotoneReport:
-    isotone: bool
-    violations: np.ndarray  # of `VIOLATION` records: margin = v(state) - v(cover) > ISOTONE_ATOL
-
-
-def isotone_check(table: DepartureValueTable) -> IsotoneReport:
-    """Check monotonicity in the product order on (queue length, env index)
-    via the two covering relations.  A violation whose cover lies within
-    `horizon` jumps of the queue cap is flagged as boundary-affected."""
-    v = table.values
-    # gap[m, k, r] = v(m, k) - v at cover r of (m+1, k), (m, k+1); -inf off the table
-    gap = np.full(v.shape + (2,), -np.inf)
-    np.subtract(v[:-1], v[1:], out=gap[:-1, :, 0])
-    np.subtract(v[:, :-1], v[:, 1:], out=gap[:, :-1, 1])
-    # C order lists the violations by state, then relation
-    index = np.flatnonzero(gap > ISOTONE_ATOL)
-    violations = np.empty(index.size, VIOLATION)
-    violations["margin"] = gap.ravel()[index]
-    violations["relation"] = index % 2
-    state = violations["state"]
-    state[:, 0], state[:, 1] = np.divmod(index // 2, v.shape[1])
-    violations["boundary"] = state[:, 0] + 1 - violations["relation"] > table.N_cap - table.horizon
-    return IsotoneReport(isotone=not index.size, violations=violations)

@@ -1,12 +1,14 @@
 """Shared fixtures and model builders for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from envqueue import ergodicity
+from envqueue.bounds import departure_values
 from envqueue.catalog import base_stock, catalog, mm1_plain, perishable_o
 from envqueue.model import EnvironmentSpec, JointModel, RateFamily, _capped_classes, _level_classes
-from envqueue.simulate import departure_values
 
 
 @pytest.fixture
@@ -155,3 +157,13 @@ def check_certify_against_dense(model, kind):
 def value_history(model, N_cap, horizon):
     """The tables v_0 .. v_horizon of `departure_values`, one call per horizon."""
     return np.stack([departure_values(model, N_cap, j).values for j in range(horizon + 1)])
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced while `fn(*args)` runs; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 import envqueue
-from envqueue import bounds, numerics
+from envqueue import bounds, cli, numerics, simulate
 from envqueue.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, build_parser, main
 from envqueue.model import InvalidParam
 from envqueue.modelfile import load_model
@@ -141,6 +141,9 @@ MISTYPED_MODELS = {
     # YAML 1.1 booleans, which were read as 1 and 0
     "catalog_bool.yaml": "catalog: {name: perishable_o, params: {lam: yes, mu: 2, nu: 1, gamma: off, b: on}}\n",
     "rate_bool.yaml": "rates: {lambda_tail: [yes], mu_tail: [2]}\n" + ONE_STATE_ENV,
+    "matrix_bool.yaml": "rates: {lambda_tail: [1], mu_tail: [2]}\n"
+                        "environment: {labels: [0, 1], V_tail: [[[-1, 1], [1, -1]]],"
+                        " R_tail: [[[yes, no], [no, yes]]]}\n",
 }
 
 # a required key left out; each raised a bare KeyError
@@ -204,11 +207,31 @@ class TestErrorContract:
                    "--nu", "1", "--gamma", "1", "--b", "2")
         self.expect_error(capsys, code, "NotSeparableBoundSystem")
 
-    def test_ageing_order_violated(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(bounds, "perishable_plus", bounds.perishable_minus)
-        code = run(tmp_path, "bounds", "--catalog", "perishable_o", "--lambda", "1", "--mu", "2",
-                   "--nu", "1", "--gamma", "1", "--b", "2")
-        self.expect_error(capsys, code, "AgeingOrderViolated")
+    def test_arithmetic_error(self, tmp_path, capsys, monkeypatch):
+        def diverge(df, p):
+            raise ArithmeticError(f"t quantile at df = {df}, p = {p} did not converge")
+
+        monkeypatch.setattr(simulate, "_t_quantile", diverge)
+        code = run(tmp_path, "simulate", "--catalog", "mm1_plain", "--lambda", "1", "--mu", "2", "--horizon", "10")
+        self.expect_error(capsys, code, "ArithmeticError")
+
+    def test_unmapped_exception_keeps_its_traceback(self, tmp_path, capsys, monkeypatch):
+        def bug(model):
+            raise RuntimeError("a library bug")
+
+        monkeypatch.setattr(cli, "separability_report", bug)
+        assert run(tmp_path, "separability", "--catalog", "mm1_plain", "--lambda", "1", "--mu", "2") == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):") and ", in bug\n" in err, err
+        assert err.endswith("\nRuntimeError: a library bug\n"), err
+
+    def test_interrupt_not_caught(self, tmp_path, monkeypatch):
+        def interrupt(model):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "separability_report", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run(tmp_path, "separability", "--catalog", "mm1_plain", "--lambda", "1", "--mu", "2")
 
     def test_not_convergent(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(numerics, "LOG_REDUCTION_STEPS", 1)

@@ -129,7 +129,8 @@ def test_kept_imports_are_tracer_names():
 # the model's rates are read in one place: elsewhere in these files a rate accessor
 # may be called only inside the named top-level functions and classes
 RATE_ACCESSORS = {"V", "R", "arrival", "service"}
-RATE_READERS = {"model.py": {"_level_moves", "JointModel"}, "numerics.py": {"_level_rates"}, "simulate.py": set()}
+RATE_READERS = {"model.py": {"_level_moves", "JointModel"}, "numerics.py": {"_level_rates"}, "simulate.py": set(),
+                "bounds.py": set()}
 
 
 def rate_reads_outside(path: Path, readers) -> list:

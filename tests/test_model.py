@@ -268,6 +268,10 @@ class TestValidateModel:
         (dict(lam=1, mu=2, nu=1, gamma=False, b=2), "ageing rate gamma must be a number >= 0, got False"),
         (dict(lam=1, mu=2, nu=1, gamma=1, b=True), "base stock level b must be an integer >= 1, got True"),
         (dict(lam=1, mu=2, nu=1, gamma=1, b=np.True_), "base stock level b must be an integer >= 1, got True"),
+        # an infinite rate was refused as a non-finite matrix entry
+        (dict(lam=1, mu=2, nu=np.inf, gamma=1, b=2), "parameter nu must be finite, got inf"),
+        (dict(lam=1, mu=2, nu=1, gamma=np.inf, b=2), "ageing rate gamma must be finite, got inf"),
+        (dict(lam=1, mu=np.inf, nu=1, gamma=1, b=2), "parameter mu must be finite, got inf"),
     ])
     def test_boolean_parameter_rejected(self, params, message):
         with pytest.raises(InvalidParam, match=message):

@@ -183,6 +183,20 @@ def test_catalog_numbers_yaml_reads_as_strings(text, built):
     assert model_from_dict(yaml_reads("catalog: " + text)).signature() == built().signature()
 
 
+@pytest.mark.parametrize("key", ["V_prefix", "R_prefix", "V_tail", "R_tail"])
+def test_boolean_matrix_entry_names_the_matrix(key):
+    # numpy reads True as 1.0: an R_tail of [[yes, no], [no, yes]] was built as the identity
+    doc = base_stock_doc(2)
+    env = doc["environment"]
+    env["V_prefix"], env["R_prefix"] = env["V_tail"] * 2, env["R_tail"] * 2
+    doc = json.loads(json.dumps(doc))  # every matrix its own lists
+    matrices = doc["environment"][key]
+    matrices[-1][0][0] = bool(matrices[-1][0][0])
+    message = rf"^model file: {key}\[{len(matrices) - 1}\] must contain numbers, got a boolean$"
+    with pytest.raises(InvalidParam, match=message):
+        model_from_dict(doc)
+
+
 class TestNestingCap:
     @pytest.mark.parametrize("nest", [lambda d: "[" * d + "]" * d, lambda d: "- " * d + "x"], ids=["flow", "block"])
     def test_cap(self, nest):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from envqueue.ergodicity import SingularSystem, _drift, c_hat, solve_tau
 from envqueue.model import (EnvironmentSpec, JointModel, RateFamily, _blocks, _level_moves, _representatives,
@@ -305,3 +305,22 @@ def test_bound_ordering_in_conjecture_regime(mu, rho, ageing, nu, b):
     [(_, th_minus, th_o, th_plus)] = gamma_sweep(lam, mu, nu, b, [gamma])
     assert th_minus <= th_o + 1e-9
     assert th_o <= th_plus + 1e-9
+
+
+positive_st = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+
+
+@given(rates=st.tuples(positive_st, positive_st).filter(lambda pair: pair[0] != pair[1]).map(sorted),
+       nu=positive_st, gamma=st.floats(min_value=0.0, max_value=1e300), b=st.integers(1, 60))
+@example(rates=(1.0, 2.0), nu=1.0, gamma=0.0, b=1)
+@example(rates=(1.0, 2.0), nu=1.0, gamma=5e-324, b=60)
+@example(rates=(1.0, 2.0), nu=1.0, gamma=1e300, b=60)
+@settings(max_examples=100, deadline=None)
+def test_bounding_systems_age_in_order(rates, nu, gamma, b):
+    # the catalog builds the ageing rates V_n[k, k-1] ordered plus <= o <= minus on every level
+    from envqueue.bounds import build_triple
+
+    lower, target, upper = build_triple(*rates, nu, gamma, b)
+    for n in range(target.tail_start + target.period + 1):
+        minus, o, plus = (np.diagonal(system.V(n), -1) for system in (lower, target, upper))
+        assert np.all(plus <= o) and np.all(o <= minus), n

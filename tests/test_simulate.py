@@ -1,32 +1,21 @@
-"""Trajectory simulation, departure-value iteration, isotonicity."""
+"""Trajectory simulation and throughput estimation."""
 
 import math
 import os
-import tracemalloc
 from itertools import chain, islice
 
-import numpy as np
 import pytest
 from numpy.random import Generator, Philox, SeedSequence
 
 from envqueue import simulate as simulate_module
-from envqueue.catalog import base_stock, mm1_plain, onoff_b, perishable_o, perishable_plus
+from envqueue.bounds import departure_values
+from envqueue.catalog import base_stock, perishable_o
 from envqueue.cli import EXIT_ERROR, main
 from envqueue.ergodicity import certify
-from envqueue.model import _capped_classes, validate_model
-from envqueue.simulate import (
-    DepartureValueTable,
-    SimConfig,
-    WorkerLost,
-    ZeroExitRate,
-    _t_quantile,
-    _uniforms,
-    departure_values,
-    isotone_check,
-    simulate,
-)
+from envqueue.model import validate_model
+from envqueue.simulate import SimConfig, WorkerLost, ZeroExitRate, _t_quantile, _uniforms, simulate
 
-from conftest import dense_move_rates, period_two_model, reference_blocks, truncated_generator, value_history
+from conftest import period_two_model, traced_peak
 
 
 class TestSimulate:
@@ -255,160 +244,9 @@ class TestParallelReplications:
         assert not forks
 
 
-def csr_departure_values(model, N_cap, horizon):
-    """The value iteration with scipy's CSR product on the dense reference generator."""
-    sparse = pytest.importorskip("scipy.sparse")
-    Q = truncated_generator(model, N_cap)
-    m, size = model.n_env, len(Q)
-    total = np.cumsum(dense_move_rates(*reference_blocks(model, N_cap)), axis=2)[:, :, -1]
-    total = total[_capped_classes(model, N_cap)].ravel()
-    src, dst = np.nonzero(Q)
-    move = src != dst
-    src, dst = src[move], dst[move]
-    prob = Q[src, dst] / total[src]
-    P = sparse.csr_matrix((prob, (src, dst)), shape=Q.shape)
-    down = dst < src - src % m
-    reward = np.bincount(src[down], weights=prob[down], minlength=size)
-    history = np.zeros((horizon + 1, size))
-    for j in range(1, horizon + 1):
-        history[j] = reward + P @ history[j - 1]
-    return history.reshape(horizon + 1, N_cap + 1, m)
-
-
-class TestDepartureValues:
-    def test_one_jump_values(self, bs_model):
-        # v_1(n, k) = probability the first jump is a departure
-        table = departure_values(bs_model, N_cap=10, horizon=1)
-        v = table.values
-        # (1, 1): rates arrival 1, service 2, replenish 1 -> dep prob 1/2
-        assert v[1, 1] == pytest.approx(0.5, abs=1e-14)
-        # (1, 2): rates arrival 1, service 2 -> dep prob 2/3
-        assert v[1, 2] == pytest.approx(2 / 3, abs=1e-14)
-        # blocked or empty states cannot produce a departure in one jump
-        assert v[0, 1] == 0.0
-        assert v[3, 0] == 0.0
-
-    def test_v1_at_most_one(self, per_o_b2):
-        table = departure_values(per_o_b2, N_cap=12, horizon=1)
-        assert table.values.max() <= 1.0 + 1e-14
-
-    def test_monotone_in_horizon(self, bs_model):
-        h = value_history(bs_model, N_cap=15, horizon=8)
-        assert np.all(h[1:] >= h[:-1] - 1e-14)
-
-    def test_bounded_by_horizon(self, bs_model):
-        table = departure_values(bs_model, N_cap=15, horizon=8)
-        assert table.values.max() <= 8.0 + 1e-12
-
-    def test_zero_horizon_start(self, bs_model):
-        table = departure_values(bs_model, N_cap=8, horizon=0)
-        assert table.values.shape == (9, 3)
-        assert np.all(table.values == 0.0)
-
-    def test_long_run_rate_matches_throughput(self, bs_model):
-        # v_n / n converges to departures-per-jump; scaled by the stationary
-        # jump intensity of the truncated chain it recovers the throughput
-        from envqueue.numerics import metrics, solve_truncated
-
-        N = 40
-        sol = solve_truncated(bs_model, N)
-        th = metrics(sol, bs_model).throughput
-        Q = truncated_generator(bs_model, N)
-        jump_intensity = float(sol.pi.reshape(-1) @ (-np.diag(Q)))
-        n_jumps = 10_000
-        table = departure_values(bs_model, N_cap=N, horizon=n_jumps)
-        rate = table.values[0, 2] / n_jumps * jump_intensity
-        assert rate == pytest.approx(th, abs=2e-3)
-
-    @pytest.mark.parametrize(
-        "model, N_cap, horizon",
-        [
-            (base_stock(lam=1, mu=2, nu=1, b=2), 20, 30),
-            (perishable_o(lam=1, mu=2, nu=3, gamma=1, b=10), 30, 12),
-            (perishable_plus(lam=1, mu=2, nu=1, gamma=4, b=3), 60, 12),
-            (onoff_b(lam=0.5, gamma=1, eta=1), 25, 20),
-            (period_two_model(), 15, 25),
-        ],
-        ids=["base_stock", "perishable_o_b10", "perishable_plus", "onoff_b", "period_two"],
-    )
-    def test_matches_csr_product(self, model, N_cap, horizon):
-        # the padded-row product adds each row's entries in the CSR product's order: equal bit for bit
-        assert np.array_equal(value_history(model, N_cap, horizon), csr_departure_values(model, N_cap, horizon))
-
-
-def violation_tuples(report):
-    """The report's violations as ((m, k), cover (m', k'), margin, boundary_affected), in its order."""
-    viol = report.violations
-    return [((m_, k), (m_ + 1 - r, k + r), g, b) for (m_, k), r, g, b in
-            zip(viol["state"].tolist(), viol["relation"].tolist(), viol["margin"].tolist(), viol["boundary"].tolist())]
-
-
-class TestIsotone:
-    def test_base_stock_isotone(self, bs_model):
-        table = departure_values(bs_model, N_cap=40, horizon=15)
-        report = isotone_check(table)
-        interior = [v for v in violation_tuples(report) if not v[3]]
-        assert not interior, interior
-
-    def test_boundary_flagged(self, bs_model):
-        # tight cap: any violation must be attributed to the reflecting cap
-        table = departure_values(bs_model, N_cap=6, horizon=20)
-        report = isotone_check(table)
-        assert all(v[3] for v in violation_tuples(report))
-
-    def test_violation_reported_not_suppressed(self):
-        # the protected-item upper system genuinely breaks product-order
-        # isotonicity in the environment coordinate near n = 0: decay events
-        # consume jump budget
-        model = perishable_plus(lam=1.0, mu=2.0, nu=1.0, gamma=4.0, b=3)
-        table = departure_values(model, N_cap=60, horizon=12)
-        report = isotone_check(table)
-        violations = violation_tuples(report)
-        assert not report.isotone
-        assert any(not v[3] for v in violations)
-        assert len(report.violations) == len(violations) == 122
-        assert violations[0] == ((0, 1), (0, 2), 0.17151598169818194, False)
-        assert violations[-1] == ((60, 2), (60, 3), 0.15876026599990434, True)
-
-    @pytest.mark.parametrize(
-        "table",
-        [
-            departure_values(perishable_plus(lam=1.0, mu=2.0, nu=1.0, gamma=4.0, b=3), N_cap=60, horizon=12),
-            departure_values(perishable_o(lam=1.0, mu=2.0, nu=3.0, gamma=1.0, b=10), N_cap=30, horizon=8),
-            # violations of both covering relations, interleaved
-            DepartureValueTable(horizon=3, N_cap=9, values=np.random.default_rng(1).random((10, 4))),
-        ],
-        ids=["perishable_plus", "perishable_o_b10", "random_values"],
-    )
-    def test_matches_loop_reference(self, table):
-        v = table.values
-        safe = table.N_cap - table.horizon
-        expected = []
-        for m_ in range(table.N_cap + 1):
-            for k in range(v.shape[1]):
-                for dm, dk in ((1, 0), (0, 1)):
-                    m2, k2 = m_ + dm, k + dk
-                    if m2 <= table.N_cap and k2 < v.shape[1] and v[m_, k] - v[m2, k2] > 1e-12:
-                        expected.append(((m_, k), (m2, k2), float(v[m_, k] - v[m2, k2]), m_ > safe or m2 > safe))
-        report = isotone_check(table)
-        assert report.isotone == (not expected)
-        assert violation_tuples(report) == expected
-
-
-def traced_peak(fn, *args):
-    """Peak bytes traced while `fn(*args)` runs; numpy reports its buffers to tracemalloc."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 # traced peaks in MiB at base stock b = 400 while these layers built dense |K| x 3|K| rate rows; on the
 # model below `_TransitionTable` reached 25.8, and the bound keeps a lower reading
 DENSE_ROW_PEAKS_MIB = {"certify": 88.6, "departure_values": 73.7, "validate_model": 29.4, "_TransitionTable": 17.2}
-
 
 class TestMemory:
     @pytest.mark.parametrize("layer", sorted(DENSE_ROW_PEAKS_MIB))
@@ -419,15 +257,3 @@ class TestMemory:
                  "validate_model": (validate_model, model, model.tail_start + model.period + 4),
                  "_TransitionTable": (simulate_module._TransitionTable, model)}
         assert traced_peak(*calls[layer]) < DENSE_ROW_PEAKS_MIB[layer] * 2**20 / 3
-
-    def test_departure_values_do_not_grow_with_horizon(self):
-        # keeping every v_j would hold 501 x 82 kB at horizon 500: a peak of 45.9 MB against 9.2 MB at 50
-        model = perishable_o(lam=1.0, mu=2.0, nu=10.0, gamma=2.0, b=100)
-        short, long = (traced_peak(departure_values, model, 100, horizon) for horizon in (50, 500))
-        assert long <= 1.2 * short
-
-    def test_isotone_check_does_not_grow_per_violation(self):
-        # a Python tuple per violation would take ~36 times the table's bytes here
-        table = DepartureValueTable(horizon=3, N_cap=100, values=np.random.default_rng(1).random((101, 101)))
-        assert isotone_check(table).violations.size >= 5000
-        assert traced_peak(isotone_check, table) <= 12 * table.values.nbytes
