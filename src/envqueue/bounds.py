@@ -100,12 +100,10 @@ def departure_values(model: JointModel, N_cap: int, horizon: int) -> DepartureVa
         raise ZeroExitRate(f"truncated state ({n}, {k}) is absorbing")
     # each class's row of P by ascending target: level below, own level, level above, then the
     # padding; a class above N_cap is never used, and its zero totals are divided by 1 to keep it finite
-    order = np.argsort(np.where(moves.rate != 0.0, moves.step, 2), axis=2, kind="stable")
-    step, target, rate = (np.take_along_axis(a, order, axis=2) for a in (moves.step, moves.target, moves.rate))
+    order = np.argsort(np.where(moves.rate != 0.0, moves.shift, 2 * m), axis=2, kind="stable")
+    shift, rate = (np.take_along_axis(a, order, axis=2) for a in (moves.shift, moves.rate))
     prob = rate / np.where(total > 0.0, total, 1.0)[:, :, None]
-    reward = np.cumsum(np.where(step == -1, prob, 0.0), axis=2)[:, :, -1]  # departure probabilities in that order
-    # target state relative to the first state of the row's level; padding points at the row's own state
-    shift = step * m + target
+    reward = np.cumsum(np.where(shift < 0, prob, 0.0), axis=2)[:, :, -1]  # departure probabilities in that order
     width = prob.shape[2]
     rows = (cls[:, None] * m + np.arange(m)).ravel()
     cols = (np.repeat(np.arange(N_cap + 1) * m, m)[:, None] + shift.reshape(-1, width)[rows]).T.copy()

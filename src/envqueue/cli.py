@@ -51,6 +51,10 @@ def _resolve_model(args):
     if bool(args.model) == bool(args.catalog):
         raise InvalidParam("supply exactly one of --model FILE or --catalog NAME")
     if args.model:
+        # a model file fixes every rate: catalog options would be recorded in the manifest, not read
+        given = ["--lambda" if p == "lam" else "--" + p for p in _CATALOG_PARAMS if getattr(args, p) is not None]
+        if given:
+            raise InvalidParam(f"--model takes no catalog options, got {', '.join(given)}")
         return load_model(args.model)
     params = {p: getattr(args, p) for p in _CATALOG_PARAMS if getattr(args, p, None) is not None}
     return catalog(args.catalog, **params)
@@ -139,6 +143,10 @@ def _cmd_certify(args, outdir):
 
 
 def _cmd_solve(args, outdir):
+    if args.N is None:
+        args.tol = 1e-9 if args.tol is None else args.tol
+    elif args.tol is not None:
+        raise InvalidParam("solve --N takes no --tol: the finite-buffer solve lists all N + 1 levels")
     model = _resolve_model(args)
     _write_manifest(args, [model], outdir)
     if args.N is None:
@@ -270,8 +278,9 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
                        help="solve the finite-buffer variant, where an arrival that finds N customers is lost "
                             "(lambda(N) = 0); its metrics describe that model (default: exact solve of the "
                             "infinite chain)")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="exact solve: list levels up to the first with stationary mass above it below tol")
+        p.add_argument("--tol", type=float, default=None,
+                       help="exact solve: list levels up to the first with stationary mass above it below tol "
+                            "(default: 1e-9; not taken with --N)")
 
     if p := command("simulate", "Monte Carlo throughput estimate", _cmd_simulate):
         p.add_argument("--seed", type=int, default=0)

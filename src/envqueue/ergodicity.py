@@ -225,10 +225,10 @@ def _drift(model: JointModel, values: np.ndarray):
     checked = np.arange(len(values) - 1)
     moves = _level_moves(model, _representatives(model))
     cls = _level_classes(model, checked)
-    step, target, rate = moves.step[cls], moves.target[cls], moves.rate[cls]
+    rate = moves.rate[cls]
     here = values[:-1, :, None]
     # level 0 has no down moves, so every target is on the table; padding points at the state itself
-    there = values[checked[:, None, None] + step, target]
+    there = values.ravel()[checked[:, None, None] * model.n_env + moves.shift[cls]]
     drift = np.cumsum(rate * (there - here), axis=2)[:, :, -1]
     # each difference of two values of L is off by round-off of their size, not of the difference's
     slack = DRIFT_RTOL * (rate * (np.abs(there) + np.abs(here))).sum(axis=2)

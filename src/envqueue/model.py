@@ -351,13 +351,12 @@ class LevelMoves:
     ("ELLPACK") rows (Saad, Iterative Methods for Sparse Linear Systems,
     2003).  Row [i, k] lists the nonzero moves out of state k of the i-th
     level in `generator_row` order -- the arrival, then service completions
-    and environment moves by ascending target -- as queue change `step`,
-    environment `target` and `rate`, then padding up to the common width:
-    zero rates that stay at (n, k).  These are the nonzero entries of the
-    rows of [U | D | off-diagonal B]."""
+    and environment moves by ascending target -- as `shift`, the target's
+    flat index n'|K| + k' less the first index n|K| of the level, and `rate`,
+    then padding up to the common width: zero rates that stay at (n, k).
+    These are the nonzero entries of the rows of [U | D | off-diagonal B]."""
 
-    step: np.ndarray  # shape (levels, |K|, width): +1 arrival, -1 service completion, 0 environment move
-    target: np.ndarray
+    shift: np.ndarray  # shape (levels, |K|, width): |K| + k' arrival, k' - |K| service completion, k' environment move
     rate: np.ndarray
 
 
@@ -368,21 +367,19 @@ def _level_moves(model: JointModel, levels, cap: int | None = None) -> LevelMove
     ns = [*levels, *([] if cap is None else [cap])]
     m = model.n_env
     w = model.working_indices()
-    parts = []  # (row, step, target, rate) per level: arrivals, service completions, environment moves
+    parts = []  # (row, shift, rate) per level: arrivals, service completions, environment moves
     for i, n in enumerate(ns):
         if i < len(levels):
-            parts.append((i * m + w, 1, w, np.full(w.size, model.arrival(n))))
+            parts.append((i * m + w, m + w, np.full(w.size, model.arrival(n))))
         if n > 0:
             D = model.service(n) * model.R(n)[w]  # the working rows; a product may underflow to zero
             k, j = np.divmod(np.flatnonzero(D), m)
-            parts.append((i * m + w[k], -1, j, D[k, j]))
+            parts.append((i * m + w[k], j - m, D[k, j]))
         V = model.V(n)
         k, j = np.divmod(np.flatnonzero(V), m)
         off = k != j
-        parts.append((i * m + k[off], 0, j[off], V[k[off], j[off]]))
-    row, step, target, rate = zip(*parts)
-    step = np.repeat(step, [len(r) for r in row])
-    row, target, rate = map(np.concatenate, (row, target, rate))
+        parts.append((i * m + k[off], j[off], V[k[off], j[off]]))
+    row, shift, rate = map(np.concatenate, zip(*parts))
     # np.flatnonzero lists each part row-major, so a stable sort by row puts each
     # row's moves in `generator_row` order
     order = np.argsort(row, kind="stable")
@@ -391,9 +388,8 @@ def _level_moves(model: JointModel, levels, cap: int | None = None) -> LevelMove
     counts = np.bincount(row, minlength=size)
     width = max(int(counts.max()), 1)
     rank = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    out = (np.zeros((size, width), np.intp), np.repeat(np.arange(size)[:, None] % m, width, axis=1),
-           np.zeros((size, width)))
-    for padded, values in zip(out, (step, target, rate)):
+    out = (np.repeat(np.arange(size)[:, None] % m, width, axis=1), np.zeros((size, width)))
+    for padded, values in zip(out, (shift, rate)):
         padded[row, rank] = values[order]
     return LevelMoves(*(a.reshape(len(ns), m, width) for a in out))
 
@@ -407,9 +403,10 @@ def _blocks(model: JointModel, cap: int | None = None):
     diagonal, which then takes the conservative value."""
     moves = _level_moves(model, _representatives(model), cap)
     levels, m, _ = moves.rate.shape
+    step, target = np.divmod(moves.shift, m)
     blocks = np.zeros((3, levels, m, m))
     # step % 3 is 0 for an environment move, 1 for an arrival, 2 for a service completion
-    blocks[moves.step % 3, np.arange(levels)[:, None, None], np.arange(m)[:, None], moves.target] = moves.rate
+    blocks[step % 3, np.arange(levels)[:, None, None], np.arange(m)[:, None], target] = moves.rate
     B, U, D = blocks
     diag = np.arange(m)
     B[:, diag, diag] -= U.sum(axis=2) + D.sum(axis=2) + B.sum(axis=2)
@@ -433,12 +430,13 @@ def generator_row(model: JointModel, state) -> GeneratorRow:
     arrival, then service completions and environment moves by ascending
     target; k is a label index."""
     n, k = state
-    if n < 0 or not (0 <= k < model.n_env):
+    m = model.n_env
+    if n < 0 or not (0 <= k < m):
         raise IndexError(f"state {state} outside the state space")
     moves = _level_moves(model, [n])
     count = np.count_nonzero(moves.rate[0, k])
-    step, target, rate = (a[0, k, :count].tolist() for a in (moves.step, moves.target, moves.rate))
-    out = tuple(((n + dn, j), r) for dn, j, r in zip(step, target, rate))
+    shift, rate = (a[0, k, :count].tolist() for a in (moves.shift, moves.rate))
+    out = tuple(((n + s // m, s % m), r) for s, r in zip(shift, rate))
     return GeneratorRow(state=(n, k), transitions=out, diagonal=-sum(r for _, r in out))
 
 
@@ -513,18 +511,13 @@ def validate_model(model: JointModel, n_check: int) -> ValidationReport:
         raise InvalidParam("n_check must cover prefix plus one tail period")
     report = ValidationReport(n_check=n_check)
     m = model.n_env
-    # strong connectivity of the truncated graph: an edge per move
+    # strong connectivity of the truncated graph: an edge per move; every target is in the graph, as
+    # the capped level has no arrivals and level 0 no service completions
     moves = _level_moves(model, _representatives(model), cap=n_check)
     cls = _capped_classes(model, n_check)
-    src, dst = [], []
-    for c in range(len(moves.rate)):
-        levels = np.flatnonzero(cls == c)[:, None]
-        k, slot = np.nonzero(moves.rate[c])
-        to = levels + moves.step[c, k, slot]
-        inside = (to >= 0) & (to <= n_check)
-        src.append((levels * m + k)[inside])
-        dst.append((to * m + moves.target[c, k, slot])[inside])
-    comp = _strong_components(np.concatenate(src), np.concatenate(dst), (n_check + 1) * m)
+    level, k, slot = np.nonzero(moves.rate[cls])
+    first = level * m
+    comp = _strong_components(first + k, first + moves.shift[cls[level], k, slot], (n_check + 1) * m)
     # the cap level is excluded from the requirement: states there may be
     # enterable only from level n_check + 1, which the truncation cuts off
     interior = comp[: n_check * m]

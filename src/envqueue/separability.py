@@ -116,10 +116,11 @@ def solve_theta(model: JointModel, B: np.ndarray | None = None):
     over the representative levels, and unique on each closed class of that
     sum, so the candidates come from the sum's closed classes instead.
     """
-    Q = reduced_generator(model, 0)
+    Qs = [reduced_generator(model, n) for n in model.representative_levels()]
+    Q = Qs[0]
     classes = _closed_classes(Q)
     if len(classes) > 1:
-        Q = sum(reduced_generator(model, n) for n in model.representative_levels())
+        Q = sum(Qs)
         classes = _closed_classes(Q)
     candidates = []
     for members in classes:
@@ -130,14 +131,10 @@ def solve_theta(model: JointModel, B: np.ndarray | None = None):
         raise SingularSolve("reduced generator at level 0 has no closed class")
     best = None
     for theta in candidates:
-        worst = 0.0
-        worst_n = 0
-        for n in model.representative_levels():
-            res = float(np.abs(theta @ reduced_generator(model, n)).max())
-            if res > worst:
-                worst, worst_n = res, n
-        if best is None or worst < best[0]:
-            best = (worst, worst_n, theta)
+        res = [float(np.abs(theta @ Qn).max()) for Qn in Qs]
+        worst_n = int(np.argmax(res))  # the first level of the largest residual
+        if best is None or res[worst_n] < best[0]:
+            best = (res[worst_n], worst_n, theta)
     worst, worst_n, theta = best
     if B is None:
         B = _blocks(model)[0]

@@ -92,10 +92,9 @@ class _TransitionTable:
         counts = np.count_nonzero(rate, axis=1)  # the moves come first, then the padding
         probs[np.arange(len(probs)), counts - 1] = 1.0
         self.rows = []  # class index * m + k -> (total, cum_probs, ((d_n, new_k), ...))
-        for total, count, row_probs, steps, targets in zip(cum[:, -1].tolist(), counts.tolist(), probs.tolist(),
-                                                           moves.step.reshape(rate.shape).tolist(),
-                                                           moves.target.reshape(rate.shape).tolist()):
-            self.rows.append((total, row_probs[:count], tuple(zip(steps[:count], targets[:count]))))
+        for total, count, row_probs, shifts in zip(cum[:, -1].tolist(), counts.tolist(), probs.tolist(),
+                                                   moves.shift.reshape(rate.shape).tolist()):
+            self.rows.append((total, row_probs[:count], tuple(divmod(s, m) for s in shifts[:count])))
 
 
 _CHUNK = 8192  # chunk c of a replication's stream: 8192 holding-time uniforms, then 8192 pick uniforms

@@ -112,6 +112,19 @@ class TestSolveCommand:
         rec = json.loads((tmp_path / "metrics.json").read_text())
         assert rec["throughput"] == pytest.approx(0.9962678467, abs=1e-9)
 
+    def test_finite_buffer_takes_no_tol(self, tmp_path, capsys):
+        # the finite-buffer solve lists all N + 1 levels: a tolerance was recorded in the manifest, not read
+        assert run(tmp_path, "solve", *BS, "--N", "50", "--tol", "0.5") == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: InvalidParam: solve --N takes no --tol: the finite-buffer solve lists all N + 1 levels\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_manifest_records_the_tol_it_reads(self, tmp_path):
+        assert run(tmp_path / "finite", "solve", *BS, "--N", "50") == EXIT_OK
+        assert "tol" not in read_manifest(tmp_path / "finite")
+        assert run(tmp_path / "exact", "solve", *BS) == EXIT_OK
+        assert read_manifest(tmp_path / "exact")["tol"] == "1e-09"
+
 
 def write_model(path, labels, blocked, V, R, lam=1.0, mu=2.0):
     doc = {"rates": {"lambda_tail": [lam], "mu_tail": [mu]},
@@ -507,6 +520,17 @@ environment:
         path = tmp_path / "model.yaml"
         path.write_text("catalog:\n  name: base_stock\n  params: {lam: 1, mu: 2, nu: 1, b: 2}\n")
         assert main(["validate", "--model", str(path), "--out", str(tmp_path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["validate", "separability", "certify", "solve", "simulate"])
+    @pytest.mark.parametrize("option", [("--lambda", "5"), ("--b", "3")])
+    def test_takes_no_catalog_options(self, tmp_path, capsys, command, option):
+        # the file fixes every rate: the option was recorded in the manifest and never read
+        path = tmp_path / "model.yaml"
+        path.write_text("catalog:\n  name: base_stock\n  params: {lam: 1, mu: 2, nu: 1, b: 2}\n")
+        out = tmp_path / "out"
+        assert main([command, "--model", str(path), *option, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: InvalidParam: --model takes no catalog options, got {option[0]}\n"
+        assert list(out.iterdir()) == []
 
     def test_without_libyaml(self, tmp_path, monkeypatch):
         # PyYAML built without libyaml has no CSafeLoader: its pure-Python parser takes over

@@ -8,20 +8,23 @@ from hypothesis import example, given, settings, strategies as st
 
 from envqueue.ergodicity import SingularSystem, _drift, c_hat, solve_tau
 from envqueue.model import (EnvironmentSpec, JointModel, RateFamily, _blocks, _level_moves, _representatives,
-                            generator_row)
+                            generator_row, validate_model)
 from envqueue.separability import gth_stationary, queue_marginal, reduced_generator
 from envqueue.simulate import SimConfig, simulate
 
-from conftest import check_certify_against_dense, dense_drift, dense_move_rates, reference_blocks, value_history
+from conftest import (check_certify_against_dense, dense_drift, dense_move_rates, reference_blocks,
+                      truncated_generator, value_history)
 
 rates_st = st.floats(min_value=0.05, max_value=5.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def joint_models(draw, max_env=4, max_prefix=2, max_period=2, split=False):
+def joint_models(draw, max_env=4, max_prefix=2, max_period=2, split=False, sparse=False):
     """Random valid model: random conservative V, random row-stochastic R,
     random positive rates, prefix + periodic tail.  With `split` the
-    environment draws its own prefix length and period."""
+    environment draws its own prefix length and period.  With `sparse` about
+    60% of V's off-diagonal entries are zero, each row of R has a single 1 and
+    every environment state may be blocked, so the chain is often reducible."""
     m = draw(st.integers(2, max_env))
     n_prefix = draw(st.integers(0, max_prefix))
     p = draw(st.integers(1, max_period))
@@ -32,15 +35,19 @@ def joint_models(draw, max_env=4, max_prefix=2, max_period=2, split=False):
 
     def rand_V():
         V = rng.uniform(0.1, 3.0, size=(m, m))
+        if sparse:
+            V *= rng.random((m, m)) >= 0.6
         np.fill_diagonal(V, 0.0)
         np.fill_diagonal(V, -V.sum(axis=1))
         return V
 
     def rand_R():
+        if sparse:
+            return np.eye(m)[rng.integers(0, m, size=m)]
         R = rng.uniform(0.05, 1.0, size=(m, m))
         return R / R.sum(axis=1, keepdims=True)
 
-    n_blocked = draw(st.integers(0, m - 1))
+    n_blocked = draw(st.integers(0, m if sparse else m - 1))
     blocked = tuple(range(n_blocked))
     rates = RateFamily(
         lambda_prefix=tuple(draw(rates_st) for _ in range(n_prefix)),
@@ -107,18 +114,40 @@ def test_level_moves_are_the_nonzeros_of_dense_rows(model, above):
     moves = _level_moves(model, _representatives(model), cap=N)
     dense = dense_move_rates(*reference_blocks(model, N))
     m = model.n_env
-    assert moves.rate.shape == moves.step.shape == moves.target.shape == dense.shape[:2] + (moves.rate.shape[2],)
+    assert moves.rate.shape == moves.shift.shape == dense.shape[:2] + (moves.rate.shape[2],)
     counts = np.count_nonzero(dense, axis=2)
     assert moves.rate.shape[2] == max(counts.max(), 1)
     for level, k in np.ndindex(*dense.shape[:2]):
         j = np.flatnonzero(dense[level, k])
         count = counts[level, k]
-        assert moves.step[level, k, :count].tolist() == [(1, -1, 0)[i] for i in j // m]
-        assert moves.target[level, k, :count].tolist() == (j % m).tolist()
+        # the target's flat index less the first index of the level
+        assert moves.shift[level, k, :count].tolist() == [(1, -1, 0)[i // m] * m + i % m for i in j.tolist()]
         assert moves.rate[level, k, :count].tolist() == dense[level, k, j].tolist()
         # padding: zero rates that stay at the state
-        assert not moves.rate[level, k, count:].any() and not moves.step[level, k, count:].any()
-        assert (moves.target[level, k, count:] == k).all()
+        assert not moves.rate[level, k, count:].any() and (moves.shift[level, k, count:] == k).all()
+
+
+@given(joint_models(split=True, sparse=True), st.integers(0, 5))
+@settings(max_examples=100, deadline=None)
+def test_validation_matches_dense_components(model, above):
+    # the verdict and example component from scipy's strong components of the dense truncated generator
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    n_check = model.tail_start + model.period + above
+    m = model.n_env
+    Q = truncated_generator(model, n_check)
+    np.fill_diagonal(Q, 0.0)
+    _, comp = csgraph.connected_components(Q != 0.0, connection="strong")
+    # the states below the cap by component, each list by ascending state
+    members = {}
+    for i, c in enumerate(comp[: n_check * m].tolist()):
+        members.setdefault(c, []).append((i // m, model.env.labels[i % m]))
+    expected = []
+    if len(members) > 1:
+        # the smallest component; among equals, the one holding the lowest state
+        example = min(members.values(), key=lambda states: (len(states), states[0]))
+        expected.append(("NotIrreducible", f"{len(members)} strong components below the cap",
+                         f"example component: {example[:10]}"))
+    assert validate_model(model, n_check).warnings == expected
 
 
 @given(joint_models(split=True), st.integers(0, 4))
