@@ -21,13 +21,18 @@ explicit `--N` path and the independent oracle for the exact solve.
 from __future__ import annotations
 
 import math
+import shutil
+import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import chain, repeat
+from pathlib import Path
 
 import numpy as np
 
+from .forkjoin import cpus, run_blocks, split
 from .model import (LEVEL_WINDOW, EnvqueueError, JointModel, _balance_residual, _blocks, _capped_classes,
-                    _level_classes, _representatives)
+                    _level_classes, _representatives, validate_model)
 from .separability import SingularSolve, gth_stationary
 
 # the tail is called null recurrent when its mean drift is below this
@@ -103,14 +108,18 @@ def _solve_elimination(B, U, D) -> list:
     levels from the top downward, solve the censored chain at level 0 by GTH,
     then propagate upward.  Level n has local block B[n], up block U[n]
     (n < L) and down block D[n] (n > 0); the top level may be larger than
-    the others.  Returns the unnormalized level vectors."""
+    the others.  Returns the unnormalized level vectors; a singular C_n
+    raises LinAlgError naming level n."""
     L = len(B) - 1
     # C_n is the generator of the chain censored to levels <= n, restricted to
     # level n; (-C_n)^{-1} D_n is where it enters level n - 1
     C = [None] * (L + 1)
     C[L] = B[L]
     for n in range(L, 0, -1):
-        Cn = B[n - 1] + U[n - 1] @ np.linalg.solve(-C[n], D[n])
+        try:
+            Cn = B[n - 1] + U[n - 1] @ np.linalg.solve(-C[n], D[n])
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(f"{exc} eliminating level {n}") from exc
         # the censored chain leaves level n - 1 only downward, so C_{n-1} 1 =
         # -D_{n-1} 1; setting the diagonal from that (as GTH does) keeps the
         # sweep conservative where round-off would otherwise grow with an
@@ -136,7 +145,9 @@ def _solve_elimination(B, U, D) -> list:
 
 
 def solve_truncated(model: JointModel, N: int) -> TruncatedSolution:
-    """Stationary vector of the truncated chain (queue capped at N)."""
+    """Stationary vector of the truncated chain (queue capped at N).  Where the
+    elimination breaks, NotIrreducibleTruncation names the level and, as
+    `validate_model` finds them, the strong components below the cap."""
     if N < model.tail_start + model.period + 2:
         raise ValueError("truncation must cover the prefix plus one tail period")
     B, U, D = _blocks(model, cap=N)
@@ -145,7 +156,8 @@ def solve_truncated(model: JointModel, N: int) -> TruncatedSolution:
         per_level = ([blocks[c] for c in cls] for blocks in (B, U, D))
         pi_flat = np.concatenate(_solve_elimination(*per_level))
     except np.linalg.LinAlgError as exc:
-        raise NotIrreducibleTruncation(str(exc)) from exc
+        found = "".join(f"; {summary}: {detail}" for _, summary, detail in validate_model(model, N).warnings)
+        raise NotIrreducibleTruncation(f"{exc} of the chain capped at N = {N}{found}") from exc
     if not np.all(np.isfinite(pi_flat)):
         raise NotIrreducibleTruncation("solver produced non-finite entries")
     pi_flat = np.maximum(pi_flat, 0.0)
@@ -228,7 +240,10 @@ def _later(mass: np.ndarray) -> np.ndarray:
 
 def _list_levels(tail: GeometricTail, tol: float, min_level: int):
     """Exact stationary levels 0..N+1 and the mass above N, where N >= min_level
-    is the first level with mass above it below tol."""
+    is the first level with mass above it below tol.  The tail is listed
+    TAIL_CHUNK block levels at a time, each product x_{j+1} = x_j R written into
+    its preallocated row: the values of the `x = x @ R` loop, without an array
+    per level."""
     m = tail.head.shape[1]
     M, p = tail.R.shape[0], tail.period
     to_end = np.linalg.solve(np.eye(M) - tail.R, np.ones(M))  # x_j to_end: mass on block levels >= j
@@ -248,9 +263,10 @@ def _list_levels(tail: GeometricTail, tol: float, min_level: int):
             return np.concatenate(levels)[: N + 2], mass_above, N
         # pi_{n+1} = pi_n R, one block level at a time
         xs = np.empty((TAIL_CHUNK, M))
-        for j in range(TAIL_CHUNK):
-            xs[j] = x
-            x = x @ tail.R
+        xs[0] = x
+        for j in range(TAIL_CHUNK - 1):
+            np.dot(xs[j], tail.R, out=xs[j + 1])
+        x = np.dot(xs[-1], tail.R)
         levels.append(xs.reshape(-1, m))
         above = (_later(xs.reshape(-1, p, m).sum(axis=2)) + (xs @ after)[:, None]).ravel()
 
@@ -369,19 +385,41 @@ def check_cut_structure(solution: TruncatedSolution, model: JointModel) -> CutRe
     return CutReport(passed=worst <= CUT_TOL, worst_relative=worst, worst_level=worst_n, levels_checked=interior)
 
 
+# ~50 ms of `%.17g` at ~1 us a value, ~20x the 2-3 ms of a fork, exit, wait and copy
+_FORK_MIN_VALUES = 50_000
+
+
 def export_csv(solution: TruncatedSolution, model: JointModel, path) -> None:
     """Write the stationary vector as CSV with columns (n, k, pi), a window of
     levels at a time through one `%` template of a level's rows.  A label that
     holds `,`, `"`, CR or LF is quoted with its quotes doubled, as `csv.writer`
-    quotes it."""
+    quotes it.
+
+    Above `_FORK_MIN_VALUES` values the levels are cut into one contiguous
+    block per CPU (`forkjoin.run_blocks`).  This process writes the first
+    block to `path`; each forked child writes its block to an unnamed
+    temporary file beside `path`, which this process then copies in, in
+    order and in bounded chunks.  So it holds one window at a time, the bytes
+    are those of one process, and a child only formats: it makes no BLAS call."""
     m = model.n_env
     labels = [str(label) for label in model.env.labels]
     labels = ['"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s for s in labels]
     level = "".join(f"%d,{label.replace('%', '%%')},%.17g\n" for label in labels)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,k,pi\n")
-        for start in range(0, len(solution.pi), LEVEL_WINDOW):
-            values = solution.pi[start : start + LEVEL_WINDOW].ravel().tolist()
+    pi = solution.pi
+
+    def write(levels: range, fh) -> None:
+        for start in range(levels.start, levels.stop, LEVEL_WINDOW):
+            values = pi[start : min(start + LEVEL_WINDOW, levels.stop)].ravel().tolist()
             rows = len(values) // m
             ns = chain.from_iterable(repeat(n, m) for n in range(start, start + rows))
-            fh.write((level * rows) % tuple(chain.from_iterable(zip(ns, values))))
+            fh.write(((level * rows) % tuple(chain.from_iterable(zip(ns, values)))).encode())
+        fh.flush()  # a child leaves through os._exit, which flushes nothing
+
+    blocks = split(len(pi), min(cpus(), len(pi)) if pi.size > _FORK_MIN_VALUES else 1)
+    with open(path, "wb") as fh, ExitStack() as parts:
+        files = [fh] + [parts.enter_context(tempfile.TemporaryFile(dir=Path(path).parent)) for _ in blocks[1:]]
+        fh.write(b"n,k,pi\n")
+        run_blocks(lambda block: write(*block), list(zip(blocks, files)))
+        for part in files[1:]:
+            part.seek(0)
+            shutil.copyfileobj(part, fh)

@@ -4,22 +4,21 @@ Replications use independent Philox-backed streams derived from
 (seed, replication index) via numpy's SeedSequence spawn keys, so identical
 configurations reproduce bit-identical trajectories.  A long run splits its
 replications into contiguous blocks, one per CPU, and runs every block but the
-first in a forked child; as each replication has its own stream, the results
-are those of a sequential run.
+first in a forked child (`forkjoin.run_blocks`); as each replication has its
+own stream, the results are those of a sequential run.
 """
 
 from __future__ import annotations
 
-import gc
 import math
-import os
-import pickle
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
+from .forkjoin import cpus, run_blocks, split
 from .model import EnvqueueError, JointModel, _level_moves, _representatives
 from .model import generator_row  # noqa: F401  (perfbench/tracing.py counts calls through this name)
 
@@ -29,10 +28,6 @@ WARMUP = 0.1  # fraction of each replication's horizon discarded before departur
 
 class ZeroExitRate(EnvqueueError):
     """An absorbing state was reached; the model is defective."""
-
-
-class WorkerLost(EnvqueueError):
-    """A forked replication worker exited without sending its results."""
 
 
 @dataclass(frozen=True)
@@ -88,13 +83,15 @@ class _TransitionTable:
         if absorbing.size:
             n, k = divmod(int(absorbing[0]), m)
             raise ZeroExitRate(f"state ({n}, {k}) has no outgoing transitions")
+        self.max_rate = float(cum[:, -1].max())
         probs = cum / cum[:, -1:]
         counts = np.count_nonzero(rate, axis=1)  # the moves come first, then the padding
         probs[np.arange(len(probs)), counts - 1] = 1.0
-        self.rows = []  # class index * m + k -> (total, cum_probs, ((d_n, new_k), ...))
-        for total, count, row_probs, shifts in zip(cum[:, -1].tolist(), counts.tolist(), probs.tolist(),
-                                                   moves.shift.reshape(rate.shape).tolist()):
-            self.rows.append((total, row_probs[:count], tuple(divmod(s, m) for s in shifts[:count])))
+        rows = [(-total, row_probs[:count], tuple(divmod(s, m) for s in shifts[:count]))
+                for total, count, row_probs, shifts in zip(cum[:, -1].tolist(), counts.tolist(), probs.tolist(),
+                                                           moves.shift.reshape(rate.shape).tolist())]
+        # class index -> row k -> (-total exit rate, cum_probs, ((d_n, new_k), ...))
+        self.levels = [rows[i : i + m] for i in range(0, len(rows), m)]
 
 
 _CHUNK = 8192  # chunk c of a replication's stream: 8192 holding-time uniforms, then 8192 pick uniforms
@@ -103,7 +100,7 @@ _SKIP = _CHUNK // 4  # Philox steps in half a chunk: each step gives four 64-bit
 
 
 def _uniforms(seed: int, rep: int):
-    """The (u_time, u_pick) pairs of replication `rep`, one `zip` of Python floats per window.
+    """The uniforms of replication `rep`, one (u_time, u_pick) pair of arrays per window.
     Philox is counter-based, so two generators on the replication's key walk the times and the
     picks of each chunk, drawing only the windows that are read and skipping the other half of
     the chunk with `advance`.  Both are seeded from the SeedSequence: `Philox(key=...)` would
@@ -113,7 +110,7 @@ def _uniforms(seed: int, rep: int):
     draw_times, draw_picks = Generator(times).random, Generator(picks).random
     while True:
         for _ in range(_CHUNK // _WINDOW):
-            yield zip(draw_times(_WINDOW).tolist(), draw_picks(_WINDOW).tolist())
+            yield draw_times(_WINDOW), draw_picks(_WINDOW)
         times.advance(_SKIP)
         picks.advance(_SKIP)
 
@@ -127,34 +124,36 @@ def _initial_state(config: SimConfig, m: int) -> tuple:
 
 
 def _run_replication(table: _TransitionTable, config: SimConfig, rep: int):
-    """(departure rate after the warm-up, jumps, departures) of one trajectory."""
+    """(departure rate after the warm-up, jumps, departures) of one trajectory.
+    The holding time is log1p(-u) / (-total), which is -log1p(-u) / total
+    exactly: negation is exact and IEEE division is symmetric in sign."""
     horizon = config.horizon
     warmup_time = WARMUP * horizon
-    rows, base, p, m = table.rows, table.base, table.p, table.m
-    n, k = _initial_state(config, m)
+    levels, base, p = table.levels, table.base, table.p
+    n, k = _initial_state(config, table.m)
+    level = levels[n if n < base else base + (n - base) % p]  # the fold of `_level_classes`
     t = 0.0
     departures = 0
-    jumps = 0
-    for window in _uniforms(config.seed, rep):
-        for u_time, u_pick in window:
-            # the fold of `_level_classes`
-            total, cum, moves = rows[(n if n < base else base + (n - base) % p) * m + k]
-            # math.log1p, not np.log1p: the two differ in the last bit on some
-            # draws, which would change the trajectories
-            dt = -math.log1p(-u_time) / total
-            if t + dt > horizon:
-                break
-            t += dt
-            dn, k = moves[bisect_left(cum, u_pick)]
-            jumps += 1
-            if dn == -1 and t >= warmup_time:
-                departures += 1
-            n += dn
-        else:
-            continue
-        break
-    rate = departures / (horizon - warmup_time)
-    return rate, jumps, departures
+    jumps = 0  # made in the windows read to their end
+    for u_time, u_pick in _uniforms(config.seed, rep):
+        # math.log1p, not np.log1p: the two differ in the last bit on some
+        # draws, which would change the trajectories
+        draws = zip(map(math.log1p, (-u_time).tolist()), u_pick.tolist())
+        for log_u, pick in draws:
+            neg_total, cum, moves = level[k]
+            t_next = t + log_u / neg_total
+            if t_next > horizon:
+                # each draw of this window before this one made a jump
+                jumps += _WINDOW - 1 - sum(1 for _ in draws)
+                return departures / (horizon - warmup_time), jumps, departures
+            t = t_next
+            dn, k = moves[bisect_left(cum, pick)]
+            if dn:
+                if dn < 0 and t >= warmup_time:
+                    departures += 1
+                n += dn
+                level = levels[n if n < base else base + (n - base) % p]
+        jumps += _WINDOW
 
 
 def _t_tail(t: float, df: int) -> tuple:
@@ -205,79 +204,25 @@ _FORK_MIN_JUMPS = 2e4
 
 
 def _workers(table: _TransitionTable, config: SimConfig) -> int:
-    """Processes to run the replications in: one per CPU in this process's
-    affinity mask, at most one per replication.  One where `os.fork` or the
-    mask is missing, or where the run is too short to pay for a fork: fewer
-    jumps than `_FORK_MIN_JUMPS` even if every replication stayed in the
-    state with the largest exit rate."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    """Processes to run the replications in: one per CPU (`forkjoin.cpus`), at
+    most one per replication.  One where the run is too short to pay for a
+    fork: fewer jumps than `_FORK_MIN_JUMPS` even if every replication stayed
+    in the state with the largest exit rate."""
+    if config.horizon * config.replications * table.max_rate < _FORK_MIN_JUMPS:
         return 1
-    if config.horizon * config.replications * max(row[0] for row in table.rows) < _FORK_MIN_JUMPS:
-        return 1
-    return min(len(os.sched_getaffinity(0)), config.replications)
-
-
-def _fork(table: _TransitionTable, config: SimConfig, reps: range):
-    """Start a child that runs replications `reps` and pickles back through a
-    pipe (True, their results) or (False, the exception they raised); returns
-    the child's pid and the pipe's read end."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, os.fdopen(read_fd, "rb")
-    try:  # the child: it never returns into the caller's stack
-        # a collection could run finalizers of the parent's garbage, such as a temporary directory's
-        gc.disable()
-        os.close(read_fd)
-        try:
-            result = (True, [_run_replication(table, config, rep) for rep in reps])
-        except BaseException as exc:
-            result = (False, exc)
-        with os.fdopen(write_fd, "wb") as fh:
-            fh.write(pickle.dumps(result))
-    finally:
-        os._exit(0)
-
-
-def _run_blocks(table: _TransitionTable, config: SimConfig, blocks: list) -> list:
-    """(rate, jumps, departures) of each replication in `blocks`, in order:
-    the first block in this process, each other one in a forked child.  The
-    child runs only the jump kernel, pure Python and Philox, so forking beside
-    numpy's BLAS threads is safe."""
-    children = []
-    try:
-        for reps in blocks[1:]:
-            children.append(_fork(table, config, reps))
-        runs = [_run_replication(table, config, rep) for rep in blocks[0]]
-        for pid, fh in children:
-            try:
-                ok, value = pickle.loads(fh.read())
-            except (EOFError, pickle.UnpicklingError):
-                raise WorkerLost(f"replication worker {pid} exited without a result") from None
-            if not ok:
-                raise value
-            runs += value
-        return runs
-    finally:
-        for pid, fh in children:
-            fh.close()
-            os.waitpid(pid, 0)
+    return min(cpus(), config.replications)
 
 
 def simulate(model: JointModel, config: SimConfig) -> SimulationResult:
     """Monte Carlo throughput estimate with a 95% t-interval over
-    independent replications."""
+    independent replications.  The replications run in contiguous blocks,
+    one per worker (`_workers`), through `forkjoin.run_blocks`; a child runs
+    only the jump kernel, pure Python and Philox, and no BLAS."""
     table = _TransitionTable(model)
     _initial_state(config, table.m)  # before any fork
-    n_reps, workers = config.replications, _workers(table, config)
-    blocks = [range(n_reps * i // workers, n_reps * (i + 1) // workers) for i in range(workers)]
-    runs = _run_blocks(table, config, blocks)
+    blocks = split(config.replications, _workers(table, config))
+    runs = list(chain.from_iterable(run_blocks(
+        lambda reps: [_run_replication(table, config, rep) for rep in reps], blocks)))
     rates = tuple(rate for rate, _, _ in runs)
     mean = float(np.mean(rates))
     if config.replications > 1:

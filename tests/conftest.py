@@ -1,5 +1,6 @@
 """Shared fixtures and model builders for the test suite."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -167,3 +168,15 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def count_forks(monkeypatch):
+    """A list that gets one entry per `os.fork` call."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    return forks
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -210,6 +210,15 @@ class TestErrorContract:
         code = main(["solve", "--model", absorbing_model(tmp_path), "--N", "10", "--out", str(tmp_path)])
         self.expect_error(capsys, code, "NotIrreducibleTruncation")
 
+    def test_not_irreducible_truncation_names_level_and_component(self, tmp_path, capsys):
+        # blocked state 2 is never left: only arrivals move (n, 2), and at the cap it absorbs
+        V = [[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 0.0, 0.0]]
+        path = write_model(tmp_path / "trap.json", [0, 1, 2], [2], V, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert main(["solve", "--model", path, "--N", "10", "--out", str(tmp_path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: NotIrreducibleTruncation: Singular matrix eliminating level 10 of the chain capped at N = 10; "
+            "11 strong components below the cap: example component: [(0, 2)]\n")
+
     def test_zero_exit_rate(self, tmp_path, capsys):
         code = main(["simulate", "--model", absorbing_model(tmp_path), "--horizon", "10", "--out", str(tmp_path)])
         self.expect_error(capsys, code, "ZeroExitRate")

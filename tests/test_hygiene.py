@@ -1,6 +1,6 @@
 """Source hygiene checks that need no linter: every imported name is used,
 every private top-level name is referenced, every name the benchmark's
-tracer wraps exists, and the model's rates are read in one place."""
+tracer wraps exists, the model's rates are read in one place, and one function forks."""
 
 import ast
 import importlib.util
@@ -163,3 +163,33 @@ def test_scan_finds_rate_read(tmp_path):
         "LAMBDA = model.arrival(0)\n"
     )
     assert rate_reads_outside(path, {"JointModel", "_level_moves"}) == [(7, "V"), (7, "service"), (8, "arrival")]
+
+
+def fork_calls(paths) -> list:
+    """(file name, top-level function or class) of each call of `fork` or `x.fork` in `paths`."""
+    found = []
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            found += [(path.name, getattr(node, "name", None)) for sub in ast.walk(node) if isinstance(sub, ast.Call)
+                      and "fork" in (getattr(sub.func, "id", None), getattr(sub.func, "attr", None))]
+    return found
+
+
+def test_one_fork_site():
+    # every process the package starts comes from the fork-join helper
+    assert fork_calls(SOURCES) == [("forkjoin.py", "_fork")]
+
+
+def test_scan_finds_fork_calls(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "import os\n"
+        "from os import fork\n"
+        "def _fork():\n"
+        "    return os.fork()\n"
+        "class Pool:\n"
+        "    def start(self):\n"
+        "        return fork()\n"
+        "PID = os.fork() if os.fork else 0\n"
+    )
+    assert fork_calls([path]) == [("module.py", "_fork"), ("module.py", "Pool"), ("module.py", None)]

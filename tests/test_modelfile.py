@@ -76,8 +76,8 @@ def no_yaml(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("YAML parser called")
 
-    monkeypatch.setattr(modelfile.yaml, "load", fail)
-    monkeypatch.setattr(modelfile.yaml, "parse", fail)
+    monkeypatch.setattr(yaml, "load", fail)
+    monkeypatch.setattr(yaml, "parse", fail)
 
 
 class TestJsonPath:
@@ -129,6 +129,21 @@ class TestJsonPath:
         no_yaml(monkeypatch)
         assert repr(_parse_document(text)) == repr(json.loads(text))
 
+    def test_yaml_imported_only_for_a_text_json_rejects(self, tmp_path):
+        # a fresh interpreter: `import envqueue.cli` and a JSON model file load no PyYAML, a YAML file does
+        (tmp_path / "model.json").write_text(json.dumps(base_stock_doc(2)))
+        (tmp_path / "model.yaml").write_text(TWO_STATE)
+        probe = ("import sys, envqueue.cli\n"
+                 "from envqueue.modelfile import load_model\n"
+                 "for name in sys.argv[1:]:\n"
+                 "    load_model(name)\n"
+                 "    print('yaml' in sys.modules)\n")
+        pythonpath = os.pathsep.join([str(Path(envqueue.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+        argv = [sys.executable, "-c", probe, str(tmp_path / "model.json"), str(tmp_path / "model.yaml")]
+        proc = subprocess.run(argv, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
+                              check=True)
+        assert proc.stdout.split() == ["False", "True"]
+
     @pytest.mark.parametrize("text", [
         "[" + "1" * 5000 + "]",  # past Python's integer digit limit
         "\ufeff{}",
@@ -163,7 +178,7 @@ class TestJsonPath:
     def test_block_yaml_takes_the_yaml_path(self, text, monkeypatch):
         doc = yaml_reads(text)
         calls = []
-        monkeypatch.setattr(modelfile.yaml, "load", lambda *a, **k: calls.append(a) or doc)
+        monkeypatch.setattr(yaml, "load", lambda *a, **k: calls.append(a) or doc)
         assert _parse_document(text) is doc and calls
 
     def test_malformed_json_is_not_valid_yaml(self, tmp_path):

@@ -1,6 +1,8 @@
 """Truncated and exact stationary solves, metrics, cut identity."""
 
 import csv
+import os
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from envqueue.catalog import (
     perishable_o,
     perishable_plus,
 )
+from envqueue.cli import EXIT_ERROR, main
+from envqueue.forkjoin import WorkerLost
 from envqueue.model import EnvironmentSpec, JointModel, RateFamily
 from envqueue.numerics import (
     NotErgodic,
@@ -28,7 +32,8 @@ from envqueue.numerics import (
 )
 from envqueue.separability import product_form
 
-from conftest import period_two_model, reference_blocks, separable_period_two_model, truncated_generator
+from conftest import (assert_no_children, count_forks, period_two_model, reference_blocks,
+                      separable_period_two_model, truncated_generator)
 
 
 def product_form_tv(model, sol, levels=None):
@@ -217,6 +222,38 @@ class TestAutoTruncate:
         assert check_cut_structure(exact, model).passed
 
 
+def listed_by_products(tail, rows):
+    """The first `rows` levels of `tail`, block level j + 1 computed as `x_j @ R`: the reference for
+    `_list_levels`."""
+    xs, x = [], tail.x0
+    while len(tail.head) + len(xs) * tail.period < rows:
+        xs.append(x)
+        x = x @ tail.R
+    return np.concatenate([tail.head, np.reshape(xs, (-1, tail.head.shape[1]))])[:rows]
+
+
+LISTED_MODELS = {
+    "mm1_plain": mm1_plain(lam=1.0, mu=2.0),
+    "onoff_a": onoff_a(eta=0.5, gamma=1.0),
+    "onoff_b": onoff_b(lam=0.2, gamma=1.0, eta=2.0),
+    "period_two": period_two_model(),
+    "base_stock_rho0.999_b5": base_stock(lam=0.999, mu=1.0, nu=3.0, b=5),  # ~80 chunks of TAIL_CHUNK block levels
+    **{f"base_stock_b{b}": base_stock(lam=1.0, mu=2.0, nu=3.0, b=b) for b in (2, 5, 50, 100)},
+    **{f"{build.__name__}_b{b}": build(lam=1.0, mu=2.0, nu=3.0, gamma=1.0, b=b)
+       for build in (perishable_o, perishable_minus, perishable_plus) for b in (2, 5, 50, 100)},
+}
+
+
+@pytest.mark.parametrize("chunk", [numerics.TAIL_CHUNK, 3])
+@pytest.mark.parametrize("name", LISTED_MODELS)
+def test_listing_is_bit_identical_to_products(name, chunk, monkeypatch):
+    model = LISTED_MODELS[name]
+    monkeypatch.setattr(numerics, "TAIL_CHUNK", chunk)
+    tail = exact_solve(model)
+    exact, _, _ = numerics._list_levels(tail, 1e-9, model.tail_start + model.period)
+    assert exact.tobytes() == listed_by_products(tail, len(exact)).tobytes()
+
+
 # separable models with tail ratio rho, built from (rho, nu, gamma, b)
 SEPARABLE = {
     "base_stock": lambda rho, nu, gamma, b: base_stock(lam=rho, mu=1.0, nu=nu, b=b),
@@ -333,3 +370,104 @@ class TestExportCsv:
         assert all(len(row) == 3 for row in rows)
         assert [row[1] for row in rows[1:]] == [str(label) for label in labels] * 4
         assert [float(row[2]) for row in rows[1:]] == sol.pi.ravel().tolist()
+
+
+def quoted_label_model():
+    """Five environment states whose labels hold `,`, `"` and `%`."""
+    V = np.ones((5, 5)) - 5 * np.eye(5)
+    env = EnvironmentSpec.constant(labels=("on,fast", 'off"x', "50%", "%d%%", 7), blocked=("on,fast",), V=V,
+                                   R=np.eye(5))
+    return JointModel(rates=RateFamily.constant(1.0, 2.0), env=env)
+
+
+def split_export(monkeypatch, cpus, min_values=0):
+    """Pretend the affinity mask holds `cpus` CPUs, and split exports of more than `min_values` values."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(numerics, "_FORK_MIN_VALUES", min_values)
+
+
+def open_fds():
+    return set(os.listdir("/proc/self/fd"))
+
+
+class TestSplitExport:
+    @pytest.mark.parametrize("window", [4, 2048])
+    def test_workers_give_the_single_process_bytes(self, window, tmp_path, monkeypatch):
+        model = quoted_label_model()
+        sol = solve_truncated(model, 40)
+        expected = 'n,k,pi\n' + "".join(f"{n},{label},{value:.17g}\n" for n, row in enumerate(sol.pi.tolist())
+                                        for label, value in zip(('"on,fast"', '"off""x"', "50%", "%d%%", 7), row))
+        monkeypatch.setattr(numerics, "LEVEL_WINDOW", window)
+        forks = count_forks(monkeypatch)
+        for cpus in (1, 2, 3):
+            split_export(monkeypatch, cpus)
+            export_csv(sol, model, tmp_path / f"{cpus}.csv")
+            assert (tmp_path / f"{cpus}.csv").read_bytes() == expected.encode(), cpus
+            assert len(forks) == cpus - 1
+            forks.clear()
+        assert_no_children()
+        assert sorted(os.listdir(tmp_path)) == ["1.csv", "2.csv", "3.csv"]
+
+    def test_splits_only_above_the_bound(self, tmp_path, monkeypatch):
+        model = quoted_label_model()
+        sol = solve_truncated(model, 40)  # 205 values
+        forks = count_forks(monkeypatch)
+        split_export(monkeypatch, 2, min_values=205)
+        export_csv(sol, model, tmp_path / "stationary.csv")
+        assert not forks
+        split_export(monkeypatch, 2, min_values=204)
+        export_csv(sol, model, tmp_path / "stationary.csv")
+        assert len(forks) == 1
+
+    def test_heavy_traffic_splits_by_default(self, tmp_path, monkeypatch):
+        # 124,278 values at rho = 0.999 split; 12,372 at rho = 0.99 stay in this process
+        forks = count_forks(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        for lam, expected in ((0.99, 0), (0.999, 1)):
+            model = base_stock(lam=lam, mu=1.0, nu=3.0, b=5)
+            export_csv(auto_truncate(model), model, tmp_path / "stationary.csv")
+            assert len(forks) == expected, lam
+
+    @pytest.mark.parametrize("failing_level", [3, 20, 39], ids=["parent", "second_worker", "last_worker"])
+    def test_worker_exception_is_raised_with_its_type(self, failing_level, tmp_path, monkeypatch):
+        # levels 0..40 in three blocks: 0-12 here, 13-26 and 27-40 in children
+        model = quoted_label_model()
+        sol = solve_truncated(model, 40)
+
+        def failing(n, times):
+            if n == failing_level:
+                raise OSError(28, f"No space left at level {n}")
+            return repeat(n, times)
+
+        monkeypatch.setattr(numerics, "repeat", failing)
+        split_export(monkeypatch, 3)
+        fds = open_fds()
+        with pytest.raises(OSError, match=f"level {failing_level}$"):
+            export_csv(sol, model, tmp_path / "stationary.csv")
+        assert_no_children()
+        assert os.listdir(tmp_path) == ["stationary.csv"]
+        assert open_fds() == fds
+
+    def test_worker_without_a_result_exits_2(self, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+
+        def dying(n, times):
+            if os.getpid() != parent:
+                os._exit(0)
+            return repeat(n, times)
+
+        monkeypatch.setattr(numerics, "repeat", dying)
+        split_export(monkeypatch, 2)
+        model = quoted_label_model()
+        fds = open_fds()
+        with pytest.raises(WorkerLost, match="without a result"):
+            export_csv(solve_truncated(model, 40), model, tmp_path / "stationary.csv")
+        assert_no_children()
+        assert os.listdir(tmp_path) == ["stationary.csv"]
+        assert open_fds() == fds
+        argv = ["solve", "--catalog", "base_stock", "--lambda", "1", "--mu", "2", "--nu", "1", "--b", "2",
+                "--out", str(tmp_path / "cli")]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: WorkerLost: ")
+        assert_no_children()
+        assert sorted(os.listdir(tmp_path / "cli")) == ["manifest.txt", "stationary.csv"]

@@ -12,10 +12,11 @@ from envqueue.bounds import departure_values
 from envqueue.catalog import base_stock, perishable_o
 from envqueue.cli import EXIT_ERROR, main
 from envqueue.ergodicity import certify
+from envqueue.forkjoin import WorkerLost
 from envqueue.model import validate_model
-from envqueue.simulate import SimConfig, WorkerLost, ZeroExitRate, _t_quantile, _uniforms, simulate
+from envqueue.simulate import SimConfig, ZeroExitRate, _t_quantile, _uniforms, simulate
 
-from conftest import period_two_model, traced_peak
+from conftest import assert_no_children, count_forks, period_two_model, traced_peak
 
 
 class TestSimulate:
@@ -63,7 +64,8 @@ class TestSimulate:
             u_time = rng.random(8192)
             u_pick = rng.random(8192)
             expected += zip(u_time.tolist(), u_pick.tolist())
-        assert list(islice(chain.from_iterable(_uniforms(seed, rep)), len(expected))) == expected
+        pairs = chain.from_iterable(zip(u_time.tolist(), u_pick.tolist()) for u_time, u_pick in _uniforms(seed, rep))
+        assert list(islice(pairs, len(expected))) == expected
 
     def test_different_seeds_differ(self, bs_model):
         config_a = SimConfig(seed=1, horizon=500.0, replications=2)
@@ -124,23 +126,11 @@ class TestSimulate:
             _t_quantile(9, math.nan)
 
 
-def count_forks(monkeypatch):
-    """A list that gets one entry per `os.fork` call."""
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-    return forks
-
-
 def set_cpus(monkeypatch, cpus, min_jumps=None):
     """Pretend the affinity mask holds `cpus` CPUs, and optionally fork from `min_jumps` jumps on."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     if min_jumps is not None:
         monkeypatch.setattr(simulate_module, "_FORK_MIN_JUMPS", min_jumps)
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 PARALLEL_MODELS = {
