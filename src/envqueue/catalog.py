@@ -21,17 +21,6 @@ class UnknownModel(InvalidParam):
     pass
 
 
-CATALOG_NAMES = (
-    "mm1_plain",
-    "base_stock",
-    "onoff_a",
-    "onoff_b",
-    "perishable_o",
-    "perishable_minus",
-    "perishable_plus",
-)
-
-
 def _number(value) -> float:
     """`value` as a float; nan, which fails every check, where it is no number.
     A boolean (YAML's yes/no/on/off, JSON's true/false) is no number."""
@@ -183,6 +172,7 @@ _BUILDERS = {
     "perishable_minus": perishable_minus,
     "perishable_plus": perishable_plus,
 }
+CATALOG_NAMES = tuple(_BUILDERS)
 
 
 def catalog(name: str, **params) -> JointModel:

@@ -9,6 +9,7 @@ certified, not ergodic), 2 usage, model or solver errors and any other failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -156,7 +157,7 @@ def _cmd_solve(args, outdir):
     m = metrics(sol, model)
     cut = check_cut_structure(sol, model)
     export_csv(sol, model, outdir / "stationary.csv")
-    record = m.to_record()
+    record = dataclasses.asdict(m)
     record.update(
         {
             "N": sol.N,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import EnvqueueError, JointModel, _level_classes, _level_moves, _periodic, _representatives
 from .model import generator_row  # noqa: F401  (perfbench/tracing.py counts calls through this name)
-from .separability import queue_marginal
+from .separability import SUMMABLE_MARGIN, queue_marginal
 
 TAU_RESIDUAL_TOL = 1e-10
 DRIFT_RTOL = 1e-12  # a drift may exceed -eps by this times the sum of rate * (|L(target)| + |L(here)|)
@@ -32,19 +32,11 @@ class BothBranchesZero(EnvqueueError):
     contradicting irreducibility."""
 
 
-def check_necessary(model: JointModel) -> tuple[bool, float]:
-    """Necessary condition: the isolated queue marginal must be summable
-    (an environment cannot stabilize a non-ergodic queue)."""
-    marginal = queue_marginal(model)
-    return marginal.summable, marginal.tail_ratio
-
-
 @dataclass(frozen=True)
 class AbsorptionTable:
     """Mean first-entrance times into the working set at queue length n;
     zero on working states by convention."""
 
-    n: int
     tau: np.ndarray  # indexed by environment label index
     residual: float
 
@@ -54,7 +46,7 @@ def solve_tau(model: JointModel, n: int) -> AbsorptionTable:
     blocked = model.blocked_indices()
     tau = np.zeros(model.n_env)
     if blocked.size == 0:
-        return AbsorptionTable(n=n, tau=tau, residual=0.0)
+        return AbsorptionTable(tau=tau, residual=0.0)
     V = model.V(n)
     VBB = V[np.ix_(blocked, blocked)]
     rhs = -np.ones(blocked.size)
@@ -72,7 +64,7 @@ def solve_tau(model: JointModel, n: int) -> AbsorptionTable:
     if residual > TAU_RESIDUAL_TOL:
         raise SingularSystem(f"first-entrance residual {residual:.3e} at level {n}")
     tau[blocked] = tau_b
-    return AbsorptionTable(n=n, tau=tau, residual=residual)
+    return AbsorptionTable(tau=tau, residual=residual)
 
 
 def c_hat(model: JointModel, n: int, table: AbsorptionTable | None = None) -> float:
@@ -103,15 +95,9 @@ class MM1Lyapunov:
     the drift constant."""
 
     kind: str  # linear_drift | hitting_time
-    values: tuple  # L_tilde(0..horizon), extendable via `value`
+    values: tuple  # L_tilde(0..H + 1) at least, for `certify`'s check horizon H
     F_levels: tuple
     eps_tilde: float
-    tail_increment: float  # L_tilde(n+1) - L_tilde(n) beyond the stored range
-
-    def value(self, n: int) -> float:
-        if n < len(self.values):
-            return self.values[n]
-        return self.values[-1] + (n - len(self.values) + 1) * self.tail_increment
 
 
 @dataclass(frozen=True)
@@ -155,7 +141,6 @@ def build_mm1_lyapunov(model: JointModel, kind: str = "linear_drift"):
             values=values,
             F_levels=tuple(range(N)),
             eps_tilde=eps_tilde,
-            tail_increment=1.0,
         )
     if kind == "hitting_time":
         if p != 1:
@@ -175,7 +160,6 @@ def build_mm1_lyapunov(model: JointModel, kind: str = "linear_drift"):
             values=tuple(values),
             F_levels=(0,),
             eps_tilde=1.0,
-            tail_increment=1.0 / (mu_t - lam_t),
         )
     raise ValueError(f"unknown Lyapunov kind {kind!r}")
 
@@ -238,9 +222,11 @@ def _drift(model: JointModel, values: np.ndarray):
 def certify(model: JointModel, kind: str = "linear_drift"):
     """Build and numerically verify a Lyapunov certificate for the joint
     chain, or explain why none was obtained."""
-    passes, ratio = check_necessary(model)
-    if not passes:
-        return NotCertified(reason="NecessaryFails", detail=f"queue tail ratio {ratio} >= 1")
+    # necessary: an environment cannot stabilize a queue whose isolated marginal is not summable
+    marginal = queue_marginal(model)
+    if not marginal.summable:
+        detail = f"queue tail ratio {marginal.tail_ratio} is not below 1 - {SUMMABLE_MARGIN}"
+        return NotCertified(reason="NecessaryFails", detail=detail)
     N0, p = model.tail_start, model.period
     horizon = _check_horizon(model)
     base = build_mm1_lyapunov(model, kind=kind)
@@ -258,7 +244,7 @@ def certify(model: JointModel, kind: str = "linear_drift"):
     def L(n):
         fold = _periodic(reps[:N0], reps[N0:], n)
         tau = tau_tables[fold].tau
-        out = np.full(model.n_env, base.value(n))
+        out = np.full(model.n_env, base.values[n])
         blocked = tau != 0.0
         out[blocked] += c_table[fold] * tau[blocked]
         return out

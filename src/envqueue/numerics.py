@@ -99,9 +99,6 @@ class TruncatedSolution:
         """As `GeometricTail.level_sums`: the tail's, or one row per level."""
         return self.tail.level_sums() if self.tail is not None else (np.arange(self.N + 1), self.pi, 0.0)
 
-    def env_marginal(self) -> np.ndarray:
-        return self.pi.sum(axis=0)
-
 
 def _solve_elimination(B, U, D) -> list:
     """Level-censoring sweep over levels 0..L (L = len(B) - 1): eliminate
@@ -155,9 +152,11 @@ def solve_truncated(model: JointModel, N: int) -> TruncatedSolution:
     try:
         per_level = ([blocks[c] for c in cls] for blocks in (B, U, D))
         pi_flat = np.concatenate(_solve_elimination(*per_level))
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, SingularSolve) as exc:
+        # GTH raises SingularSolve where the chain censored to level 0 is reducible
+        at = " eliminating level 0" if isinstance(exc, SingularSolve) else ""
         found = "".join(f"; {summary}: {detail}" for _, summary, detail in validate_model(model, N).warnings)
-        raise NotIrreducibleTruncation(f"{exc} of the chain capped at N = {N}{found}") from exc
+        raise NotIrreducibleTruncation(f"{exc}{at} of the chain capped at N = {N}{found}") from exc
     if not np.all(np.isfinite(pi_flat)):
         raise NotIrreducibleTruncation("solver produced non-finite entries")
     pi_flat = np.maximum(pi_flat, 0.0)
@@ -323,14 +322,6 @@ class Metrics:
     mean_queue_length: float
     blocked_probability: float
     loss_rate: float  # arrival rate seen while the server is blocked
-
-    def to_record(self) -> dict:
-        return {
-            "throughput": self.throughput,
-            "mean_queue_length": self.mean_queue_length,
-            "blocked_probability": self.blocked_probability,
-            "loss_rate": self.loss_rate,
-        }
 
 
 def _level_rates(model: JointModel, levels: np.ndarray):

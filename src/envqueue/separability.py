@@ -37,8 +37,6 @@ def gth_stationary(Q: np.ndarray) -> np.ndarray:
     stationary probabilities span more than ~300 decades."""
     A = np.array(Q, dtype=float)
     m = A.shape[0]
-    if m == 1:
-        return np.ones(1)
     np.fill_diagonal(A, 0.0)
     for j in range(m - 1, 0, -1):
         s = A[j, :j].sum()
@@ -122,13 +120,12 @@ def solve_theta(model: JointModel, B: np.ndarray | None = None):
     if len(classes) > 1:
         Q = sum(Qs)
         classes = _closed_classes(Q)
+    # Q's off-diagonal entries are >= 0, so a sink of its strong components is a closed class
     candidates = []
     for members in classes:
         theta = np.zeros(model.n_env)
         theta[members] = gth_stationary(Q[np.ix_(members, members)])
         candidates.append(theta)
-    if not candidates:
-        raise SingularSolve("reduced generator at level 0 has no closed class")
     best = None
     for theta in candidates:
         res = [float(np.abs(theta @ Qn).max()) for Qn in Qs]

@@ -35,7 +35,6 @@ class SimConfig:
     seed: int = 0
     horizon: float = 1e4  # simulated time units per replication
     replications: int = 10
-    initial_state: tuple = (0, 0)
 
     def __post_init__(self):
         if not 0.0 < self.horizon < math.inf:
@@ -59,7 +58,6 @@ class ThroughputEstimate:
 @dataclass(frozen=True)
 class SimulationResult:
     estimate: ThroughputEstimate
-    config: SimConfig
     total_jumps: int
     total_departures: int
 
@@ -74,7 +72,7 @@ class _TransitionTable:
         # makes level 0 special even for constant rates)
         self.base = model.tail_start + 1
         self.p = model.period
-        self.m = m = model.n_env
+        m = model.n_env
         moves = _level_moves(model, _representatives(model))
         rate = moves.rate.reshape(-1, moves.rate.shape[2])
         # totals are sequential row sums, in the order the cumulative probabilities use
@@ -115,23 +113,16 @@ def _uniforms(seed: int, rep: int):
         picks.advance(_SKIP)
 
 
-def _initial_state(config: SimConfig, m: int) -> tuple:
-    """`config.initial_state`, checked to be a state of a model with m environment states."""
-    n, k = config.initial_state
-    if n < 0 or not 0 <= k < m:
-        raise ValueError(f"initial_state {config.initial_state} is not a state (n >= 0, 0 <= k < {m})")
-    return n, k
-
-
 def _run_replication(table: _TransitionTable, config: SimConfig, rep: int):
-    """(departure rate after the warm-up, jumps, departures) of one trajectory.
-    The holding time is log1p(-u) / (-total), which is -log1p(-u) / total
-    exactly: negation is exact and IEEE division is symmetric in sign."""
+    """(departure rate after the warm-up, jumps, departures) of one trajectory
+    started at (0, 0).  The holding time is log1p(-u) / (-total), which is
+    -log1p(-u) / total exactly: negation is exact and IEEE division is
+    symmetric in sign."""
     horizon = config.horizon
     warmup_time = WARMUP * horizon
     levels, base, p = table.levels, table.base, table.p
-    n, k = _initial_state(config, table.m)
-    level = levels[n if n < base else base + (n - base) % p]  # the fold of `_level_classes`
+    n, k = 0, 0
+    level = levels[0]
     t = 0.0
     departures = 0
     jumps = 0  # made in the windows read to their end
@@ -152,7 +143,7 @@ def _run_replication(table: _TransitionTable, config: SimConfig, rep: int):
                 if dn < 0 and t >= warmup_time:
                     departures += 1
                 n += dn
-                level = levels[n if n < base else base + (n - base) % p]
+                level = levels[n if n < base else base + (n - base) % p]  # the fold of `_level_classes`
         jumps += _WINDOW
 
 
@@ -219,7 +210,6 @@ def simulate(model: JointModel, config: SimConfig) -> SimulationResult:
     one per worker (`_workers`), through `forkjoin.run_blocks`; a child runs
     only the jump kernel, pure Python and Philox, and no BLAS."""
     table = _TransitionTable(model)
-    _initial_state(config, table.m)  # before any fork
     blocks = split(config.replications, _workers(table, config))
     runs = list(chain.from_iterable(run_blocks(
         lambda reps: [_run_replication(table, config, rep) for rep in reps], blocks)))
@@ -232,7 +222,6 @@ def simulate(model: JointModel, config: SimConfig) -> SimulationResult:
         half = float("inf")
     return SimulationResult(
         estimate=ThroughputEstimate(mean=mean, half_width=half, per_replication=rates),
-        config=config,
         total_jumps=sum(jumps for _, jumps, _ in runs),
         total_departures=sum(deps for _, _, deps in runs),
     )

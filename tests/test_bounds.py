@@ -15,10 +15,10 @@ from envqueue.bounds import (
     perishable_b1_closed_form,
 )
 from envqueue.catalog import base_stock, onoff_b, perishable_o, perishable_plus
-from envqueue.model import InvalidParam, _capped_classes
+from envqueue.model import EnvironmentSpec, InvalidParam, JointModel, RateFamily, _capped_classes
 from envqueue.numerics import metrics, solve_truncated
 from envqueue.separability import ProductFormResult, product_form
-from envqueue.simulate import SimConfig
+from envqueue.simulate import SimConfig, ZeroExitRate
 
 from conftest import (dense_move_rates, period_two_model, reference_blocks, traced_peak, truncated_generator,
                       value_history)
@@ -198,6 +198,14 @@ class TestDepartureValues:
     def test_bounded_by_horizon(self, bs_model):
         table = departure_values(bs_model, N_cap=15, horizon=8)
         assert table.values.max() <= 8.0 + 1e-12
+
+    def test_absorbing_state_refused(self):
+        # blocked state 2 is never left and admits no arrival, so every (n, 2) absorbs
+        V = [[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 0.0, 0.0]]
+        env = EnvironmentSpec.constant(labels=(0, 1, 2), blocked=(2,), V=V, R=np.eye(3))
+        trap = JointModel(rates=RateFamily.constant(1.0, 2.0), env=env, name="trap")
+        with pytest.raises(ZeroExitRate, match=r"^truncated state \(0, 2\) is absorbing$"):
+            departure_values(trap, N_cap=10, horizon=1)
 
     def test_zero_horizon_start(self, bs_model):
         table = departure_values(bs_model, N_cap=8, horizon=0)

@@ -53,11 +53,20 @@ class TestExitCodes:
         rec = json.loads((tmp_path / "certificate.json").read_text())
         assert rec["epsilon"] > 0
 
-    def test_certify_negative(self, tmp_path):
+    def test_certify_negative(self, tmp_path, capsys):
         code = run(tmp_path, "certify", "--catalog", "mm1_plain", "--lambda", "2", "--mu", "1")
         assert code == EXIT_NEGATIVE
         rec = json.loads((tmp_path / "certificate.json").read_text())
-        assert rec == {"certified": False, "reason": "NecessaryFails", "detail": rec["detail"]}
+        detail = "queue tail ratio 2.0 is not below 1 - 1e-12"
+        assert rec == {"certified": False, "reason": "NecessaryFails", "detail": detail}
+        assert capsys.readouterr().out == f"not certified: NecessaryFails {detail}\n"
+
+    def test_validate_negative(self, tmp_path, capsys):
+        assert run(tmp_path, "validate", "--model", split_model(tmp_path)) == EXIT_NEGATIVE
+        column = ", ".join(f"({n}, 0)" for n in range(5))
+        assert capsys.readouterr().out == (
+            "validate: FAIL (1 warnings)\n"
+            f"  NotIrreducible at 2 strong components below the cap: example component: [{column}]\n")
 
     def test_missing_model_source_errors(self, tmp_path):
         assert run(tmp_path, "validate") == EXIT_ERROR
@@ -138,6 +147,11 @@ def absorbing_model(tmp_path):
     return write_model(tmp_path / "absorbing.yaml", [0], [0], [[0.0]], [[1.0]])
 
 
+def split_model(tmp_path):
+    """Two working environment states that never switch: the chain is reducible."""
+    return write_model(tmp_path / "split.json", [0, 1], [], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+
+
 # a section, list or `params` of the wrong type; each raised TypeError or AttributeError
 ONE_STATE_ENV = "environment: {labels: [0], V_tail: [[[0.0]]], R_tail: [[[1.0]]]}\n"
 MISTYPED_MODELS = {
@@ -203,7 +217,7 @@ class TestErrorContract:
 
     def test_singular_solve(self, tmp_path, capsys):
         # two working states that never switch: the tail is reducible
-        path = write_model(tmp_path / "split.yaml", [0, 1], [], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+        path = split_model(tmp_path)
         self.expect_error(capsys, main(["solve", "--model", path, "--out", str(tmp_path)]), "SingularSolve")
 
     def test_not_irreducible_truncation(self, tmp_path, capsys):
@@ -211,13 +225,20 @@ class TestErrorContract:
         self.expect_error(capsys, code, "NotIrreducibleTruncation")
 
     def test_not_irreducible_truncation_names_level_and_component(self, tmp_path, capsys):
-        # blocked state 2 is never left: only arrivals move (n, 2), and at the cap it absorbs
+        # trap: blocked state 2 is never left and admits no arrival, so every (n, 2) absorbs
         V = [[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 0.0, 0.0]]
-        path = write_model(tmp_path / "trap.json", [0, 1, 2], [2], V, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert main(["solve", "--model", path, "--N", "10", "--out", str(tmp_path)]) == EXIT_ERROR
-        assert capsys.readouterr().err == (
-            "error: NotIrreducibleTruncation: Singular matrix eliminating level 10 of the chain capped at N = 10; "
-            "11 strong components below the cap: example component: [(0, 2)]\n")
+        trap = write_model(tmp_path / "trap.json", [0, 1, 2], [2], V, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        # split: the elimination reaches level 0, where GTH finds the censored chain reducible
+        split = split_model(tmp_path)
+        column = ", ".join(f"({n}, 0)" for n in range(10))
+        for path, N, message in [
+            (trap, "10", "Singular matrix eliminating level 10 of the chain capped at N = 10; "
+                         "11 strong components below the cap: example component: [(0, 2)]"),
+            (split, "20", "no exit below state 1: chain not irreducible eliminating level 0 of the chain capped at "
+                          f"N = 20; 2 strong components below the cap: example component: [{column}]"),
+        ]:
+            assert main(["solve", "--model", path, "--N", N, "--out", str(tmp_path)]) == EXIT_ERROR
+            assert capsys.readouterr().err == f"error: NotIrreducibleTruncation: {message}\n"
 
     def test_zero_exit_rate(self, tmp_path, capsys):
         code = main(["simulate", "--model", absorbing_model(tmp_path), "--horizon", "10", "--out", str(tmp_path)])
@@ -317,6 +338,15 @@ class TestErrorContract:
 
     def test_value_error(self, tmp_path, capsys):
         self.expect_error(capsys, run(tmp_path, "solve", *BS, "--N", "1"), "ValueError")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("bounds", "--lambda", "1", "--mu", "2", "--gamma", "1", "--b", "2"),
+         "InvalidParam: missing required options: --nu"),
+        (("solve", *BS, "--tol", "0"), "ValueError: tol must be positive, got 0.0"),
+    ], ids=["bounds_without_nu", "solve_tol_0"])
+    def test_refusal_named(self, tmp_path, capsys, argv, message):
+        assert run(tmp_path, *argv) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("horizon", ["0", "-5"])
     def test_bad_horizon(self, tmp_path, capsys, horizon):

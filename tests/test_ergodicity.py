@@ -15,22 +15,22 @@ from envqueue.ergodicity import (
     build_mm1_lyapunov,
     c_hat,
     certify,
-    check_necessary,
     solve_tau,
 )
 from envqueue.model import EnvironmentSpec, JointModel, RateFamily
+from envqueue.separability import queue_marginal
 
 from conftest import check_certify_against_dense, period_two_model, separable_period_two_model, two_state_model
 
 
 class TestCheckNecessary:
     def test_stable(self, bs_model):
-        ok, ratio = check_necessary(bs_model)
-        assert ok and ratio == pytest.approx(0.5)
+        marginal = queue_marginal(bs_model)
+        assert marginal.summable and marginal.tail_ratio == pytest.approx(0.5)
 
     def test_unstable(self):
-        ok, ratio = check_necessary(mm1_plain(lam=2.0, mu=1.0))
-        assert not ok and ratio == pytest.approx(2.0)
+        marginal = queue_marginal(mm1_plain(lam=2.0, mu=1.0))
+        assert not marginal.summable and marginal.tail_ratio == pytest.approx(2.0)
 
 
 class TestSolveTau:
@@ -101,8 +101,7 @@ class TestBuildLyapunov:
         lyap = build_mm1_lyapunov(mm1_model, kind="linear_drift")
         assert lyap.eps_tilde == pytest.approx(1.0)  # mu - lam = 1
         assert 0 in lyap.F_levels
-        assert lyap.value(3) == 3.0
-        assert lyap.value(1000) == 1000.0
+        assert lyap.values[3] == 3.0
 
     def test_hitting_time(self, mm1_model):
         lyap = build_mm1_lyapunov(mm1_model, kind="hitting_time")
@@ -110,7 +109,7 @@ class TestBuildLyapunov:
         assert lyap.eps_tilde == 1.0
         assert lyap.F_levels == (0,)
         for n in range(6):
-            assert lyap.value(n) == pytest.approx(float(n), abs=1e-12)
+            assert lyap.values[n] == pytest.approx(float(n), abs=1e-12)
 
     def test_hitting_time_prefix(self):
         # lam = 1 everywhere; mu(1) = 4, mu(n) = 2 beyond: h tail = 1,
@@ -119,8 +118,8 @@ class TestBuildLyapunov:
         env = EnvironmentSpec.constant(labels=(0,), blocked=(), V=np.zeros((1, 1)), R=np.ones((1, 1)))
         model = JointModel(rates=rates, env=env, name="prefix_mm1")
         lyap = build_mm1_lyapunov(model, kind="hitting_time")
-        assert lyap.value(1) == pytest.approx(0.5, abs=1e-14)
-        assert lyap.value(2) == pytest.approx(1.5, abs=1e-14)
+        assert lyap.values[1] == pytest.approx(0.5, abs=1e-14)
+        assert lyap.values[2] == pytest.approx(1.5, abs=1e-14)
 
     def test_unstable_cannot_build(self):
         bad = mm1_plain(lam=2.0, mu=1.0)
@@ -150,6 +149,13 @@ class TestCertify:
         res = certify(mm1_plain(lam=2.0, mu=1.0))
         assert isinstance(res, NotCertified)
         assert res.reason == "NecessaryFails"
+
+    def test_necessary_fails_names_the_margin(self):
+        # the ratio is below 1 but not by SUMMABLE_MARGIN: the detail names the test applied
+        with pytest.warns(RuntimeWarning, match="nearly critical"):
+            res = certify(base_stock(lam=1 - 1e-13, mu=1, nu=3, b=5))
+        assert res == NotCertified(reason="NecessaryFails",
+                                   detail="queue tail ratio 0.9999999999999 is not below 1 - 1e-12")
 
     def test_hitting_time_kind(self, bs_model):
         cert = certify(bs_model, kind="hitting_time")

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every imported name is used,
 every private top-level name is referenced, every name the benchmark's
-tracer wraps exists, the model's rates are read in one place, and one function forks."""
+tracer wraps exists, the model's rates are read in one place, one function forks, and
+every dataclass field is read somewhere."""
 
 import ast
 import importlib.util
@@ -10,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "envqueue").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(path: Path) -> list:
@@ -193,3 +195,49 @@ def test_scan_finds_fork_calls(tmp_path):
         "PID = os.fork() if os.fork else 0\n"
     )
     assert fork_calls([path]) == [("module.py", "_fork"), ("module.py", "Pool"), ("module.py", None)]
+
+
+def _is_dataclass(node) -> bool:
+    return any(getattr(d, "id", None) == "dataclass" or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def unread_fields(declared, readers) -> list:
+    """(file name, class, field) of each field of a dataclass declared in `declared` that no file
+    of `readers` reads as an attribute `x.field`."""
+    read = {node.attr for path in readers for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for path in declared:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                found += [(path.name, node.name, item.target.id) for item in node.body
+                          if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                          and item.target.id not in read]
+    return found
+
+
+def test_every_field_read():
+    # a field nothing reads is a settable value or a stored result that no caller reaches
+    assert unread_fields(SOURCES, SOURCES + TESTS) == []
+
+
+def test_scan_finds_unread_fields(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Result:\n"
+        "    read: int\n"
+        "    written: int\n"
+        "    unread: int = 0\n"
+        "    def total(self):\n"
+        "        return self.read\n"
+        "@dataclass\n"
+        "class Config:\n"
+        "    seed: int\n"
+        "class Plain:\n"
+        "    ignored: int\n"
+    )
+    (tmp_path / "b.py").write_text("from a import Config\nc = Config(seed=1)\nc.written = 2\nprint(c.seed)\n")
+    paths = [tmp_path / "a.py", tmp_path / "b.py"]
+    assert unread_fields(paths[:1], paths) == [("a.py", "Result", "written"), ("a.py", "Result", "unread")]

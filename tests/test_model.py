@@ -70,6 +70,16 @@ class TestRateFamily:
         with pytest.raises(InvalidParam, match=f"lambda_tail must contain numbers, got {flag}"):
             RateFamily(lambda_tail=(flag,), mu_tail=(2.0,))
 
+    @pytest.mark.parametrize("rates, message", [
+        ({"lambda_prefix": (1.0,)}, "lambda_prefix and mu_prefix must have equal length"),
+        ({"lambda_tail": (1.0, 2.0)}, "lambda_tail and mu_tail must have equal length"),
+        ({"lambda_tail": (), "mu_tail": ()}, "tail must have period >= 1"),
+    ], ids=["prefix", "tail", "no_tail"])
+    def test_inconsistent_lengths_rejected(self, rates, message):
+        with pytest.raises(InvalidParam) as err:
+            RateFamily(**rates)
+        assert str(err.value) == message
+
 
 class TestEnvironmentSpec:
     def test_working_mask(self, bs_model):
@@ -101,6 +111,7 @@ class TestEnvironmentSpec:
         ("R_prefix", [[1.0, 0.0], [1e-11, 1.0]], "R_prefix[1] row b sums to 1.00000000001, not 1"),
         ("V_tail", [[-2.0, 1.0], [1.0, -1.0]], "V_tail[1] row a sums to -1, not 0"),
         ("R_tail", [[0.0, 0.0], [0.0, 1.0]], "R_tail[1] row a sums to 0, not 1"),
+        ("V_tail", np.zeros((3, 3)), "V_tail[1] has shape (3, 3), expected (2, 2)"),
     ])
     def test_each_matrix_checked_where_named(self, field, mat, message):
         # a negative diagonal is a V's exit rate, not a defect; the message names the matrix as written
@@ -130,6 +141,19 @@ class TestEnvironmentSpec:
     def test_unhashable_labels_rejected(self, labels, blocked):
         with pytest.raises(InvalidParam, match="must be hashable"):
             EnvironmentSpec.constant(labels=labels, blocked=blocked, V=np.zeros((2, 2)), R=np.eye(2))
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"labels": ()}, "environment needs at least one state"),
+        ({"labels": ("a", "a")}, "environment labels must be distinct"),
+        ({"V_prefix": (np.zeros((2, 2)),)}, "V_prefix and R_prefix must have equal length"),
+        ({"R_tail": (np.eye(2),) * 2}, "V_tail and R_tail must have equal positive length"),
+        ({"V_tail": (), "R_tail": ()}, "V_tail and R_tail must have equal positive length"),
+    ], ids=["no_state", "repeated_label", "prefix", "tail", "no_tail"])
+    def test_inconsistent_spec_rejected(self, spec, message):
+        fields = {"labels": ("a", "b"), "blocked": (), "V_tail": (np.zeros((2, 2)),), "R_tail": (np.eye(2),)}
+        with pytest.raises(InvalidParam) as err:
+            EnvironmentSpec(**{**fields, **spec})
+        assert str(err.value) == message
 
     def test_unknown_blocked_label_rejected(self):
         with pytest.raises(InvalidParam):
@@ -161,6 +185,16 @@ class TestGeneratorRow:
         assert trans[(2, 1)] == 2.0  # service completion consumes an item
         assert len(trans) == 2
         assert row.total_rate() == 3.0
+
+    @pytest.mark.parametrize("state", [(0, 0), (3, 2), (7, 1)])
+    def test_row_names_its_state(self, bs_model, state):
+        assert generator_row(bs_model, state).state == state
+
+    @pytest.mark.parametrize("state", [(-1, 0), (0, 3), (2, -1)])
+    def test_state_outside_refused(self, bs_model, state):
+        # base stock b = 2 has environment states 0..2
+        with pytest.raises(IndexError, match=rf"^state \({state[0]}, {state[1]}\) outside the state space$"):
+            generator_row(bs_model, state)
 
     def test_blocked_state_freezes_queue(self, bs_model):
         # stock-out at (5, 0): only replenishment moves; queue is frozen

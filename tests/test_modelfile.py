@@ -187,6 +187,14 @@ class TestJsonPath:
         with pytest.raises(InvalidParam, match="not valid YAML"):
             load_model(path)
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null"])
+    def test_document_not_a_mapping_refused(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(InvalidParam) as err:
+            load_model(path)
+        assert str(err.value) == f"model file {path} does not contain a mapping"
+
 
 @pytest.mark.parametrize("text, built", [
     ("{name: perishable_o, params: {lam: 1, mu: 2, nu: 1e0, gamma: 1e-1, b: 2}}",

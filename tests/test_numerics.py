@@ -160,6 +160,11 @@ class TestCutIdentity:
         assert cut.passed, (cut.worst_relative, cut.worst_level)
         assert cut.worst_relative < 1e-8
 
+    @pytest.mark.parametrize("N", [3, 9, 10, 150])
+    def test_levels_checked_exclude_the_top_tenth(self, bs_model, N):
+        sol = solve_truncated(bs_model, N)
+        assert check_cut_structure(sol, bs_model).levels_checked == N - max(N // 10, 1)
+
 
 class TestAutoTruncate:
     def test_converges_fast(self, bs_model):
@@ -168,6 +173,10 @@ class TestAutoTruncate:
         m = metrics(sol, bs_model)
         assert m.throughput == pytest.approx(2 / 3, abs=1e-12)
         assert sol.residual <= 1e-12
+
+    def test_tail_drift(self):
+        # one environment state: the tail's mean drift is mu - lambda
+        assert exact_solve(mm1_plain(1, 2)).drift == 1.0
 
     def test_not_ergodic_detected(self):
         # transient (lam > mu) and null recurrent (lam = mu) tails

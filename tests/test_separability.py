@@ -270,5 +270,5 @@ class TestCrossModule:
         pf = product_form(model)
         assert isinstance(pf, ProductFormResult)
         sol = solve_truncated(model, 200)
-        env = sol.env_marginal()
+        env = sol.pi.sum(axis=0)
         assert np.abs(env - pf.theta).max() < 1e-8

@@ -92,13 +92,6 @@ class TestSimulate:
         with pytest.raises(ValueError, match="horizon"):
             SimConfig(horizon=horizon)
 
-    @pytest.mark.parametrize("state", [(0, 3), (-1, 0)])
-    def test_initial_state_outside_model(self, bs_model, state):
-        # base stock b = 2 has environment states 0..2
-        config = SimConfig(horizon=10.0, replications=2, initial_state=state)
-        with pytest.raises(ValueError, match="initial_state"):
-            simulate(bs_model, config)
-
     def test_t_quantile_matches_scipy(self):
         stdtrit = pytest.importorskip("scipy.special").stdtrit
         for df in range(1, 2001):
@@ -144,15 +137,15 @@ PARALLEL_MODELS = {
 
 class TestParallelReplications:
     @pytest.mark.parametrize("name", PARALLEL_MODELS)
-    @pytest.mark.parametrize("replications, horizon, initial_state", [
-        (1, 50.0, (0, 0)),
-        (2, 5000.0, (0, 0)),  # more than one 8192-draw chunk per replication
-        (3, 300.0, (4, 1)),
-        (200, 10.0, (0, 0)),
-    ], ids=["one", "two_long", "three_started_at_4_1", "two_hundred"])
-    def test_workers_give_the_sequential_result(self, name, replications, horizon, initial_state, monkeypatch):
+    @pytest.mark.parametrize("replications, horizon", [
+        (1, 50.0),
+        (2, 5000.0),  # more than one 8192-draw chunk per replication
+        (3, 300.0),  # blocks of unequal size; every replication starts at (0, 0)
+        (200, 10.0),
+    ], ids=["one", "two_long", "three_started_at_0_0", "two_hundred"])
+    def test_workers_give_the_sequential_result(self, name, replications, horizon, monkeypatch):
         model = PARALLEL_MODELS[name]
-        config = SimConfig(seed=17, horizon=horizon, replications=replications, initial_state=initial_state)
+        config = SimConfig(seed=17, horizon=horizon, replications=replications)
         set_cpus(monkeypatch, 1)
         sequential = simulate(model, config)
         forks = count_forks(monkeypatch)
@@ -224,13 +217,6 @@ class TestParallelReplications:
         set_cpus(monkeypatch, 2, min_jumps=0)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             simulate(bs_model, SimConfig(seed=-1, horizon=100.0, replications=4))
-        assert not forks
-
-    def test_initial_state_checked_before_forking(self, bs_model, monkeypatch):
-        forks = count_forks(monkeypatch)
-        set_cpus(monkeypatch, 2, min_jumps=0)
-        with pytest.raises(ValueError, match="initial_state"):
-            simulate(bs_model, SimConfig(horizon=100.0, replications=4, initial_state=(0, 3)))
         assert not forks
 
 
