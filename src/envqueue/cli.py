@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -23,7 +24,8 @@ from .catalog import CATALOG_NAMES, catalog
 from .ergodicity import certify
 from .model import EnvqueueError, InvalidParam, validate_model
 from .modelfile import load_model
-from .numerics import NotErgodic, auto_truncate, check_cut_structure, export_csv, metrics, solve_truncated
+from .numerics import (NotErgodic, auto_truncate, check_cut_structure, check_tol, export_csv, metrics,
+                       solve_truncated)
 from .separability import separability_report
 from .simulate import SimConfig, simulate
 
@@ -97,8 +99,7 @@ def _write_json(outdir: Path, name: str, record) -> None:
 
 def _cmd_validate(args, outdir):
     model = _resolve_model(args)
-    n_check = args.n_check if args.n_check is not None else model.tail_start + model.period + 4
-    report = validate_model(model, n_check)
+    report = validate_model(model, args.n_check)
     record = {
         "passed": report.passed,
         "n_check": report.n_check,
@@ -145,7 +146,7 @@ def _cmd_certify(args, outdir):
 
 def _cmd_solve(args, outdir):
     if args.N is None:
-        args.tol = 1e-9 if args.tol is None else args.tol
+        args.tol = check_tol(1e-9 if args.tol is None else args.tol)
     elif args.tol is not None:
         raise InvalidParam("solve --N takes no --tol: the finite-buffer solve lists all N + 1 levels")
     model = _resolve_model(args)
@@ -300,10 +301,17 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=8)  # the seven commands, and room for one stray word
+def _parser(commands: tuple) -> argparse.ArgumentParser:
+    """`build_parser(commands)`, built once per process and command: argparse does not change
+    a parser while it parses, and building one looks up message catalogs for every subcommand."""
+    return build_parser(commands)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the top-level parser takes no option values, so its first bare word is the subcommand
-    args = build_parser(commands=[a for a in argv if not a.startswith("-")][:1]).parse_args(argv)
+    args = _parser(tuple(a for a in argv if not a.startswith("-"))[:1]).parse_args(argv)
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

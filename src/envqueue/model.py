@@ -500,13 +500,16 @@ class ValidationReport:
     passed: bool = False
 
 
-def validate_model(model: JointModel, n_check: int) -> ValidationReport:
+def validate_model(model: JointModel, n_check: int | None = None) -> ValidationReport:
     """Check strong connectivity of the state graph restricted to
-    {0..n_check} x K; the matrices were checked when the model was built.
+    {0..n_check} x K, by default four levels past the first tail period; the
+    matrices were checked when the model was built.
 
     A failure is recorded as a warning: truncation can break true
     connectivity.
     """
+    if n_check is None:
+        n_check = model.tail_start + model.period + 4
     if n_check < model.tail_start + model.period:
         raise InvalidParam("n_check must cover prefix plus one tail period")
     report = ValidationReport(n_check=n_check)

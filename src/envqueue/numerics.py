@@ -25,12 +25,13 @@ import shutil
 import tempfile
 from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .forkjoin import cpus, run_blocks, split
+from .format17 import PAD, WORDS, pad_words, write_g17
 from .model import (LEVEL_WINDOW, EnvqueueError, JointModel, _balance_residual, _blocks, _capped_classes,
                     _level_classes, _representatives, validate_model)
 from .separability import SingularSolve, gth_stationary
@@ -141,6 +142,11 @@ def _solve_elimination(B, U, D) -> list:
     return [y * math.exp(lw - shift) for y, lw in zip(ys, logw)]
 
 
+def _found(model: JointModel, N: int | None = None) -> str:
+    """What `validate_model` finds on levels 0..N, as the end of an error message."""
+    return "".join(f"; {summary}: {detail}" for _, summary, detail in validate_model(model, N).warnings)
+
+
 def solve_truncated(model: JointModel, N: int) -> TruncatedSolution:
     """Stationary vector of the truncated chain (queue capped at N).  Where the
     elimination breaks, NotIrreducibleTruncation names the level and, as
@@ -155,8 +161,7 @@ def solve_truncated(model: JointModel, N: int) -> TruncatedSolution:
     except (np.linalg.LinAlgError, SingularSolve) as exc:
         # GTH raises SingularSolve where the chain censored to level 0 is reducible
         at = " eliminating level 0" if isinstance(exc, SingularSolve) else ""
-        found = "".join(f"; {summary}: {detail}" for _, summary, detail in validate_model(model, N).warnings)
-        raise NotIrreducibleTruncation(f"{exc}{at} of the chain capped at N = {N}{found}") from exc
+        raise NotIrreducibleTruncation(f"{exc}{at} of the chain capped at N = {N}{_found(model, N)}") from exc
     if not np.all(np.isfinite(pi_flat)):
         raise NotIrreducibleTruncation("solver produced non-finite entries")
     pi_flat = np.maximum(pi_flat, 0.0)
@@ -263,9 +268,10 @@ def _list_levels(tail: GeometricTail, tol: float, min_level: int):
         # pi_{n+1} = pi_n R, one block level at a time
         xs = np.empty((TAIL_CHUNK, M))
         xs[0] = x
-        for j in range(TAIL_CHUNK - 1):
-            np.dot(xs[j], tail.R, out=xs[j + 1])
-        x = np.dot(xs[-1], tail.R)
+        rows = list(xs)
+        for row, next_row in zip(rows, rows[1:]):
+            row.dot(tail.R, out=next_row)
+        x = rows[-1].dot(tail.R)
         levels.append(xs.reshape(-1, m))
         above = (_later(xs.reshape(-1, p, m).sum(axis=2)) + (xs @ after)[:, None]).ravel()
 
@@ -282,8 +288,8 @@ def _exact_tail(model: JointModel, B, U, D) -> GeometricTail:
     T0, p, m = model.tail_start + 1, model.period, model.n_env
     M = p * m
     A0, A1, A2 = _tail_qbd(model, B, U, D)
-    drift = _mean_drift(A0, A1, A2)
     try:
+        drift = _mean_drift(A0, A1, A2)
         G = _log_reduction(A0, A1, A2)
         C = A1 + A0 @ G  # block level 0 of the chain censored to block levels <= 0
         R = np.linalg.solve(-C.T, A0.T).T
@@ -295,19 +301,27 @@ def _exact_tail(model: JointModel, B, U, D) -> GeometricTail:
         levels = _solve_elimination([*B[:T0], C], [*U[: T0 - 1], U_top], [*D[:T0], D_top])
         head, x0 = np.array(levels[:-1]), levels[-1]
         total = head.sum() + float(x0 @ np.linalg.solve(np.eye(M) - R, np.ones(M)))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSolve(f"exact solve: {exc}") from exc
+    except (np.linalg.LinAlgError, SingularSolve) as exc:
+        # GTH raises SingularSolve where the tail's phases are reducible
+        at = "exact solve: " if isinstance(exc, np.linalg.LinAlgError) else ""
+        raise SingularSolve(f"{at}{exc}{_found(model)}") from exc
     if not (np.isfinite(R).all() and np.isfinite(total) and total > 0.0):
         raise SingularSolve("exact solve produced non-finite or zero mass")
     return GeometricTail(start=T0, period=p, head=head / total, x0=x0 / total, R=R, drift=drift,
                          R_residual=float(np.linalg.norm(A0 + R @ (A1 + R @ A2), np.inf)))
 
 
+def check_tol(tol: float) -> float:
+    """tol, refused unless it is positive: `_list_levels` would never stop."""
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    return tol
+
+
 def auto_truncate(model: JointModel, tol: float = 1e-9) -> TruncatedSolution:
     """`exact_solve` listed on levels 0..N, N >= tail_start + period the first
     level whose mass above it is below tol; the metrics do not depend on N."""
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    check_tol(tol)
     B, U, D = _blocks(model)
     tail = _exact_tail(model, B, U, D)
     exact, mass_above, N = _list_levels(tail, tol, model.tail_start + model.period)
@@ -376,15 +390,21 @@ def check_cut_structure(solution: TruncatedSolution, model: JointModel) -> CutRe
     return CutReport(passed=worst <= CUT_TOL, worst_relative=worst, worst_level=worst_n, levels_checked=interior)
 
 
-# ~50 ms of `%.17g` at ~1 us a value, ~20x the 2-3 ms of a fork, exit, wait and copy
+# ~10-12 ms of `format17.write_g17` and its row layout at ~0.2 us a value, 4-5x the 2-3 ms of a
+# fork, exit, wait and copy: a second CPU saves a few ms, and a busy one costs about as much
 _FORK_MIN_VALUES = 50_000
 
 
-def export_csv(solution: TruncatedSolution, model: JointModel, path) -> None:
+def export_csv(solution: TruncatedSolution, model: JointModel, path) -> int:
     """Write the stationary vector as CSV with columns (n, k, pi), a window of
-    levels at a time through one `%` template of a level's rows.  A label that
-    holds `,`, `"`, CR or LF is quoted with its quotes doubled, as `csv.writer`
-    quotes it.
+    levels at a time.  A label that holds `,`, `"`, CR or LF is quoted with its
+    quotes doubled, as `csv.writer` quotes it.  The values are printed as
+    `'%.17g' % v` would print them, by `format17.write_g17`; returns how many
+    of them it left to that template.
+
+    Each row of a window is laid out in whole 8-byte words, padded with
+    `format17.PAD`: the level n right-aligned, `,label,`, then the value, and
+    the padding is dropped once per window.
 
     Above `_FORK_MIN_VALUES` values the levels are cut into one contiguous
     block per CPU (`forkjoin.run_blocks`).  This process writes the first
@@ -395,22 +415,38 @@ def export_csv(solution: TruncatedSolution, model: JointModel, path) -> None:
     m = model.n_env
     labels = [str(label) for label in model.env.labels]
     labels = ['"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s for s in labels]
-    level = "".join(f"%d,{label.replace('%', '%%')},%.17g\n" for label in labels)
     pi = solution.pi
+    width = len(str(len(pi) - 1))  # digits of the last level
+    fields = [bytes([PAD]) * width + b"," + label.encode() + b"," for label in labels]
+    words = -(-max(map(len, fields)) // 8)
+    label_words = pad_words(fields, 8 * words).reshape(m, words)
+    place = 10 ** np.arange(width - 1, -1, -1)
 
-    def write(levels: range, fh) -> None:
+    def write(levels: range, fh) -> int:
+        buf = np.empty((min(LEVEL_WINDOW, len(levels)), m, words + WORDS), np.uint64)
+        templated = 0
         for start in range(levels.start, levels.stop, LEVEL_WINDOW):
-            values = pi[start : min(start + LEVEL_WINDOW, levels.stop)].ravel().tolist()
-            rows = len(values) // m
-            ns = chain.from_iterable(repeat(n, m) for n in range(start, start + rows))
-            fh.write(((level * rows) % tuple(chain.from_iterable(zip(ns, values)))).encode())
+            stop = min(start + LEVEL_WINDOW, levels.stop)
+            window = buf[: stop - start]
+            # the window's levels, each from `repeat(n, m)`, the rows of level n as the `%` template
+            # numbered them: the fork-join tests make a given level fail through `repeat`
+            ns = np.fromiter(map(next, map(repeat, range(start, stop), [m] * (stop - start))), np.int64, stop - start)
+            digits = ns[:, None] // place
+            level_text = np.full((stop - start, 8 * words), PAD, np.uint8)
+            level_text[:, :width] = np.where((digits > 0) | (place == 1), digits % 10 + ord("0"), PAD)
+            np.bitwise_and(level_text.view(np.uint64)[:, None, :], label_words, out=window[:, :, :words])
+            templated += write_g17(pi[start:stop].ravel(), window.reshape(-1, words + WORDS)[:, words:])
+            text = window.view(np.uint8).ravel()
+            fh.write(text[text != PAD])
         fh.flush()  # a child leaves through os._exit, which flushes nothing
+        return templated
 
     blocks = split(len(pi), min(cpus(), len(pi)) if pi.size > _FORK_MIN_VALUES else 1)
     with open(path, "wb") as fh, ExitStack() as parts:
         files = [fh] + [parts.enter_context(tempfile.TemporaryFile(dir=Path(path).parent)) for _ in blocks[1:]]
         fh.write(b"n,k,pi\n")
-        run_blocks(lambda block: write(*block), list(zip(blocks, files)))
+        templated = run_blocks(lambda block: write(*block), list(zip(blocks, files)))
         for part in files[1:]:
             part.seek(0)
             shutil.copyfileobj(part, fh)
+    return sum(templated)

@@ -134,6 +134,14 @@ class TestSolveCommand:
         assert run(tmp_path / "exact", "solve", *BS) == EXIT_OK
         assert read_manifest(tmp_path / "exact")["tol"] == "1e-09"
 
+    def test_cached_parser_keeps_no_option_value(self, tmp_path):
+        # main builds each command's parser once per process: a run's options must not become the next one's
+        assert run(tmp_path / "loose", "solve", *BS, "--tol", "1e-3") == EXIT_OK
+        assert read_manifest(tmp_path / "loose")["tol"] == "0.001"
+        assert run(tmp_path / "default", "solve", *BS) == EXIT_OK
+        assert read_manifest(tmp_path / "default")["tol"] == "1e-09"
+        assert cli._parser.cache_info().hits >= 1
+
 
 def write_model(path, labels, blocked, V, R, lam=1.0, mu=2.0):
     doc = {"rates": {"lambda_tail": [lam], "mu_tail": [mu]},
@@ -216,9 +224,12 @@ class TestErrorContract:
         assert (tmp_path / "manifest.txt").exists()
 
     def test_singular_solve(self, tmp_path, capsys):
-        # two working states that never switch: the tail is reducible
+        # two working states that never switch: the tail is reducible, and the error names a component
         path = split_model(tmp_path)
-        self.expect_error(capsys, main(["solve", "--model", path, "--out", str(tmp_path)]), "SingularSolve")
+        assert main(["solve", "--model", path, "--out", str(tmp_path)]) == EXIT_ERROR
+        column = ", ".join(f"({n}, 0)" for n in range(5))
+        assert capsys.readouterr().err == ("error: SingularSolve: no exit below state 1: chain not irreducible; "
+                                           f"2 strong components below the cap: example component: [{column}]\n")
 
     def test_not_irreducible_truncation(self, tmp_path, capsys):
         code = main(["solve", "--model", absorbing_model(tmp_path), "--N", "10", "--out", str(tmp_path)])
@@ -347,6 +358,7 @@ class TestErrorContract:
     def test_refusal_named(self, tmp_path, capsys, argv, message):
         assert run(tmp_path, *argv) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())  # refused before the manifest is written
 
     @pytest.mark.parametrize("horizon", ["0", "-5"])
     def test_bad_horizon(self, tmp_path, capsys, horizon):

@@ -1,6 +1,7 @@
 """Truncated and exact stationary solves, metrics, cut identity."""
 
 import csv
+import hashlib
 import os
 from itertools import repeat
 
@@ -379,6 +380,52 @@ class TestExportCsv:
         assert all(len(row) == 3 for row in rows)
         assert [row[1] for row in rows[1:]] == [str(label) for label in labels] * 4
         assert [float(row[2]) for row in rows[1:]] == sol.pi.ravel().tolist()
+
+    def test_quoted_labels_and_mid_file_windows_match_the_template(self, tmp_path, monkeypatch):
+        # labels to quote or holding `%`, levels 0..120 whose width grows at 10 and 100, windows of 7 levels
+        labels = ("a%d", "x,y", 'q"t', "c\rr", "l\nf", "%%")
+        V = np.ones((6, 6)) - 6 * np.eye(6)
+        env = EnvironmentSpec.constant(labels=labels, blocked=("a%d",), V=V, R=np.eye(6))
+        model = JointModel(rates=RateFamily.constant(1.0, 2.0), env=env)
+        sol = solve_truncated(model, 120)
+        monkeypatch.setattr(numerics, "LEVEL_WINDOW", 7)
+        assert export_csv(sol, model, tmp_path / "stationary.csv") == 0
+        quoted = ("a%d", '"x,y"', '"q""t"', '"c\rr"', '"l\nf"', "%%")
+        expected = "n,k,pi\n" + "".join(f"{n},{label},{value:.17g}\n" for n, row in enumerate(sol.pi.tolist())
+                                        for label, value in zip(quoted, row))
+        assert (tmp_path / "stationary.csv").read_bytes() == expected.encode()
+
+    def test_exact_zeros_and_ones_use_the_template(self, tmp_path):
+        # state 2 is never entered: its column is exactly zero, and `%.17g` writes each as 0
+        V = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, -1.0]])
+        env = EnvironmentSpec.constant(labels=(0, 1, 2), blocked=(), V=V, R=np.eye(3))
+        model = JointModel(rates=RateFamily.constant(1.0, 2.0), env=env)
+        sol = solve_truncated(model, 30)
+        assert (sol.pi[:, 2] == 0.0).all()
+        assert export_csv(sol, model, tmp_path / "stationary.csv") == 31
+        expected = "n,k,pi\n" + "".join(f"{n},{k},{value:.17g}\n" for n, row in enumerate(sol.pi.tolist())
+                                        for k, value in enumerate(row))
+        assert (tmp_path / "stationary.csv").read_bytes() == expected.encode()
+
+
+# `stationary.csv` of `solve` in heavy traffic: values, and the SHA-256 of the `%` template's bytes
+HEAVY_TRAFFIC_EXPORTS = {
+    "base_stock_rho0.999": (base_stock(lam=0.999, mu=1.0, nu=3.0, b=5), 124_278,
+                            "a4319b1bae289b2ea3fe76be1c3cef29c247ec03c1c0e2ced61983ebb124f19d"),
+    "perishable_o_rho0.99": (perishable_o(lam=0.99, mu=1.0, nu=3.0, gamma=1.0, b=5), 12_372,
+                             "d1b5db6a942ce8f5fb2694368f6092c15a1e017a7df91c14662165d55f261f69"),
+}
+
+
+@pytest.mark.parametrize("name", HEAVY_TRAFFIC_EXPORTS)
+def test_heavy_traffic_export_digest(name, tmp_path):
+    model, values, digest = HEAVY_TRAFFIC_EXPORTS[name]
+    sol = auto_truncate(model)
+    assert sol.pi.size == values
+    templated = export_csv(sol, model, tmp_path / "stationary.csv")
+    assert hashlib.sha256((tmp_path / "stationary.csv").read_bytes()).hexdigest() == digest
+    # a kernel that left every value to the `%` template would write the same bytes, only slower
+    assert templated <= values // 1000
 
 
 def quoted_label_model():
