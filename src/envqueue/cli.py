@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +127,8 @@ def _cmd_separability(args, outdir):
         for label, t in zip(model.env.labels, record["theta"]):
             print(f"  theta({label}) = {t:.12g}")
         return EXIT_OK
-    print(f"not separable: {record['reason']} (tail ratio {record['tail_ratio']:.12g})")
+    # the ratio as it round-trips: a NotSummable ratio just below 1 must not read as 1
+    print(f"not separable: {record['reason']} (tail ratio {record['tail_ratio']!r})")
     return EXIT_NEGATIVE
 
 
@@ -308,6 +310,11 @@ def _parser(commands: tuple) -> argparse.ArgumentParser:
     return build_parser(commands)
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    """`warnings.showwarning` for a command: one stderr line, without the source location."""
+    print(f"warning: {category.__name__}: {' '.join(str(message).split())}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the top-level parser takes no option values, so its first bare word is the subcommand
@@ -315,7 +322,9 @@ def main(argv=None) -> int:
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        return args.func(args, outdir)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            return args.func(args, outdir)
     except NotErgodic as exc:
         print(f"not ergodic: {exc}")
         return EXIT_NEGATIVE

@@ -21,16 +21,10 @@ explicit `--N` path and the independent oracle for the exact solve.
 from __future__ import annotations
 
 import math
-import shutil
-import tempfile
-from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import repeat
-from pathlib import Path
 
 import numpy as np
 
-from .forkjoin import cpus, run_blocks, split
 from .format17 import PAD, WORDS, pad_words, write_g17
 from .model import (LEVEL_WINDOW, EnvqueueError, JointModel, _balance_residual, _blocks, _capped_classes,
                     _level_classes, _representatives, validate_model)
@@ -199,7 +193,8 @@ def _mean_drift(A0, A1, A2) -> float:
     alpha = gth_stationary(A0 + A1 + A2)
     up, down = float(alpha @ A0.sum(axis=1)), float(alpha @ A2.sum(axis=1))
     if not down - up > DRIFT_RTOL * (up + down):
-        raise NotErgodic(f"tail drift up {up:.12g} >= down {down:.12g} (Neuts' mean-drift condition)")
+        raise NotErgodic(f"tail drift down - up = {down - up:.3g} is not above {DRIFT_RTOL} * (up + down), "
+                         f"with up {up!r} and down {down!r} (Neuts' mean-drift condition)")
     return down - up
 
 
@@ -390,28 +385,17 @@ def check_cut_structure(solution: TruncatedSolution, model: JointModel) -> CutRe
     return CutReport(passed=worst <= CUT_TOL, worst_relative=worst, worst_level=worst_n, levels_checked=interior)
 
 
-# ~10-12 ms of `format17.write_g17` and its row layout at ~0.2 us a value, 4-5x the 2-3 ms of a
-# fork, exit, wait and copy: a second CPU saves a few ms, and a busy one costs about as much
-_FORK_MIN_VALUES = 50_000
-
-
 def export_csv(solution: TruncatedSolution, model: JointModel, path) -> int:
     """Write the stationary vector as CSV with columns (n, k, pi), a window of
-    levels at a time.  A label that holds `,`, `"`, CR or LF is quoted with its
-    quotes doubled, as `csv.writer` quotes it.  The values are printed as
-    `'%.17g' % v` would print them, by `format17.write_g17`; returns how many
-    of them it left to that template.
+    `LEVEL_WINDOW` levels at a time, so that one window's text is held at once.
+    A label that holds `,`, `"`, CR or LF is quoted with its quotes doubled, as
+    `csv.writer` quotes it.  The values are printed as `'%.17g' % v` would
+    print them, by `format17.write_g17`; returns how many of them it left to
+    that template.
 
     Each row of a window is laid out in whole 8-byte words, padded with
     `format17.PAD`: the level n right-aligned, `,label,`, then the value, and
-    the padding is dropped once per window.
-
-    Above `_FORK_MIN_VALUES` values the levels are cut into one contiguous
-    block per CPU (`forkjoin.run_blocks`).  This process writes the first
-    block to `path`; each forked child writes its block to an unnamed
-    temporary file beside `path`, which this process then copies in, in
-    order and in bounded chunks.  So it holds one window at a time, the bytes
-    are those of one process, and a child only formats: it makes no BLAS call."""
+    the padding is dropped once per window."""
     m = model.n_env
     labels = [str(label) for label in model.env.labels]
     labels = ['"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s for s in labels]
@@ -421,32 +405,18 @@ def export_csv(solution: TruncatedSolution, model: JointModel, path) -> int:
     words = -(-max(map(len, fields)) // 8)
     label_words = pad_words(fields, 8 * words).reshape(m, words)
     place = 10 ** np.arange(width - 1, -1, -1)
-
-    def write(levels: range, fh) -> int:
-        buf = np.empty((min(LEVEL_WINDOW, len(levels)), m, words + WORDS), np.uint64)
-        templated = 0
-        for start in range(levels.start, levels.stop, LEVEL_WINDOW):
-            stop = min(start + LEVEL_WINDOW, levels.stop)
+    buf = np.empty((min(LEVEL_WINDOW, len(pi)), m, words + WORDS), np.uint64)
+    templated = 0
+    with open(path, "wb") as fh:
+        fh.write(b"n,k,pi\n")
+        for start in range(0, len(pi), LEVEL_WINDOW):
+            stop = min(start + LEVEL_WINDOW, len(pi))
             window = buf[: stop - start]
-            # the window's levels, each from `repeat(n, m)`, the rows of level n as the `%` template
-            # numbered them: the fork-join tests make a given level fail through `repeat`
-            ns = np.fromiter(map(next, map(repeat, range(start, stop), [m] * (stop - start))), np.int64, stop - start)
-            digits = ns[:, None] // place
+            digits = np.arange(start, stop)[:, None] // place
             level_text = np.full((stop - start, 8 * words), PAD, np.uint8)
             level_text[:, :width] = np.where((digits > 0) | (place == 1), digits % 10 + ord("0"), PAD)
             np.bitwise_and(level_text.view(np.uint64)[:, None, :], label_words, out=window[:, :, :words])
             templated += write_g17(pi[start:stop].ravel(), window.reshape(-1, words + WORDS)[:, words:])
             text = window.view(np.uint8).ravel()
             fh.write(text[text != PAD])
-        fh.flush()  # a child leaves through os._exit, which flushes nothing
-        return templated
-
-    blocks = split(len(pi), min(cpus(), len(pi)) if pi.size > _FORK_MIN_VALUES else 1)
-    with open(path, "wb") as fh, ExitStack() as parts:
-        files = [fh] + [parts.enter_context(tempfile.TemporaryFile(dir=Path(path).parent)) for _ in blocks[1:]]
-        fh.write(b"n,k,pi\n")
-        templated = run_blocks(lambda block: write(*block), list(zip(blocks, files)))
-        for part in files[1:]:
-            part.seek(0)
-            shutil.copyfileobj(part, fh)
-    return sum(templated)
+    return templated

@@ -365,6 +365,34 @@ class TestErrorContract:
         self.expect_error(capsys, run(tmp_path, "simulate", *BS, "--horizon", horizon), "ValueError")
 
 
+def near_critical(lam):
+    return ("--catalog", "base_stock", "--lambda", lam, "--mu", "1", "--nu", "3", "--b", "5")
+
+
+class TestNearCritical:
+    """At a tail ratio within 1e-12 of 1 a verdict names the test that failed, prints its numbers
+    so that they tell apart, and the library's warning reaches stderr as one line."""
+
+    def test_not_ergodic_names_the_margin(self, tmp_path, capsys):
+        # down exceeds up, by less than the DRIFT_RTOL margin
+        assert run(tmp_path, "solve", *near_critical("0.9999999999999")) == EXIT_NEGATIVE
+        assert capsys.readouterr().out == (
+            "not ergodic: tail drift down - up = 9.98e-14 is not above 1e-12 * (up + down), with up "
+            "0.9972527472526475 and down 0.9972527472527473 (Neuts' mean-drift condition)\n")
+
+    def test_not_summable_ratio_round_trips(self, tmp_path, capsys):
+        assert run(tmp_path, "separability", *near_critical("0.9999999999999")) == EXIT_NEGATIVE
+        assert capsys.readouterr() == (
+            "not separable: NotSummable (tail ratio 0.9999999999999)\n",
+            "warning: RuntimeWarning: tail ratio 0.9999999999999 is nearly critical\n")
+
+    def test_warning_is_one_stderr_line(self, tmp_path, capsys):
+        assert run(tmp_path, "certify", "--kind", "hitting_time", *near_critical("0.99999999995")) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out.startswith("certified ergodic: kind=hitting_time")
+        assert err == "warning: RuntimeWarning: tail ratio 0.99999999995 is nearly critical\n"
+
+
 @pytest.mark.parametrize("b", ["320", "400"])
 def test_large_environment_answers_are_finite(tmp_path, b):
     # theta spans more than the float range: unscaled, GTH gave theta = nan ("separable") and a
