@@ -1,11 +1,13 @@
 """Trajectory simulation of the joint chain and throughput estimation.
 
-Replications use independent Philox-backed streams derived from
-(seed, replication index) via numpy's SeedSequence spawn keys, so identical
-configurations reproduce bit-identical trajectories.  A long run splits its
-replications into contiguous blocks, one per CPU, and runs every block but the
-first in a forked child (`forkjoin.run_blocks`); as each replication has its
-own stream, the results are those of a sequential run.
+Replications use independent Philox-backed streams: replication `rep` of seed
+`seed` draws exactly what `Philox(SeedSequence(entropy=seed, spawn_key=(rep,)))`
+draws, so identical configurations reproduce bit-identical trajectories.  A
+long run splits its replications into contiguous blocks, one per CPU, and runs
+every block but the first in a forked child (`forkjoin.run_blocks`).  A block
+derives its replications' Philox keys in one pass of numpy integer arithmetic
+(`_keys`) and sets each key into two reused generators (`_streams`); as each
+replication has its own stream, the results are those of a sequential run.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
+from operator import length_hint
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Generator, Philox
 
 from .forkjoin import cpus, run_blocks, split
 from .model import EnvqueueError, JointModel, _level_moves, _representatives
@@ -37,10 +40,16 @@ class SimConfig:
     replications: int = 10
 
     def __post_init__(self):
-        if not 0.0 < self.horizon < math.inf:
-            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        # a boolean is no number, as in `catalog._number`
+        if isinstance(self.horizon, (bool, np.bool_)) or not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon!r}")
+        for name in ("replications", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        # a replication index is one 32-bit spawn-key word (`_keys`)
+        if not 1 <= self.replications <= 2**32:
+            raise ValueError(f"replications must be >= 1 and <= 2**32, got {self.replications}")
         if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -62,6 +71,9 @@ class SimulationResult:
     total_departures: int
 
 
+_UNFOLD = 4096  # `_TransitionTable.levels` lists more levels than this one by one
+
+
 class _TransitionTable:
     """Per-state-class transition data: class c holds the moves of the
     representative level c (`_level_moves`), each row in `generator_row`
@@ -70,8 +82,8 @@ class _TransitionTable:
     def __init__(self, model: JointModel):
         # rows repeat with period p only from tail_start + 1 on (mu(0) = 0
         # makes level 0 special even for constant rates)
-        self.base = model.tail_start + 1
-        self.p = model.period
+        self.base = base = model.tail_start + 1
+        self.p = p = model.period
         m = model.n_env
         moves = _level_moves(model, _representatives(model))
         rate = moves.rate.reshape(-1, moves.rate.shape[2])
@@ -89,62 +101,139 @@ class _TransitionTable:
                 for total, count, row_probs, shifts in zip(cum[:, -1].tolist(), counts.tolist(), probs.tolist(),
                                                            moves.shift.reshape(rate.shape).tolist())]
         # class index -> row k -> (-total exit rate, cum_probs, ((d_n, new_k), ...))
-        self.levels = [rows[i : i + m] for i in range(0, len(rows), m)]
+        classes = [rows[i : i + m] for i in range(0, len(rows), m)]
+        # level n -> the rows of its class, for every n below len(levels) > _UNFOLD:
+        # the prefix classes, then the p tail classes repeated; a level n at or above
+        # that is levels[base + (n - base) % p], the fold of `_level_classes`
+        self.levels = classes[:base] + classes[base:] * (_UNFOLD // p + 1)
 
 
 _CHUNK = 8192  # chunk c of a replication's stream: 8192 holding-time uniforms, then 8192 pick uniforms
 _WINDOW = 512  # uniforms converted to Python floats at a time
 _SKIP = _CHUNK // 4  # Philox steps in half a chunk: each step gives four 64-bit words, one per uniform
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx, after M. E. O'Neill's seed_seq_fe)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _WORD = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
-def _uniforms(seed: int, rep: int):
-    """The uniforms of replication `rep`, one (u_time, u_pick) pair of arrays per window.
-    Philox is counter-based, so two generators on the replication's key walk the times and the
-    picks of each chunk, drawing only the windows that are read and skipping the other half of
-    the chunk with `advance`.  Both are seeded from the SeedSequence: `Philox(key=...)` would
-    also read OS entropy."""
-    seq = SeedSequence(entropy=seed, spawn_key=(rep,))
-    times, picks = Philox(seq), Philox(seq).advance(_SKIP)
+
+def _keys(seed: int, reps: range) -> list:
+    """The Philox key of each replication of `reps`, as a pair of ints: the
+    `SeedSequence(entropy=seed, spawn_key=(rep,)).generate_state(2, np.uint64)` that
+    `Philox(SeedSequence(...))` uses.  SeedSequence mixes its entropy words, the seed's
+    32-bit words padded with zeros to the pool size 4 and then the replication index,
+    into a pool of 4 words, and hashes the pool into the key.  Only the last entropy
+    word differs between replications, so the pool before it is mixed once, here in
+    Python ints, and the last word's mixing and the hashing run on all of `reps` at
+    once in numpy uint32, whose products wrap mod 2**32 as SeedSequence's do.  Each
+    index must fit in one 32-bit word (`SimConfig` allows at most 2**32 replications)."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = (value ^ hash_const) * (hash_const := hash_const * _MULT_A & _WORD) & _WORD
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _WORD
+        return value ^ value >> 16
+
+    seed = int(seed)
+    words = [seed >> shift & _WORD for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    pool = [hashmix(word) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        pool = [mix(x, hashmix(word)) for x in pool]
+    # column j: the hashmix of the index into pool word j, then generate_state's hash of word j
+    a, b = [hash_const], [_INIT_B]
+    for _ in range(4):
+        a.append(a[-1] * _MULT_A & _WORD)
+        b.append(b[-1] * _MULT_B & _WORD)
+    a, b = np.array(a, dtype=np.uint32), np.array(b, dtype=np.uint32)
+    value = (np.arange(reps.start, reps.stop, dtype=np.uint32)[:, None] ^ a[:4]) * a[1:]
+    value ^= value >> 16
+    value = np.array([_MIX_MULT_L * x & _WORD for x in pool], dtype=np.uint32) - np.uint32(_MIX_MULT_R) * value
+    value ^= value >> 16
+    value = (value ^ b[:4]) * b[1:]
+    value ^= value >> 16
+    return value.astype("<u4", copy=False).view("<u8").tolist()  # two words to a uint64, low word first
+
+
+def _streams(seed: int, reps: range):
+    """For each replication of `reps` in turn, an iterator of its uniforms, one
+    (u_time, u_pick) pair of arrays per window.  Philox is counter-based, so two
+    generators on the replication's key walk the times and the picks of each chunk,
+    drawing only the windows that are read and skipping the other half of the chunk
+    with `advance`.  The block reuses one pair of generators, setting each
+    replication's key into their state, so a replication's windows must be read
+    before the next replication is drawn.  The generators start from a fixed seed
+    whose state is overwritten: `Philox(key=...)` would also read OS entropy."""
+    times, picks = Philox(0), Philox(0)
     draw_times, draw_picks = Generator(times).random, Generator(picks).random
-    while True:
-        for _ in range(_CHUNK // _WINDOW):
-            yield draw_times(_WINDOW), draw_picks(_WINDOW)
-        times.advance(_SKIP)
-        picks.advance(_SKIP)
+
+    def windows():
+        while True:
+            for _ in range(_CHUNK // _WINDOW):
+                yield draw_times(_WINDOW), draw_picks(_WINDOW)
+            times.advance(_SKIP)
+            picks.advance(_SKIP)
+
+    state = times.state
+    for key in _keys(seed, reps):
+        state["state"] = {"counter": (0, 0, 0, 0), "key": key}
+        times.state = state
+        state["state"] = {"counter": (_SKIP, 0, 0, 0), "key": key}
+        picks.state = state
+        yield windows()
 
 
-def _run_replication(table: _TransitionTable, config: SimConfig, rep: int):
+def _run_replication(table: _TransitionTable, horizon: float, windows):
     """(departure rate after the warm-up, jumps, departures) of one trajectory
-    started at (0, 0).  The holding time is log1p(-u) / (-total), which is
-    -log1p(-u) / total exactly: negation is exact and IEEE division is
-    symmetric in sign."""
-    horizon = config.horizon
+    started at (0, 0), drawn from `windows` (`_streams`).  The holding time is
+    log1p(-u) / (-total), which is -log1p(-u) / total exactly: negation is exact
+    and IEEE division is symmetric in sign.  A departure counts when it lands at
+    or after the warm-up time: until the first jump that does, `limit` is the
+    float just below the warm-up time, and from that jump on it is the horizon."""
     warmup_time = WARMUP * horizon
     levels, base, p = table.levels, table.base, table.p
+    listed = len(levels)
     n, k = 0, 0
     level = levels[0]
     t = 0.0
+    limit = math.nextafter(warmup_time, -math.inf)  # t > limit iff t >= warmup_time
     departures = 0
     jumps = 0  # made in the windows read to their end
-    for u_time, u_pick in _uniforms(config.seed, rep):
+    for u_time, u_pick in windows:
+        picks = iter(u_pick.tolist())
         # math.log1p, not np.log1p: the two differ in the last bit on some
         # draws, which would change the trajectories
-        draws = zip(map(math.log1p, (-u_time).tolist()), u_pick.tolist())
-        for log_u, pick in draws:
+        for log_u, pick in zip(map(math.log1p, (-u_time).tolist()), picks):
             neg_total, cum, moves = level[k]
             t_next = t + log_u / neg_total
-            if t_next > horizon:
-                # each draw of this window before this one made a jump
-                jumps += _WINDOW - 1 - sum(1 for _ in draws)
-                return departures / (horizon - warmup_time), jumps, departures
+            if t_next > limit:
+                if t_next > horizon:
+                    # each draw of this window before this one made a jump
+                    jumps += _WINDOW - 1 - length_hint(picks)
+                    return departures / (horizon - warmup_time), jumps, departures
+                limit = horizon
+                departures = 0  # the warm-up ends at this jump
             t = t_next
             dn, k = moves[bisect_left(cum, pick)]
             if dn:
-                if dn < 0 and t >= warmup_time:
+                if dn < 0:
                     departures += 1
                 n += dn
-                level = levels[n if n < base else base + (n - base) % p]  # the fold of `_level_classes`
+                level = levels[n] if n < listed else levels[base + (n - base) % p]
         jumps += _WINDOW
+
+
+def _run_block(table: _TransitionTable, config: SimConfig, reps: range) -> list:
+    """`_run_replication` of each replication of `reps`, in order."""
+    return [_run_replication(table, config.horizon, windows) for windows in _streams(config.seed, reps)]
 
 
 def _t_tail(t: float, df: int) -> tuple:
@@ -189,9 +278,9 @@ def _t_quantile(df: int, p: float) -> float:
     raise ArithmeticError(f"t quantile at df = {df}, p = {p} did not converge")
 
 
-# ~10 ms of jump kernel, ~5x the 2 ms of a fork, exit and wait; the parent's
-# first write to each page after a fork also faults, ~1 us a page
-_FORK_MIN_JUMPS = 2e4
+# ~15 ms of jump kernel at ~3.3 jumps/us, ~5x the ~3 ms of a fork, exit and
+# wait; the parent's first write to each page after a fork also faults, ~1 us a page
+_FORK_MIN_JUMPS = 5e4
 
 
 def _workers(table: _TransitionTable, config: SimConfig) -> int:
@@ -208,11 +297,11 @@ def simulate(model: JointModel, config: SimConfig) -> SimulationResult:
     """Monte Carlo throughput estimate with a 95% t-interval over
     independent replications.  The replications run in contiguous blocks,
     one per worker (`_workers`), through `forkjoin.run_blocks`; a child runs
-    only the jump kernel, pure Python and Philox, and no BLAS."""
+    the block's key pass in numpy integer arithmetic, Philox and the jump
+    kernel in pure Python, and no BLAS."""
     table = _TransitionTable(model)
     blocks = split(config.replications, _workers(table, config))
-    runs = list(chain.from_iterable(run_blocks(
-        lambda reps: [_run_replication(table, config, rep) for rep in reps], blocks)))
+    runs = list(chain.from_iterable(run_blocks(lambda reps: _run_block(table, config, reps), blocks)))
     rates = tuple(rate for rate, _, _ in runs)
     mean = float(np.mean(rates))
     if config.replications > 1:

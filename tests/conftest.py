@@ -1,15 +1,19 @@
 """Shared fixtures and model builders for the test suite."""
 
+import math
 import os
 import tracemalloc
+from bisect import bisect_left
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox, SeedSequence
 
 from envqueue import ergodicity
 from envqueue.bounds import departure_values
 from envqueue.catalog import base_stock, catalog, mm1_plain, perishable_o
 from envqueue.model import EnvironmentSpec, JointModel, RateFamily, _capped_classes, _level_classes
+from envqueue.simulate import WARMUP
 
 
 @pytest.fixture
@@ -180,3 +184,56 @@ def count_forks(monkeypatch):
 def assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def reference_uniforms(seed, rep):
+    """Replication `rep`'s uniforms, one (u_time, u_pick) pair of 512-wide windows at a time,
+    from two generators built on its own SeedSequence; chunk c holds 8192 holding-time
+    uniforms, then 8192 pick uniforms."""
+    seq = SeedSequence(entropy=seed, spawn_key=(rep,))
+    times, picks = Philox(seq), Philox(seq).advance(2048)
+    draw_times, draw_picks = Generator(times).random, Generator(picks).random
+    while True:
+        for _ in range(16):
+            yield draw_times(512), draw_picks(512)
+        times.advance(2048)
+        picks.advance(2048)
+
+
+def reference_replication(table, seed, horizon, rep, path=None):
+    """(departure rate after the warm-up, jumps, departures) of replication `rep`: the
+    jump loop that `simulate` ran with one SeedSequence and two Philox generators per
+    replication, a test of the warm-up at every departure and the class fold at every
+    level change.  It reads only `table.levels[:base + p]`.  With `path`, each jump's
+    (time, queue change) is appended to it."""
+    warmup_time = WARMUP * horizon
+    levels, base, p = table.levels, table.base, table.p
+    n, k = 0, 0
+    level = levels[0]
+    t = 0.0
+    departures = 0
+    jumps = 0
+    for u_time, u_pick in reference_uniforms(seed, rep):
+        draws = zip(map(math.log1p, (-u_time).tolist()), u_pick.tolist())
+        for log_u, pick in draws:
+            neg_total, cum, moves = level[k]
+            t_next = t + log_u / neg_total
+            if t_next > horizon:
+                jumps += 512 - 1 - sum(1 for _ in draws)
+                return departures / (horizon - warmup_time), jumps, departures
+            t = t_next
+            dn, k = moves[bisect_left(cum, pick)]
+            if path is not None:
+                path.append((t, dn))
+            if dn:
+                if dn < 0 and t >= warmup_time:
+                    departures += 1
+                n += dn
+                level = levels[n if n < base else base + (n - base) % p]
+        jumps += 512
+
+
+def reference_simulate(table, config):
+    """(per_replication, total_jumps, total_departures) of `reference_replication`."""
+    runs = [reference_replication(table, config.seed, config.horizon, rep) for rep in range(config.replications)]
+    return tuple(rate for rate, _, _ in runs), sum(j for _, j, _ in runs), sum(d for _, _, d in runs)

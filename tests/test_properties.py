@@ -10,10 +10,11 @@ from envqueue.ergodicity import SingularSystem, _drift, c_hat, solve_tau
 from envqueue.model import (EnvironmentSpec, JointModel, RateFamily, _blocks, _level_moves, _representatives,
                             generator_row, validate_model)
 from envqueue.separability import gth_stationary, queue_marginal, reduced_generator
-from envqueue.simulate import SimConfig, simulate
+from envqueue.catalog import catalog
+from envqueue.simulate import SimConfig, ZeroExitRate, _TransitionTable, simulate
 
 from conftest import (check_certify_against_dense, dense_drift, dense_move_rates, reference_blocks,
-                      truncated_generator, value_history)
+                      reference_simulate, truncated_generator, value_history)
 
 rates_st = st.floats(min_value=0.05, max_value=5.0, allow_nan=False, allow_infinity=False)
 
@@ -272,6 +273,37 @@ def test_simulation_seed_determinism(seed):
     a = simulate(model, config)
     b = simulate(model, config)
     assert a.estimate.per_replication == b.estimate.per_replication
+
+
+# one model of each catalog family, the on-off ones with level-dependent rates up to depth 2
+CATALOG_MODELS = [catalog(name, **params) for name, params in [
+    ("mm1_plain", dict(lam=1, mu=2)),
+    ("base_stock", dict(lam=1, mu=2, nu=1, b=2)),
+    ("perishable_o", dict(lam=1, mu=2, nu=1, gamma=2, b=3)),
+    ("perishable_minus", dict(lam=1, mu=2, nu=1, gamma=2, b=3)),
+    ("perishable_plus", dict(lam=1, mu=2, nu=1, gamma=0.5, b=3)),
+    ("onoff_a", dict(eta=0.5, gamma=1, lam=1.5, mu=3, depth=2)),
+    ("onoff_b", dict(lam=0.2, gamma=1, eta=2, depth=2)),
+]]
+
+
+@given(st.one_of(joint_models(max_period=6), st.sampled_from(CATALOG_MODELS)), st.integers(0, 2**70),
+       st.floats(0.01, 2000.0), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_simulation_matches_the_reference_loop(model, seed, horizon, replications):
+    # the kernel against the jump loop with a SeedSequence and two generators per replication
+    config = SimConfig(seed=seed, horizon=horizon, replications=replications)
+    try:
+        table = _TransitionTable(model)
+    except ZeroExitRate:
+        with pytest.raises(ZeroExitRate):
+            simulate(model, config)
+        return
+    result = simulate(model, config)
+    per_replication, jumps, departures = reference_simulate(table, config)
+    assert result.estimate.per_replication == per_replication
+    assert result.total_jumps == jumps
+    assert result.total_departures == departures
 
 
 @given(joint_models(max_env=3, max_prefix=1, max_period=1), st.integers(2, 8))

@@ -2,21 +2,42 @@
 
 import math
 import os
-from itertools import chain, islice
+from itertools import islice
 
+import numpy as np
 import pytest
 from numpy.random import Generator, Philox, SeedSequence
 
 from envqueue import simulate as simulate_module
 from envqueue.bounds import departure_values
-from envqueue.catalog import base_stock, perishable_o
+from envqueue.catalog import base_stock, mm1_plain, perishable_o
 from envqueue.cli import EXIT_ERROR, main
 from envqueue.ergodicity import certify
 from envqueue.forkjoin import WorkerLost
 from envqueue.model import validate_model
-from envqueue.simulate import SimConfig, ZeroExitRate, _t_quantile, _uniforms, simulate
+from envqueue.simulate import WARMUP, SimConfig, ZeroExitRate, _streams, _t_quantile, _TransitionTable, simulate
 
-from conftest import assert_no_children, count_forks, period_two_model, traced_peak
+from conftest import (assert_no_children, count_forks, period_two_model, reference_replication, reference_simulate,
+                      traced_peak)
+
+
+STREAM_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 12345, 3**200]
+
+
+def reference_windows(seed, rep, count):
+    """The first `count` (u_time, u_pick) windows of replication `rep`, as lists, from one
+    numpy generator read in stream order: chunk c holds 8192 holding-time uniforms, then
+    8192 pick uniforms, and each is cut into windows of 512."""
+    rng = Generator(Philox(SeedSequence(entropy=seed, spawn_key=(rep,))))
+    windows = []
+    while len(windows) < count:
+        u_time, u_pick = rng.random(8192), rng.random(8192)
+        windows += [(u_time[i : i + 512].tolist(), u_pick[i : i + 512].tolist()) for i in range(0, 8192, 512)]
+    return windows[:count]
+
+
+def read_windows(windows, count):
+    return [(u_time.tolist(), u_pick.tolist()) for u_time, u_pick in islice(windows, count)]
 
 
 class TestSimulate:
@@ -55,17 +76,21 @@ class TestSimulate:
         assert result.total_departures == 23882
         assert sum(result.estimate.per_replication) == 132.6777777777778
 
-    @pytest.mark.parametrize("seed, rep", [(0, 0), (5, 1), (123456789, 7), (2**40, 199)])
+    @pytest.mark.parametrize("seed, rep", [(0, 0), (5, 1), (123456789, 7), (2**40, 199)] + [
+        # seeds of one, two, three, five and ten 32-bit words; indices at byte and 32-bit limits
+        (seed, rep) for seed in STREAM_SEEDS for rep in (0, 255, 256, 2**31, 2**32 - 1) if (seed, rep) != (0, 0)])
     def test_uniforms_match_chunk_reference(self, seed, rep):
-        # the stream layout: chunk c holds 8192 holding-time uniforms, then 8192 pick uniforms
-        rng = Generator(Philox(SeedSequence(entropy=seed, spawn_key=(rep,))))
-        expected = []
-        for _ in range(3):  # two chunk crossings
-            u_time = rng.random(8192)
-            u_pick = rng.random(8192)
-            expected += zip(u_time.tolist(), u_pick.tolist())
-        pairs = chain.from_iterable(zip(u_time.tolist(), u_pick.tolist()) for u_time, u_pick in _uniforms(seed, rep))
-        assert list(islice(pairs, len(expected))) == expected
+        # three chunks: two chunk crossings
+        (windows,) = _streams(seed, range(rep, rep + 1))
+        assert read_windows(windows, 48) == reference_windows(seed, rep, 48)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_block_streams_match_chunk_reference(self, seed):
+        # a forked worker's block starts mid-range; each replication leaves its
+        # stream at another point before the next one reuses the generators
+        reps = range(254, 259)
+        for rep, windows, count in zip(reps, _streams(seed, reps), (1, 17, 3, 33, 16), strict=True):
+            assert read_windows(windows, count) == reference_windows(seed, rep, count), rep
 
     def test_different_seeds_differ(self, bs_model):
         config_a = SimConfig(seed=1, horizon=500.0, replications=2)
@@ -85,6 +110,21 @@ class TestSimulate:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             SimConfig(replications=0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("replications", 2.5, "replications must be an integer, got 2.5"),
+        ("replications", True, "replications must be an integer, got True"),
+        ("replications", 2**32 + 1, "replications must be >= 1 and <= 2**32, got 4294967297"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("horizon", True, "horizon must be finite and > 0, got True"),
+    ])
+    def test_config_refuses_non_integers_and_booleans(self, field, value, message):
+        # a float count failed in `forkjoin.split` after the transition table was built,
+        # a float seed in numpy, and booleans ran as 1
+        with pytest.raises(ValueError) as info:
+            SimConfig(**{field: value})
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("horizon", [0.0, -5.0, math.inf, math.nan])
     def test_invalid_horizon(self, horizon):
@@ -117,6 +157,82 @@ class TestSimulate:
     def test_t_quantile_raises_where_newton_does_not_converge(self):
         with pytest.raises(ArithmeticError, match="did not converge"):
             _t_quantile(9, math.nan)
+
+
+def outcome(result):
+    return result.estimate.per_replication, result.total_jumps, result.total_departures
+
+
+def reference_path(model, seed, horizon):
+    """The (time, queue change) of each jump of replication 0 up to `horizon`."""
+    path = []
+    reference_replication(_TransitionTable(model), seed, horizon, 0, path)
+    return path
+
+
+def horizon_with_warmup_at(t):
+    """A horizon whose warm-up time WARMUP * horizon is exactly t, or None."""
+    horizon = t / WARMUP
+    for _ in range(4):
+        if WARMUP * horizon == t:
+            return horizon
+        horizon = math.nextafter(horizon, math.inf if WARMUP * horizon < t else -math.inf)
+    return None
+
+
+class TestKernelAgainstReference:
+    """`simulate` against `conftest.reference_replication`, the jump loop with a
+    SeedSequence and two generators per replication, on the kernel's edge cases."""
+
+    @pytest.mark.parametrize("jumps", [511, 512, 8191, 8192, 2 * 8192 + 511],
+                             ids=["window_end", "window_start", "chunk_end", "chunk_start", "later_chunk"])
+    def test_horizon_crossing(self, bs_model, jumps):
+        # a horizon between the jumps-th and the next jump time: the crossing draw is draw `jumps`
+        # of the stream, the last of a window for 511, 8191 and 2 * 8192 + 511
+        times = [t for t, _ in reference_path(bs_model, 11, 1e4)]
+        horizon = times[jumps - 1] / 2 + times[jumps] / 2
+        config = SimConfig(seed=11, horizon=horizon, replications=1)
+        result = outcome(simulate(bs_model, config))
+        assert result == reference_simulate(_TransitionTable(bs_model), config)
+        assert result[1] == jumps
+
+    def test_zero_jump_replications(self, bs_model):
+        # the horizon falls before the first holding time of every replication
+        config = SimConfig(seed=3, horizon=1e-9, replications=7)
+        result = outcome(simulate(bs_model, config))
+        assert result == reference_simulate(_TransitionTable(bs_model), config)
+        assert result == ((0.0,) * 7, 0, 0)
+
+    @pytest.mark.parametrize("dn", [0, -1], ids=["environment_only", "departure"])
+    def test_warmup_ends_on_a_jump(self, bs_model, dn):
+        # the first jump at or after the warm-up time is an environment-only move or a
+        # departure, landing strictly after the warm-up time and exactly on it
+        path = reference_path(bs_model, 5, 1e3)
+        checked = set()
+        for j in range(30, len(path)):
+            if path[j][1] != dn:
+                continue
+            for kind, warmup in (("after", (path[j - 1][0] + path[j][0]) / 2), ("on", path[j][0])):
+                horizon = horizon_with_warmup_at(warmup) if kind == "on" else warmup / WARMUP
+                if kind in checked or horizon is None:
+                    continue
+                assert path[j - 1][0] < WARMUP * horizon <= path[j][0]
+                config = SimConfig(seed=5, horizon=horizon, replications=2)
+                assert outcome(simulate(bs_model, config)) == reference_simulate(_TransitionTable(bs_model), config)
+                checked.add(kind)
+        assert checked == {"after", "on"}
+
+    @pytest.mark.parametrize("model", [period_two_model(), mm1_plain(lam=2.0, mu=1.0),
+                                       perishable_o(lam=1, mu=2, nu=1, gamma=2, b=2)],
+                             ids=["period_two", "mm1_transient", "perishable_o"])
+    def test_levels_above_the_unfold_cap(self, model, monkeypatch):
+        config = SimConfig(seed=9, horizon=300.0, replications=3)
+        unfolded = outcome(simulate(model, config))
+        monkeypatch.setattr(simulate_module, "_UNFOLD", 0)
+        table = _TransitionTable(model)
+        assert outcome(simulate(model, config)) == unfolded == reference_simulate(table, config)
+        levels = np.cumsum([dn for _, dn in reference_path(model, 9, 300.0)])
+        assert levels.max() >= len(table.levels)
 
 
 def set_cpus(monkeypatch, cpus, min_jumps=None):
@@ -159,28 +275,28 @@ class TestParallelReplications:
 
     @pytest.mark.parametrize("failing_rep", [0, 150, 199], ids=["parent", "second_worker", "last_worker"])
     def test_worker_exception_is_raised_with_its_type(self, bs_model, failing_rep, monkeypatch):
-        run = simulate_module._run_replication
+        run = simulate_module._run_block
 
-        def failing(table, config, rep):
-            if rep == failing_rep:
-                raise ZeroExitRate(f"replication {rep}")
-            return run(table, config, rep)
+        def failing(table, config, reps):
+            if failing_rep in reps:
+                raise ZeroExitRate(f"replication {failing_rep}")
+            return run(table, config, reps)
 
-        monkeypatch.setattr(simulate_module, "_run_replication", failing)
+        monkeypatch.setattr(simulate_module, "_run_block", failing)
         set_cpus(monkeypatch, 3, min_jumps=0)
         with pytest.raises(ZeroExitRate, match=f"replication {failing_rep}$"):
             simulate(bs_model, SimConfig(horizon=10.0, replications=200))
         assert_no_children()
 
     def test_worker_without_a_result_exits_2(self, monkeypatch, tmp_path, capsys):
-        run = simulate_module._run_replication
+        run = simulate_module._run_block
 
-        def dying(table, config, rep):
-            if rep == 3:
+        def dying(table, config, reps):
+            if 3 in reps:
                 os._exit(0)
-            return run(table, config, rep)
+            return run(table, config, reps)
 
-        monkeypatch.setattr(simulate_module, "_run_replication", dying)
+        monkeypatch.setattr(simulate_module, "_run_block", dying)
         set_cpus(monkeypatch, 2)
         with pytest.raises(WorkerLost, match="without a result"):
             simulate(base_stock(lam=1, mu=2, nu=1, b=2), SimConfig(horizon=5000.0, replications=4))
@@ -191,9 +307,9 @@ class TestParallelReplications:
         assert capsys.readouterr().err.startswith("error: WorkerLost: ")
         assert_no_children()
 
-    @pytest.mark.parametrize("horizon, replications", [(10.0, 2), (200.0, 3), (1000.0, 4)])
+    @pytest.mark.parametrize("horizon, replications", [(10.0, 2), (200.0, 3), (1000.0, 4), (3000.0, 4)])
     def test_short_runs_stay_in_process(self, bs_model, horizon, replications, monkeypatch):
-        # the largest exit rate of base stock b = 2 is 4: fewer than 2e4 jumps even at that rate
+        # the largest exit rate of base stock b = 2 is 4: fewer than 5e4 jumps even at that rate
         forks = count_forks(monkeypatch)
         set_cpus(monkeypatch, 2)
         simulate(bs_model, SimConfig(horizon=horizon, replications=replications))
@@ -210,6 +326,18 @@ class TestParallelReplications:
             assert simulate(bs_model, config) == sequential
             assert len(forks) == expected, cpus
             forks.clear()
+
+    @pytest.mark.parametrize("replications", [1, 7, 200])
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_each_block_builds_two_generators(self, bs_model, replications, cpus, monkeypatch):
+        # the blocks run in this process, so the constructor calls of every block are counted here
+        built = []
+        monkeypatch.setattr(simulate_module, "Philox", lambda *args: built.append(args) or Philox(*args))
+        monkeypatch.setattr(simulate_module, "run_blocks", lambda work, blocks: [work(block) for block in blocks])
+        set_cpus(monkeypatch, cpus, min_jumps=0)
+        config = SimConfig(seed=4, horizon=20.0, replications=replications)
+        assert outcome(simulate(bs_model, config)) == reference_simulate(_TransitionTable(bs_model), config)
+        assert len(built) <= 2 * min(cpus, replications)
 
     def test_negative_seed_refused_before_forking(self, bs_model, monkeypatch):
         # numpy's SeedSequence refused it in the first replication, after a fork
