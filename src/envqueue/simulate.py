@@ -71,9 +71,6 @@ class SimulationResult:
     total_departures: int
 
 
-_UNFOLD = 4096  # `_TransitionTable.levels` lists more levels than this one by one
-
-
 class _TransitionTable:
     """Per-state-class transition data: class c holds the moves of the
     representative level c (`_level_moves`), each row in `generator_row`
@@ -82,8 +79,8 @@ class _TransitionTable:
     def __init__(self, model: JointModel):
         # rows repeat with period p only from tail_start + 1 on (mu(0) = 0
         # makes level 0 special even for constant rates)
-        self.base = base = model.tail_start + 1
-        self.p = p = model.period
+        self.base = model.tail_start + 1
+        self.p = model.period
         m = model.n_env
         moves = _level_moves(model, _representatives(model))
         rate = moves.rate.reshape(-1, moves.rate.shape[2])
@@ -101,11 +98,7 @@ class _TransitionTable:
                 for total, count, row_probs, shifts in zip(cum[:, -1].tolist(), counts.tolist(), probs.tolist(),
                                                            moves.shift.reshape(rate.shape).tolist())]
         # class index -> row k -> (-total exit rate, cum_probs, ((d_n, new_k), ...))
-        classes = [rows[i : i + m] for i in range(0, len(rows), m)]
-        # level n -> the rows of its class, for every n below len(levels) > _UNFOLD:
-        # the prefix classes, then the p tail classes repeated; a level n at or above
-        # that is levels[base + (n - base) % p], the fold of `_level_classes`
-        self.levels = classes[:base] + classes[base:] * (_UNFOLD // p + 1)
+        self.levels = [rows[i : i + m] for i in range(0, len(rows), m)]
 
 
 _CHUNK = 8192  # chunk c of a replication's stream: 8192 holding-time uniforms, then 8192 pick uniforms
@@ -195,16 +188,12 @@ def _run_replication(table: _TransitionTable, horizon: float, windows):
     """(departure rate after the warm-up, jumps, departures) of one trajectory
     started at (0, 0), drawn from `windows` (`_streams`).  The holding time is
     log1p(-u) / (-total), which is -log1p(-u) / total exactly: negation is exact
-    and IEEE division is symmetric in sign.  A departure counts when it lands at
-    or after the warm-up time: until the first jump that does, `limit` is the
-    float just below the warm-up time, and from that jump on it is the horizon."""
+    and IEEE division is symmetric in sign."""
     warmup_time = WARMUP * horizon
     levels, base, p = table.levels, table.base, table.p
-    listed = len(levels)
     n, k = 0, 0
     level = levels[0]
     t = 0.0
-    limit = math.nextafter(warmup_time, -math.inf)  # t > limit iff t >= warmup_time
     departures = 0
     jumps = 0  # made in the windows read to their end
     for u_time, u_pick in windows:
@@ -214,20 +203,17 @@ def _run_replication(table: _TransitionTable, horizon: float, windows):
         for log_u, pick in zip(map(math.log1p, (-u_time).tolist()), picks):
             neg_total, cum, moves = level[k]
             t_next = t + log_u / neg_total
-            if t_next > limit:
-                if t_next > horizon:
-                    # each draw of this window before this one made a jump
-                    jumps += _WINDOW - 1 - length_hint(picks)
-                    return departures / (horizon - warmup_time), jumps, departures
-                limit = horizon
-                departures = 0  # the warm-up ends at this jump
+            if t_next > horizon:
+                # each draw of this window before this one made a jump
+                jumps += _WINDOW - 1 - length_hint(picks)
+                return departures / (horizon - warmup_time), jumps, departures
             t = t_next
             dn, k = moves[bisect_left(cum, pick)]
             if dn:
-                if dn < 0:
+                if dn < 0 and t >= warmup_time:
                     departures += 1
                 n += dn
-                level = levels[n] if n < listed else levels[base + (n - base) % p]
+                level = levels[n if n < base else base + (n - base) % p]  # the fold of `_level_classes`
         jumps += _WINDOW
 
 
@@ -278,7 +264,7 @@ def _t_quantile(df: int, p: float) -> float:
     raise ArithmeticError(f"t quantile at df = {df}, p = {p} did not converge")
 
 
-# ~15 ms of jump kernel at ~3.3 jumps/us, ~5x the ~3 ms of a fork, exit and
+# ~16 ms of jump kernel at ~3.1 jumps/us, ~5x the ~3 ms of a fork, exit and
 # wait; the parent's first write to each page after a fork also faults, ~1 us a page
 _FORK_MIN_JUMPS = 5e4
 

@@ -204,8 +204,7 @@ def reference_replication(table, seed, horizon, rep, path=None):
     """(departure rate after the warm-up, jumps, departures) of replication `rep`: the
     jump loop that `simulate` ran with one SeedSequence and two Philox generators per
     replication, a test of the warm-up at every departure and the class fold at every
-    level change.  It reads only `table.levels[:base + p]`.  With `path`, each jump's
-    (time, queue change) is appended to it."""
+    level change.  With `path`, each jump's (time, queue change) is appended to it."""
     warmup_time = WARMUP * horizon
     levels, base, p = table.levels, table.base, table.p
     n, k = 0, 0

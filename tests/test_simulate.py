@@ -222,15 +222,29 @@ class TestKernelAgainstReference:
                 checked.add(kind)
         assert checked == {"after", "on"}
 
+    def test_horizon_crossed_from_inside_the_warmup(self):
+        # a departure before the warm-up time, then no jump until after the horizon: the
+        # warm-up departures must not count.  At n = 0 only arrivals (rate 1) leave, so a
+        # few percent of the replications end this way.
+        model = mm1_plain(lam=1.0, mu=100.0)
+        config = SimConfig(seed=0, horizon=1.0, replications=200)
+        table = _TransitionTable(model)
+        assert outcome(simulate(model, config)) == reference_simulate(table, config)
+        crossed = 0
+        for rep in range(config.replications):
+            path = []
+            reference_replication(table, config.seed, config.horizon, rep, path)
+            crossed += any(dn < 0 for _, dn in path) and path[-1][0] < WARMUP * config.horizon
+        assert crossed
+
     @pytest.mark.parametrize("model", [period_two_model(), mm1_plain(lam=2.0, mu=1.0),
                                        perishable_o(lam=1, mu=2, nu=1, gamma=2, b=2)],
                              ids=["period_two", "mm1_transient", "perishable_o"])
-    def test_levels_above_the_unfold_cap(self, model, monkeypatch):
+    def test_levels_in_the_periodic_tail(self, model):
+        # the trajectory climbs past the listed classes, so the fold picks the rows
         config = SimConfig(seed=9, horizon=300.0, replications=3)
-        unfolded = outcome(simulate(model, config))
-        monkeypatch.setattr(simulate_module, "_UNFOLD", 0)
         table = _TransitionTable(model)
-        assert outcome(simulate(model, config)) == unfolded == reference_simulate(table, config)
+        assert outcome(simulate(model, config)) == reference_simulate(table, config)
         levels = np.cumsum([dn for _, dn in reference_path(model, 9, 300.0)])
         assert levels.max() >= len(table.levels)
 
