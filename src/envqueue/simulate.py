@@ -1,13 +1,17 @@
 """Trajectory simulation of the joint chain and throughput estimation.
 
-Replications use independent Philox-backed streams: replication `rep` of seed
-`seed` draws exactly what `Philox(SeedSequence(entropy=seed, spawn_key=(rep,)))`
-draws, so identical configurations reproduce bit-identical trajectories.  A
-long run splits its replications into contiguous blocks, one per CPU, and runs
-every block but the first in a forked child (`forkjoin.run_blocks`).  A block
-derives its replications' Philox keys in one pass of numpy integer arithmetic
-(`_keys`) and sets each key into two reused generators (`_streams`); as each
-replication has its own stream, the results are those of a sequential run.
+Replication `rep` of seed `seed` draws from its own Philox stream,
+`Generator(Philox(key=(rep, h)))` at counter 0, where h is the 64-bit word
+`SeedSequence(seed).generate_state(1, np.uint64)[0]`; two seeds share h, and so
+every stream, with probability 2**-64.  The stream is read in windows of 512
+standard exponentials (holding times at unit rate) followed by 512 uniforms
+(move picks).  Identical configurations reproduce bit-identical trajectories
+with a given numpy version: numpy does not freeze `Generator` methods across
+releases.  A long run splits its replications into contiguous blocks, one per
+CPU, and runs every block but the first in a forked child
+(`forkjoin.run_blocks`).  A block reuses one generator, setting each
+replication's key into its state (`_streams`); as each replication has its own
+stream, the results are those of a sequential run.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from itertools import chain
 from operator import length_hint
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator, Philox, SeedSequence
 
 from .forkjoin import cpus, run_blocks, split
 from .model import EnvqueueError, JointModel, _level_moves, _representatives
@@ -47,9 +51,9 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        # a replication index is one 32-bit spawn-key word (`_keys`)
-        if not 1 <= self.replications <= 2**32:
-            raise ValueError(f"replications must be >= 1 and <= 2**32, got {self.replications}")
+        # a replication index is one 64-bit Philox key word (`_streams`)
+        if not 1 <= self.replications <= 2**64:
+            raise ValueError(f"replications must be >= 1 and <= 2**64, got {self.replications}")
         if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -94,101 +98,42 @@ class _TransitionTable:
         probs = cum / cum[:, -1:]
         counts = np.count_nonzero(rate, axis=1)  # the moves come first, then the padding
         probs[np.arange(len(probs)), counts - 1] = 1.0
-        rows = [(-total, row_probs[:count], tuple(divmod(s, m) for s in shifts[:count]))
+        rows = [(total, row_probs[:count], tuple(divmod(s, m) for s in shifts[:count]))
                 for total, count, row_probs, shifts in zip(cum[:, -1].tolist(), counts.tolist(), probs.tolist(),
                                                            moves.shift.reshape(rate.shape).tolist())]
-        # class index -> row k -> (-total exit rate, cum_probs, ((d_n, new_k), ...))
+        # class index -> row k -> (total exit rate, cum_probs, ((d_n, new_k), ...))
         self.levels = [rows[i : i + m] for i in range(0, len(rows), m)]
 
 
-_CHUNK = 8192  # chunk c of a replication's stream: 8192 holding-time uniforms, then 8192 pick uniforms
-_WINDOW = 512  # uniforms converted to Python floats at a time
-_SKIP = _CHUNK // 4  # Philox steps in half a chunk: each step gives four 64-bit words, one per uniform
-
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx, after M. E. O'Neill's seed_seq_fe)
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R, _WORD = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
-
-
-def _keys(seed: int, reps: range) -> list:
-    """The Philox key of each replication of `reps`, as a pair of ints: the
-    `SeedSequence(entropy=seed, spawn_key=(rep,)).generate_state(2, np.uint64)` that
-    `Philox(SeedSequence(...))` uses.  SeedSequence mixes its entropy words, the seed's
-    32-bit words padded with zeros to the pool size 4 and then the replication index,
-    into a pool of 4 words, and hashes the pool into the key.  Only the last entropy
-    word differs between replications, so the pool before it is mixed once, here in
-    Python ints, and the last word's mixing and the hashing run on all of `reps` at
-    once in numpy uint32, whose products wrap mod 2**32 as SeedSequence's do.  Each
-    index must fit in one 32-bit word (`SimConfig` allows at most 2**32 replications)."""
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = (value ^ hash_const) * (hash_const := hash_const * _MULT_A & _WORD) & _WORD
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _WORD
-        return value ^ value >> 16
-
-    seed = int(seed)
-    words = [seed >> shift & _WORD for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    pool = [hashmix(word) for word in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        pool = [mix(x, hashmix(word)) for x in pool]
-    # column j: the hashmix of the index into pool word j, then generate_state's hash of word j
-    a, b = [hash_const], [_INIT_B]
-    for _ in range(4):
-        a.append(a[-1] * _MULT_A & _WORD)
-        b.append(b[-1] * _MULT_B & _WORD)
-    a, b = np.array(a, dtype=np.uint32), np.array(b, dtype=np.uint32)
-    value = (np.arange(reps.start, reps.stop, dtype=np.uint32)[:, None] ^ a[:4]) * a[1:]
-    value ^= value >> 16
-    value = np.array([_MIX_MULT_L * x & _WORD for x in pool], dtype=np.uint32) - np.uint32(_MIX_MULT_R) * value
-    value ^= value >> 16
-    value = (value ^ b[:4]) * b[1:]
-    value ^= value >> 16
-    return value.astype("<u4", copy=False).view("<u8").tolist()  # two words to a uint64, low word first
+_WINDOW = 512  # draws converted to Python floats at a time: exponentials, then uniforms
 
 
 def _streams(seed: int, reps: range):
-    """For each replication of `reps` in turn, an iterator of its uniforms, one
-    (u_time, u_pick) pair of arrays per window.  Philox is counter-based, so two
-    generators on the replication's key walk the times and the picks of each chunk,
-    drawing only the windows that are read and skipping the other half of the chunk
-    with `advance`.  The block reuses one pair of generators, setting each
-    replication's key into their state, so a replication's windows must be read
-    before the next replication is drawn.  The generators start from a fixed seed
-    whose state is overwritten: `Philox(key=...)` would also read OS entropy."""
-    times, picks = Philox(0), Philox(0)
-    draw_times, draw_picks = Generator(times).random, Generator(picks).random
+    """For each replication of `reps` in turn, an iterator of its stream (module
+    docstring), one (exponentials, uniforms) pair of arrays per window.  The block
+    reuses one generator, setting each replication's key into its state, so a
+    replication's windows must be read before the next replication is drawn.  The
+    generator starts from a fixed seed whose state is overwritten: `Philox(key=...)`
+    would also read OS entropy."""
+    h = int(SeedSequence(seed).generate_state(1, np.uint64)[0])
+    bits = Philox(0)
+    rng = Generator(bits)
 
     def windows():
         while True:
-            for _ in range(_CHUNK // _WINDOW):
-                yield draw_times(_WINDOW), draw_picks(_WINDOW)
-            times.advance(_SKIP)
-            picks.advance(_SKIP)
+            yield rng.standard_exponential(_WINDOW), rng.random(_WINDOW)
 
-    state = times.state
-    for key in _keys(seed, reps):
-        state["state"] = {"counter": (0, 0, 0, 0), "key": key}
-        times.state = state
-        state["state"] = {"counter": (_SKIP, 0, 0, 0), "key": key}
-        picks.state = state
+    state = bits.state
+    for rep in reps:
+        state["state"] = {"counter": (0, 0, 0, 0), "key": (rep, h)}
+        bits.state = state
         yield windows()
 
 
 def _run_replication(table: _TransitionTable, horizon: float, windows):
     """(departure rate after the warm-up, jumps, departures) of one trajectory
-    started at (0, 0), drawn from `windows` (`_streams`).  The holding time is
-    log1p(-u) / (-total), which is -log1p(-u) / total exactly: negation is exact
-    and IEEE division is symmetric in sign."""
+    started at (0, 0), drawn from `windows` (`_streams`): each holding time is a
+    standard exponential over the state's total exit rate."""
     warmup_time = WARMUP * horizon
     levels, base, p = table.levels, table.base, table.p
     n, k = 0, 0
@@ -196,13 +141,11 @@ def _run_replication(table: _TransitionTable, horizon: float, windows):
     t = 0.0
     departures = 0
     jumps = 0  # made in the windows read to their end
-    for u_time, u_pick in windows:
+    for e_time, u_pick in windows:
         picks = iter(u_pick.tolist())
-        # math.log1p, not np.log1p: the two differ in the last bit on some
-        # draws, which would change the trajectories
-        for log_u, pick in zip(map(math.log1p, (-u_time).tolist()), picks):
-            neg_total, cum, moves = level[k]
-            t_next = t + log_u / neg_total
+        for e, pick in zip(e_time.tolist(), picks):
+            total, cum, moves = level[k]
+            t_next = t + e / total
             if t_next > horizon:
                 # each draw of this window before this one made a jump
                 jumps += _WINDOW - 1 - length_hint(picks)
@@ -264,7 +207,7 @@ def _t_quantile(df: int, p: float) -> float:
     raise ArithmeticError(f"t quantile at df = {df}, p = {p} did not converge")
 
 
-# ~16 ms of jump kernel at ~3.1 jumps/us, ~5x the ~3 ms of a fork, exit and
+# ~13 ms of jump kernel at ~3.9 jumps/us, ~4x the ~3 ms of a fork, exit and
 # wait; the parent's first write to each page after a fork also faults, ~1 us a page
 _FORK_MIN_JUMPS = 5e4
 
@@ -283,8 +226,7 @@ def simulate(model: JointModel, config: SimConfig) -> SimulationResult:
     """Monte Carlo throughput estimate with a 95% t-interval over
     independent replications.  The replications run in contiguous blocks,
     one per worker (`_workers`), through `forkjoin.run_blocks`; a child runs
-    the block's key pass in numpy integer arithmetic, Philox and the jump
-    kernel in pure Python, and no BLAS."""
+    one Philox generator and the jump kernel in pure Python, and no BLAS."""
     table = _TransitionTable(model)
     blocks = split(config.replications, _workers(table, config))
     runs = list(chain.from_iterable(run_blocks(lambda reps: _run_block(table, config, reps), blocks)))

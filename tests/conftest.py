@@ -1,6 +1,5 @@
 """Shared fixtures and model builders for the test suite."""
 
-import math
 import os
 import tracemalloc
 from bisect import bisect_left
@@ -186,25 +185,18 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def reference_uniforms(seed, rep):
-    """Replication `rep`'s uniforms, one (u_time, u_pick) pair of 512-wide windows at a time,
-    from two generators built on its own SeedSequence; chunk c holds 8192 holding-time
-    uniforms, then 8192 pick uniforms."""
-    seq = SeedSequence(entropy=seed, spawn_key=(rep,))
-    times, picks = Philox(seq), Philox(seq).advance(2048)
-    draw_times, draw_picks = Generator(times).random, Generator(picks).random
-    while True:
-        for _ in range(16):
-            yield draw_times(512), draw_picks(512)
-        times.advance(2048)
-        picks.advance(2048)
+def stream_key(seed, rep):
+    """Replication `rep`'s Philox key: the index, then one 64-bit hash of the seed."""
+    return np.array([rep, SeedSequence(seed).generate_state(1, np.uint64)[0]], np.uint64)
 
 
 def reference_replication(table, seed, horizon, rep, path=None):
     """(departure rate after the warm-up, jumps, departures) of replication `rep`: the
-    jump loop that `simulate` ran with one SeedSequence and two Philox generators per
-    replication, a test of the warm-up at every departure and the class fold at every
-    level change.  With `path`, each jump's (time, queue change) is appended to it."""
+    jump loop on a fresh `Generator(Philox(key=stream_key(seed, rep)))`, read 512
+    standard exponentials then 512 uniforms at a time, with a test of the warm-up at
+    every departure and the class fold at every level change.  With `path`, each
+    jump's (time, queue change) is appended to it."""
+    rng = Generator(Philox(key=stream_key(seed, rep)))
     warmup_time = WARMUP * horizon
     levels, base, p = table.levels, table.base, table.p
     n, k = 0, 0
@@ -212,11 +204,11 @@ def reference_replication(table, seed, horizon, rep, path=None):
     t = 0.0
     departures = 0
     jumps = 0
-    for u_time, u_pick in reference_uniforms(seed, rep):
-        draws = zip(map(math.log1p, (-u_time).tolist()), u_pick.tolist())
-        for log_u, pick in draws:
-            neg_total, cum, moves = level[k]
-            t_next = t + log_u / neg_total
+    while True:
+        draws = zip(rng.standard_exponential(512).tolist(), rng.random(512).tolist())
+        for e, pick in draws:
+            total, cum, moves = level[k]
+            t_next = t + e / total
             if t_next > horizon:
                 jumps += 512 - 1 - sum(1 for _ in draws)
                 return departures / (horizon - warmup_time), jumps, departures

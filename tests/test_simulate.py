@@ -6,7 +6,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Generator, Philox
 
 from envqueue import simulate as simulate_module
 from envqueue.bounds import departure_values
@@ -18,26 +18,22 @@ from envqueue.model import validate_model
 from envqueue.simulate import WARMUP, SimConfig, ZeroExitRate, _streams, _t_quantile, _TransitionTable, simulate
 
 from conftest import (assert_no_children, count_forks, period_two_model, reference_replication, reference_simulate,
-                      traced_peak)
+                      stream_key, traced_peak)
 
 
+# seeds of one, two, three, five and ten 32-bit words
 STREAM_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 12345, 3**200]
 
 
-def reference_windows(seed, rep, count):
-    """The first `count` (u_time, u_pick) windows of replication `rep`, as lists, from one
-    numpy generator read in stream order: chunk c holds 8192 holding-time uniforms, then
-    8192 pick uniforms, and each is cut into windows of 512."""
-    rng = Generator(Philox(SeedSequence(entropy=seed, spawn_key=(rep,))))
-    windows = []
-    while len(windows) < count:
-        u_time, u_pick = rng.random(8192), rng.random(8192)
-        windows += [(u_time[i : i + 512].tolist(), u_pick[i : i + 512].tolist()) for i in range(0, 8192, 512)]
-    return windows[:count]
+def fresh_windows(seed, rep, count):
+    """The first `count` (exponentials, uniforms) windows of replication `rep`, as lists,
+    from a generator of its own on its key."""
+    rng = Generator(Philox(key=stream_key(seed, rep)))
+    return [(rng.standard_exponential(512).tolist(), rng.random(512).tolist()) for _ in range(count)]
 
 
 def read_windows(windows, count):
-    return [(u_time.tolist(), u_pick.tolist()) for u_time, u_pick in islice(windows, count)]
+    return [(e_time.tolist(), u_pick.tolist()) for e_time, u_pick in islice(windows, count)]
 
 
 class TestSimulate:
@@ -52,45 +48,53 @@ class TestSimulate:
         "model, horizon, replications, per_replication, jumps",
         [
             (base_stock(lam=1, mu=2, nu=1, b=2), 200.0, 3,
-             (0.7166666666666667, 0.7222222222222222, 0.5722222222222222), 1207),
+             (0.6777777777777778, 0.6333333333333333, 0.6888888888888889), 1214),
             (perishable_o(lam=1, mu=2, nu=1, gamma=1, b=2), 200.0, 3,
-             (0.48333333333333334, 0.5666666666666667, 0.4111111111111111), 1348),
-            # more than one 8192-draw chunk per replication
-            (base_stock(lam=1, mu=2, nu=1, b=2), 5000.0, 2, (0.6722222222222223, 0.6606666666666666), 20003),
+             (0.5833333333333334, 0.46111111111111114, 0.5777777777777777), 1431),
+            # many 512-draw windows per replication
+            (base_stock(lam=1, mu=2, nu=1, b=2), 5000.0, 2, (0.6666666666666666, 0.6857777777777778), 20224),
             # a two-level prefix and period 2: every branch of the class fold
-            (period_two_model(), 3000.0, 2, (0.6937037037037037, 0.7144444444444444), 23779),
+            (period_two_model(), 3000.0, 2, (0.7129629629629629, 0.7411111111111112), 23981),
         ],
         ids=["base_stock", "perishable_o", "base_stock_long", "period_two_long"],
     )
     def test_trajectories_pinned(self, model, horizon, replications, per_replication, jumps):
-        # values of the numpy-per-jump kernel with per-state transition
-        # tables: the trajectories for a seed must not move
+        # values of the stream keyed by (replication, seed hash): the
+        # trajectories for a seed must not move
         result = simulate(model, SimConfig(seed=5, horizon=horizon, replications=replications))
         assert result.estimate.per_replication == per_replication
         assert result.total_jumps == jumps
 
     def test_many_short_replications_pinned(self, bs_model):
-        # ~400 jumps a replication: each reads one window of its first chunk
+        # ~400 jumps a replication: each reads one window
         result = simulate(bs_model, SimConfig(seed=5, horizon=200.0, replications=200))
-        assert result.total_jumps == 79389
-        assert result.total_departures == 23882
-        assert sum(result.estimate.per_replication) == 132.6777777777778
+        assert result.total_jumps == 80118
+        assert result.total_departures == 24066
+        assert sum(result.estimate.per_replication) == 133.7
 
-    @pytest.mark.parametrize("seed, rep", [(0, 0), (5, 1), (123456789, 7), (2**40, 199)] + [
-        # seeds of one, two, three, five and ten 32-bit words; indices at byte and 32-bit limits
-        (seed, rep) for seed in STREAM_SEEDS for rep in (0, 255, 256, 2**31, 2**32 - 1) if (seed, rep) != (0, 0)])
-    def test_uniforms_match_chunk_reference(self, seed, rep):
-        # three chunks: two chunk crossings
+    @pytest.mark.parametrize("rep", [0, 255, 256, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_stream_matches_a_fresh_generator(self, seed, rep):
+        # the index fills one 64-bit key word, and the seed's hash reads every entropy word
         (windows,) = _streams(seed, range(rep, rep + 1))
-        assert read_windows(windows, 48) == reference_windows(seed, rep, 48)
+        assert read_windows(windows, 3) == fresh_windows(seed, rep, 3)
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
-    def test_block_streams_match_chunk_reference(self, seed):
+    @pytest.mark.parametrize("reps", [range(254, 259), range(2**64 - 5, 2**64)], ids=["mid_range", "last_keys"])
+    def test_block_streams_match_fresh_generators(self, seed, reps):
         # a forked worker's block starts mid-range; each replication leaves its
-        # stream at another point before the next one reuses the generators
-        reps = range(254, 259)
-        for rep, windows, count in zip(reps, _streams(seed, reps), (1, 17, 3, 33, 16), strict=True):
-            assert read_windows(windows, count) == reference_windows(seed, rep, count), rep
+        # stream at another point before the next one reuses the generator
+        for rep, windows, count in zip(reps, _streams(seed, reps), (1, 3, 0, 4, 2), strict=True):
+            assert read_windows(windows, count) == fresh_windows(seed, rep, count), rep
+
+    def test_streams_differ(self):
+        # distinct replications, and seeds that differ only above bit 64
+        firsts = {}
+        for seed in (0, 1, 3**200, 3**200 + 2**64):
+            for rep, windows in zip(range(3), _streams(seed, range(3))):
+                e_time, u_pick = next(windows)
+                firsts[seed, rep] = (e_time[0], u_pick[0])
+        assert len(set(firsts.values())) == len(firsts)
 
     def test_different_seeds_differ(self, bs_model):
         config_a = SimConfig(seed=1, horizon=500.0, replications=2)
@@ -114,7 +118,7 @@ class TestSimulate:
     @pytest.mark.parametrize("field, value, message", [
         ("replications", 2.5, "replications must be an integer, got 2.5"),
         ("replications", True, "replications must be an integer, got True"),
-        ("replications", 2**32 + 1, "replications must be >= 1 and <= 2**32, got 4294967297"),
+        ("replications", 2**64 + 1, "replications must be >= 1 and <= 2**64, got 18446744073709551617"),
         ("seed", 1.5, "seed must be an integer, got 1.5"),
         ("seed", True, "seed must be an integer, got True"),
         ("horizon", True, "horizon must be finite and > 0, got True"),
@@ -182,13 +186,14 @@ def horizon_with_warmup_at(t):
 
 class TestKernelAgainstReference:
     """`simulate` against `conftest.reference_replication`, the jump loop with a
-    SeedSequence and two generators per replication, on the kernel's edge cases."""
+    fresh generator per replication, on the kernel's edge cases."""
 
-    @pytest.mark.parametrize("jumps", [511, 512, 8191, 8192, 2 * 8192 + 511],
-                             ids=["window_end", "window_start", "chunk_end", "chunk_start", "later_chunk"])
+    @pytest.mark.parametrize("jumps", [511, 512, 1023, 1024, 2 * 512 + 511],
+                             ids=["window_end", "window_start", "second_window_end", "third_window_start",
+                                  "third_window_end"])
     def test_horizon_crossing(self, bs_model, jumps):
         # a horizon between the jumps-th and the next jump time: the crossing draw is draw `jumps`
-        # of the stream, the last of a window for 511, 8191 and 2 * 8192 + 511
+        # of the stream, the last of a window for 511, 1023 and 2 * 512 + 511
         times = [t for t, _ in reference_path(bs_model, 11, 1e4)]
         horizon = times[jumps - 1] / 2 + times[jumps] / 2
         config = SimConfig(seed=11, horizon=horizon, replications=1)
@@ -269,7 +274,7 @@ class TestParallelReplications:
     @pytest.mark.parametrize("name", PARALLEL_MODELS)
     @pytest.mark.parametrize("replications, horizon", [
         (1, 50.0),
-        (2, 5000.0),  # more than one 8192-draw chunk per replication
+        (2, 5000.0),  # many 512-draw windows per replication
         (3, 300.0),  # blocks of unequal size; every replication starts at (0, 0)
         (200, 10.0),
     ], ids=["one", "two_long", "three_started_at_0_0", "two_hundred"])
@@ -343,7 +348,7 @@ class TestParallelReplications:
 
     @pytest.mark.parametrize("replications", [1, 7, 200])
     @pytest.mark.parametrize("cpus", [1, 3])
-    def test_each_block_builds_two_generators(self, bs_model, replications, cpus, monkeypatch):
+    def test_each_block_builds_one_generator(self, bs_model, replications, cpus, monkeypatch):
         # the blocks run in this process, so the constructor calls of every block are counted here
         built = []
         monkeypatch.setattr(simulate_module, "Philox", lambda *args: built.append(args) or Philox(*args))
@@ -351,7 +356,7 @@ class TestParallelReplications:
         set_cpus(monkeypatch, cpus, min_jumps=0)
         config = SimConfig(seed=4, horizon=20.0, replications=replications)
         assert outcome(simulate(bs_model, config)) == reference_simulate(_TransitionTable(bs_model), config)
-        assert len(built) <= 2 * min(cpus, replications)
+        assert len(built) <= min(cpus, replications)
 
     def test_negative_seed_refused_before_forking(self, bs_model, monkeypatch):
         # numpy's SeedSequence refused it in the first replication, after a fork
