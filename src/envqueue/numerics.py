@@ -10,7 +10,9 @@ quasi-birth-death process with blocks A0 (up), A1 (local), A2 (down).
 mean-drift test decides ergodicity, logarithmic reduction gives G and
 R = A0 (-A1 - A0 G)^{-1}, level elimination seeded with A1 + A0 G gives the
 boundary, and `metrics` sums the tail in closed form through (I - R)^{-1}.
-`auto_truncate` adds the listing of levels 0..N that `solve` exports.
+`auto_truncate` lists the levels 0..N that `solve` exports: a separable model
+whose chain is irreducible from its product form xi(n) theta, any other from
+`exact_solve`.
 
 `solve_truncated` solves the chain capped at N by setting lambda(N) = 0
 (reflecting); all other rates are kept, so the generator stays conservative
@@ -28,7 +30,7 @@ import numpy as np
 from .format17 import PAD, WORDS, pad_words, write_g17
 from .model import (LEVEL_WINDOW, EnvqueueError, JointModel, _balance_residual, _blocks, _capped_classes,
                     _level_classes, _representatives, validate_model)
-from .separability import SingularSolve, gth_stationary
+from .separability import ProductFormResult, SingularSolve, gth_stationary, irreducible, product_form
 
 # the tail is called null recurrent when its mean drift is below this
 # fraction of the level-crossing rates: round-off in the stationary vector of
@@ -82,13 +84,21 @@ class GeometricTail:
 
 @dataclass(frozen=True)
 class TruncatedSolution:
+    """Levels 0..N of a stationary vector.  `auto_truncate` answers a
+    separable model whose joint chain is irreducible from its product form
+    (`tail` is the `ProductFormResult`), and any other model from
+    `exact_solve` (`tail` is the `GeometricTail`); `solve_truncated` solves
+    the chain capped at N (no `tail`).  So only a separable model's listing
+    and metrics differ from the exact solve's: by round-off, and in small
+    probabilities, which keep their relative digits."""
+
     N: int
     pi: np.ndarray  # shape (N+1, |K|), sums to 1
     residual: float  # max balance defect pi_{n-1} U + pi_n B + pi_{n+1} D over levels 0..N
     # solve_truncated: mass in the top tenth of levels; auto_truncate: the
     # exact stationary mass above N
     truncation_estimate: float
-    tail: GeometricTail | None = None  # auto_truncate only
+    tail: GeometricTail | ProductFormResult | None = None  # auto_truncate only
 
     def level_sums(self):
         """As `GeometricTail.level_sums`: the tail's, or one row per level."""
@@ -271,6 +281,21 @@ def _list_levels(tail: GeometricTail, tol: float, min_level: int):
         above = (_later(xs.reshape(-1, p, m).sum(axis=2)) + (xs @ after)[:, None]).ravel()
 
 
+def _list_product_form(pf: ProductFormResult, tol: float, min_level: int):
+    """`_list_levels` for a product form: levels 0..N+1 of xi(n) theta, one
+    outer product, and the mass above N.  From min_level >= N0 on, the mass
+    above a level falls by the tail ratio r per period, so it is below tol
+    one period after `periods`: there it is at most tol r, and 1 - r, above
+    `SUMMABLE_MARGIN`, outweighs the round-off of the logarithms and powers."""
+    marginal = pf.marginal
+    first = float(marginal.mass_above(min_level))
+    periods = math.log(tol / first) / math.log(marginal.tail_ratio) if first >= tol else 0.0
+    above = marginal.mass_above(np.arange(min_level, min_level + marginal.period * (math.ceil(periods) + 1) + 1))
+    hit = int(np.flatnonzero(above < tol)[0])
+    N = min_level + hit
+    return np.outer(marginal.xi(np.arange(N + 2)), pf.theta), float(above[hit]), N
+
+
 def exact_solve(model: JointModel) -> GeometricTail:
     """Exact stationary vector of the infinite chain as a `GeometricTail`,
     listing no level.  Raises NotErgodic when the tail's mean drift is not
@@ -314,14 +339,22 @@ def check_tol(tol: float) -> float:
 
 
 def auto_truncate(model: JointModel, tol: float = 1e-9) -> TruncatedSolution:
-    """`exact_solve` listed on levels 0..N, N >= tail_start + period the first
-    level whose mass above it is below tol; the metrics do not depend on N."""
+    """The stationary vector listed on levels 0..N, N >= tail_start + period
+    the first level whose mass above it is below tol; the metrics do not
+    depend on N.  A separable model whose joint chain is irreducible is
+    answered from `product_form`, any other from `exact_solve`; both are
+    read from one set of level blocks."""
     check_tol(tol)
-    B, U, D = _blocks(model)
-    tail = _exact_tail(model, B, U, D)
-    exact, mass_above, N = _list_levels(tail, tol, model.tail_start + model.period)
-    residual, _ = _balance_residual(exact, B, U, D, _level_classes(model, np.arange(N + 2)), N + 1)
-    pi = exact[: N + 1]
+    blocks = _blocks(model)
+    min_level = model.tail_start + model.period
+    tail = product_form(model, blocks)
+    if tail.separable and irreducible(model, tail.marginal):
+        listing, mass_above, N = _list_product_form(tail, tol, min_level)
+    else:
+        tail = _exact_tail(model, *blocks)
+        listing, mass_above, N = _list_levels(tail, tol, min_level)
+    residual, _ = _balance_residual(listing, *blocks, _level_classes(model, np.arange(N + 2)), N + 1)
+    pi = listing[: N + 1]
     return TruncatedSolution(N=N, pi=pi / pi.sum(), residual=residual, truncation_estimate=mass_above, tail=tail)
 
 

@@ -34,20 +34,26 @@ def gth_stationary(Q: np.ndarray) -> np.ndarray:
     GTH (state censoring) elimination; uses no subtraction of like-signed
     quantities, so it is accurate to round-off.  The back substitution
     rescales its partial vector before it can overflow, as it does when the
-    stationary probabilities span more than ~300 decades."""
+    stationary probabilities span more than ~300 decades.  Eliminating state
+    j updates only the box from the first state that enters j and the first
+    that j enters: outside it a term has a zero factor, so a banded Q costs
+    O(m^2) and every value is the one the full update gives."""
     A = np.array(Q, dtype=float)
     m = A.shape[0]
     np.fill_diagonal(A, 0.0)
+    exits = [0.0] * m  # exits[j]: state j's rate into states below it, once j is eliminated
     for j in range(m - 1, 0, -1):
-        s = A[j, :j].sum()
+        row, col = A[j, :j], A[:j, j]
+        s = exits[j] = row.sum()
         if s <= 0.0:
             raise SingularSolve(f"no exit below state {j}: chain not irreducible")
-        A[:j, :j] += np.outer(A[:j, j], A[j, :j]) / s
+        enter, leave = col.nonzero()[0], row.nonzero()[0]
+        if enter.size:
+            A[enter[0] : j, leave[0] : j] += np.outer(col[enter[0] :], row[leave[0] :]) / s
     x = np.zeros(m)
     x[0] = 1.0
     for j in range(1, m):
-        s = A[j, :j].sum()
-        x[j] = x[:j] @ A[:j, j] / s
+        x[j] = x[:j] @ A[:j, j] / exits[j]
         if x[j] > 1e250:
             x[: j + 1] /= x[j]
     x /= x.sum()
@@ -150,21 +156,35 @@ class QueueMarginal:
     weights: np.ndarray  # weight(0..N0+p), read-only
     period: int
 
-    def weight(self, n: int) -> float:
-        """Unnormalized product prod_{i<n} lambda(i)/mu(i+1): stored up to
-        N0 + p, beyond it a stored tail weight times r per tail period."""
+    def weight(self, n):
+        """Unnormalized product prod_{i<n} lambda(i)/mu(i+1) at level n, or at
+        each level of an array: stored up to N0 + p, beyond it a stored tail
+        weight times r per tail period."""
+        levels = np.atleast_1d(n)  # a level alone goes through the array power too, for the same bits
         w, p = self.weights, self.period
-        if n < 0:
-            raise IndexError(f"position {n} is negative")
-        if n < len(w):
-            return float(w[n])
+        if levels.min(initial=0) < 0:
+            raise IndexError(f"position {levels.min()} is negative")
         N0 = len(w) - 1 - p
-        return float(w[N0 + (n - N0) % p]) * self.tail_ratio ** ((n - N0) // p)
+        past = np.where(levels < len(w), 0, levels - N0)  # levels past the stored weights, counted from N0
+        out = w[np.where(levels < len(w), levels, N0 + past % p)] * self.tail_ratio ** (past // p)
+        return out if np.ndim(n) else float(out[0])
 
-    def xi(self, n: int) -> float:
+    def xi(self, n):
         if not self.summable:
             raise ValueError("queue marginal is not summable")
         return self.weight(n) / self.C
+
+    def mass_above(self, n):
+        """xi's mass on the levels above level n, or above each level of an
+        array, in closed form: from N0 on the weights fall by r per period, so
+        the levels above n >= N0 - 1 hold (xi(n+1) + ... + xi(n+p)) / (1 - r)."""
+        n = np.asarray(n)
+        N0, p = len(self.weights) - 1 - self.period, self.period
+        last = np.maximum(n, N0 - 1)
+        # prefix[j]: the mass of prefix levels j..N0-1, and 0 at j = N0
+        prefix = np.append(np.cumsum(self.xi(np.arange(N0))[::-1])[::-1], 0.0)
+        tail = sum(self.xi(last + i) for i in range(1, p + 1)) / (1.0 - self.tail_ratio)
+        return tail + prefix[np.minimum(n + 1, N0)]
 
 
 def queue_marginal(model: JointModel) -> QueueMarginal:
@@ -221,13 +241,14 @@ class NotSeparable:
     separable: bool = False
 
 
-def product_form(model: JointModel):
+def product_form(model: JointModel, blocks=None):
     """Full separability decision: returns a `ProductFormResult` with the
-    exact steady state, or `NotSeparable` with the failure reason."""
+    exact steady state, or `NotSeparable` with the failure reason.  `blocks`
+    are `_blocks(model)`, built here unless the caller has them."""
     marginal = queue_marginal(model)
     if not marginal.summable:
         return NotSeparable(reason="NotSummable", tail_ratio=marginal.tail_ratio)
-    B, U, D = _blocks(model)
+    B, U, D = _blocks(model) if blocks is None else blocks
     theta_res = solve_theta(model, B)
     if not theta_res.found:
         return NotSeparable(
@@ -240,7 +261,7 @@ def product_form(model: JointModel):
     # global balance of pi_n = xi(n) theta on levels 0..rows-1; level rows
     # feeds the down flow into the last of them
     rows = model.tail_start + model.period + 3
-    pi = np.outer([marginal.xi(n) for n in range(rows + 1)], theta)
+    pi = np.outer(marginal.xi(np.arange(rows + 1)), theta)
     worst, worst_level = _balance_residual(pi, B, U, D, _level_classes(model, np.arange(rows + 1)), rows)
     if worst > _residual_tol(B):
         return NotSeparable(
@@ -256,6 +277,24 @@ def product_form(model: JointModel):
         theta_residual=theta_res.residual,
         balance_residual=worst,
     )
+
+
+def _one_component(Q: np.ndarray) -> bool:
+    """Whether every state of generator Q reaches every other (Q > 0 only off the diagonal)."""
+    return not _strong_components(*np.nonzero(Q > 0), len(Q)).any()
+
+
+def irreducible(model: JointModel, marginal: QueueMarginal) -> bool:
+    """Whether the joint chain is irreducible, so that a product form is its
+    only stationary law: some state is working, xi > 0 (here on the stored
+    weights and one tail period past them) and every representative Qred(n)
+    is one strong component.  Every rate is positive, so an edge k -> m of
+    Qred(n) is a path from (n, k) to (n, m), an environment move or an
+    arrival in working state k and a service completion that jumps to m, and
+    from a working state the queue steps up and down."""
+    xi = marginal.xi(np.arange(len(marginal.weights) + marginal.period))
+    return bool(model.env.working_mask().any() and (xi > 0.0).all()
+                and all(_one_component(reduced_generator(model, n)) for n in model.representative_levels()))
 
 
 def separability_report(model: JointModel) -> dict:

@@ -148,7 +148,7 @@ def test_bounds_and_sweep_list_no_levels(monkeypatch):
 
     monkeypatch.setattr(numerics, "_list_levels", list_levels)
     with pytest.raises(LevelsListed):  # the patch reaches the listing
-        numerics.auto_truncate(base_stock(lam=1, mu=2, nu=1, b=2))
+        numerics.auto_truncate(perishable_o(lam=1, mu=2, nu=1, gamma=1, b=2))
     config = SimConfig(seed=2, horizon=200.0, replications=2)
     assert bound_report(0.99, 1.0, 3.0, 1.0, 5, sim_config=config).TH_o_sim is not None
     assert len(gamma_sweep(0.99, 1.0, 3.0, 5, [0.5, 1.0])) == 2

@@ -289,8 +289,9 @@ class TestErrorContract:
 
     def test_not_convergent(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(numerics, "LOG_REDUCTION_STEPS", 1)
-        code = run(tmp_path, "solve", "--catalog", "base_stock", "--lambda", "0.99", "--mu", "1",
-                   "--nu", "3", "--b", "5")
+        # perishable_o is not separable, so its solve reaches logarithmic reduction
+        code = run(tmp_path, "solve", "--catalog", "perishable_o", "--lambda", "0.99", "--mu", "1",
+                   "--nu", "3", "--b", "5", "--gamma", "1")
         self.expect_error(capsys, code, "NotConvergent")
 
     def test_malformed_model_file(self, tmp_path, capsys):
@@ -374,11 +375,12 @@ class TestNearCritical:
     so that they tell apart, and the library's warning reaches stderr as one line."""
 
     def test_not_ergodic_names_the_margin(self, tmp_path, capsys):
-        # down exceeds up, by less than the DRIFT_RTOL margin
+        # down exceeds up, by less than the DRIFT_RTOL margin; the product form, tried first, warns
         assert run(tmp_path, "solve", *near_critical("0.9999999999999")) == EXIT_NEGATIVE
-        assert capsys.readouterr().out == (
+        assert capsys.readouterr() == (
             "not ergodic: tail drift down - up = 9.98e-14 is not above 1e-12 * (up + down), with up "
-            "0.9972527472526475 and down 0.9972527472527473 (Neuts' mean-drift condition)\n")
+            "0.9972527472526475 and down 0.9972527472527473 (Neuts' mean-drift condition)\n",
+            "warning: RuntimeWarning: tail ratio 0.9999999999999 is nearly critical\n")
 
     def test_not_summable_ratio_round_trips(self, tmp_path, capsys):
         assert run(tmp_path, "separability", *near_critical("0.9999999999999")) == EXIT_NEGATIVE
@@ -403,6 +405,20 @@ def test_large_environment_answers_are_finite(tmp_path, b):
     assert all(map(math.isfinite, theta)) and sum(theta) == pytest.approx(1.0)
     assert run(tmp_path, "solve", *model) == EXIT_OK
     assert json.loads((tmp_path / "metrics.json").read_text())["throughput"] == pytest.approx(0.9, abs=1e-14)
+
+
+@pytest.mark.parametrize("nu", [3, 10])
+@pytest.mark.parametrize("b", [10, 20, 30, 50])
+def test_small_blocking_probabilities_keep_their_digits(tmp_path, nu, b):
+    # base stock is separable, so P(blocked) is read from the product form: theta(0) of a truncated
+    # geometric law.  The exact solve's subtractions wrote 2.0e-21 at nu = 10, b = 50, for 4.69e-53.
+    lam, a = 0.9, 0.9 / nu
+    assert run(tmp_path, "solve", "--catalog", "base_stock", "--lambda", "0.9", "--mu", "1", "--nu", str(nu),
+               "--b", str(b)) == EXIT_OK
+    record = json.loads((tmp_path / "metrics.json").read_text())
+    theta0 = (1 - a) * a**b / (1 - a ** (b + 1))
+    assert record["blocked_probability"] == pytest.approx(theta0, rel=1e-12)
+    assert record["loss_rate"] == pytest.approx(lam * theta0, rel=1e-12)
 
 
 class TestSimulateCommand:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from envqueue import numerics
+from envqueue import numerics, separability
 from envqueue.catalog import (
     base_stock,
     mm1_plain,
@@ -29,7 +29,7 @@ from envqueue.numerics import (
     metrics,
     solve_truncated,
 )
-from envqueue.separability import product_form
+from envqueue.separability import ProductFormResult, SingularSolve, irreducible, product_form
 
 from conftest import (count_forks, period_two_model, reference_blocks, separable_period_two_model,
                       truncated_generator)
@@ -181,7 +181,7 @@ class TestAutoTruncate:
         # transient (lam > mu) and null recurrent (lam = mu) tails
         with pytest.raises(NotErgodic):
             auto_truncate(mm1_plain(lam=1.2, mu=1.0))
-        with pytest.raises(NotErgodic):
+        with pytest.raises(NotErgodic), pytest.warns(RuntimeWarning, match="tail ratio 1.0 is nearly critical"):
             auto_truncate(mm1_plain(lam=1.0, mu=1.0))
 
     def test_heavy_traffic_base_stock(self):
@@ -228,6 +228,32 @@ class TestAutoTruncate:
         assert np.abs(exact.pi * scale - trunc.pi[: exact.N + 1]).max() < 1e-10
         assert exact.residual <= 1e-12
         assert check_cut_structure(exact, model).passed
+
+
+@pytest.mark.parametrize("blocked, V, error", [
+    ((0, 1), [[-1.0, 1.0], [1.0, -1.0]], NotErgodic),  # no state is working: every level is closed
+    ((), [[0.0, 0.0], [0.0, 0.0]], SingularSolve),  # two working states that never switch
+], ids=["all_blocked", "split"])
+def test_reducible_separable_model_takes_the_exact_path(blocked, V, error):
+    # xi theta is stationary, but it is not the only stationary law, so it does not answer the model
+    env = EnvironmentSpec.constant(labels=(0, 1), blocked=blocked, V=np.array(V), R=np.eye(2))
+    model = JointModel(rates=RateFamily.constant(1.0, 2.0), env=env)
+    pf = product_form(model)
+    assert pf.separable and not irreducible(model, pf.marginal)
+    with pytest.raises(error):
+        auto_truncate(model)
+
+
+@pytest.mark.parametrize("model, path", [
+    (base_stock(lam=1.0, mu=2.0, nu=10.0, b=20), ProductFormResult),
+    (perishable_o(lam=1.0, mu=2.0, nu=10.0, gamma=2.0, b=20), numerics.GeometricTail),
+], ids=["base_stock", "perishable_o"])
+def test_one_set_of_blocks_per_solve(model, path, monkeypatch):
+    built, blocks = [], numerics._blocks
+    monkeypatch.setattr(numerics, "_blocks", lambda *args: built.append(args) or blocks(*args))
+    monkeypatch.setattr(separability, "_blocks", lambda *args: pytest.fail("product_form built its own blocks"))
+    assert type(auto_truncate(model).tail) is path
+    assert len(built) == 1
 
 
 def listed_by_products(tail, rows):
@@ -406,10 +432,11 @@ class TestExportCsv:
         assert (tmp_path / "stationary.csv").read_bytes() == expected.encode()
 
 
-# `stationary.csv` of `solve` in heavy traffic: values, and the SHA-256 of the `%` template's bytes
+# `stationary.csv` of `solve` in heavy traffic: values, and the SHA-256 of the `%` template's bytes.
+# Base stock is listed from its product form, perishable_o from the exact solve.
 HEAVY_TRAFFIC_EXPORTS = {
     "base_stock_rho0.999": (base_stock(lam=0.999, mu=1.0, nu=3.0, b=5), 124_278,
-                            "a4319b1bae289b2ea3fe76be1c3cef29c247ec03c1c0e2ced61983ebb124f19d"),
+                            "af21c84f8dc8745ef686503714451338d9f2db631d41c11a1e2a198580801ac0"),
     "perishable_o_rho0.99": (perishable_o(lam=0.99, mu=1.0, nu=3.0, gamma=1.0, b=5), 12_372,
                              "d1b5db6a942ce8f5fb2694368f6092c15a1e017a7df91c14662165d55f261f69"),
 }

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from envqueue.ergodicity import SingularSystem, _drift, c_hat, solve_tau
 from envqueue.model import (EnvironmentSpec, JointModel, RateFamily, _blocks, _level_moves, _representatives,
                             generator_row, validate_model)
-from envqueue.separability import gth_stationary, queue_marginal, reduced_generator
+from envqueue.numerics import NotErgodic, _list_levels, auto_truncate, exact_solve, metrics
+from envqueue.separability import SingularSolve, gth_stationary, product_form, queue_marginal, reduced_generator
 from envqueue.catalog import catalog
 from envqueue.simulate import SimConfig, ZeroExitRate, _TransitionTable, simulate
 
@@ -20,12 +21,14 @@ rates_st = st.floats(min_value=0.05, max_value=5.0, allow_nan=False, allow_infin
 
 
 @st.composite
-def joint_models(draw, max_env=4, max_prefix=2, max_period=2, split=False, sparse=False):
+def joint_models(draw, max_env=4, max_prefix=2, max_period=2, split=False, sparse=False, separable=False):
     """Random valid model: random conservative V, random row-stochastic R,
     random positive rates, prefix + periodic tail.  With `split` the
     environment draws its own prefix length and period.  With `sparse` about
     60% of V's off-diagonal entries are zero, each row of R has a single 1 and
-    every environment state may be blocked, so the chain is often reducible."""
+    every environment state may be blocked, so the chain is often reducible.
+    With `separable` every R is the identity and every V a positive multiple
+    of one generator, whose stationary vector is then a common theta."""
     m = draw(st.integers(2, max_env))
     n_prefix = draw(st.integers(0, max_prefix))
     p = draw(st.integers(1, max_period))
@@ -33,9 +36,10 @@ def joint_models(draw, max_env=4, max_prefix=2, max_period=2, split=False, spars
     if split:
         env_prefix, env_p = draw(st.integers(0, max_prefix)), draw(st.integers(1, max_period))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V0 = rng.uniform(0.1, 3.0, size=(m, m))
 
     def rand_V():
-        V = rng.uniform(0.1, 3.0, size=(m, m))
+        V = rng.uniform(0.1, 3.0) * V0 if separable else rng.uniform(0.1, 3.0, size=(m, m))
         if sparse:
             V *= rng.random((m, m)) >= 0.6
         np.fill_diagonal(V, 0.0)
@@ -43,6 +47,8 @@ def joint_models(draw, max_env=4, max_prefix=2, max_period=2, split=False, spars
         return V
 
     def rand_R():
+        if separable:
+            return np.eye(m)
         if sparse:
             return np.eye(m)[rng.integers(0, m, size=m)]
         R = rng.uniform(0.05, 1.0, size=(m, m))
@@ -345,6 +351,28 @@ def test_exact_solve_against_truncation_and_certificates(model):
     a, b = metrics(exact, model), metrics(solve_truncated(model, 600), model)
     for field in ("throughput", "mean_queue_length", "blocked_probability", "loss_rate"):
         assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9, abs=1e-9), field
+
+
+@pytest.mark.filterwarnings("ignore:tail ratio .* is nearly critical:RuntimeWarning")
+@given(st.one_of(joint_models(split=True), joint_models(split=True, separable=True)))
+@settings(max_examples=60, deadline=None)
+def test_product_form_answers_agree_with_exact_solve(model):
+    # exact_solve never reads the product form, so it checks the answers auto_truncate reads from it
+    pf = product_form(model)
+    try:
+        exact = exact_solve(model)
+    except (NotErgodic, SingularSolve):
+        return
+    if not pf.separable:
+        return
+    sol = auto_truncate(model)
+    a, b = metrics(sol, model), metrics(exact, model)
+    for field in ("throughput", "mean_queue_length", "blocked_probability", "loss_rate"):
+        assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9, abs=1e-9), field
+    listed, _, _ = _list_levels(exact, 1e-9, model.tail_start + model.period)
+    rows = min(200, sol.N + 1, len(listed))
+    # sol.pi is renormalized over levels 0..N
+    assert np.abs(sol.pi[:rows] * (1.0 - sol.truncation_estimate) - listed[:rows]).max() <= 1e-12
 
 
 @given(

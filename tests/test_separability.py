@@ -1,12 +1,13 @@
 """Product-form decision: reduced generators, theta, queue marginal."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from envqueue import separability
-from envqueue.catalog import base_stock, mm1_plain, onoff_a, onoff_b, perishable_o
+from envqueue.catalog import base_stock, mm1_plain, onoff_a, onoff_b, perishable_o, perishable_plus
 from envqueue.cli import EXIT_OK, main
 from envqueue.model import EnvironmentSpec, JointModel, RateFamily
 from envqueue.modelfile import model_from_dict
@@ -24,7 +25,27 @@ from envqueue.separability import (
     solve_theta,
 )
 
-from conftest import two_state_model
+from conftest import separable_period_two_model, two_state_model
+
+
+def full_update_gth(Q):
+    """GTH with the whole rank-one update of every elimination step: the reference for
+    `gth_stationary`, which updates only the box the step's nonzero entries reach."""
+    A = np.array(Q, dtype=float)
+    m = A.shape[0]
+    np.fill_diagonal(A, 0.0)
+    for j in range(m - 1, 0, -1):
+        s = A[j, :j].sum()
+        if s <= 0.0:
+            raise separability.SingularSolve(f"no exit below state {j}: chain not irreducible")
+        A[:j, :j] += np.outer(A[:j, j], A[j, :j]) / s
+    x = np.zeros(m)
+    x[0] = 1.0
+    for j in range(1, m):
+        x[j] = x[:j] @ A[:j, j] / A[j, :j].sum()
+        if x[j] > 1e250:
+            x[: j + 1] /= x[j]
+    return x / x.sum()
 
 
 class TestGTH:
@@ -65,6 +86,26 @@ class TestGTH:
     def test_non_finite_raises(self):
         with pytest.raises(separability.SingularSolve, match="not finite"):
             gth_stationary(np.array([[-1.0, 1.0], [np.nan, np.nan]]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_boxes_give_the_full_update_bit_for_bit(self, seed):
+        # dense, sparse and banded generators, the reducible ones raising with the same message
+        rng = np.random.default_rng(seed)
+        Qs = [reduced_generator(build(lam=0.9, mu=1.0, nu=10.0, gamma=1.0, b=b), 0)
+              for build in (perishable_o, perishable_plus) for b in (5, 60)]
+        for _ in range(200):
+            m = int(rng.integers(1, 12))
+            Q = rng.uniform(0.0, 3.0, (m, m)) * (rng.random((m, m)) < rng.uniform(0.1, 1.0))
+            np.fill_diagonal(Q, 0.0)
+            Qs.append(Q - np.diag(Q.sum(axis=1)))
+        for Q in Qs:
+            outcomes = []
+            for solve in (gth_stationary, full_update_gth):
+                try:
+                    outcomes.append(solve(Q).tobytes())
+                except separability.SingularSolve as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
 
 
 class TestReducedGenerator:
@@ -190,6 +231,23 @@ class TestQueueMarginal:
         for i in range(n):
             brute *= model.arrival(i) / model.service(i + 1)
         assert marg.weight(n) == pytest.approx(brute, rel=1e-12)
+
+
+    @pytest.mark.parametrize("model", [
+        base_stock(lam=0.9, mu=1.0, nu=3.0, b=5),
+        onoff_b(lam=0.1, gamma=1.0, eta=1.0),  # an eight-level prefix
+        separable_period_two_model(0.9),  # a two-level prefix and period two
+    ], ids=["base_stock", "onoff_b", "period_two"])
+    def test_mass_above_sums_the_levels_above(self, model):
+        marg = queue_marginal(model)
+        levels = np.arange(40)
+        xi = marg.xi(np.arange(2000))  # the levels past these hold less than 1e-40
+        assert marg.xi(levels).tolist() == [marg.xi(n) for n in levels]
+        above = marg.mass_above(levels)
+        assert above == pytest.approx([math.fsum(xi[n + 1 :]) for n in levels], rel=1e-13)
+        assert above.tolist() == [marg.mass_above(n) for n in levels]
+        with pytest.raises(IndexError, match="position -1 is negative"):
+            marg.weight(np.array([3, -1]))
 
 
 class TestProductForm:
