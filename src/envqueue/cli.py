@@ -14,7 +14,6 @@ import functools
 import hashlib
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -121,13 +120,13 @@ def _cmd_separability(args, outdir):
     record = separability_report(model)
     _write_manifest(args, [model], outdir)
     _write_json(outdir, "separability.json", record)
+    # the ratio as it round-trips: a ratio just off 1 must not read as 1
     if record["separable"]:
         print("separable: product form steady state")
-        print(f"  tail ratio = {record['tail_ratio']:.12g}, C = {record['C']:.12g}")
+        print(f"  tail ratio = {record['tail_ratio']!r}, C = {record['C']:.12g}")
         for label, t in zip(model.env.labels, record["theta"]):
             print(f"  theta({label}) = {t:.12g}")
         return EXIT_OK
-    # the ratio as it round-trips: a NotSummable ratio just below 1 must not read as 1
     print(f"not separable: {record['reason']} (tail ratio {record['tail_ratio']!r})")
     return EXIT_NEGATIVE
 
@@ -310,11 +309,6 @@ def _parser(commands: tuple) -> argparse.ArgumentParser:
     return build_parser(commands)
 
 
-def _warning_line(message, category, filename, lineno, file=None, line=None):
-    """`warnings.showwarning` for a command: one stderr line, without the source location."""
-    print(f"warning: {category.__name__}: {' '.join(str(message).split())}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the top-level parser takes no option values, so its first bare word is the subcommand
@@ -322,9 +316,7 @@ def main(argv=None) -> int:
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        with warnings.catch_warnings():
-            warnings.showwarning = _warning_line
-            return args.func(args, outdir)
+        return args.func(args, outdir)
     except NotErgodic as exc:
         print(f"not ergodic: {exc}")
         return EXIT_NEGATIVE

@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import EnvqueueError, JointModel, _level_classes, _level_moves, _periodic, _representatives
 from .model import generator_row  # noqa: F401  (perfbench/tracing.py counts calls through this name)
-from .separability import SUMMABLE_MARGIN, queue_marginal
+from .separability import queue_marginal
 
 TAU_RESIDUAL_TOL = 1e-10
 DRIFT_RTOL = 1e-12  # a drift may exceed -eps by this times the sum of rate * (|L(target)| + |L(here)|)
@@ -222,11 +222,9 @@ def _drift(model: JointModel, values: np.ndarray):
 def certify(model: JointModel, kind: str = "linear_drift"):
     """Build and numerically verify a Lyapunov certificate for the joint
     chain, or explain why none was obtained."""
-    # necessary: an environment cannot stabilize a queue whose isolated marginal is not summable
-    marginal = queue_marginal(model)
-    if not marginal.summable:
-        detail = f"queue tail ratio {marginal.tail_ratio} is not below 1 - {SUMMABLE_MARGIN}"
-        return NotCertified(reason="NecessaryFails", detail=detail)
+    # in working time the queue is the isolated queue: r < 1 is necessary, and for an irreducible model sufficient
+    if not (marginal := queue_marginal(model)).summable:
+        return NotCertified(reason="NecessaryFails", detail=f"queue tail ratio {marginal.tail_ratio} is not below 1")
     N0, p = model.tail_start, model.period
     horizon = _check_horizon(model)
     base = build_mm1_lyapunov(model, kind=kind)

@@ -6,8 +6,8 @@ From T0 = tail_start + 1 on the blocks repeat with period p, so grouping p
 levels into one block level turns the tail into a level-independent
 quasi-birth-death process with blocks A0 (up), A1 (local), A2 (down).
 
-`exact_solve` solves the infinite chain exactly and lists no level: Neuts'
-mean-drift test decides ergodicity, logarithmic reduction gives G and
+`exact_solve` solves the infinite chain exactly and lists no level: the
+isolated queue's tail ratio decides ergodicity, logarithmic reduction gives G and
 R = A0 (-A1 - A0 G)^{-1}, level elimination seeded with A1 + A0 G gives the
 boundary, and `metrics` sums the tail in closed form through (I - R)^{-1}.
 `auto_truncate` lists the levels 0..N that `solve` exports: a separable model
@@ -30,12 +30,12 @@ import numpy as np
 from .format17 import PAD, WORDS, pad_words, write_g17
 from .model import (LEVEL_WINDOW, EnvqueueError, JointModel, _balance_residual, _blocks, _capped_classes,
                     _level_classes, _representatives, validate_model)
-from .separability import ProductFormResult, SingularSolve, gth_stationary, irreducible, product_form
+from .separability import ProductFormResult, SingularSolve, gth_stationary, irreducible, product_form, queue_marginal
 
-# the tail is called null recurrent when its mean drift is below this
-# fraction of the level-crossing rates: round-off in the stationary vector of
-# A0 + A1 + A2 makes a smaller drift indistinguishable from zero
+# the exact solve refuses a tail whose mean drift is within this fraction of the
+# level-crossing rates: that is round-off in the stationary vector of A0 + A1 + A2
 DRIFT_RTOL = 1e-12
+LISTING_LIMIT = 2**27  # values (1 GiB of float64) a product-form listing may hold
 LOG_REDUCTION_STEPS = 100
 TAIL_CHUNK = 256  # block levels generated between two tail-mass checks
 CUT_TOL = 1e-8  # largest relative level-cut defect `check_cut_structure` passes
@@ -50,7 +50,7 @@ class NotIrreducibleTruncation(EnvqueueError):
 
 
 class NotErgodic(EnvqueueError):
-    """The tail's mean drift is not towards level 0 (Neuts' condition)."""
+    """No state is working, or the isolated queue's tail ratio is not below 1."""
 
 
 @dataclass(frozen=True)
@@ -202,9 +202,9 @@ def _mean_drift(A0, A1, A2) -> float:
     A0 + A1 + A2; the tail is positive recurrent iff it is positive."""
     alpha = gth_stationary(A0 + A1 + A2)
     up, down = float(alpha @ A0.sum(axis=1)), float(alpha @ A2.sum(axis=1))
-    if not down - up > DRIFT_RTOL * (up + down):
-        raise NotErgodic(f"tail drift down - up = {down - up:.3g} is not above {DRIFT_RTOL} * (up + down), "
-                         f"with up {up!r} and down {down!r} (Neuts' mean-drift condition)")
+    if not abs(down - up) > DRIFT_RTOL * (up + down):
+        raise NotConvergent(f"tail drift down - up = {down - up:.3g} is within round-off, {DRIFT_RTOL} * (up + down), "
+                            f"with up {up!r} and down {down!r}: the solve cannot resolve this tail")
     return down - up
 
 
@@ -285,12 +285,15 @@ def _list_product_form(pf: ProductFormResult, tol: float, min_level: int):
     """`_list_levels` for a product form: levels 0..N+1 of xi(n) theta, one
     outer product, and the mass above N.  From min_level >= N0 on, the mass
     above a level falls by the tail ratio r per period, so it is below tol
-    one period after `periods`: there it is at most tol r, and 1 - r, above
-    `SUMMABLE_MARGIN`, outweighs the round-off of the logarithms and powers."""
+    one period after `periods`: there it is at most tol r.  A listing of more
+    than `LISTING_LIMIT` values is refused before it is allocated."""
     marginal = pf.marginal
     first = float(marginal.mass_above(min_level))
-    periods = math.log(tol / first) / math.log(marginal.tail_ratio) if first >= tol else 0.0
-    above = marginal.mass_above(np.arange(min_level, min_level + marginal.period * (math.ceil(periods) + 1) + 1))
+    periods = math.log(tol / first) / math.log1p(-marginal.gap) if first >= tol else 0.0
+    top = min_level + marginal.period * (math.ceil(periods) + 1)
+    if (top + 2) * len(pf.theta) > LISTING_LIMIT:
+        raise ValueError(f"the listing to tol = {tol} needs N ~ {top}, more than {LISTING_LIMIT} values")
+    above = marginal.mass_above(np.arange(min_level, top + 1))
     hit = int(np.flatnonzero(above < tol)[0])
     N = min_level + hit
     return np.outer(marginal.xi(np.arange(N + 2)), pf.theta), float(above[hit]), N
@@ -298,13 +301,17 @@ def _list_product_form(pf: ProductFormResult, tol: float, min_level: int):
 
 def exact_solve(model: JointModel) -> GeometricTail:
     """Exact stationary vector of the infinite chain as a `GeometricTail`,
-    listing no level.  Raises NotErgodic when the tail's mean drift is not
-    towards level 0."""
+    listing no level.  Raises NotErgodic unless a state is working and the tail
+    ratio is below 1, and NotConvergent where the drift is within round-off."""
     return _exact_tail(model, *_blocks(model))
 
 
 def _exact_tail(model: JointModel, B, U, D) -> GeometricTail:
     """`exact_solve` from the representative levels' blocks B, U, D."""
+    if not model.env.working_mask().any():
+        raise NotErgodic("no environment state is working")
+    if not (marginal := queue_marginal(model)).summable:
+        raise NotErgodic(f"queue tail ratio {marginal.tail_ratio} is not below 1")
     T0, p, m = model.tail_start + 1, model.period, model.n_env
     M = p * m
     A0, A1, A2 = _tail_qbd(model, B, U, D)

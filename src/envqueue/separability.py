@@ -13,7 +13,6 @@ levels {0, ..., N0* + p* - 1}.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,6 @@ import numpy as np
 from .model import EnvqueueError, JointModel, _balance_residual, _blocks, _level_classes, _strong_components
 
 RESIDUAL_RTOL = 1e-10
-SUMMABLE_MARGIN = 1e-12
-NEAR_CRITICAL = 1e-9
 
 
 class SingularSolve(EnvqueueError):
@@ -150,8 +147,9 @@ def solve_theta(model: JointModel, B: np.ndarray | None = None):
 class QueueMarginal:
     """Isolated birth-death marginal xi(n) with closed-form normalization."""
 
-    summable: bool
-    tail_ratio: float  # r, the product of lambda/mu over one tail period
+    summable: bool  # r < 1, decided on the exact r
+    tail_ratio: float  # r, the product of lambda/mu over one tail period, rounded once
+    gap: float  # 1 - r, rounded once
     C: float | None
     weights: np.ndarray  # weight(0..N0+p), read-only
     period: int
@@ -183,7 +181,7 @@ class QueueMarginal:
         last = np.maximum(n, N0 - 1)
         # prefix[j]: the mass of prefix levels j..N0-1, and 0 at j = N0
         prefix = np.append(np.cumsum(self.xi(np.arange(N0))[::-1])[::-1], 0.0)
-        tail = sum(self.xi(last + i) for i in range(1, p + 1)) / (1.0 - self.tail_ratio)
+        tail = sum(self.xi(last + i) for i in range(1, p + 1)) / self.gap
         return tail + prefix[np.minimum(n + 1, N0)]
 
 
@@ -191,15 +189,19 @@ def queue_marginal(model: JointModel) -> QueueMarginal:
     """Summability check and normalization of the isolated queue marginal:
     C sums the prefix weights and, geometrically, the tail blocks."""
     N0, p = model.tail_start, model.period
-    steps = [model.arrival(i) / model.service(i + 1) for i in range(N0 + p)]
-    w = np.cumprod([1.0] + steps)
+    rates = [(model.arrival(i), model.service(i + 1)) for i in range(N0 + p)]
+    w = np.cumprod([1.0] + [lam / mu for lam, mu in rates])
     w.setflags(write=False)
-    ratio = math.prod(steps[N0:])
-    if abs(ratio - 1.0) < NEAR_CRITICAL:
-        warnings.warn(f"tail ratio {ratio} is nearly critical", RuntimeWarning, stacklevel=2)
-    summable = ratio < 1.0 - SUMMABLE_MARGIN
-    C = sum(w[:N0].tolist()) + sum(w[N0:-1].tolist()) / (1.0 - ratio) if summable else None
-    return QueueMarginal(summable=summable, tail_ratio=ratio, C=C, weights=w, period=p)
+    num = den = 1  # r = num / den exactly, every float being a dyadic rational
+    for (a, b), (c, d) in (map(float.as_integer_ratio, pair) for pair in rates[N0:]):
+        num, den = num * a * d, den * b * c
+    summable = num < den  # r = 1 is null recurrent
+    try:
+        ratio, gap = num / den, (den - num) / den  # integer division rounds once
+    except OverflowError:  # r beyond the float range
+        ratio, gap = math.inf, -math.inf
+    C = sum(w[:N0].tolist()) + sum(w[N0:-1].tolist()) / gap if summable else None
+    return QueueMarginal(summable=summable, tail_ratio=ratio, gap=gap, C=C, weights=w, period=p)
 
 
 @dataclass(frozen=True)
@@ -224,11 +226,11 @@ class ProductFormResult:
         """As `GeometricTail.level_sums`, the tail starting at T0 = tail_start + 1,
         where mu(n) turns periodic: tail row i sums xi(T0 + i + j p) theta =
         xi(T0 + i) r^j theta over j >= 0, for the tail ratio r."""
-        r, p = self.marginal.tail_ratio, self.marginal.period
+        r, gap, p = self.marginal.tail_ratio, self.marginal.gap, self.marginal.period
         xi = self.marginal.weights / self.C
         T0 = len(xi) - p
-        extra = p * r / (1.0 - r) ** 2 * float(xi[T0:].sum())
-        xi[T0:] /= 1.0 - r
+        extra = p * r / gap**2 * float(xi[T0:].sum())
+        xi[T0:] /= gap
         return np.arange(len(xi)), np.outer(xi, self.theta), extra
 
 

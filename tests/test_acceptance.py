@@ -235,7 +235,7 @@ def test_catalog_certification_agrees_with_exact_solve(kind):
             assert result.worst_margin >= -1e-12, (name, result.worst_margin)
         else:
             assert isinstance(result, NotCertified) and result.reason == "NecessaryFails", (name, result)
-        # Neuts' drift test in the exact solve is the independent verdict
+        # the exact solve reads the tail ratio; a property checks that verdict against Neuts' drift
         assert ergodic == certified, name
 
 

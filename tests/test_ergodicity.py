@@ -18,7 +18,8 @@ from envqueue.ergodicity import (
     solve_tau,
 )
 from envqueue.model import EnvironmentSpec, JointModel, RateFamily
-from envqueue.separability import queue_marginal
+from envqueue.numerics import NotConvergent, NotErgodic, exact_solve
+from envqueue.separability import product_form, queue_marginal
 
 from conftest import check_certify_against_dense, period_two_model, separable_period_two_model, two_state_model
 
@@ -150,12 +151,10 @@ class TestCertify:
         assert isinstance(res, NotCertified)
         assert res.reason == "NecessaryFails"
 
-    def test_necessary_fails_names_the_margin(self):
-        # the ratio is below 1 but not by SUMMABLE_MARGIN: the detail names the test applied
-        with pytest.warns(RuntimeWarning, match="nearly critical"):
-            res = certify(base_stock(lam=1 - 1e-13, mu=1, nu=3, b=5))
-        assert res == NotCertified(reason="NecessaryFails",
-                                   detail="queue tail ratio 0.9999999999999 is not below 1 - 1e-12")
+    def test_necessary_fails_names_the_ratio(self):
+        # r = 1 exactly: the isolated queue is null recurrent
+        res = certify(base_stock(lam=1, mu=1, nu=3, b=5))
+        assert res == NotCertified(reason="NecessaryFails", detail="queue tail ratio 1.0 is not below 1")
 
     def test_hitting_time_kind(self, bs_model):
         cert = certify(bs_model, kind="hitting_time")
@@ -215,3 +214,35 @@ class TestCertify:
 )
 def test_certify_matches_dense_rows(model, kind):
     check_certify_against_dense(model, kind)
+
+
+# catalog families at mu = 1, nu = 3, b = 5 and gamma = 1, as functions of lambda
+NEAR_CRITICAL_FAMILIES = {
+    "base_stock": lambda lam: base_stock(lam=lam, mu=1.0, nu=3.0, b=5),
+    "perishable_minus": lambda lam: perishable_minus(lam=lam, mu=1.0, nu=3.0, gamma=1.0, b=5),
+    "perishable_plus": lambda lam: perishable_plus(lam=lam, mu=1.0, nu=3.0, gamma=1.0, b=5),
+    "perishable_o": lambda lam: perishable_o(lam=lam, mu=1.0, nu=3.0, gamma=1.0, b=5),
+    "mm1_plain": lambda lam: mm1_plain(lam=lam, mu=1.0),
+}
+
+
+@pytest.mark.parametrize("family", sorted(NEAR_CRITICAL_FAMILIES))
+def test_verdicts_follow_the_sign_of_mu_minus_lambda(family):
+    # lambda = mu (1 -+ 10^-k): below mu every model is ergodic, however close, and above it none is;
+    # the exact solve may refuse a drift within its round-off, but never calls it not ergodic
+    for k in range(1, 16):
+        for lam in (1.0 - 10.0**-k, 1.0 + 10.0**-k):
+            model = NEAR_CRITICAL_FAMILIES[family](lam)
+            pf, cert = product_form(model), certify(model)
+            try:
+                ergodic = exact_solve(model).drift > 0.0
+            except NotConvergent:
+                ergodic = None
+            except NotErgodic:
+                ergodic = False
+            if lam < 1.0:
+                assert getattr(pf, "reason", None) != "NotSummable", (k, lam)
+                assert getattr(cert, "reason", None) != "NecessaryFails", (k, lam)
+                assert ergodic is not False, (k, lam)
+            else:
+                assert not cert.certified and ergodic is False, (k, lam)

@@ -207,11 +207,6 @@ class TestQueueMarginal:
         with pytest.raises(ValueError):
             marg.xi(0)
 
-    def test_near_critical_warns(self):
-        model = mm1_plain(lam=1.0, mu=1.0)
-        with pytest.warns(RuntimeWarning):
-            queue_marginal(model)
-
     def test_normalization_matches_partial_sum(self):
         model = onoff_b(lam=0.1, gamma=1.0, eta=1.0)  # level-dependent arrivals
         marg = queue_marginal(model)
