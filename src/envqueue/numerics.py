@@ -32,9 +32,7 @@ from .model import (LEVEL_WINDOW, EnvqueueError, JointModel, _balance_residual, 
                     _level_classes, _representatives, validate_model)
 from .separability import ProductFormResult, SingularSolve, gth_stationary, irreducible, product_form, queue_marginal
 
-# the exact solve refuses a tail whose mean drift is within this fraction of the
-# level-crossing rates: that is round-off in the stationary vector of A0 + A1 + A2
-DRIFT_RTOL = 1e-12
+DRIFT_RTOL = 1e-12  # the fraction of the level-crossing rates a tail's mean drift must clear: round-off
 LISTING_LIMIT = 2**27  # values (1 GiB of float64) a product-form listing may hold
 LOG_REDUCTION_STEPS = 100
 TAIL_CHUNK = 256  # block levels generated between two tail-mass checks
@@ -198,12 +196,12 @@ def _tail_qbd(model: JointModel, B, U, D):
 
 
 def _mean_drift(A0, A1, A2) -> float:
-    """alpha A2 1 - alpha A0 1 with alpha the stationary vector of
-    A0 + A1 + A2; the tail is positive recurrent iff it is positive."""
+    """alpha A2 1 - alpha A0 1 with alpha the stationary vector of A0 + A1 + A2,
+    positive iff the tail is positive recurrent; refused unless clear of round-off."""
     alpha = gth_stationary(A0 + A1 + A2)
     up, down = float(alpha @ A0.sum(axis=1)), float(alpha @ A2.sum(axis=1))
-    if not abs(down - up) > DRIFT_RTOL * (up + down):
-        raise NotConvergent(f"tail drift down - up = {down - up:.3g} is within round-off, {DRIFT_RTOL} * (up + down), "
+    if not down - up > DRIFT_RTOL * (up + down):
+        raise NotConvergent(f"tail drift down - up = {down - up:.3g} is not above {DRIFT_RTOL} * (up + down), "
                             f"with up {up!r} and down {down!r}: the solve cannot resolve this tail")
     return down - up
 
@@ -284,25 +282,26 @@ def _list_levels(tail: GeometricTail, tol: float, min_level: int):
 def _list_product_form(pf: ProductFormResult, tol: float, min_level: int):
     """`_list_levels` for a product form: levels 0..N+1 of xi(n) theta, one
     outer product, and the mass above N.  From min_level >= N0 on, the mass
-    above a level falls by the tail ratio r per period, so it is below tol
-    one period after `periods`: there it is at most tol r.  A listing of more
-    than `LISTING_LIMIT` values is refused before it is allocated."""
+    above a level falls by the rounded r per period, so it is below tol one
+    period after `periods`: at most tol r.  A listing of more than
+    `LISTING_LIMIT` values, or of a fall that round-off hides, is refused."""
     marginal = pf.marginal
     first = float(marginal.mass_above(min_level))
-    periods = math.log(tol / first) / math.log1p(-marginal.gap) if first >= tol else 0.0
+    periods = math.log(tol / first) / (math.log(marginal.tail_ratio) or -marginal.gap) if first >= tol else 0.0
     top = min_level + marginal.period * (math.ceil(periods) + 1)
     if (top + 2) * len(pf.theta) > LISTING_LIMIT:
         raise ValueError(f"the listing to tol = {tol} needs N ~ {top}, more than {LISTING_LIMIT} values")
     above = marginal.mass_above(np.arange(min_level, top + 1))
-    hit = int(np.flatnonzero(above < tol)[0])
-    N = min_level + hit
-    return np.outer(marginal.xi(np.arange(N + 2)), pf.theta), float(above[hit]), N
+    if not (hits := np.flatnonzero(above < tol)).size:
+        raise ValueError(f"the listing to tol = {tol} finds no level below tol by N = {top}")
+    N = min_level + int(hits[0])
+    return np.outer(marginal.xi(np.arange(N + 2)), pf.theta), float(above[hits[0]]), N
 
 
 def exact_solve(model: JointModel) -> GeometricTail:
     """Exact stationary vector of the infinite chain as a `GeometricTail`,
     listing no level.  Raises NotErgodic unless a state is working and the tail
-    ratio is below 1, and NotConvergent where the drift is within round-off."""
+    ratio is below 1, and NotConvergent where the drift is not clear of round-off."""
     return _exact_tail(model, *_blocks(model))
 
 

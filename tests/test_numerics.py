@@ -288,6 +288,27 @@ def test_listing_is_bit_identical_to_products(name, chunk, monkeypatch):
     assert exact.tobytes() == listed_by_products(tail, len(exact)).tobytes()
 
 
+@pytest.mark.parametrize("mu", [0.7, 3.0, 7.0])
+def test_product_form_listing_at_a_large_tol_near_r_1(mu):
+    # 1 - r = 1e-13: the listed masses fall by the rounded r, and a count of periods read
+    # from 1 - r instead stopped the scan short of tol (an IndexError at tol = 1 - 1e-9)
+    model = mm1_plain(lam=mu * (1.0 - 1e-13), mu=mu)
+    sol = auto_truncate(model, tol=1.0 - 1e-9)
+    assert sol.truncation_estimate < 1.0 - 1e-9 <= float(separability.queue_marginal(model).mass_above(sol.N - 1))
+
+
+def test_product_form_listing_refused_where_r_rounds_to_1():
+    # r = (1 + 2e) / (1 + e)^2 = 1 - e^2 / (1 + e)^2 for e = 2^-52: summable, but r rounds to 1.0,
+    # so the listed masses never fall
+    e = 2.0**-52
+    env = EnvironmentSpec.constant(labels=(0,), blocked=(), V=np.zeros((1, 1)), R=np.ones((1, 1)))
+    model = JointModel(rates=RateFamily(lambda_tail=(1.0 + 2 * e, 1.0), mu_tail=(1.0 + e, 1.0 + e)), env=env)
+    marginal = separability.queue_marginal(model)
+    assert marginal.summable and marginal.tail_ratio == 1.0 and 0.0 < marginal.gap < 1e-31
+    with pytest.raises(ValueError, match=r"^the listing to tol = 1e-09 needs N ~ \d+, more than"):
+        auto_truncate(model)
+
+
 # separable models with tail ratio rho, built from (rho, nu, gamma, b)
 SEPARABLE = {
     "base_stock": lambda rho, nu, gamma, b: base_stock(lam=rho, mu=1.0, nu=nu, b=b),
