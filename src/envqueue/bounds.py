@@ -7,8 +7,9 @@ bound it: the "minus" system ages all k items (lower bound) and the "plus"
 system always protects one item (upper bound).  All three exact throughputs
 come from `numerics.metrics`: the bounds' from their product forms, the
 target's from its exact solve, which lists no levels.  Simulation gives an
-independent estimate of the target's; a departure-count value iteration on
-each system's jump chain gives isotonicity evidence.
+independent estimate of the target's.  Expected departures within
+`JUMP_HORIZON` steps of each system's uniformized chain P = I + Q/Lambda,
+Lambda its own largest exit rate, give isotonicity evidence.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from .model import EnvqueueError, InvalidParam, JointModel, _capped_classes, _le
 from .numerics import auto_truncate  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .numerics import exact_solve, metrics
 from .separability import NotSeparable, product_form
-from .simulate import SimConfig, ZeroExitRate, simulate
+from .simulate import SimConfig, simulate
 
 ORDER_RTOL = 1e-9  # the ordering tolerates a TH excess of this times TH+
-JUMP_HORIZON = 50  # value-iteration steps of the isotonicity evidence
+JUMP_HORIZON = 50  # steps of the uniformized chain in the isotonicity evidence
 VALUE_CAP = 100  # queue levels of its value tables
 
 
@@ -84,38 +85,36 @@ class DepartureValueTable:
 
 
 def departure_values(model: JointModel, N_cap: int, horizon: int) -> DepartureValueTable:
-    """Backward value iteration v_{j+1} = r + P v_j on the embedded jump
-    chain of the truncated model, where r is the one-jump departure
-    probability.  Only v_j and the product P v_j are kept, so memory does not
-    grow with the horizon."""
+    """Backward value iteration v_{j+1} = r + P v_j on the uniformized chain
+    P = I + Q/Lambda of the truncated model: Lambda is the largest total exit
+    rate of its states, r the service-completion rate over Lambda, and a state
+    with no exit a self-loop.  Only v_j and the product P v_j are kept, so
+    memory does not grow with the horizon."""
     m = model.n_env
     size = (N_cap + 1) * m
     moves = _level_moves(model, _representatives(model), cap=N_cap)
     cls = _capped_classes(model, N_cap)
     # each row's total is summed in `generator_row` order
     total = np.cumsum(moves.rate, axis=2)[:, :, -1]
-    absorbing = np.flatnonzero(total[cls] <= 0.0)
-    if absorbing.size:
-        n, k = divmod(int(absorbing[0]), m)
-        raise ZeroExitRate(f"truncated state ({n}, {k}) is absorbing")
-    # each class's row of P by ascending target: level below, own level, level above, then the
-    # padding; a class above N_cap is never used, and its zero totals are divided by 1 to keep it finite
+    Lambda = total[cls].max() or 1.0  # a table with no move at all has P = I for any Lambda
+    # each class's off-diagonal row of P by ascending target: level below, own level, level above, then the padding
     order = np.argsort(np.where(moves.rate != 0.0, moves.shift, 2 * m), axis=2, kind="stable")
     shift, rate = (np.take_along_axis(a, order, axis=2) for a in (moves.shift, moves.rate))
-    prob = rate / np.where(total > 0.0, total, 1.0)[:, :, None]
-    reward = np.cumsum(np.where(shift < 0, prob, 0.0), axis=2)[:, :, -1]  # departure probabilities in that order
+    prob = rate / Lambda
+    reward = np.cumsum(np.where(shift < 0, prob, 0.0), axis=2)[:, :, -1]  # service completions in that order
     width = prob.shape[2]
     rows = (cls[:, None] * m + np.arange(m)).ravel()
     cols = (np.repeat(np.arange(N_cap + 1) * m, m)[:, None] + shift.reshape(-1, width)[rows]).T.copy()
     vals = prob.reshape(-1, width)[rows].T.copy()
-    reward = reward.ravel()[rows]
+    reward, stay = reward.ravel()[rows], (1.0 - total / Lambda).ravel()[rows]
     v = np.zeros(size)
     acc, term = np.empty(size), np.empty(size)
     for _ in range(horizon):
-        # v_j = r + P v_{j-1}, each row's entries added one padded column at a time in target order
+        # v_j = r + (P_off v_{j-1} + stay v_{j-1}), P_off's entries one padded column at a time in target order
         np.multiply(vals[0], v.take(cols[0]), out=acc)
         for w in range(1, width):
             acc += np.multiply(vals[w], v.take(cols[w]), out=term)
+        acc += np.multiply(stay, v, out=term)
         np.add(reward, acc, out=v)
     return DepartureValueTable(horizon=horizon, N_cap=N_cap, values=v.reshape(N_cap + 1, m))
 

@@ -20,7 +20,7 @@ from .model import generator_row  # noqa: F401  (perfbench/tracing.py counts cal
 from .separability import queue_marginal
 
 TAU_RESIDUAL_TOL = 1e-10
-DRIFT_RTOL = 1e-12  # a drift may exceed -eps by this times the sum of rate * (|L(target)| + |L(here)|)
+SLACK_RTOL = 1e-12  # a drift may exceed -eps by this times the sum of rate * (|L(target)| + |L(here)|)
 
 
 class SingularSystem(EnvqueueError):
@@ -204,7 +204,7 @@ def _drift(model: JointModel, values: np.ndarray):
     """Drift of L at every state of levels 0..H-1 and its round-off slack, for
     L given on levels 0..H as `values` (shape (H + 1, |K|)).  The drift is in
     difference form, sum over moves of rate * (L(target) - L(here)), summed
-    in `generator_row` order; the slack is `DRIFT_RTOL` times the sum of
+    in `generator_row` order; the slack is `SLACK_RTOL` times the sum of
     rate * (|L(target)| + |L(here)|)."""
     checked = np.arange(len(values) - 1)
     moves = _level_moves(model, _representatives(model))
@@ -215,7 +215,7 @@ def _drift(model: JointModel, values: np.ndarray):
     there = values.ravel()[checked[:, None, None] * model.n_env + moves.shift[cls]]
     drift = np.cumsum(rate * (there - here), axis=2)[:, :, -1]
     # each difference of two values of L is off by round-off of their size, not of the difference's
-    slack = DRIFT_RTOL * (rate * (np.abs(there) + np.abs(here))).sum(axis=2)
+    slack = SLACK_RTOL * (rate * (np.abs(there) + np.abs(here))).sum(axis=2)
     return drift, slack
 
 

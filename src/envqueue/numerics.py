@@ -361,7 +361,8 @@ def auto_truncate(model: JointModel, tol: float = 1e-9) -> TruncatedSolution:
         listing, mass_above, N = _list_levels(tail, tol, min_level)
     residual, _ = _balance_residual(listing, *blocks, _level_classes(model, np.arange(N + 2)), N + 1)
     pi = listing[: N + 1]
-    return TruncatedSolution(N=N, pi=pi / pi.sum(), residual=residual, truncation_estimate=mass_above, tail=tail)
+    pi /= pi.sum()  # in place: a copy would hold the listing twice
+    return TruncatedSolution(N=N, pi=pi, residual=residual, truncation_estimate=mass_above, tail=tail)
 
 
 @dataclass(frozen=True)

@@ -137,7 +137,7 @@ def dense_drift(model, values):
     targets = np.concatenate([values[1:], values[np.maximum(checked - 1, 0)], here], axis=1)
     rates = dense_move_rates(*reference_blocks(model))[_level_classes(model, checked)]
     drift = np.cumsum(rates * (targets[:, None, :] - here[:, :, None]), axis=2)[:, :, -1]
-    slack = ergodicity.DRIFT_RTOL * (rates * (np.abs(targets)[:, None, :] + np.abs(here)[:, :, None])).sum(axis=2)
+    slack = ergodicity.SLACK_RTOL * (rates * (np.abs(targets)[:, None, :] + np.abs(here)[:, :, None])).sum(axis=2)
     return drift, slack
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from envqueue import numerics
 from envqueue.bounds import (
+    VALUE_CAP,
     DepartureValueTable,
     bound_report,
     build_triple,
@@ -14,11 +15,11 @@ from envqueue.bounds import (
     isotone_check,
     perishable_b1_closed_form,
 )
-from envqueue.catalog import base_stock, onoff_b, perishable_o, perishable_plus
+from envqueue.catalog import base_stock, mm1_plain, onoff_b, perishable_o, perishable_plus
 from envqueue.model import EnvironmentSpec, InvalidParam, JointModel, RateFamily, _capped_classes
 from envqueue.numerics import metrics, solve_truncated
 from envqueue.separability import ProductFormResult, product_form
-from envqueue.simulate import SimConfig, ZeroExitRate
+from envqueue.simulate import SimConfig
 
 from conftest import (dense_move_rates, period_two_model, reference_blocks, traced_peak, truncated_generator,
                       value_history)
@@ -155,35 +156,36 @@ def test_bounds_and_sweep_list_no_levels(monkeypatch):
 
 
 def csr_departure_values(model, N_cap, horizon):
-    """The value iteration with scipy's CSR product on the dense reference generator."""
+    """The value iteration with scipy's CSR product on the dense reference generator:
+    P = I + Q/Lambda, its off-diagonal part as a CSR matrix and its diagonal as `stay`."""
     sparse = pytest.importorskip("scipy.sparse")
     Q = truncated_generator(model, N_cap)
     m, size = model.n_env, len(Q)
     total = np.cumsum(dense_move_rates(*reference_blocks(model, N_cap)), axis=2)[:, :, -1]
     total = total[_capped_classes(model, N_cap)].ravel()
+    Lambda = total.max()
     src, dst = np.nonzero(Q)
     move = src != dst
     src, dst = src[move], dst[move]
-    prob = Q[src, dst] / total[src]
-    P = sparse.csr_matrix((prob, (src, dst)), shape=Q.shape)
+    prob = Q[src, dst] / Lambda
+    P_off = sparse.csr_matrix((prob, (src, dst)), shape=Q.shape)
+    stay = 1.0 - total / Lambda
     down = dst < src - src % m
     reward = np.bincount(src[down], weights=prob[down], minlength=size)
     history = np.zeros((horizon + 1, size))
     for j in range(1, horizon + 1):
-        history[j] = reward + P @ history[j - 1]
+        h = history[j - 1]
+        history[j] = reward + (P_off @ h + stay * h)
     return history.reshape(horizon + 1, N_cap + 1, m)
 
 
 class TestDepartureValues:
     def test_one_jump_values(self, bs_model):
-        # v_1(n, k) = probability the first jump is a departure
+        # v_1(n, k) = service rate / Lambda, Lambda = 4: arrival 1, service 2 and replenishment 1 at (1, 1)
         table = departure_values(bs_model, N_cap=10, horizon=1)
         v = table.values
-        # (1, 1): rates arrival 1, service 2, replenish 1 -> dep prob 1/2
-        assert v[1, 1] == pytest.approx(0.5, abs=1e-14)
-        # (1, 2): rates arrival 1, service 2 -> dep prob 2/3
-        assert v[1, 2] == pytest.approx(2 / 3, abs=1e-14)
-        # blocked or empty states cannot produce a departure in one jump
+        assert v[1, 1] == v[1, 2] == 2 / 4
+        # blocked or empty states cannot produce a departure in one step
         assert v[0, 1] == 0.0
         assert v[3, 0] == 0.0
 
@@ -199,13 +201,15 @@ class TestDepartureValues:
         table = departure_values(bs_model, N_cap=15, horizon=8)
         assert table.values.max() <= 8.0 + 1e-12
 
-    def test_absorbing_state_refused(self):
-        # blocked state 2 is never left and admits no arrival, so every (n, 2) absorbs
+    def test_no_exit_is_a_self_loop(self):
+        # blocked state 2 is never left and admits no arrival: every (n, 2) stays put and departs never
         V = [[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 0.0, 0.0]]
         env = EnvironmentSpec.constant(labels=(0, 1, 2), blocked=(2,), V=V, R=np.eye(3))
         trap = JointModel(rates=RateFamily.constant(1.0, 2.0), env=env, name="trap")
-        with pytest.raises(ZeroExitRate, match=r"^truncated state \(0, 2\) is absorbing$"):
-            departure_values(trap, N_cap=10, horizon=1)
+        v = departure_values(trap, N_cap=10, horizon=20).values
+        assert np.all(v[:, 2] == 0.0) and np.all(v[1:, :2] > 0.0)
+        # a table with no move at all: P = I, and no departure ever
+        assert np.array_equal(departure_values(mm1_plain(1.0, 2.0), N_cap=0, horizon=5).values, [[0.0]])
 
     def test_zero_horizon_start(self, bs_model):
         table = departure_values(bs_model, N_cap=8, horizon=0)
@@ -213,18 +217,12 @@ class TestDepartureValues:
         assert np.all(table.values == 0.0)
 
     def test_long_run_rate_matches_throughput(self, bs_model):
-        # v_n / n converges to departures-per-jump; scaled by the stationary
-        # jump intensity of the truncated chain it recovers the throughput
-        from envqueue.numerics import metrics, solve_truncated
-
+        # v_n / n converges to departures per step of P, and the steps of P come at rate Lambda
         N = 40
-        sol = solve_truncated(bs_model, N)
-        th = metrics(sol, bs_model).throughput
-        Q = truncated_generator(bs_model, N)
-        jump_intensity = float(sol.pi.reshape(-1) @ (-np.diag(Q)))
-        n_jumps = 10_000
-        table = departure_values(bs_model, N_cap=N, horizon=n_jumps)
-        rate = table.values[0, 2] / n_jumps * jump_intensity
+        th = metrics(solve_truncated(bs_model, N), bs_model).throughput
+        n_steps = 10_000
+        table = departure_values(bs_model, N_cap=N, horizon=n_steps)
+        rate = table.values[0, 2] / n_steps * 4.0  # Lambda: arrival 1, service 2 and replenishment 1
         assert rate == pytest.approx(th, abs=2e-3)
 
     @pytest.mark.parametrize(
@@ -239,7 +237,8 @@ class TestDepartureValues:
         ids=["base_stock", "perishable_o_b10", "perishable_plus", "onoff_b", "period_two"],
     )
     def test_matches_csr_product(self, model, N_cap, horizon):
-        # the padded-row product adds each row's entries in the CSR product's order: equal bit for bit
+        # the padded-row product adds each row's entries in the CSR product's order, then the diagonal:
+        # equal bit for bit
         assert np.array_equal(value_history(model, N_cap, horizon), csr_departure_values(model, N_cap, horizon))
 
 
@@ -264,18 +263,24 @@ class TestIsotone:
         assert all(v[3] for v in violation_tuples(report))
 
     def test_violation_reported_not_suppressed(self):
-        # the protected-item upper system genuinely breaks product-order
-        # isotonicity in the environment coordinate near n = 0: decay events
-        # consume jump budget
-        model = perishable_plus(lam=1.0, mu=2.0, nu=1.0, gamma=4.0, b=3)
-        table = departure_values(model, N_cap=60, horizon=12)
-        report = isotone_check(table)
+        # environment state 2 is blocked, so a higher k can serve less: a real violation of the
+        # product order in the environment coordinate, away from the cap as well as near it
+        V = [[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]]
+        env = EnvironmentSpec.constant(labels=(0, 1, 2), blocked=(2,), V=V, R=np.eye(3))
+        model = JointModel(rates=RateFamily.constant(1.0, 2.0), env=env, name="blocked_top")
+        report = isotone_check(departure_values(model, N_cap=20, horizon=10))
         violations = violation_tuples(report)
         assert not report.isotone
-        assert any(not v[3] for v in violations)
-        assert len(report.violations) == len(violations) == 122
-        assert violations[0] == ((0, 1), (0, 2), 0.17151598169818194, False)
-        assert violations[-1] == ((60, 2), (60, 3), 0.15876026599990434, True)
+        assert len(report.violations) == len(violations) == 42
+        assert sum(not v[3] for v in violations) == 22
+        assert violations[0] == ((0, 0), (0, 1), 0.2129543168000001, False)
+        assert violations[-1] == ((20, 1), (20, 2), 1.2259241984, True)
+
+    def test_benchmark_triple_isotone_over_2000_steps(self):
+        # the heavy-traffic bounds point, 40 times the report's horizon: still no violation in any system
+        for system in build_triple(0.95, 1.0, 3.0, 1.0, 5):
+            report = isotone_check(departure_values(system, N_cap=VALUE_CAP, horizon=2000))
+            assert report.isotone and report.violations.size == 0, system.name
 
     @pytest.mark.parametrize(
         "table",

@@ -31,7 +31,7 @@ from envqueue.numerics import (
 )
 from envqueue.separability import ProductFormResult, SingularSolve, irreducible, product_form
 
-from conftest import (count_forks, period_two_model, reference_blocks, separable_period_two_model,
+from conftest import (count_forks, period_two_model, reference_blocks, separable_period_two_model, traced_peak,
                       truncated_generator)
 
 
@@ -189,6 +189,12 @@ class TestAutoTruncate:
         model = base_stock(lam=0.999, mu=1.0, nu=3.0, b=5)
         sol = auto_truncate(model)
         assert metrics(sol, model).throughput == pytest.approx(0.9962678467, abs=1e-9)
+
+    def test_listing_held_once(self):
+        # N = 207,222, a 9.5 MB listing: normalising a copy peaked at 2.0 times its bytes, in place at 1.52
+        model = base_stock(lam=0.9999, mu=1.0, nu=3.0, b=5)
+        peak = traced_peak(auto_truncate, model)
+        assert peak <= 1.6 * auto_truncate(model).pi.nbytes
 
     def test_N_is_first_level_below_tol(self, per_o_b2):
         tol = 1e-9
