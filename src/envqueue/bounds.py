@@ -5,11 +5,13 @@ server is busy ("o" regime); it is not separable for base stock b >= 2.  Two
 companion systems with queue-length independent ageing are separable and
 bound it: the "minus" system ages all k items (lower bound) and the "plus"
 system always protects one item (upper bound).  All three exact throughputs
-come from `numerics.metrics`: the bounds' from their product forms, the
-target's from its exact solve, which lists no levels.  Simulation gives an
-independent estimate of the target's.  Expected departures within
-`JUMP_HORIZON` steps of each system's uniformized chain P = I + Q/Lambda,
-Lambda its own largest exit rate, give isotonicity evidence.
+come without listing a level: the bounds' from `numerics.metrics` of their
+product forms.  The target's environment is a Markov chain on its own where
+mu = gamma, and there TH_o = theta_env(W) TH_iso; elsewhere TH_o comes from
+`metrics` of its exact solve.  Simulation gives an independent estimate of
+the target's.  Expected departures within `JUMP_HORIZON` steps of each
+system's uniformized chain P = I + Q/Lambda, Lambda its own largest exit
+rate, give isotonicity evidence.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import perishable_minus, perishable_o, perishable_plus
-from .model import EnvqueueError, InvalidParam, JointModel, _capped_classes, _level_moves, _representatives
+from .model import EnvqueueError, InvalidParam, JointModel, _blocks, _capped_classes, _level_moves, _representatives
 from .numerics import auto_truncate  # noqa: F401  (perfbench/tracing.py wraps this name)
-from .numerics import exact_solve, metrics
+from .numerics import _exact_tail, autonomous_environment, isolated_throughput, metrics
 from .separability import NotSeparable, product_form
 from .simulate import SimConfig, simulate
 
@@ -46,14 +48,23 @@ def build_triple(lam, mu, nu, gamma, b) -> tuple[JointModel, JointModel, JointMo
 
 
 def _exact_throughputs(lower, target, upper):
-    """TH-, TH_o and TH+ from `metrics`, and the bounds' product forms by tag."""
+    """TH-, TH_o and TH+, and the bounds' product forms by tag.  TH- and TH+
+    come from `metrics` of the product forms.  TH_o is theta_env(W) TH_iso
+    where the target's environment is autonomous (`autonomous_environment`:
+    mu = gamma), one GTH solve on |K| states; elsewhere it is `metrics` of the
+    exact solve, from the same blocks."""
     pfs = {}
     for tag, system in (("minus", lower), ("plus", upper)):
         pf = product_form(system)
         if isinstance(pf, NotSeparable):
             raise NotSeparableBoundSystem(f"{tag} system: {pf.reason} (residual {pf.residual})")
         pfs[tag] = pf
-    th_o = metrics(exact_solve(target), target).throughput
+    blocks = _blocks(target)
+    theta = autonomous_environment(target, *blocks)
+    if theta is None:
+        th_o = metrics(_exact_tail(target, *blocks), target).throughput
+    else:
+        th_o = float(theta[target.env.working_mask()].sum()) * isolated_throughput(target)
     return metrics(pfs["minus"], lower).throughput, th_o, metrics(pfs["plus"], upper).throughput, pfs
 
 

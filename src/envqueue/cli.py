@@ -320,7 +320,8 @@ def main(argv=None) -> int:
     except NotErgodic as exc:
         print(f"not ergodic: {exc}")
         return EXIT_NEGATIVE
-    except (EnvqueueError, OSError, KeyError, ValueError, ArithmeticError) as exc:
+    except (EnvqueueError, OSError, KeyError, ValueError, ArithmeticError, MemoryError) as exc:
+        # an exhausted run lands here too: this path imports nothing, so it cannot run out itself
         message = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_ERROR

@@ -12,7 +12,9 @@ R = A0 (-A1 - A0 G)^{-1}, level elimination seeded with A1 + A0 G gives the
 boundary, and `metrics` sums the tail in closed form through (I - R)^{-1}.
 `auto_truncate` lists the levels 0..N that `solve` exports: a separable model
 whose chain is irreducible from its product form xi(n) theta, any other from
-`exact_solve`.
+`exact_solve`.  `autonomous_environment` finds where the environment moves
+alike at every level, so that its stationary law alone gives P(W) and, with
+`isolated_throughput`, the throughput.
 
 `solve_truncated` solves the chain capped at N by setting lambda(N) = 0
 (reflecting); all other rates are kept, so the generator stays conservative
@@ -30,7 +32,8 @@ import numpy as np
 from .format17 import PAD, WORDS, pad_words, write_g17
 from .model import (LEVEL_WINDOW, EnvqueueError, JointModel, _balance_residual, _blocks, _capped_classes,
                     _level_classes, _representatives, validate_model)
-from .separability import ProductFormResult, SingularSolve, gth_stationary, irreducible, product_form, queue_marginal
+from .separability import (ProductFormResult, QueueMarginal, SingularSolve, _one_component, gth_stationary, irreducible,
+                           product_form, queue_marginal)
 
 DRIFT_RTOL = 1e-12  # the fraction of the level-crossing rates a tail's mean drift must clear: round-off
 LISTING_LIMIT = 2**27  # values (1 GiB of float64) a product-form listing may hold
@@ -305,12 +308,46 @@ def exact_solve(model: JointModel) -> GeometricTail:
     return _exact_tail(model, *_blocks(model))
 
 
-def _exact_tail(model: JointModel, B, U, D) -> GeometricTail:
-    """`exact_solve` from the representative levels' blocks B, U, D."""
+def _ergodic_marginal(model: JointModel) -> QueueMarginal:
+    """The isolated queue's marginal; NotErgodic unless a state is working and
+    its tail ratio is below 1."""
     if not model.env.working_mask().any():
         raise NotErgodic("no environment state is working")
     if not (marginal := queue_marginal(model)).summable:
         raise NotErgodic(f"queue tail ratio {marginal.tail_ratio} is not below 1")
+    return marginal
+
+
+def autonomous_environment(model: JointModel, B, U, D) -> np.ndarray | None:
+    """theta_env, the stationary law of the environment where it is a Markov
+    chain on its own, else None; NotErgodic where `exact_solve` raises it.
+    At level n the environment moves by the off-diagonal part of B_n + U_n +
+    D_n; where that part is the same, bit for bit, at every representative
+    level and one strong component, the queue does not steer the environment,
+    so P(W) = theta_env(W) and TH = theta_env(W) TH_iso (`isolated_throughput`)."""
+    _ergodic_marginal(model)
+    moves = B + U + D
+    diag = np.arange(model.n_env)
+    moves[:, diag, diag] = 0.0
+    if not ((moves == moves[0]).all() and _one_component(moves[0])):
+        return None
+    return gth_stationary(moves[0])
+
+
+def isolated_throughput(model: JointModel) -> float:
+    """TH_iso = sum_n xi(n) mu(n), the isolated queue's throughput, in closed
+    form: the levels below T0 = tail_start + 1 one by one, then per tail
+    position i the levels T0 + i + j p, j >= 0, which hold xi(T0 + i) / (1 - r)."""
+    marginal = _ergodic_marginal(model)
+    xi = marginal.weights / marginal.C
+    xi[model.tail_start + 1 :] /= marginal.gap
+    _, mu = _level_rates(model, np.arange(len(xi)))
+    return float((xi[1:] * mu[1:]).sum())
+
+
+def _exact_tail(model: JointModel, B, U, D) -> GeometricTail:
+    """`exact_solve` from the representative levels' blocks B, U, D."""
+    _ergodic_marginal(model)
     T0, p, m = model.tail_start + 1, model.period, model.n_env
     M = p * m
     A0, A1, A2 = _tail_qbd(model, B, U, D)

@@ -1,5 +1,6 @@
 """Shared fixtures and model builders for the test suite."""
 
+import math
 import os
 import tracemalloc
 from bisect import bisect_left
@@ -156,6 +157,14 @@ def check_certify_against_dense(model, kind):
         patch.setattr(ergodicity, "_drift", dense_drift)
         dense = certify_outcome(ergodicity.certify(model, kind))
     assert sparse == dense
+
+
+def poisson_oracle(lam, gamma, nu, b):
+    """perishable_o at mu = gamma: its stock is a Markov chain on its own, with stationary law
+    theta(k) ~ (nu/gamma)^k / k! on 0..b, so TH = lam (1 - theta(0)); returns (TH, theta(0))."""
+    weights = [(nu / gamma) ** k / math.factorial(k) for k in range(b + 1)]
+    theta0 = weights[0] / math.fsum(weights)
+    return lam * (1.0 - theta0), theta0
 
 
 def value_history(model, N_cap, horizon):

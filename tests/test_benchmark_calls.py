@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from envqueue import bounds
 from envqueue.cli import main
 
 # perfbench is imported from the repository root, as perfbench/run.py does
@@ -37,3 +38,41 @@ def test_every_bounds_call_reports_isotone_systems(tmp_path):
                 flags[f"{name}/{call.name}"] = [rec[f"isotone_{tag}"] for tag in ("minus", "o", "plus")]
     assert len(flags) == 6
     assert flags == {call: [True, True, True] for call in flags}
+
+
+def test_exact_solve_runs_only_where_gamma_differs_from_mu(tmp_path, monkeypatch):
+    # at mu = gamma TH_o comes from the target's autonomous environment: the exact solve runs once per
+    # other gamma of a sweep, and at no bounds point the benchmark runs
+    gammas, solved = [], []
+    build_triple, exact_tail = bounds.build_triple, bounds._exact_tail
+
+    def build_spy(lam, mu, nu, gamma, b):
+        gammas.append(gamma)
+        return build_triple(lam, mu, nu, gamma, b)
+
+    def exact_spy(model, *blocks):
+        solved.append(gammas[-1])
+        return exact_tail(model, *blocks)
+
+    monkeypatch.setattr(bounds, "build_triple", build_spy)
+    monkeypatch.setattr(bounds, "_exact_tail", exact_spy)
+    runs = {}
+    for name in workloads.WORKLOADS:
+        for call in workloads.build(name, tmp_path, seed=1).calls:
+            if call.command in ("bounds", "sweep"):
+                gammas.clear()
+                solved.clear()
+                assert main([*call.argv, "--out", str(tmp_path / name / call.name)]) == 0
+                mu = float(call.argv[call.argv.index("--mu") + 1])
+                runs[f"{name}/{call.name}"] = (mu, list(map(float, gammas)), list(map(float, solved)))
+    # (mu, the gammas analysed, the gammas solved exactly)
+    assert runs == {
+        "heavy_traffic/bounds_rho0.95": (1.0, [1.0], []),
+        "heavy_traffic/sweep_rho0.95": (1.0, [1.0, 2.0], [2.0]),
+        "large_env/bounds_b50": (2.0, [2.0], []),
+        "large_env/bounds_b100": (2.0, [2.0], []),
+        "replications/bounds_sim_b2": (2.0, [2.0], []),
+        "replications/bounds_sim_b1": (2.0, [2.0], []),
+        "cli_batch/bounds_b2": (2.0, [2.0], []),
+        "cli_batch/sweep_b2": (2.0, [1.0, 2.0], [1.0]),
+    }

@@ -15,14 +15,16 @@ from envqueue.bounds import (
     isotone_check,
     perishable_b1_closed_form,
 )
-from envqueue.catalog import base_stock, mm1_plain, onoff_b, perishable_o, perishable_plus
-from envqueue.model import EnvironmentSpec, InvalidParam, JointModel, RateFamily, _capped_classes
-from envqueue.numerics import metrics, solve_truncated
+from envqueue.catalog import (base_stock, mm1_plain, onoff_a, onoff_b, perishable_minus, perishable_o,
+                              perishable_plus)
+from envqueue.model import EnvironmentSpec, InvalidParam, JointModel, RateFamily, _blocks, _capped_classes
+from envqueue.numerics import (NotErgodic, autonomous_environment, exact_solve, isolated_throughput, metrics,
+                               solve_truncated)
 from envqueue.separability import ProductFormResult, product_form
 from envqueue.simulate import SimConfig
 
-from conftest import (dense_move_rates, period_two_model, reference_blocks, traced_peak, truncated_generator,
-                      value_history)
+from conftest import (dense_move_rates, period_two_model, poisson_oracle, reference_blocks, traced_peak,
+                      truncated_generator, value_history)
 
 
 class TestBuildTriple:
@@ -319,3 +321,55 @@ class TestMemory:
         table = DepartureValueTable(horizon=3, N_cap=100, values=np.random.default_rng(1).random((101, 101)))
         assert isotone_check(table).violations.size >= 5000
         assert traced_peak(isotone_check, table) <= 12 * table.values.nbytes
+
+
+def closed_form(model):
+    """TH and P(blocked) of a model whose environment is autonomous, from `autonomous_environment`."""
+    theta = autonomous_environment(model, *_blocks(model))
+    working = model.env.working_mask()
+    return float(theta[working].sum()) * isolated_throughput(model), float(theta[~working].sum())
+
+
+# (lam, mu = gamma, nu, b)
+POISSON_POINTS = [(0.9, 1, 3, 5), (0.95, 1, 3, 5), (0.999, 1, 3, 5), (1, 2, 10, 50), (1, 2, 10, 100), (0.5, 1, 3, 30)]
+
+
+class TestAutonomousEnvironment:
+    @pytest.mark.parametrize("lam, mu, nu, b", POISSON_POINTS)
+    def test_exact_solve_matches_poisson_oracle(self, lam, mu, nu, b):
+        model = perishable_o(lam, mu, nu, mu, b)
+        th, _ = poisson_oracle(lam, mu, nu, b)
+        assert metrics(exact_solve(model), model).throughput == pytest.approx(th, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("lam, mu, nu, b", POISSON_POINTS)
+    def test_closed_form_matches_poisson_oracle(self, lam, mu, nu, b):
+        th, theta0 = poisson_oracle(lam, mu, nu, b)
+        assert closed_form(perishable_o(lam, mu, nu, mu, b)) == pytest.approx((th, theta0), rel=1e-13, abs=0)
+
+    def test_small_blocking_probability_keeps_its_digits(self):
+        # nu/gamma = 40, b = 60: theta(0) = 4.3e-18, which the exact solve misses by 6.4e-3 relative
+        lam, gamma, nu, b = 0.2, 0.25, 10.0, 60
+        th, theta0 = poisson_oracle(lam, gamma, nu, b)
+        assert closed_form(perishable_o(lam, gamma, nu, gamma, b)) == pytest.approx((th, theta0), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("model, autonomous", [
+        *[(perishable_o(1.0, 2.0, 10.0, 2.0, b), True) for b in (1, 2, 5, 50, 100)],
+        (mm1_plain(1.0, 2.0), True),
+        (perishable_o(1.0, 2.0, 10.0, 1.5, 5), False),
+        (base_stock(1.0, 2.0, 10.0, 5), False),
+        (perishable_minus(1.0, 2.0, 10.0, 2.0, 5), False),
+        (perishable_plus(1.0, 2.0, 10.0, 2.0, 5), False),
+        (onoff_a(1.0, 1.0), False),
+        (onoff_b(0.2, 1.0, 1.0), False),
+    ], ids=[*(f"perishable_o_b{b}" for b in (1, 2, 5, 50, 100)), "mm1_plain", "perishable_o_gamma1.5",
+            "base_stock", "perishable_minus", "perishable_plus", "onoff_a", "onoff_b"])
+    def test_which_environments_are_autonomous(self, model, autonomous):
+        theta = autonomous_environment(model, *_blocks(model))
+        assert (theta is not None) == autonomous
+        if autonomous:
+            assert theta.sum() == pytest.approx(1.0, rel=1e-15)
+
+    def test_unstable_queue_is_not_ergodic(self):
+        model = perishable_o(2.0, 1.0, 3.0, 1.0, 5)
+        with pytest.raises(NotErgodic, match="tail ratio 2.0 is not below 1"):
+            autonomous_environment(model, *_blocks(model))

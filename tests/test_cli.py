@@ -18,6 +18,8 @@ from envqueue.model import InvalidParam
 from envqueue.modelfile import load_model
 from envqueue.separability import NotSeparable
 
+from conftest import poisson_oracle
+
 
 def run(tmp_path, *argv):
     return main([*argv, "--out", str(tmp_path)])
@@ -208,6 +210,17 @@ MALFORMED_MODELS = {
 }
 
 
+MEMORY_PROBE = """
+import resource, sys
+from envqueue.cli import main
+with open("/proc/self/statm") as fh:
+    limit = int(fh.read().split()[0]) * resource.getpagesize() + (64 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(["solve", "--catalog", "base_stock", "--lambda", repr(1 - 1e-6), "--mu", "1", "--nu", "3", "--b", "5",
+               "--out", sys.argv[1]]))
+"""
+
+
 class TestErrorContract:
     """A valid negative answer exits 1; every library error exits 2 with one
     line on stderr."""
@@ -293,6 +306,18 @@ class TestErrorContract:
         code = run(tmp_path, "solve", "--catalog", "perishable_o", "--lambda", "0.99", "--mu", "1",
                    "--nu", "3", "--b", "5", "--gamma", "1")
         self.expect_error(capsys, code, "NotConvergent")
+
+    def test_exhausted_run_exits_2(self, tmp_path):
+        # a child capped a little above its size after the imports: base stock's listing at
+        # lam = 1 - 1e-6 (~1.2e8 values) is refused by that cap, not allocated
+        resource = pytest.importorskip("resource")
+        if not os.path.exists("/proc/self/statm"):
+            pytest.skip("no /proc/self/statm to size the cap")
+        path = os.pathsep.join([str(Path(envqueue.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", MEMORY_PROBE, str(tmp_path)], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == EXIT_ERROR, proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: MemoryError: "), proc.stderr
 
     def test_malformed_model_file(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
@@ -385,6 +410,16 @@ class TestNearCritical:
         out, err = capsys.readouterr()
         assert out.startswith("separable: product form steady state\n  tail ratio = 0.9999999999999, C = ")
         assert err == ""
+
+    @pytest.mark.parametrize("k", [6, 9, 12, 15])
+    def test_bounds_answer_at_mu_equal_gamma(self, tmp_path, k):
+        # perishable_o's stock is a Markov chain on its own at mu = gamma, so TH_o needs no solve of the
+        # joint chain; the exact solve was 1.1e-8 off at k = 9 and refused from k = 12 on
+        lam = 1 - 10.0**-k
+        assert run(tmp_path, "bounds", "--lambda", repr(lam), "--mu", "1", "--nu", "3", "--gamma", "1",
+                   "--b", "5") == EXIT_OK
+        th, _ = poisson_oracle(lam, 1.0, 3.0, 5)
+        assert json.loads((tmp_path / "bounds.json").read_text())["TH_o_truncated"] == pytest.approx(th, rel=1e-13)
 
     def test_certify_prints_no_warning(self, tmp_path, capsys):
         assert run(tmp_path, "certify", "--kind", "hitting_time", *near_critical("0.99999999995")) == EXIT_OK

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from envqueue.ergodicity import SingularSystem, _drift, c_hat, solve_tau
 from envqueue.model import (EnvironmentSpec, JointModel, RateFamily, _blocks, _level_moves, _representatives,
                             generator_row, validate_model)
-from envqueue.numerics import (DRIFT_RTOL, NotConvergent, NotErgodic, _list_levels, _tail_qbd, auto_truncate, exact_solve,
-                               metrics)
+from envqueue.numerics import (DRIFT_RTOL, NotConvergent, NotErgodic, _list_levels, _tail_qbd, auto_truncate,
+                               autonomous_environment, exact_solve, isolated_throughput, metrics)
 from envqueue.separability import SingularSolve, gth_stationary, product_form, queue_marginal, reduced_generator
 from envqueue.catalog import catalog
 from envqueue.simulate import SimConfig, ZeroExitRate, _TransitionTable, simulate
@@ -22,18 +22,24 @@ rates_st = st.floats(min_value=0.05, max_value=5.0, allow_nan=False, allow_infin
 
 
 @st.composite
-def joint_models(draw, max_env=4, max_prefix=2, max_period=2, split=False, sparse=False, separable=False):
+def joint_models(draw, max_env=4, max_prefix=2, max_period=2, split=False, sparse=False, separable=False,
+                 autonomous=False):
     """Random valid model: random conservative V, random row-stochastic R,
     random positive rates, prefix + periodic tail.  With `split` the
     environment draws its own prefix length and period.  With `sparse` about
     60% of V's off-diagonal entries are zero, each row of R has a single 1 and
     every environment state may be blocked, so the chain is often reducible.
     With `separable` every R is the identity and every V a positive multiple
-    of one generator, whose stationary vector is then a common theta."""
+    of one generator, whose stationary vector is then a common theta.  With
+    `autonomous` the environment moves by one positive generator Q at every
+    level, V(n) + mu(n) R(n) off the diagonal, of which a working state's
+    service completions drive a share that changes with n; the model is named
+    "autonomous"."""
     m = draw(st.integers(2, max_env))
     n_prefix = draw(st.integers(0, max_prefix))
     p = draw(st.integers(1, max_period))
-    env_prefix, env_p = n_prefix, p
+    # autonomous: V's tail starts where mu's does, at tail_start + 1
+    env_prefix, env_p = n_prefix + autonomous, p
     if split:
         env_prefix, env_p = draw(st.integers(0, max_prefix)), draw(st.integers(1, max_period))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -50,6 +56,9 @@ def joint_models(draw, max_env=4, max_prefix=2, max_period=2, split=False, spars
     def rand_R():
         if separable:
             return np.eye(m)
+        if autonomous:  # each row stays, or jumps to one state with probability 1/4, 1/2, 3/4 or 1
+            share = rng.integers(0, 5, size=m)[:, None] / 4
+            return (1.0 - share) * np.eye(m) + share * np.eye(m)[rng.integers(0, m, size=m)]
         if sparse:
             return np.eye(m)[rng.integers(0, m, size=m)]
         R = rng.uniform(0.05, 1.0, size=(m, m))
@@ -57,21 +66,34 @@ def joint_models(draw, max_env=4, max_prefix=2, max_period=2, split=False, spars
 
     n_blocked = draw(st.integers(0, m if sparse else m - 1))
     blocked = tuple(range(n_blocked))
+    # autonomous: multiples of 1/8 up to 5, so that mu(n) R(n) and Q - mu(n) R(n) are exact
+    mu_st = st.integers(1, 40).map(lambda i: i / 8) if autonomous else rates_st
     rates = RateFamily(
         lambda_prefix=tuple(draw(rates_st) for _ in range(n_prefix)),
-        mu_prefix=tuple(draw(rates_st) for _ in range(n_prefix)),
+        mu_prefix=tuple(draw(mu_st) for _ in range(n_prefix)),
         lambda_tail=tuple(draw(rates_st) for _ in range(p)),
-        mu_tail=tuple(draw(rates_st) for _ in range(p)),
+        mu_tail=tuple(draw(mu_st) for _ in range(p)),
     )
-    env = EnvironmentSpec(
-        labels=tuple(range(m)),
-        blocked=frozenset(blocked),
-        V_prefix=tuple(rand_V() for _ in range(env_prefix)),
-        R_prefix=tuple(rand_R() for _ in range(env_prefix)),
-        V_tail=tuple(rand_V() for _ in range(env_p)),
-        R_tail=tuple(rand_R() for _ in range(env_p)),
-    )
-    return JointModel(rates=rates, env=env, name="random")
+    V_prefix, R_prefix = tuple(rand_V() for _ in range(env_prefix)), tuple(rand_R() for _ in range(env_prefix))
+    V_tail, R_tail = tuple(rand_V() for _ in range(env_p)), tuple(rand_R() for _ in range(env_p))
+    if autonomous:
+        R_prefix = (*R_prefix[:-1], R_tail[-1])  # R(n) repeats from the last prefix level on, with V(n)
+        Q = rng.integers(1, 25, size=(m, m)) / 8 + 5.0  # above every mu(n) R(n)
+
+        def level_V(n):
+            V = Q.copy()
+            if n > 0:  # R(n) as EnvironmentSpec reads it
+                R = R_prefix[n - 1] if n <= env_prefix else R_tail[(n - 1 - env_prefix) % env_p]
+                V[n_blocked:] -= rates.service(n) * R[n_blocked:]
+            np.fill_diagonal(V, 0.0)
+            np.fill_diagonal(V, -V.sum(axis=1))
+            return V
+
+        V_prefix = tuple(level_V(n) for n in range(env_prefix))
+        V_tail = tuple(level_V(env_prefix + i) for i in range(env_p))
+    env = EnvironmentSpec(labels=tuple(range(m)), blocked=frozenset(blocked), V_prefix=V_prefix, R_prefix=R_prefix,
+                          V_tail=V_tail, R_tail=R_tail)
+    return JointModel(rates=rates, env=env, name="autonomous" if autonomous else "random")
 
 
 @given(joint_models(), st.integers(0, 12))
@@ -407,6 +429,32 @@ def test_product_form_answers_agree_with_exact_solve(model):
     rows = min(200, sol.N + 1, len(listed))
     # sol.pi is renormalized over levels 0..N
     assert np.abs(sol.pi[:rows] * (1.0 - sol.truncation_estimate) - listed[:rows]).max() <= 1e-12
+
+
+@given(st.one_of(joint_models(), joint_models(split=True, separable=True), joint_models(autonomous=True)))
+@settings(max_examples=90, deadline=None)
+def test_autonomous_environment_answers_as_the_exact_solve(model):
+    # where the environment is a Markov chain on its own, theta_env(W) TH_iso is the throughput
+    blocks = _blocks(model)
+    try:
+        theta = autonomous_environment(model, *blocks)
+    except NotErgodic as refused:
+        with pytest.raises(NotErgodic) as exact_refused:
+            exact_solve(model)
+        assert str(exact_refused.value) == str(refused)
+        return
+    assert theta is not None or model.name != "autonomous"
+    if theta is None:
+        return
+    try:
+        exact = metrics(exact_solve(model), model)
+    except NotConvergent as exc:
+        assert too_heavy(exc, model), exc
+        return
+    working = model.env.working_mask()
+    th = float(theta[working].sum()) * isolated_throughput(model)
+    assert th == pytest.approx(exact.throughput, rel=1e-12, abs=0)
+    assert theta[~working].sum() == pytest.approx(exact.blocked_probability, rel=1e-12, abs=1e-15)
 
 
 @given(
