@@ -12,9 +12,10 @@ R = A0 (-A1 - A0 G)^{-1}, level elimination seeded with A1 + A0 G gives the
 boundary, and `metrics` sums the tail in closed form through (I - R)^{-1}.
 `auto_truncate` lists the levels 0..N that `solve` exports: a separable model
 whose chain is irreducible from its product form xi(n) theta, any other from
-`exact_solve`.  `autonomous_environment` finds where the environment moves
-alike at every level, so that its stationary law alone gives P(W) and, with
-`isolated_throughput`, the throughput.
+`exact_solve`, into rows allocated once to a closed-form bound on N, or
+refused before allocating.  `autonomous_environment` finds where the
+environment moves alike at every level, so that its stationary law alone
+gives P(W) and, with `isolated_throughput`, the throughput.
 
 `solve_truncated` solves the chain capped at N by setting lambda(N) = 0
 (reflecting); all other rates are kept, so the generator stays conservative
@@ -36,9 +37,8 @@ from .separability import (ProductFormResult, QueueMarginal, SingularSolve, _one
                            product_form, queue_marginal)
 
 DRIFT_RTOL = 1e-12  # the fraction of the level-crossing rates a tail's mean drift must clear: round-off
-LISTING_LIMIT = 2**27  # values (1 GiB of float64) a product-form listing may hold
+LISTING_LIMIT = 2**27  # values (1 GiB of float64) a listing may hold
 LOG_REDUCTION_STEPS = 100
-TAIL_CHUNK = 256  # block levels generated between two tail-mass checks
 CUT_TOL = 1e-8  # largest relative level-cut defect `check_cut_structure` passes
 
 
@@ -241,64 +241,63 @@ def _log_reduction(A0, A1, A2) -> np.ndarray:
     return G
 
 
-def _later(mass: np.ndarray) -> np.ndarray:
-    """Sum of the entries after each one along the last axis."""
-    out = np.zeros_like(mass)
-    out[..., :-1] = np.cumsum(mass[..., :0:-1], axis=-1)[..., ::-1]
-    return out
-
-
-def _list_levels(tail: GeometricTail, tol: float, min_level: int):
-    """Exact stationary levels 0..N+1 and the mass above N, where N >= min_level
-    is the first level with mass above it below tol.  The tail is listed
-    TAIL_CHUNK block levels at a time, each product x_{j+1} = x_j R written into
-    its preallocated row: the values of the `x = x @ R` loop, without an array
-    per level."""
-    m = tail.head.shape[1]
-    M, p = tail.R.shape[0], tail.period
-    to_end = np.linalg.solve(np.eye(M) - tail.R, np.ones(M))  # x_j to_end: mass on block levels >= j
-    after = tail.R @ to_end  # x_j after: mass on block levels > j
-    levels = [tail.head]
-    above = _later(tail.head.sum(axis=1)) + tail.x0 @ to_end
-    x, listed, N, mass_above = tail.x0, 0, None, None
-    while True:
-        if N is None:
-            hits = np.flatnonzero(above < tol) + listed
-            hits = hits[hits >= min_level]
-            if hits.size:
-                N = int(hits[0])
-                mass_above = float(above[N - listed])
-        listed += len(above)
-        if N is not None and N + 2 <= listed:
-            return np.concatenate(levels)[: N + 2], mass_above, N
-        # pi_{n+1} = pi_n R, one block level at a time
-        xs = np.empty((TAIL_CHUNK, M))
-        xs[0] = x
-        rows = list(xs)
-        for row, next_row in zip(rows, rows[1:]):
-            row.dot(tail.R, out=next_row)
-        x = rows[-1].dot(tail.R)
-        levels.append(xs.reshape(-1, m))
-        above = (_later(xs.reshape(-1, p, m).sum(axis=2)) + (xs @ after)[:, None]).ravel()
-
-
-def _list_product_form(pf: ProductFormResult, tol: float, min_level: int):
-    """`_list_levels` for a product form: levels 0..N+1 of xi(n) theta, one
-    outer product, and the mass above N.  From min_level >= N0 on, the mass
-    above a level falls by the rounded r per period, so it is below tol one
-    period after `periods`: at most tol r.  A listing of more than
-    `LISTING_LIMIT` values, or of a fall that round-off hides, is refused."""
-    marginal = pf.marginal
-    first = float(marginal.mass_above(min_level))
+def _listing_level(model: JointModel, marginal: QueueMarginal, c: float, tol: float):
+    """N_max >= tail_start + period, the first level where c times xi's mass
+    above it, a bound on the stationary mass above it, is below tol, and that
+    bound.  From N0 on xi's mass above falls by the rounded r per period, so
+    the bound is at most tol r one period after `periods`.  A listing past
+    `LISTING_LIMIT` values, or one whose fall round-off hides, is refused at once."""
+    min_level = model.tail_start + model.period
+    first = c * float(marginal.mass_above(min_level))
     periods = math.log(tol / first) / (math.log(marginal.tail_ratio) or -marginal.gap) if first >= tol else 0.0
     top = min_level + marginal.period * (math.ceil(periods) + 1)
-    if (top + 2) * len(pf.theta) > LISTING_LIMIT:
+    if (top + 2) * model.n_env > LISTING_LIMIT:
         raise ValueError(f"the listing to tol = {tol} needs N ~ {top}, more than {LISTING_LIMIT} values")
-    above = marginal.mass_above(np.arange(min_level, top + 1))
+    above = c * marginal.mass_above(np.arange(min_level, top + 1))
     if not (hits := np.flatnonzero(above < tol)).size:
         raise ValueError(f"the listing to tol = {tol} finds no level below tol by N = {top}")
-    N = min_level + int(hits[0])
-    return np.outer(marginal.xi(np.arange(N + 2)), pf.theta), float(above[hits[0]]), N
+    return min_level + int(hits[0]), float(above[hits[0]])
+
+
+def _blocked_excess(model: JointModel, B, D) -> float:
+    """c, with the stationary mass above tail level n at most c P(W) xi's mass
+    above n.  A blocked state has no arrivals and no service completions, so
+    pi(n, Bk) = [pi(n, W) V_WB + pi(n + 1, W) D_WB] (-V_BB)^{-1}, and c is
+    the largest 1 + c1 + c2 over the tail positions, c1 and c2 the largest
+    row sums of V_WB (-V_BB)^{-1} and D_WB (-V_BB)^{-1}: 1 with no blocked state."""
+    blocked, T0, p = ~model.env.working_mask(), model.tail_start + 1, model.period
+    local, down = B[T0 : T0 + p], D[T0 + np.arange(1, p + 1) % p]  # D of level n + 1
+    to_working = np.linalg.solve(-local[:, blocked][:, :, blocked], np.ones((p, blocked.sum(), 1)))
+    into = np.stack([local, down])[:, :, ~blocked][..., blocked]  # V_WB and D_WB per tail position
+    return float(1.0 + (into @ to_working).max(axis=2).sum(axis=0).max())
+
+
+def _list_levels(model: JointModel, tail: GeometricTail, blocks, tol: float):
+    """Exact stationary levels 0..N+1 and the mass above N, N >= tail_start + p
+    the first level with mass above it below tol.  Levels 0..N_max+1
+    (`_listing_level`) and one block level more, for N past N_max by round-off
+    where c is exact, are allocated at once, then filled and scanned
+    `LEVEL_WINDOW` block levels at a time, with the bits of `x = x @ R`."""
+    m, T, p = model.n_env, tail.start, tail.period
+    N_max, _ = _listing_level(model, queue_marginal(model), _blocked_excess(model, blocks[0], blocks[2]), tol)
+    M, count = tail.R.shape[0], -(-(N_max + 2 - T) // p) + 1  # block levels from T on
+    levels = np.empty((T + count * p, m))
+    levels[:T], levels[T : T + p] = tail.head, tail.x0.reshape(p, m)
+    xs = levels[T:].reshape(count, M)
+    after = tail.R @ np.linalg.solve(np.eye(M) - tail.R, np.ones(M))  # x_j after: mass on block levels > j
+    window = np.zeros((LEVEL_WINDOW, M))  # one product shape: a level's bits do not depend on where the rows end
+    for start in range(0, count, LEVEL_WINDOW):
+        rows = list(xs[start : start + LEVEL_WINDOW + 1])  # into the next window's first row too
+        for row, next_row in zip(rows, rows[1:]):
+            row.dot(tail.R, out=next_row)
+        window[: count - start] = xs[start : start + LEVEL_WINDOW]
+        later = np.cumsum(window.reshape(-1, p, m)[:, :0:-1].sum(axis=2), axis=1)[:, ::-1]  # within x_j
+        above = (np.pad(later, ((0, 0), (0, 1))) + (window @ after)[:, None]).ravel()
+        first = T + start * p  # the level of above[0]
+        hits = np.flatnonzero(above[: len(levels) - 1 - first] < tol) + first
+        if (hits := hits[hits >= model.tail_start + p]).size:
+            return levels[: hits[0] + 2], float(above[hits[0] - first]), int(hits[0])
+    raise ValueError(f"the listing to tol = {tol} finds no level below tol by N = {len(levels) - 2}")
 
 
 def exact_solve(model: JointModel) -> GeometricTail:
@@ -375,7 +374,7 @@ def _exact_tail(model: JointModel, B, U, D) -> GeometricTail:
 
 
 def check_tol(tol: float) -> float:
-    """tol, refused unless it is positive: `_list_levels` would never stop."""
+    """tol, refused unless it is positive: no level has mass below 0 above it."""
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     return tol
@@ -389,13 +388,14 @@ def auto_truncate(model: JointModel, tol: float = 1e-9) -> TruncatedSolution:
     read from one set of level blocks."""
     check_tol(tol)
     blocks = _blocks(model)
-    min_level = model.tail_start + model.period
     tail = product_form(model, blocks)
     if tail.separable and irreducible(model, tail.marginal):
-        listing, mass_above, N = _list_product_form(tail, tol, min_level)
+        # xi's mass above is the stationary mass above: c = 1
+        N, mass_above = _listing_level(model, tail.marginal, 1.0, tol)
+        listing = np.outer(tail.marginal.xi(np.arange(N + 2)), tail.theta)
     else:
         tail = _exact_tail(model, *blocks)
-        listing, mass_above, N = _list_levels(tail, tol, min_level)
+        listing, mass_above, N = _list_levels(model, tail, blocks, tol)
     residual, _ = _balance_residual(listing, *blocks, _level_classes(model, np.arange(N + 2)), N + 1)
     pi = listing[: N + 1]
     pi /= pi.sum()  # in place: a copy would hold the listing twice

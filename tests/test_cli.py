@@ -210,15 +210,40 @@ MALFORMED_MODELS = {
 }
 
 
-MEMORY_PROBE = """
-import resource, sys
+# run in a child whose address space is capped 64 MB above its size after the imports
+MEMORY_CAP = """
+import resource
 from envqueue.cli import main
 with open("/proc/self/statm") as fh:
     limit = int(fh.read().split()[0]) * resource.getpagesize() + (64 << 20)
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+"""
+MEMORY_PROBE = MEMORY_CAP + """
+import sys
 sys.exit(main(["solve", "--catalog", "base_stock", "--lambda", repr(1 - 1e-6), "--mu", "1", "--nu", "3", "--b", "5",
                "--out", sys.argv[1]]))
 """
+# each command of the JSON list argv[1]: (exit code, stderr, seconds)
+TIMED_COMMANDS = MEMORY_CAP + """
+import contextlib, io, json, sys, time
+results = []
+for argv in json.loads(sys.argv[1]):
+    err, start = io.StringIO(), time.perf_counter()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    results.append((code, err.getvalue(), time.perf_counter() - start))
+print(json.dumps(results))
+"""
+
+
+def run_capped(script, *args):
+    """`script` run by a fresh interpreter that imports this checkout's envqueue."""
+    pytest.importorskip("resource")
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("no /proc/self/statm to size the cap")
+    path = os.pathsep.join([str(Path(envqueue.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class TestErrorContract:
@@ -308,16 +333,27 @@ class TestErrorContract:
         self.expect_error(capsys, code, "NotConvergent")
 
     def test_exhausted_run_exits_2(self, tmp_path):
-        # a child capped a little above its size after the imports: base stock's listing at
-        # lam = 1 - 1e-6 (~1.2e8 values) is refused by that cap, not allocated
-        resource = pytest.importorskip("resource")
-        if not os.path.exists("/proc/self/statm"):
-            pytest.skip("no /proc/self/statm to size the cap")
-        path = os.pathsep.join([str(Path(envqueue.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
-        proc = subprocess.run([sys.executable, "-c", MEMORY_PROBE, str(tmp_path)], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
+        # base stock's listing at lam = 1 - 1e-6 (~1.2e8 values) is refused by the cap, not allocated
+        proc = run_capped(MEMORY_PROBE, str(tmp_path))
         assert proc.returncode == EXIT_ERROR, proc.stderr
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: MemoryError: "), proc.stderr
+
+    def test_listing_past_the_limit_refused_at_once(self, tmp_path):
+        # lam = 1 - 10^-k: N ~ 2e8 at k = 7, so every listing would pass LISTING_LIMIT, and it is refused
+        # before anything is listed; from k = 12 on perishable_o's drift is within round-off of 0
+        commands, expected = [], []
+        for k in range(7, 16):
+            for name, gamma in (("perishable_o", ["--gamma", "1"]), ("base_stock", [])):
+                commands.append(["solve", "--catalog", name, "--lambda", repr(1 - 10.0**-k), "--mu", "1", "--nu", "3",
+                                 "--b", "5", *gamma, "--out", str(tmp_path / f"{name}_{k}")])
+                drift = name == "perishable_o" and k >= 12
+                expected.append("error: NotConvergent: tail drift " if drift else
+                                "error: ValueError: the listing to tol = 1e-09 needs N ~ ")
+        proc = run_capped(TIMED_COMMANDS, json.dumps(commands))
+        assert proc.returncode == 0, proc.stderr
+        for argv, start, (code, err, seconds) in zip(commands, expected, json.loads(proc.stdout)):
+            assert code == EXIT_ERROR and err.count("\n") == 1 and err.startswith(start), (argv, err)
+            assert seconds < 1.0, argv
 
     def test_malformed_model_file(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

@@ -190,11 +190,31 @@ class TestAutoTruncate:
         sol = auto_truncate(model)
         assert metrics(sol, model).throughput == pytest.approx(0.9962678467, abs=1e-9)
 
-    def test_listing_held_once(self):
-        # N = 207,222, a 9.5 MB listing: normalising a copy peaked at 2.0 times its bytes, in place at 1.52
-        model = base_stock(lam=0.9999, mu=1.0, nu=3.0, b=5)
+    @pytest.mark.parametrize("model", [
+        base_stock(lam=0.9999, mu=1.0, nu=3.0, b=5),
+        perishable_o(lam=0.9999, mu=1.0, nu=3.0, gamma=1.0, b=5),
+    ], ids=["product_form", "exact"])
+    def test_listing_held_once(self, model):
+        # N = 207,222, a 9.5 MB listing on either path: normalising a copy peaked at 2.0 times its bytes, in
+        # place at 1.52; a listing grown in chunks and then concatenated, at 2.03
         peak = traced_peak(auto_truncate, model)
         assert peak <= 1.6 * auto_truncate(model).pi.nbytes
+
+    def test_exact_listing_refused_past_its_bound(self, monkeypatch):
+        # round-off could put the exact mass above a level over c xi's; a listing that finds no level
+        # below tol within its allocation is refused, not overrun
+        monkeypatch.setattr(numerics, "_blocked_excess", lambda *args: 0.5)
+        with pytest.raises(ValueError, match=r"^the listing to tol = 1e-09 finds no level below tol by N = \d+$"):
+            auto_truncate(perishable_o(lam=0.9, mu=1.0, nu=3.0, gamma=1.0, b=5))
+
+    def test_exact_listing_answers_past_a_tight_bound(self):
+        # no state is blocked, so c = 1 is exact: xi's mass above level 2 is 0.4^3, the listed one lies 4 ulp
+        # above it, and a tol between the two puts N one level past N_max = 2
+        model = mm1_plain(lam=0.4, mu=1.0)
+        tol = float.fromhex("0x1.0624dd2f1a9ffp-4")
+        assert numerics._listing_level(model, separability.queue_marginal(model), 1.0, tol)[0] == 2
+        _, mass_above, N = numerics._list_levels(model, exact_solve(model), numerics._blocks(model), tol)
+        assert N == 3 and mass_above < tol
 
     def test_N_is_first_level_below_tol(self, per_o_b2):
         tol = 1e-9
@@ -253,13 +273,17 @@ def test_reducible_separable_model_takes_the_exact_path(blocked, V, error):
 @pytest.mark.parametrize("model, path", [
     (base_stock(lam=1.0, mu=2.0, nu=10.0, b=20), ProductFormResult),
     (perishable_o(lam=1.0, mu=2.0, nu=10.0, gamma=2.0, b=20), numerics.GeometricTail),
-], ids=["base_stock", "perishable_o"])
+    (perishable_o(lam=1.0, mu=2.0, nu=10.0, gamma=2.0, b=100), numerics.GeometricTail),
+], ids=["base_stock", "perishable_o", "perishable_o_b100"])
 def test_one_set_of_blocks_per_solve(model, path, monkeypatch):
     built, blocks = [], numerics._blocks
     monkeypatch.setattr(numerics, "_blocks", lambda *args: built.append(args) or blocks(*args))
     monkeypatch.setattr(separability, "_blocks", lambda *args: pytest.fail("product_form built its own blocks"))
-    assert type(auto_truncate(model).tail) is path
+    sol = auto_truncate(model)
+    assert type(sol.tail) is path
     assert len(built) == 1
+    # N = 29 on each path, and the listing is allocated once, to its closed-form bound: not T0 + 256 rows
+    assert sol.N == 29 and len(sol.pi.base) < 40
 
 
 def listed_by_products(tail, rows):
@@ -277,20 +301,18 @@ LISTED_MODELS = {
     "onoff_a": onoff_a(eta=0.5, gamma=1.0),
     "onoff_b": onoff_b(lam=0.2, gamma=1.0, eta=2.0),
     "period_two": period_two_model(),
-    "base_stock_rho0.999_b5": base_stock(lam=0.999, mu=1.0, nu=3.0, b=5),  # ~80 chunks of TAIL_CHUNK block levels
+    "base_stock_rho0.999_b5": base_stock(lam=0.999, mu=1.0, nu=3.0, b=5),  # ~10 windows of LEVEL_WINDOW block levels
     **{f"base_stock_b{b}": base_stock(lam=1.0, mu=2.0, nu=3.0, b=b) for b in (2, 5, 50, 100)},
     **{f"{build.__name__}_b{b}": build(lam=1.0, mu=2.0, nu=3.0, gamma=1.0, b=b)
        for build in (perishable_o, perishable_minus, perishable_plus) for b in (2, 5, 50, 100)},
 }
 
 
-@pytest.mark.parametrize("chunk", [numerics.TAIL_CHUNK, 3])
 @pytest.mark.parametrize("name", LISTED_MODELS)
-def test_listing_is_bit_identical_to_products(name, chunk, monkeypatch):
+def test_listing_is_bit_identical_to_products(name):
     model = LISTED_MODELS[name]
-    monkeypatch.setattr(numerics, "TAIL_CHUNK", chunk)
     tail = exact_solve(model)
-    exact, _, _ = numerics._list_levels(tail, 1e-9, model.tail_start + model.period)
+    exact, _, _ = numerics._list_levels(model, tail, numerics._blocks(model), 1e-9)
     assert exact.tobytes() == listed_by_products(tail, len(exact)).tobytes()
 
 
@@ -459,21 +481,33 @@ class TestExportCsv:
         assert (tmp_path / "stationary.csv").read_bytes() == expected.encode()
 
 
-# `stationary.csv` of `solve` in heavy traffic: values, and the SHA-256 of the `%` template's bytes.
-# Base stock is listed from its product form, perishable_o from the exact solve.
+# `stationary.csv` of `solve`: values, the SHA-256 of the `%` template's bytes, and the truncation estimate and
+# residual as `float.hex()`.  Base stock is listed from its product form, the others from the exact solve: two
+# heavy-traffic points, the large-environment points of the benchmark, and a period-2 tail with a blocked state.
 HEAVY_TRAFFIC_EXPORTS = {
     "base_stock_rho0.999": (base_stock(lam=0.999, mu=1.0, nu=3.0, b=5), 124_278,
-                            "af21c84f8dc8745ef686503714451338d9f2db631d41c11a1e2a198580801ac0"),
+                            "af21c84f8dc8745ef686503714451338d9f2db631d41c11a1e2a198580801ac0",
+                            "0x1.12d9e0e253505p-30", "0x1.8000000000000p-62"),
     "perishable_o_rho0.99": (perishable_o(lam=0.99, mu=1.0, nu=3.0, gamma=1.0, b=5), 12_372,
-                             "d1b5db6a942ce8f5fb2694368f6092c15a1e017a7df91c14662165d55f261f69"),
+                             "d1b5db6a942ce8f5fb2694368f6092c15a1e017a7df91c14662165d55f261f69",
+                             "0x1.127ad26aa5a4ap-30", "0x1.0000000000000p-58"),
+    "perishable_o_b50": (perishable_o(lam=1.0, mu=2.0, nu=10.0, gamma=2.0, b=50), 1_530,
+                         "1a70674714a3edb989652f8f2412e369763249c16809ccfcbfd48cbefa9baf70",
+                         "0x1.fd6a857ad5376p-31", "0x1.9000000000000p-50"),
+    "perishable_o_b100": (perishable_o(lam=1.0, mu=2.0, nu=10.0, gamma=2.0, b=100), 3_030,
+                          "7709d142f33c8e56823fec56f11abc68751bdf293cb056bebae43ab2be19f32e",
+                          "0x1.fd6a857ad53cfp-31", "0x1.6800000000000p-51"),
+    "period_two": (period_two_model(), 90, "624fe1bb5c0725de46d96514916e6e4f46b755d6946598b3991ab5b0ae911488",
+                   "0x1.99dd694b4580dp-31", "0x1.0800000000000p-52"),
 }
 
 
 @pytest.mark.parametrize("name", HEAVY_TRAFFIC_EXPORTS)
 def test_heavy_traffic_export_digest(name, tmp_path):
-    model, values, digest = HEAVY_TRAFFIC_EXPORTS[name]
+    model, values, digest, estimate, residual = HEAVY_TRAFFIC_EXPORTS[name]
     sol = auto_truncate(model)
     assert sol.pi.size == values
+    assert (sol.truncation_estimate.hex(), sol.residual.hex()) == (estimate, residual)
     templated = export_csv(sol, model, tmp_path / "stationary.csv")
     assert hashlib.sha256((tmp_path / "stationary.csv").read_bytes()).hexdigest() == digest
     # a kernel that left every value to the `%` template would write the same bytes, only slower

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from envqueue.ergodicity import SingularSystem, _drift, c_hat, solve_tau
 from envqueue.model import (EnvironmentSpec, JointModel, RateFamily, _blocks, _level_moves, _representatives,
                             generator_row, validate_model)
-from envqueue.numerics import (DRIFT_RTOL, NotConvergent, NotErgodic, _list_levels, _tail_qbd, auto_truncate,
-                               autonomous_environment, exact_solve, isolated_throughput, metrics)
+from envqueue.numerics import (DRIFT_RTOL, NotConvergent, NotErgodic, _blocked_excess, _list_levels, _tail_qbd,
+                               auto_truncate, autonomous_environment, exact_solve, isolated_throughput, metrics)
 from envqueue.separability import SingularSolve, gth_stationary, product_form, queue_marginal, reduced_generator
 from envqueue.catalog import catalog
 from envqueue.simulate import SimConfig, ZeroExitRate, _TransitionTable, simulate
@@ -396,6 +396,12 @@ def test_exact_solve_against_truncation_and_certificates(model):
         assert too_heavy(exc, model), exc
         return
     assert exact.residual < 1e-12
+    # c xi's mass above n, which sizes the exact path's listing, bounds the mass above every listed tail level
+    B, _, D = _blocks(model)
+    levels = np.arange(model.tail_start + model.period, exact.N + 1)
+    mass = exact.pi.sum(axis=1) * (1.0 - exact.truncation_estimate)
+    above = exact.truncation_estimate + np.append(np.cumsum(mass[::-1])[::-1], 0.0)[levels + 1]
+    assert np.all(above <= _blocked_excess(model, B, D) * queue_marginal(model).mass_above(levels) * (1 + 1e-9))
     if exact.N > 400:
         return  # too heavy a tail for a truncation at 600 to be an oracle
     a, b = metrics(exact, model), metrics(solve_truncated(model, 600), model)
@@ -425,7 +431,7 @@ def test_product_form_answers_agree_with_exact_solve(model):
     a, b = metrics(sol, model), metrics(exact, model)
     for field in ("throughput", "mean_queue_length", "blocked_probability", "loss_rate"):
         assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9, abs=1e-9), field
-    listed, _, _ = _list_levels(exact, 1e-9, model.tail_start + model.period)
+    listed, _, _ = _list_levels(model, exact, _blocks(model), 1e-9)
     rows = min(200, sol.N + 1, len(listed))
     # sol.pi is renormalized over levels 0..N
     assert np.abs(sol.pi[:rows] * (1.0 - sol.truncation_estimate) - listed[:rows]).max() <= 1e-12
