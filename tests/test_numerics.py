@@ -308,9 +308,12 @@ LISTED_MODELS = {
 }
 
 
+@pytest.mark.parametrize("window", [numerics.LEVEL_WINDOW, 3])
 @pytest.mark.parametrize("name", LISTED_MODELS)
-def test_listing_is_bit_identical_to_products(name):
+def test_listing_is_bit_identical_to_products(name, window, monkeypatch):
+    # windows of 3 block levels: every listing is filled across window boundaries
     model = LISTED_MODELS[name]
+    monkeypatch.setattr(numerics, "LEVEL_WINDOW", window)
     tail = exact_solve(model)
     exact, _, _ = numerics._list_levels(model, tail, numerics._blocks(model), 1e-9)
     assert exact.tobytes() == listed_by_products(tail, len(exact)).tobytes()
