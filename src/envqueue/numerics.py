@@ -242,11 +242,10 @@ def _log_reduction(A0, A1, A2) -> np.ndarray:
 
 
 def _listing_level(model: JointModel, marginal: QueueMarginal, c: float, tol: float):
-    """N_max >= tail_start + period, the first level where c times xi's mass
-    above it, a bound on the stationary mass above it, is below tol, and that
-    bound.  From N0 on xi's mass above falls by the rounded r per period, so
-    the bound is at most tol r one period after `periods`.  A listing past
-    `LISTING_LIMIT` values, or one whose fall round-off hides, is refused at once."""
+    """N_max >= tail_start + period, the first level where c times xi's mass above it, a bound on
+    the stationary mass above it, is below tol, and that bound.  From N0 on xi's mass above falls by
+    the rounded r per period, so the bound is at most tol r one period after `periods`.  A listing
+    past `LISTING_LIMIT` values, or one whose fall round-off hides, is refused at once."""
     min_level = model.tail_start + model.period
     first = c * float(marginal.mass_above(min_level))
     periods = math.log(tol / first) / (math.log(marginal.tail_ratio) or -marginal.gap) if first >= tol else 0.0
@@ -262,22 +261,23 @@ def _listing_level(model: JointModel, marginal: QueueMarginal, c: float, tol: fl
 def _blocked_excess(model: JointModel, B, D) -> float:
     """c, with the stationary mass above tail level n at most c P(W) xi's mass
     above n.  A blocked state has no arrivals and no service completions, so
-    pi(n, Bk) = [pi(n, W) V_WB + pi(n + 1, W) D_WB] (-V_BB)^{-1}, and c is
-    the largest 1 + c1 + c2 over the tail positions, c1 and c2 the largest
-    row sums of V_WB (-V_BB)^{-1} and D_WB (-V_BB)^{-1}: 1 with no blocked state."""
+    pi(n, Bk) = [pi(n, W) V_WB + pi(n + 1, W) D_WB] (-V_BB)^{-1}: the working
+    mass of level m, in tail position i, puts at most c1_i times itself into
+    m's blocked states and c2_{i-1} times into m - 1's, c1_i and c2_i the largest
+    row sums of V_WB (-V_BB)^{-1} and D_WB (-V_BB)^{-1} at i.  c = max_i 1 + c1_i + c2_{i-1}."""
     blocked, T0, p = ~model.env.working_mask(), model.tail_start + 1, model.period
     local, down = B[T0 : T0 + p], D[T0 + np.arange(1, p + 1) % p]  # D of level n + 1
     to_working = np.linalg.solve(-local[:, blocked][:, :, blocked], np.ones((p, blocked.sum(), 1)))
     into = np.stack([local, down])[:, :, ~blocked][..., blocked]  # V_WB and D_WB per tail position
-    return float(1.0 + (into @ to_working).max(axis=2).sum(axis=0).max())
+    c1, c2 = (into @ to_working)[..., 0].max(axis=2)
+    return float(1.0 + (c1 + np.roll(c2, 1)).max())
 
 
 def _list_levels(model: JointModel, tail: GeometricTail, blocks, tol: float):
-    """Exact stationary levels 0..N+1 and the mass above N, N >= tail_start + p
-    the first level with mass above it below tol.  Levels 0..N_max+1
-    (`_listing_level`) and one block level more, for N past N_max by round-off
-    where c is exact, are allocated at once, then filled and scanned
-    `LEVEL_WINDOW` block levels at a time, with the bits of `x = x @ R`."""
+    """Exact stationary levels 0..N+1 and the mass above N, N >= tail_start + p the first level
+    with mass above it below tol.  Levels 0..N_max+1 (`_listing_level`) and one block level more,
+    for N past N_max by round-off where c is exact, are allocated at once, then filled and
+    scanned `LEVEL_WINDOW` block levels at a time, with the bits of `x = x @ R`."""
     m, T, p = model.n_env, tail.start, tail.period
     N_max, _ = _listing_level(model, queue_marginal(model), _blocked_excess(model, blocks[0], blocks[2]), tol)
     M, count = tail.R.shape[0], -(-(N_max + 2 - T) // p) + 1  # block levels from T on
@@ -285,15 +285,15 @@ def _list_levels(model: JointModel, tail: GeometricTail, blocks, tol: float):
     levels[:T], levels[T : T + p] = tail.head, tail.x0.reshape(p, m)
     xs = levels[T:].reshape(count, M)
     after = tail.R @ np.linalg.solve(np.eye(M) - tail.R, np.ones(M))  # x_j after: mass on block levels > j
-    window = np.zeros((LEVEL_WINDOW, M))  # one product shape: a level's bits do not depend on where the rows end
     for start in range(0, count, LEVEL_WINDOW):
         rows = list(xs[start : start + LEVEL_WINDOW + 1])  # into the next window's first row too
         for row, next_row in zip(rows, rows[1:]):
             row.dot(tail.R, out=next_row)
-        window[: count - start] = xs[start : start + LEVEL_WINDOW]
+        window, first = xs[start : start + LEVEL_WINDOW], T + start * p  # first: the level of above[0]
+        if len(window) % 256:  # a matrix-vector product keeps a row's bits only in whole groups of 256 rows
+            window = np.pad(window, ((0, -len(window) % 256), (0, 0)), constant_values=np.nan)  # no scan hits NaN
         later = np.cumsum(window.reshape(-1, p, m)[:, :0:-1].sum(axis=2), axis=1)[:, ::-1]  # within x_j
         above = (np.pad(later, ((0, 0), (0, 1))) + (window @ after)[:, None]).ravel()
-        first = T + start * p  # the level of above[0]
         hits = np.flatnonzero(above[: len(levels) - 1 - first] < tol) + first
         if (hits := hits[hits >= model.tail_start + p]).size:
             return levels[: hits[0] + 2], float(above[hits[0] - first]), int(hits[0])

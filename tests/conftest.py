@@ -66,6 +66,24 @@ def period_two_model():
     return JointModel(rates=rates, env=env, name="period_two")
 
 
+def skewed_period_two_model():
+    """Period-2 model with a blocked state b: on the tail the environment moves
+    from w into b only at one position, and a service completion jumps from w
+    into b only at the other.  The tail's levels alternate xi by a factor 100
+    or more, and a light prefix level, where w enters b slowly, keeps P(W)
+    near 1; the tail ratio is 0.9."""
+    def V(into):
+        return np.array([[-0.5, 0.5], [into, -into]])
+
+    def R(jump):
+        return np.array([[1.0, 0.0], [jump, 1.0 - jump]])
+
+    rates = RateFamily(lambda_prefix=(1e-6,), mu_prefix=(1.0,), lambda_tail=(0.01, 90.0), mu_tail=(1.0, 1.0))
+    env = EnvironmentSpec(labels=("b", "w"), blocked=frozenset("b"), V_prefix=(V(1e-3),), R_prefix=(np.eye(2),),
+                          V_tail=(V(0.5), V(0.0)), R_tail=(R(0.0), R(0.5)))
+    return JointModel(rates=rates, env=env, name="skewed_period_two")
+
+
 def separable_period_two_model(rho):
     """Separable model with a two-level prefix and a period-2 tail whose tail
     ratio is rho: identity jump matrices and every V_n a multiple of one

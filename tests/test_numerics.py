@@ -31,8 +31,8 @@ from envqueue.numerics import (
 )
 from envqueue.separability import ProductFormResult, SingularSolve, irreducible, product_form
 
-from conftest import (count_forks, period_two_model, reference_blocks, separable_period_two_model, traced_peak,
-                      truncated_generator)
+from conftest import (count_forks, period_two_model, reference_blocks, separable_period_two_model,
+                      skewed_period_two_model, traced_peak, truncated_generator)
 
 
 def product_form_tv(model, sol, levels=None):
@@ -206,6 +206,23 @@ class TestAutoTruncate:
         monkeypatch.setattr(numerics, "_blocked_excess", lambda *args: 0.5)
         with pytest.raises(ValueError, match=r"^the listing to tol = 1e-09 finds no level below tol by N = \d+$"):
             auto_truncate(perishable_o(lam=0.9, mu=1.0, nu=3.0, gamma=1.0, b=5))
+
+    def test_blocked_excess_pairs_tail_positions(self):
+        # xi sits on one tail position's levels; the blocked mass a level m adds above n comes from c1
+        # of m's position and c2 of the position before it, so c = 1 + 1 + 1, where pairing c1 and c2
+        # of one position gives 2 and a listing sized by it finds no level below tol
+        model = skewed_period_two_model()
+        B, _, D = numerics._blocks(model)
+        assert numerics._blocked_excess(model, B, D) == 3.0
+        sol = auto_truncate(model)
+        # pinned at the listing grown in chunks until it found N
+        assert (sol.N, sol.truncation_estimate.hex(), sol.residual.hex()) == (
+            195, "0x1.0edd54b517c1dp-30", "0x1.0a23f5afe6fecp-63")
+        levels = np.arange(model.tail_start + model.period, sol.N + 1)
+        mass = sol.pi.sum(axis=1) * (1.0 - sol.truncation_estimate)
+        above = sol.truncation_estimate + np.append(np.cumsum(mass[::-1])[::-1], 0.0)[levels + 1]
+        bound = 3.0 * separability.queue_marginal(model).mass_above(levels)
+        assert np.all(above <= bound) and above.max() / bound.max() > 0.9  # the bound is close to tight here
 
     def test_exact_listing_answers_past_a_tight_bound(self):
         # no state is blocked, so c = 1 is exact: xi's mass above level 2 is 0.4^3, the listed one lies 4 ulp
