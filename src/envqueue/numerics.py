@@ -290,7 +290,7 @@ def _list_levels(model: JointModel, tail: GeometricTail, blocks, tol: float):
         for row, next_row in zip(rows, rows[1:]):
             row.dot(tail.R, out=next_row)
         window, first = xs[start : start + LEVEL_WINDOW], T + start * p  # first: the level of above[0]
-        if len(window) % 256:  # a matrix-vector product keeps a row's bits only in whole groups of 256 rows
+        if len(window) % 256:  # a row's mass above has one set of bits in any product of whole 256-row groups
             window = np.pad(window, ((0, -len(window) % 256), (0, 0)), constant_values=np.nan)  # no scan hits NaN
         later = np.cumsum(window.reshape(-1, p, m)[:, :0:-1].sum(axis=2), axis=1)[:, ::-1]  # within x_j
         above = (np.pad(later, ((0, 0), (0, 1))) + (window @ after)[:, None]).ravel()
