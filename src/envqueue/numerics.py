@@ -9,7 +9,9 @@ quasi-birth-death process with blocks A0 (up), A1 (local), A2 (down).
 `exact_solve` solves the infinite chain exactly and lists no level: the
 isolated queue's tail ratio decides ergodicity, logarithmic reduction gives G and
 R = A0 (-A1 - A0 G)^{-1}, level elimination seeded with A1 + A0 G gives the
-boundary, and `metrics` sums the tail in closed form through (I - R)^{-1}.
+boundary, and the tail sums come from two solves with A0 + A1 + A2, whose
+redundant equation gives way to the tail's working mass P(W) xi(n): the queue
+in working time is the isolated queue.  No metric solves with I - R.
 `auto_truncate` lists the levels 0..N that `solve` exports: a separable model
 whose chain is irreducible from its product form xi(n) theta, any other from
 `exact_solve`, into rows allocated once to a closed-form bound on N, or
@@ -36,7 +38,6 @@ from .model import (LEVEL_WINDOW, EnvqueueError, JointModel, _balance_residual, 
 from .separability import (ProductFormResult, QueueMarginal, SingularSolve, _one_component, gth_stationary, irreducible,
                            product_form, queue_marginal)
 
-DRIFT_RTOL = 1e-12  # the fraction of the level-crossing rates a tail's mean drift must clear: round-off
 LISTING_LIMIT = 2**27  # values (1 GiB of float64) a listing may hold
 LOG_REDUCTION_STEPS = 100
 CUT_TOL = 1e-8  # largest relative level-cut defect `check_cut_structure` passes
@@ -65,7 +66,8 @@ class GeometricTail:
     head: np.ndarray  # shape (start, |K|)
     x0: np.ndarray  # shape (p |K|,)
     R: np.ndarray  # shape (p |K|, p |K|), spectral radius < 1
-    drift: float  # alpha A2 1 - alpha A0 1 > 0
+    S: np.ndarray  # sum_j x_j, shape (p |K|,)
+    S1: np.ndarray  # sum_j j x_j, shape (p |K|,)
     R_residual: float  # ||A0 + R A1 + R^2 A2|| in the max-row-sum norm
 
     def level_sums(self):
@@ -73,14 +75,9 @@ class GeometricTail:
         head level, then per tail position i the mass of all levels
         start + i + j p, j >= 0.  levels[i] is the first level of row i, so
         that sum_n n pi_n 1 = sum_i levels[i] mass[i] 1 + extra."""
-        M = self.R.shape[0]
-        IR = (np.eye(M) - self.R).T
-        s0 = np.linalg.solve(IR, self.x0)  # sum_j x_j
-        s1 = np.linalg.solve(IR, np.linalg.solve(IR, self.x0 @ self.R))  # sum_j j x_j
-        m = self.head.shape[1]
         levels = np.arange(self.start + self.period)
-        mass = np.concatenate([self.head, s0.reshape(self.period, m)])
-        return levels, mass, self.period * float(s1.sum())
+        mass = np.concatenate([self.head, self.S.reshape(self.period, -1)])
+        return levels, mass, self.period * float(self.S1.sum())
 
 
 @dataclass(frozen=True)
@@ -198,17 +195,6 @@ def _tail_qbd(model: JointModel, B, U, D):
     return A0, A1, A2
 
 
-def _mean_drift(A0, A1, A2) -> float:
-    """alpha A2 1 - alpha A0 1 with alpha the stationary vector of A0 + A1 + A2,
-    positive iff the tail is positive recurrent; refused unless clear of round-off."""
-    alpha = gth_stationary(A0 + A1 + A2)
-    up, down = float(alpha @ A0.sum(axis=1)), float(alpha @ A2.sum(axis=1))
-    if not down - up > DRIFT_RTOL * (up + down):
-        raise NotConvergent(f"tail drift down - up = {down - up:.3g} is not above {DRIFT_RTOL} * (up + down), "
-                            f"with up {up!r} and down {down!r}: the solve cannot resolve this tail")
-    return down - up
-
-
 def _log_reduction(A0, A1, A2) -> np.ndarray:
     """Minimal nonnegative solution G of A2 + A1 G + A0 G^2 = 0 by logarithmic
     reduction (Latouche & Ramaswami, J. Appl. Prob. 30, 1993); G is stochastic
@@ -303,7 +289,7 @@ def _list_levels(model: JointModel, tail: GeometricTail, blocks, tol: float):
 def exact_solve(model: JointModel) -> GeometricTail:
     """Exact stationary vector of the infinite chain as a `GeometricTail`,
     listing no level.  Raises NotErgodic unless a state is working and the tail
-    ratio is below 1, and NotConvergent where the drift is not clear of round-off."""
+    ratio is below 1, and SingularSolve where a solve is singular, as on a reducible tail."""
     return _exact_tail(model, *_blocks(model))
 
 
@@ -346,12 +332,13 @@ def isolated_throughput(model: JointModel) -> float:
 
 def _exact_tail(model: JointModel, B, U, D) -> GeometricTail:
     """`exact_solve` from the representative levels' blocks B, U, D."""
-    _ergodic_marginal(model)
+    marginal = _ergodic_marginal(model)
     T0, p, m = model.tail_start + 1, model.period, model.n_env
     M = p * m
     A0, A1, A2 = _tail_qbd(model, B, U, D)
+    A = A0 + A1 + A2
     try:
-        drift = _mean_drift(A0, A1, A2)
+        gth_stationary(A)  # SingularSolve where the tail's phases are reducible
         G = _log_reduction(A0, A1, A2)
         C = A1 + A0 @ G  # block level 0 of the chain censored to block levels <= 0
         R = np.linalg.solve(-C.T, A0.T).T
@@ -362,14 +349,27 @@ def _exact_tail(model: JointModel, B, U, D) -> GeometricTail:
         D_top[:m] = D[T0]
         levels = _solve_elimination([*B[:T0], C], [*U[: T0 - 1], U_top], [*D[:T0], D_top])
         head, x0 = np.array(levels[:-1]), levels[-1]
-        total = head.sum() + float(x0 @ np.linalg.solve(np.eye(M) - R, np.ones(M)))
+        # S = sum_j x_j and S1 = sum_j j x_j solve S A = x0 A2 - pi_{T0-1} U_top and S1 A = S (A2 - A0) - x0 A2.
+        # A's redundant equation, that of the working state with the most mass in x0, gives way to the tail's
+        # working mass: that of level n is P(W) xi(n), with P(W) read off the head
+        w, mask = marginal.weights, np.tile(model.env.working_mask(), p)
+        tail_working = head[:, mask[:m]].sum() / w[:T0].sum() * w[T0:].sum() / marginal.gap
+        A, col = A.T, int(np.argmax(x0 * mask))
+        A[col] = mask
+        rhs = x0 @ A2 - head[-1] @ U_top
+        rhs[col] = tail_working
+        S = np.linalg.solve(A, rhs)
+        rhs = S @ (A2 - A0) - x0 @ A2
+        rhs[col] = tail_working * marginal.tail_ratio / marginal.gap
+        S1 = np.linalg.solve(A, rhs)
+        total = head.sum() + S.sum()
     except (np.linalg.LinAlgError, SingularSolve) as exc:
-        # GTH raises SingularSolve where the tail's phases are reducible
+        # GTH raises SingularSolve where the tail's phases or the chain censored to level 0 are reducible
         at = "exact solve: " if isinstance(exc, np.linalg.LinAlgError) else ""
         raise SingularSolve(f"{at}{exc}{_found(model)}") from exc
     if not (np.isfinite(R).all() and np.isfinite(total) and total > 0.0):
         raise SingularSolve("exact solve produced non-finite or zero mass")
-    return GeometricTail(start=T0, period=p, head=head / total, x0=x0 / total, R=R, drift=drift,
+    return GeometricTail(start=T0, period=p, head=head / total, x0=x0 / total, R=R, S=S / total, S1=S1 / total,
                          R_residual=float(np.linalg.norm(A0 + R @ (A1 + R @ A2), np.inf)))
 
 

@@ -18,7 +18,7 @@ from envqueue.ergodicity import (
     solve_tau,
 )
 from envqueue.model import EnvironmentSpec, JointModel, RateFamily
-from envqueue.numerics import NotConvergent, NotErgodic, exact_solve
+from envqueue.numerics import NotErgodic, exact_solve
 from envqueue.separability import product_form, queue_marginal
 
 from conftest import check_certify_against_dense, period_two_model, separable_period_two_model, two_state_model
@@ -228,21 +228,17 @@ NEAR_CRITICAL_FAMILIES = {
 
 @pytest.mark.parametrize("family", sorted(NEAR_CRITICAL_FAMILIES))
 def test_verdicts_follow_the_sign_of_mu_minus_lambda(family):
-    # lambda = mu (1 -+ 10^-k): below mu every model is ergodic, however close, and above it none is;
-    # the exact solve may refuse a drift within its round-off, but never calls it not ergodic
+    # lambda = mu (1 -+ 10^-k): below mu every model is ergodic, however close, and the exact solve
+    # answers it; above mu none is
     for k in range(1, 16):
         for lam in (1.0 - 10.0**-k, 1.0 + 10.0**-k):
             model = NEAR_CRITICAL_FAMILIES[family](lam)
             pf, cert = product_form(model), certify(model)
-            try:
-                ergodic = exact_solve(model).drift > 0.0
-            except NotConvergent:
-                ergodic = None
-            except NotErgodic:
-                ergodic = False
             if lam < 1.0:
                 assert getattr(pf, "reason", None) != "NotSummable", (k, lam)
                 assert getattr(cert, "reason", None) != "NecessaryFails", (k, lam)
-                assert ergodic is not False, (k, lam)
+                exact_solve(model)
             else:
-                assert not cert.certified and ergodic is False, (k, lam)
+                assert not cert.certified, (k, lam)
+                with pytest.raises(NotErgodic):
+                    exact_solve(model)

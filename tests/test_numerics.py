@@ -31,7 +31,7 @@ from envqueue.numerics import (
 )
 from envqueue.separability import ProductFormResult, SingularSolve, irreducible, product_form
 
-from conftest import (count_forks, period_two_model, reference_blocks, separable_period_two_model,
+from conftest import (count_forks, period_two_model, poisson_oracle, reference_blocks, separable_period_two_model,
                       skewed_period_two_model, traced_peak, truncated_generator)
 
 
@@ -172,10 +172,6 @@ class TestAutoTruncate:
         m = metrics(sol, bs_model)
         assert m.throughput == pytest.approx(2 / 3, abs=1e-12)
         assert sol.residual <= 1e-12
-
-    def test_tail_drift(self):
-        # one environment state: the tail's mean drift is mu - lambda
-        assert exact_solve(mm1_plain(1, 2)).drift == 1.0
 
     def test_not_ergodic_detected(self):
         # transient (lam > mu) and null recurrent (lam = mu) tails
@@ -383,10 +379,23 @@ def test_exact_solve_matches_product_form_in_heavy_traffic(kind, rho, nu, gamma,
     pf, exact = metrics(product_form(model), model), metrics(exact_solve(model), model)
     for field in ("throughput", "blocked_probability", "loss_rate"):
         assert getattr(exact, field) == pytest.approx(getattr(pf, field), abs=1e-10), field
-    # the mean sums j x0 R^j through (I - R)^{-2}: its round-off grows like
-    # (1 - rho)^{-2} while the mean grows like (1 - rho)^{-1}, so it is bounded
-    # relatively (at most 5e-10 in 1500 draws)
-    assert exact.mean_queue_length == pytest.approx(pf.mean_queue_length, rel=1e-8)
+    assert exact.mean_queue_length == pytest.approx(pf.mean_queue_length, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", range(1, 16))
+def test_exact_solve_to_the_last_digit_near_rho_1(k):
+    # lam = 1 - 10^-k: the tail sums come through the time change, with no solve by I - R, whose
+    # condition grows like 1 / (1 - r); through (I - R)^{-1} TH was 1.9e-11 off at k = 6 on base stock
+    lam = 1.0 - 10.0**-k
+    for model in (base_stock(lam=lam, mu=1.0, nu=3.0, b=5), perishable_plus(lam=lam, mu=1.0, nu=3.0, gamma=1.0, b=5)):
+        exact, pf = metrics(exact_solve(model), model), metrics(product_form(model), model)
+        for field in ("throughput", "mean_queue_length", "blocked_probability"):
+            assert getattr(exact, field) == pytest.approx(getattr(pf, field), rel=1e-13, abs=0), (model.name, field)
+    # perishable_o at mu = gamma: its stock moves on its own, so TH = lam (1 - theta(0)) and P(blocked) = theta(0)
+    model = perishable_o(lam=lam, mu=1.0, nu=3.0, gamma=1.0, b=5)
+    exact, (th, theta0) = metrics(exact_solve(model), model), poisson_oracle(lam, 1.0, 3.0, 5)
+    assert exact.throughput == pytest.approx(th, rel=1e-13, abs=0)
+    assert exact.blocked_probability == pytest.approx(theta0, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("b", [320, 400])
@@ -509,14 +518,14 @@ HEAVY_TRAFFIC_EXPORTS = {
                             "af21c84f8dc8745ef686503714451338d9f2db631d41c11a1e2a198580801ac0",
                             "0x1.12d9e0e253505p-30", "0x1.8000000000000p-62"),
     "perishable_o_rho0.99": (perishable_o(lam=0.99, mu=1.0, nu=3.0, gamma=1.0, b=5), 12_372,
-                             "d1b5db6a942ce8f5fb2694368f6092c15a1e017a7df91c14662165d55f261f69",
-                             "0x1.127ad26aa5a4ap-30", "0x1.0000000000000p-58"),
+                             "4369998ead255d4dcd23bd6db46a25df5cd1926ce6c88037f266c80a182f6e39",
+                             "0x1.127ad26aa5953p-30", "0x1.3000000000000p-58"),
     "perishable_o_b50": (perishable_o(lam=1.0, mu=2.0, nu=10.0, gamma=2.0, b=50), 1_530,
-                         "1a70674714a3edb989652f8f2412e369763249c16809ccfcbfd48cbefa9baf70",
-                         "0x1.fd6a857ad5376p-31", "0x1.9000000000000p-50"),
+                         "ffe8c9d7c9cf35a65a2c3310bb3930110fa601cc12208dd904d7cd9bcc990f17",
+                         "0x1.fd6a857ad5370p-31", "0x1.7c00000000000p-50"),
     "perishable_o_b100": (perishable_o(lam=1.0, mu=2.0, nu=10.0, gamma=2.0, b=100), 3_030,
-                          "7709d142f33c8e56823fec56f11abc68751bdf293cb056bebae43ab2be19f32e",
-                          "0x1.fd6a857ad53cfp-31", "0x1.6800000000000p-51"),
+                          "28b8b047058dbe3c3c6628eabd94cae004a83864c23e252b643dfdfb6dfd2226",
+                          "0x1.fd6a857ad53ccp-31", "0x1.0800000000000p-50"),
     "period_two": (period_two_model(), 90, "624fe1bb5c0725de46d96514916e6e4f46b755d6946598b3991ab5b0ae911488",
                    "0x1.99dd694b4580dp-31", "0x1.0800000000000p-52"),
 }
