@@ -15,7 +15,8 @@ in working time is the isolated queue.  No metric solves with I - R.
 `auto_truncate` lists the levels 0..N that `solve` exports: a separable model
 whose chain is irreducible from its product form xi(n) theta, any other from
 `exact_solve`, into rows allocated once to a closed-form bound on N, or
-refused before allocating.  `autonomous_environment` finds where the
+refused before allocating; the exact listing fills every row, then sums the
+mass above each level from the top.  `autonomous_environment` finds where the
 environment moves alike at every level, so that its stationary law alone
 gives P(W) and, with `isolated_throughput`, the throughput.
 
@@ -35,8 +36,8 @@ import numpy as np
 from .format17 import PAD, WORDS, pad_words, write_g17
 from .model import (LEVEL_WINDOW, EnvqueueError, JointModel, _balance_residual, _blocks, _capped_classes,
                     _level_classes, _representatives, validate_model)
-from .separability import (ProductFormResult, QueueMarginal, SingularSolve, _one_component, gth_stationary, irreducible,
-                           product_form, queue_marginal)
+from .separability import (ProductFormResult, QueueMarginal, SingularSolve, _closed_classes, _one_component,
+                           gth_stationary, irreducible, product_form, queue_marginal)
 
 LISTING_LIMIT = 2**27  # values (1 GiB of float64) a listing may hold
 LOG_REDUCTION_STEPS = 100
@@ -262,28 +263,23 @@ def _blocked_excess(model: JointModel, B, D) -> float:
 def _list_levels(model: JointModel, tail: GeometricTail, blocks, tol: float):
     """Exact stationary levels 0..N+1 and the mass above N, N >= tail_start + p the first level
     with mass above it below tol.  Levels 0..N_max+1 (`_listing_level`) and one block level more,
-    for N past N_max by round-off where c is exact, are allocated at once, then filled and
-    scanned `LEVEL_WINDOW` block levels at a time, with the bits of `x = x @ R`."""
+    for N past N_max by round-off where c is exact, are allocated at once and filled with the bits
+    of `x = x @ R`; the mass above every level is then summed from the top, smallest first."""
     m, T, p = model.n_env, tail.start, tail.period
     N_max, _ = _listing_level(model, queue_marginal(model), _blocked_excess(model, blocks[0], blocks[2]), tol)
     M, count = tail.R.shape[0], -(-(N_max + 2 - T) // p) + 1  # block levels from T on
     levels = np.empty((T + count * p, m))
     levels[:T], levels[T : T + p] = tail.head, tail.x0.reshape(p, m)
     xs = levels[T:].reshape(count, M)
-    after = tail.R @ np.linalg.solve(np.eye(M) - tail.R, np.ones(M))  # x_j after: mass on block levels > j
-    for start in range(0, count, LEVEL_WINDOW):
-        rows = list(xs[start : start + LEVEL_WINDOW + 1])  # into the next window's first row too
-        for row, next_row in zip(rows, rows[1:]):
-            row.dot(tail.R, out=next_row)
-        window, first = xs[start : start + LEVEL_WINDOW], T + start * p  # first: the level of above[0]
-        if len(window) % 256:  # a row's mass above has one set of bits in any product of whole 256-row groups
-            window = np.pad(window, ((0, -len(window) % 256), (0, 0)), constant_values=np.nan)  # no scan hits NaN
-        later = np.cumsum(window.reshape(-1, p, m)[:, :0:-1].sum(axis=2), axis=1)[:, ::-1]  # within x_j
-        above = (np.pad(later, ((0, 0), (0, 1))) + (window @ after)[:, None]).ravel()
-        hits = np.flatnonzero(above[: len(levels) - 1 - first] < tol) + first
-        if (hits := hits[hits >= model.tail_start + p]).size:
-            return levels[: hits[0] + 2], float(above[hits[0] - first]), int(hits[0])
-    raise ValueError(f"the listing to tol = {tol} finds no level below tol by N = {len(levels) - 2}")
+    for row, next_row in zip(xs, xs[1:]):
+        row.dot(tail.R, out=next_row)
+    past = xs[-1] @ (tail.R @ np.linalg.solve(np.eye(M) - tail.R, np.ones(M)))  # on block levels past the listing
+    above = np.cumsum(np.r_[past, levels[:T:-1].sum(axis=1)])[::-1]  # above[n - T]: the mass above level n
+    first = model.tail_start + p
+    if not (hits := np.flatnonzero(above[first - T : -1] < tol)).size:
+        raise ValueError(f"the listing to tol = {tol} finds no level below tol by N = {len(levels) - 2}")
+    N = first + int(hits[0])
+    return levels[: N + 2], float(above[N - T]), N
 
 
 def exact_solve(model: JointModel) -> GeometricTail:
@@ -338,7 +334,8 @@ def _exact_tail(model: JointModel, B, U, D) -> GeometricTail:
     A0, A1, A2 = _tail_qbd(model, B, U, D)
     A = A0 + A1 + A2
     try:
-        gth_stationary(A)  # SingularSolve where the tail's phases are reducible
+        if (closed := len(_closed_classes(A))) > 1:  # the tail's phases have no one stationary law
+            raise SingularSolve(f"the tail's phases fall into {closed} closed classes")
         G = _log_reduction(A0, A1, A2)
         C = A1 + A0 @ G  # block level 0 of the chain censored to block levels <= 0
         R = np.linalg.solve(-C.T, A0.T).T
@@ -364,7 +361,7 @@ def _exact_tail(model: JointModel, B, U, D) -> GeometricTail:
         S1 = np.linalg.solve(A, rhs)
         total = head.sum() + S.sum()
     except (np.linalg.LinAlgError, SingularSolve) as exc:
-        # GTH raises SingularSolve where the tail's phases or the chain censored to level 0 are reducible
+        # GTH also raises SingularSolve where the chain censored to level 0 is reducible
         at = "exact solve: " if isinstance(exc, np.linalg.LinAlgError) else ""
         raise SingularSolve(f"{at}{exc}{_found(model)}") from exc
     if not (np.isfinite(R).all() and np.isfinite(total) and total > 0.0):

@@ -160,6 +160,29 @@ def dense_drift(model, values):
     return drift, slack
 
 
+def listed_by_products(tail, rows=None, floor=None):
+    """Levels of `tail`, block level j + 1 computed as `x_j @ R`: the reference for `_list_levels`.
+    The first `rows` levels, or with `floor` every block level up to the first whose mass is below it."""
+    xs, x = [], tail.x0
+    while len(tail.head) + len(xs) * tail.period < rows if floor is None else x.sum() >= floor:
+        xs.append(x)
+        x = x @ tail.R
+    return np.concatenate([tail.head, np.reshape(xs, (-1, tail.head.shape[1]))])[:rows]
+
+
+def first_level_below(model, tail, tol):
+    """The reference N of `_list_levels`, the first level from tail_start + p on whose mass above is
+    below tol, and that mass: the levels of `listed_by_products` continued until a block level's mass
+    is below 1e-30 tol, each level's mass above summed from the top with `math.fsum`."""
+    levels = listed_by_products(tail, floor=1e-30 * tol)
+
+    def above(n):
+        return math.fsum(levels[n + 1 :].ravel())
+
+    N = bisect_left(range(len(levels)), True, lo=model.tail_start + model.period, key=lambda n: above(n) < tol)
+    return N, above(N)
+
+
 def certify_outcome(result):
     """What `certify` decides: the verdict and, for a certificate, its record
     and worst margin, else the reason, detail and violating state."""

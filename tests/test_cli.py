@@ -123,6 +123,22 @@ class TestSolveCommand:
         rec = json.loads((tmp_path / "metrics.json").read_text())
         assert rec["throughput"] == pytest.approx(0.9962678467, abs=1e-9)
 
+    def test_tail_with_one_closed_class_off_phase_0(self, tmp_path):
+        # from level 1 on, state 0 moves to state 1, which it never leaves: the tail's phases have one closed
+        # class, {1}, which misses phase 0 (a GTH on A refused it); both states work, so the queue is M/M/1
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        doc = {"rates": {"lambda_tail": [0.5], "mu_tail": [1.0]},
+               "environment": {"labels": [0, 1], "blocked": [], "V_prefix": [[[-1.0, 1.0], [2.0, -2.0]]],
+                               "R_prefix": [eye], "V_tail": [[[-1.0, 1.0], [0.0, 0.0]]], "R_tail": [eye]}}
+        path = tmp_path / "one_closed_class.json"
+        path.write_text(json.dumps(doc))
+        assert run(tmp_path / "validate", "validate", "--model", str(path)) == EXIT_OK
+        for out, argv in (("truncated", ["--N", "200"]), ("exact", [])):
+            assert run(tmp_path / out, "solve", "--model", str(path), *argv) == EXIT_OK
+            rec = json.loads((tmp_path / out / "metrics.json").read_text())
+            assert rec["throughput"] == pytest.approx(0.5, rel=1e-14, abs=0.0), out
+            assert rec["mean_queue_length"] == pytest.approx(1.0, rel=1e-14, abs=0.0), out
+
     def test_finite_buffer_takes_no_tol(self, tmp_path, capsys):
         # the finite-buffer solve lists all N + 1 levels: a tolerance was recorded in the manifest, not read
         assert run(tmp_path, "solve", *BS, "--N", "50", "--tol", "0.5") == EXIT_ERROR
@@ -262,11 +278,12 @@ class TestErrorContract:
         assert (tmp_path / "manifest.txt").exists()
 
     def test_singular_solve(self, tmp_path, capsys):
-        # two working states that never switch: the tail is reducible, and the error names a component
+        # two working states that never switch: the tail's phases have two closed classes, and the error
+        # names a component
         path = split_model(tmp_path)
         assert main(["solve", "--model", path, "--out", str(tmp_path)]) == EXIT_ERROR
         column = ", ".join(f"({n}, 0)" for n in range(5))
-        assert capsys.readouterr().err == ("error: SingularSolve: no exit below state 1: chain not irreducible; "
+        assert capsys.readouterr().err == ("error: SingularSolve: the tail's phases fall into 2 closed classes; "
                                            f"2 strong components below the cap: example component: [{column}]\n")
 
     def test_not_irreducible_truncation(self, tmp_path, capsys):

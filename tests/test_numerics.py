@@ -31,8 +31,9 @@ from envqueue.numerics import (
 )
 from envqueue.separability import ProductFormResult, SingularSolve, irreducible, product_form
 
-from conftest import (count_forks, period_two_model, poisson_oracle, reference_blocks, separable_period_two_model,
-                      skewed_period_two_model, traced_peak, truncated_generator)
+from conftest import (count_forks, first_level_below, listed_by_products, period_two_model, poisson_oracle,
+                      reference_blocks, separable_period_two_model, skewed_period_two_model, traced_peak,
+                      truncated_generator)
 
 
 def product_form_tv(model, sol, levels=None):
@@ -299,37 +300,35 @@ def test_one_set_of_blocks_per_solve(model, path, monkeypatch):
     assert sol.N == 29 and len(sol.pi.base) < 40
 
 
-def listed_by_products(tail, rows):
-    """The first `rows` levels of `tail`, block level j + 1 computed as `x_j @ R`: the reference for
-    `_list_levels`."""
-    xs, x = [], tail.x0
-    while len(tail.head) + len(xs) * tail.period < rows:
-        xs.append(x)
-        x = x @ tail.R
-    return np.concatenate([tail.head, np.reshape(xs, (-1, tail.head.shape[1]))])[:rows]
-
-
 LISTED_MODELS = {
     "mm1_plain": mm1_plain(lam=1.0, mu=2.0),
     "onoff_a": onoff_a(eta=0.5, gamma=1.0),
     "onoff_b": onoff_b(lam=0.2, gamma=1.0, eta=2.0),
     "period_two": period_two_model(),
-    "base_stock_rho0.999_b5": base_stock(lam=0.999, mu=1.0, nu=3.0, b=5),  # ~10 windows of LEVEL_WINDOW block levels
+    "base_stock_rho0.999_b5": base_stock(lam=0.999, mu=1.0, nu=3.0, b=5),  # ~20,000 block levels
     **{f"base_stock_b{b}": base_stock(lam=1.0, mu=2.0, nu=3.0, b=b) for b in (2, 5, 50, 100)},
     **{f"{build.__name__}_b{b}": build(lam=1.0, mu=2.0, nu=3.0, gamma=1.0, b=b)
        for build in (perishable_o, perishable_minus, perishable_plus) for b in (2, 5, 50, 100)},
 }
 
 
-@pytest.mark.parametrize("window", [numerics.LEVEL_WINDOW, 3])
 @pytest.mark.parametrize("name", LISTED_MODELS)
-def test_listing_is_bit_identical_to_products(name, window, monkeypatch):
-    # windows of 3 block levels: every listing is filled across window boundaries
+def test_listing_is_bit_identical_to_products(name):
     model = LISTED_MODELS[name]
-    monkeypatch.setattr(numerics, "LEVEL_WINDOW", window)
     tail = exact_solve(model)
     exact, _, _ = numerics._list_levels(model, tail, numerics._blocks(model), 1e-9)
     assert exact.tobytes() == listed_by_products(tail, len(exact)).tobytes()
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("name", LISTED_MODELS)
+def test_listing_sums_the_mass_above_from_the_top(name, tol):
+    # the mass above N and N itself, against the products listed on and summed exactly from the top
+    model = LISTED_MODELS[name]
+    tail = exact_solve(model)
+    _, mass_above, N = numerics._list_levels(model, tail, numerics._blocks(model), tol)
+    N_ref, mass_ref = first_level_below(model, tail, tol)
+    assert N == N_ref and mass_above == pytest.approx(mass_ref, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("mu", [0.7, 3.0, 7.0])
@@ -522,7 +521,7 @@ HEAVY_TRAFFIC_EXPORTS = {
                              "0x1.127ad26aa5953p-30", "0x1.3000000000000p-58"),
     "perishable_o_b50": (perishable_o(lam=1.0, mu=2.0, nu=10.0, gamma=2.0, b=50), 1_530,
                          "ffe8c9d7c9cf35a65a2c3310bb3930110fa601cc12208dd904d7cd9bcc990f17",
-                         "0x1.fd6a857ad5370p-31", "0x1.7c00000000000p-50"),
+                         "0x1.fd6a857ad5372p-31", "0x1.7c00000000000p-50"),
     "perishable_o_b100": (perishable_o(lam=1.0, mu=2.0, nu=10.0, gamma=2.0, b=100), 3_030,
                           "28b8b047058dbe3c3c6628eabd94cae004a83864c23e252b643dfdfb6dfd2226",
                           "0x1.fd6a857ad53ccp-31", "0x1.0800000000000p-50"),

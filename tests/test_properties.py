@@ -9,14 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 from envqueue.ergodicity import SingularSystem, _drift, c_hat, solve_tau
 from envqueue.model import (EnvironmentSpec, JointModel, RateFamily, _blocks, _level_moves, _representatives,
                             generator_row, validate_model)
-from envqueue.numerics import (NotErgodic, _blocked_excess, _list_levels, _tail_qbd, auto_truncate,
+from envqueue.numerics import (GeometricTail, NotErgodic, _blocked_excess, _list_levels, _tail_qbd, auto_truncate,
                                autonomous_environment, exact_solve, isolated_throughput, metrics)
 from envqueue.separability import (SingularSolve, gth_stationary, irreducible, product_form, queue_marginal,
                                    reduced_generator)
 from envqueue.catalog import catalog
 from envqueue.simulate import SimConfig, ZeroExitRate, _TransitionTable, simulate
 
-from conftest import (check_certify_against_dense, dense_drift, dense_move_rates, reference_blocks,
+from conftest import (check_certify_against_dense, dense_drift, dense_move_rates, first_level_below, reference_blocks,
                       reference_simulate, truncated_generator, value_history)
 
 rates_st = st.floats(min_value=0.05, max_value=5.0, allow_nan=False, allow_infinity=False)
@@ -414,6 +414,8 @@ def test_exact_solve_against_truncation_and_certificates(model):
         assert too_heavy(exc, model), exc
         return
     assert exact.residual < 1e-12
+    if isinstance(exact.tail, GeometricTail):
+        assert exact.N == first_level_below(model, exact.tail, 1e-9)[0]
     # c xi's mass above n, which sizes the exact path's listing, bounds the mass above every listed tail level
     B, _, D = _blocks(model)
     levels = np.arange(model.tail_start + model.period, exact.N + 1)
@@ -446,7 +448,9 @@ def test_product_form_answers_agree_with_exact_solve(model):
     a, b = metrics(sol, model), metrics(exact, model)
     for field in ("throughput", "mean_queue_length", "blocked_probability", "loss_rate"):
         assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9, abs=1e-9), field
-    listed, _, _ = _list_levels(model, exact, _blocks(model), 1e-9)
+    listed, mass_above, N = _list_levels(model, exact, _blocks(model), 1e-9)
+    N_ref, mass_ref = first_level_below(model, exact, 1e-9)
+    assert N == N_ref and mass_above == pytest.approx(mass_ref, rel=1e-12, abs=0.0)
     rows = min(200, sol.N + 1, len(listed))
     # sol.pi is renormalized over levels 0..N
     assert np.abs(sol.pi[:rows] * (1.0 - sol.truncation_estimate) - listed[:rows]).max() <= 1e-12
