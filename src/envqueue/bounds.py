@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import perishable_minus, perishable_o, perishable_plus
-from .model import EnvqueueError, InvalidParam, JointModel, _blocks, _capped_classes, _level_moves, _representatives
+from .model import EnvqueueError, JointModel, _blocks, _capped_classes, _level_moves, _representatives
 from .numerics import auto_truncate  # noqa: F401  (perfbench/tracing.py wraps this name)
-from .numerics import _exact_tail, autonomous_environment, isolated_throughput, metrics
+from .numerics import _ergodic_marginal, _exact_tail, autonomous_environment, isolated_throughput, metrics
 from .separability import NotSeparable, product_form
 from .simulate import SimConfig, simulate
 
@@ -41,38 +41,35 @@ class NotSeparableBoundSystem(EnvqueueError):
 def build_triple(lam, mu, nu, gamma, b) -> tuple[JointModel, JointModel, JointModel]:
     """The (minus, o, plus) systems with shared parameters; the catalog builds
     their ageing rates V_n[k, k-1] ordered plus <= o <= minus."""
-    if not lam < mu:
-        raise InvalidParam(f"need lam < mu for ergodic bounding systems, got {lam} >= {mu}")
     return (perishable_minus(lam, mu, nu, gamma, b), perishable_o(lam, mu, nu, gamma, b),
             perishable_plus(lam, mu, nu, gamma, b))
 
 
 def _exact_throughputs(lower, target, upper):
-    """TH-, TH_o and TH+, and the bounds' product forms by tag.  TH- and TH+
-    come from `metrics` of the product forms.  TH_o is theta_env(W) TH_iso
-    where the target's environment is autonomous (`autonomous_environment`:
-    mu = gamma), one GTH solve on |K| states; elsewhere it is `metrics` of the
-    exact solve, from the same blocks."""
-    pfs = {}
-    for tag, system in (("minus", lower), ("plus", upper)):
-        pf = product_form(system)
-        if isinstance(pf, NotSeparable):
-            raise NotSeparableBoundSystem(f"{tag} system: {pf.reason} (residual {pf.residual})")
-        pfs[tag] = pf
+    """TH-, TH_o and TH+, and the bounds' product forms by tag.  TH_o comes
+    first, so a triple that is not ergodic raises NotErgodic: theta_env(W)
+    TH_iso where the target's environment is autonomous (`autonomous_environment`:
+    mu = gamma), one GTH solve on |K| states, elsewhere `metrics` of the exact
+    solve, from the same blocks.  TH- and TH+ are `metrics` of the product forms."""
     blocks = _blocks(target)
     theta = autonomous_environment(target, *blocks)
     if theta is None:
         th_o = metrics(_exact_tail(target, *blocks), target).throughput
     else:
         th_o = float(theta[target.env.working_mask()].sum()) * isolated_throughput(target)
+    pfs = {}
+    for tag, system in (("minus", lower), ("plus", upper)):
+        pf = product_form(system)
+        if isinstance(pf, NotSeparable):
+            raise NotSeparableBoundSystem(f"{tag} system: {pf.reason} (residual {pf.residual})")
+        pfs[tag] = pf
     return metrics(pfs["minus"], lower).throughput, th_o, metrics(pfs["plus"], upper).throughput, pfs
 
 
 def perishable_b1_closed_form(lam, mu, nu, gamma):
     """Exact steady state of the target system with b = 1:
-    pi(n, k) accessor and its throughput."""
-    if not lam < mu:
-        raise InvalidParam("closed form requires lam < mu")
+    pi(n, k) accessor and its throughput; NotErgodic where it has none."""
+    _ergodic_marginal(perishable_o(lam, mu, nu, gamma, 1))
     C = mu / (mu - lam) * (1.0 + lam / nu) + gamma / nu
 
     def pi(n, k):

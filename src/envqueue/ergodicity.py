@@ -222,9 +222,9 @@ def _drift(model: JointModel, values: np.ndarray):
 def certify(model: JointModel, kind: str = "linear_drift"):
     """Build and numerically verify a Lyapunov certificate for the joint
     chain, or explain why none was obtained."""
-    # in working time the queue is the isolated queue: r < 1 is necessary, and for an irreducible model sufficient
-    if not (marginal := queue_marginal(model)).summable:
-        return NotCertified(reason="NecessaryFails", detail=f"queue tail ratio {marginal.tail_ratio} is not below 1")
+    # a working state and r < 1 are necessary (README, "Ergodicity is summability"), and sufficient if irreducible
+    if verdict := queue_marginal(model).verdict:
+        return NotCertified(reason="NecessaryFails", detail=verdict[1])
     N0, p = model.tail_start, model.period
     horizon = _check_horizon(model)
     base = build_mm1_lyapunov(model, kind=kind)

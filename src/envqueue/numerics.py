@@ -70,6 +70,7 @@ class GeometricTail:
     S: np.ndarray  # sum_j x_j, shape (p |K|,)
     S1: np.ndarray  # sum_j j x_j, shape (p |K|,)
     R_residual: float  # ||A0 + R A1 + R^2 A2|| in the max-row-sum norm
+    marginal: QueueMarginal  # the isolated queue's, read once per solve
 
     def level_sums(self):
         """Stationary mass by rate class, as (levels, mass, extra): one row per
@@ -266,7 +267,7 @@ def _list_levels(model: JointModel, tail: GeometricTail, blocks, tol: float):
     for N past N_max by round-off where c is exact, are allocated at once and filled with the bits
     of `x = x @ R`; the mass above every level is then summed from the top, smallest first."""
     m, T, p = model.n_env, tail.start, tail.period
-    N_max, _ = _listing_level(model, queue_marginal(model), _blocked_excess(model, blocks[0], blocks[2]), tol)
+    N_max, _ = _listing_level(model, tail.marginal, _blocked_excess(model, blocks[0], blocks[2]), tol)
     M, count = tail.R.shape[0], -(-(N_max + 2 - T) // p) + 1  # block levels from T on
     levels = np.empty((T + count * p, m))
     levels[:T], levels[T : T + p] = tail.head, tail.x0.reshape(p, m)
@@ -290,12 +291,10 @@ def exact_solve(model: JointModel) -> GeometricTail:
 
 
 def _ergodic_marginal(model: JointModel) -> QueueMarginal:
-    """The isolated queue's marginal; NotErgodic unless a state is working and
-    its tail ratio is below 1."""
-    if not model.env.working_mask().any():
-        raise NotErgodic("no environment state is working")
-    if not (marginal := queue_marginal(model)).summable:
-        raise NotErgodic(f"queue tail ratio {marginal.tail_ratio} is not below 1")
+    """The isolated queue's marginal; NotErgodic, with the reason its verdict
+    gives, unless a state is working and its tail ratio is below 1."""
+    if (marginal := queue_marginal(model)).verdict:
+        raise NotErgodic(marginal.verdict[1])
     return marginal
 
 
@@ -367,7 +366,7 @@ def _exact_tail(model: JointModel, B, U, D) -> GeometricTail:
     if not (np.isfinite(R).all() and np.isfinite(total) and total > 0.0):
         raise SingularSolve("exact solve produced non-finite or zero mass")
     return GeometricTail(start=T0, period=p, head=head / total, x0=x0 / total, R=R, S=S / total, S1=S1 / total,
-                         R_residual=float(np.linalg.norm(A0 + R @ (A1 + R @ A2), np.inf)))
+                         R_residual=float(np.linalg.norm(A0 + R @ (A1 + R @ A2), np.inf)), marginal=marginal)
 
 
 def check_tol(tol: float) -> float:

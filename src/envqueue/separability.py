@@ -153,6 +153,7 @@ class QueueMarginal:
     C: float | None
     weights: np.ndarray  # weight(0..N0+p), read-only
     period: int
+    verdict: tuple[str, str] | None  # (reason, why) the joint chain is not ergodic, or None where it may be
 
     def weight(self, n):
         """Unnormalized product prod_{i<n} lambda(i)/mu(i+1) at level n, or at
@@ -187,7 +188,8 @@ class QueueMarginal:
 
 def queue_marginal(model: JointModel) -> QueueMarginal:
     """Summability check and normalization of the isolated queue marginal:
-    C sums the prefix weights and, geometrically, the tail blocks."""
+    C sums the prefix weights and, geometrically, the tail blocks.  The
+    ergodicity verdict that every command reads is decided here, once."""
     N0, p = model.tail_start, model.period
     rates = [(model.arrival(i), model.service(i + 1)) for i in range(N0 + p)]
     w = np.cumprod([1.0] + [lam / mu for lam, mu in rates])
@@ -201,7 +203,9 @@ def queue_marginal(model: JointModel) -> QueueMarginal:
     except OverflowError:  # r beyond the float range
         ratio, gap = math.inf, -math.inf
     C = sum(w[:N0].tolist()) + sum(w[N0:-1].tolist()) / gap if summable else None
-    return QueueMarginal(summable=summable, tail_ratio=ratio, gap=gap, C=C, weights=w, period=p)
+    verdict = (("NoWorkingState", "no environment state is working") if not model.env.working_mask().any() else
+               None if summable else ("NotSummable", f"queue tail ratio {ratio} is not below 1"))
+    return QueueMarginal(summable=summable, tail_ratio=ratio, gap=gap, C=C, weights=w, period=p, verdict=verdict)
 
 
 @dataclass(frozen=True)
@@ -236,7 +240,8 @@ class ProductFormResult:
 
 @dataclass(frozen=True)
 class NotSeparable:
-    reason: str  # NotSummable | NoCommonSolution | BalanceResidual
+    reason: str  # NoWorkingState | NotSummable | NoCommonSolution | BalanceResidual
+    detail: str = ""  # why the chain is not ergodic, where the reason says it is not
     residual: float = float("nan")
     tail_ratio: float = float("nan")
     offending_level: int | None = None
@@ -248,8 +253,8 @@ def product_form(model: JointModel, blocks=None):
     exact steady state, or `NotSeparable` with the failure reason.  `blocks`
     are `_blocks(model)`, built here unless the caller has them."""
     marginal = queue_marginal(model)
-    if not marginal.summable:
-        return NotSeparable(reason="NotSummable", tail_ratio=marginal.tail_ratio)
+    if marginal.verdict:
+        return NotSeparable(*marginal.verdict, tail_ratio=marginal.tail_ratio)
     B, U, D = _blocks(model) if blocks is None else blocks
     theta_res = solve_theta(model, B)
     if not theta_res.found:
@@ -287,16 +292,16 @@ def _one_component(Q: np.ndarray) -> bool:
 
 
 def irreducible(model: JointModel, marginal: QueueMarginal) -> bool:
-    """Whether the joint chain is irreducible, so that a product form is its
-    only stationary law: some state is working, xi > 0 (here on the stored
-    weights and one tail period past them) and every representative Qred(n)
-    is one strong component.  Every rate is positive, so an edge k -> m of
-    Qred(n) is a path from (n, k) to (n, m), an environment move or an
-    arrival in working state k and a service completion that jumps to m, and
-    from a working state the queue steps up and down."""
+    """Whether the joint chain of a model with a working state is irreducible,
+    so that a product form is its only stationary law: xi > 0 (here on the
+    stored weights and one tail period past them) and every representative
+    Qred(n) is one strong component.  Every rate is positive, so an edge
+    k -> m of Qred(n) is a path from (n, k) to (n, m), an environment move or
+    an arrival in working state k and a service completion that jumps to m,
+    and from a working state the queue steps up and down."""
     xi = marginal.xi(np.arange(len(marginal.weights) + marginal.period))
-    return bool(model.env.working_mask().any() and (xi > 0.0).all()
-                and all(_one_component(reduced_generator(model, n)) for n in model.representative_levels()))
+    return bool((xi > 0.0).all() and all(_one_component(reduced_generator(model, n))
+                                         for n in model.representative_levels()))
 
 
 def separability_report(model: JointModel) -> dict:

@@ -17,7 +17,7 @@ from envqueue.bounds import (
 )
 from envqueue.catalog import (base_stock, mm1_plain, onoff_a, onoff_b, perishable_minus, perishable_o,
                               perishable_plus)
-from envqueue.model import EnvironmentSpec, InvalidParam, JointModel, RateFamily, _blocks, _capped_classes
+from envqueue.model import EnvironmentSpec, JointModel, RateFamily, _blocks, _capped_classes
 from envqueue.numerics import (NotErgodic, autonomous_environment, exact_solve, isolated_throughput, metrics,
                                solve_truncated)
 from envqueue.separability import ProductFormResult, product_form
@@ -33,8 +33,14 @@ class TestBuildTriple:
         assert (lo.name, o.name, up.name) == ("perishable_minus", "perishable_o", "perishable_plus")
 
     def test_unstable_rejected(self):
-        with pytest.raises(InvalidParam):
-            build_triple(2, 1, 1, 1, 2)
+        # the triple is built, and the target's verdict refuses it before the companions' product forms
+        for lam in (2.0, 1.0):
+            assert all(model.arrival(0) == lam for model in build_triple(lam, 1, 1, 1, 2))
+            message = f"^queue tail ratio {lam} is not below 1$"
+            with pytest.raises(NotErgodic, match=message):
+                bound_report(lam, 1, 1, 1, 2)
+            with pytest.raises(NotErgodic, match=message):
+                gamma_sweep(lam, 1, 1, 2, [0.5, 1.0])
 
     def test_gamma_zero_collapses_to_base_stock(self):
         lo, o, up = build_triple(1, 2, 1, 0.0, 2)
@@ -86,7 +92,7 @@ class TestB1ClosedForm:
         assert metrics(sol, model).throughput == pytest.approx(th, abs=1e-9)
 
     def test_unstable_rejected(self):
-        with pytest.raises(InvalidParam):
+        with pytest.raises(NotErgodic, match="^queue tail ratio 2.0 is not below 1$"):
             perishable_b1_closed_form(2.0, 1.0, 1.0, 1.0)
 
 

@@ -178,6 +178,12 @@ def split_model(tmp_path):
     return write_model(tmp_path / "split.json", [0, 1], [], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
 
 
+def all_blocked_model(tmp_path):
+    """Two blocked environment states that switch: no state is working, so the queue never moves."""
+    return write_model(tmp_path / "all_blocked.json", [0, 1], [0, 1], [[-1.0, 1.0], [1.0, -1.0]],
+                       [[1.0, 0.0], [0.0, 1.0]], lam=0.5, mu=1.0)
+
+
 # a section, list or `params` of the wrong type; each raised TypeError or AttributeError
 ONE_STATE_ENV = "environment: {labels: [0], V_tail: [[[0.0]]], R_tail: [[[1.0]]]}\n"
 MISTYPED_MODELS = {
@@ -438,6 +444,29 @@ class TestErrorContract:
     @pytest.mark.parametrize("horizon", ["0", "-5"])
     def test_bad_horizon(self, tmp_path, capsys, horizon):
         self.expect_error(capsys, run(tmp_path, "simulate", *BS, "--horizon", horizon), "ValueError")
+
+
+class TestOneVerdict:
+    """Every command reads one ergodicity verdict: a chain with no working state, or whose tail ratio
+    is not below 1, is a valid negative answer (exit 1) that names that one reason."""
+
+    def test_no_working_state(self, tmp_path, capsys):
+        path, why = all_blocked_model(tmp_path), "no environment state is working"
+        assert run(tmp_path, "separability", "--model", path) == EXIT_NEGATIVE
+        assert capsys.readouterr() == ("not separable: NoWorkingState (tail ratio 0.5)\n", "")
+        assert json.loads((tmp_path / "separability.json").read_text())["reason"] == "NoWorkingState"
+        assert run(tmp_path, "certify", "--model", path) == EXIT_NEGATIVE
+        assert capsys.readouterr() == (f"not certified: NecessaryFails {why}\n", "")
+        assert json.loads((tmp_path / "certificate.json").read_text())["detail"] == why
+        assert run(tmp_path, "solve", "--model", path) == EXIT_NEGATIVE
+        assert capsys.readouterr() == (f"not ergodic: {why}\n", "")
+
+    @pytest.mark.parametrize("lam", ["2", "1"])
+    @pytest.mark.parametrize("command, extra", [("bounds", ("--gamma", "1")), ("sweep", ("--gamma-steps", "2"))])
+    def test_bounds_at_lambda_not_below_mu(self, tmp_path, capsys, command, extra, lam):
+        # the target is solved before the companions, whose product forms would not exist
+        assert run(tmp_path, command, "--lambda", lam, "--mu", "1", "--nu", "1", "--b", "2", *extra) == EXIT_NEGATIVE
+        assert capsys.readouterr() == (f"not ergodic: queue tail ratio {float(lam)} is not below 1\n", "")
 
 
 def near_critical(lam):

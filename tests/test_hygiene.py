@@ -1,7 +1,7 @@
 """Source hygiene checks that need no linter: every imported name is used,
 every private top-level name is referenced, every name the benchmark's
-tracer wraps exists, the model's rates are read in one place, one function forks, and
-every dataclass field is read somewhere."""
+tracer wraps exists, the model's rates are read in one place, one function forks,
+ergodicity is decided in one place, and every dataclass field is read somewhere."""
 
 import ast
 import importlib.util
@@ -241,3 +241,56 @@ def test_scan_finds_unread_fields(tmp_path):
     (tmp_path / "b.py").write_text("from a import Config\nc = Config(seed=1)\nc.written = 2\nprint(c.seed)\n")
     paths = [tmp_path / "a.py", tmp_path / "b.py"]
     assert unread_fields(paths[:1], paths) == [("a.py", "Result", "written"), ("a.py", "Result", "unread")]
+
+
+# the ergodicity verdict is decided in one place: elsewhere no code reads `.summable`, asks
+# `working_mask().any()` or compares `lam` with `mu`; every command reads `QueueMarginal.verdict`
+VERDICT_DECIDERS = {"queue_marginal", "QueueMarginal"}
+
+
+def _is_working_any(node) -> bool:
+    """Whether `node` is a call `x.working_mask().any()`."""
+    inner = getattr(node, "func", None)
+    return (isinstance(node, ast.Call) and isinstance(inner, ast.Attribute) and inner.attr == "any"
+            and isinstance(inner.value, ast.Call) and getattr(inner.value.func, "attr", None) == "working_mask")
+
+
+def verdict_decided_outside(path: Path, deciders) -> list:
+    """(line, what) of each read of `x.summable`, each call `x.working_mask().any()` and each comparison
+    of the names `lam` and `mu` in `path` outside the top-level functions and classes named in `deciders`."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if getattr(node, "name", None) in deciders:
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and sub.attr == "summable":
+                found.append((sub.lineno, "summable"))
+            elif _is_working_any(sub):
+                found.append((sub.lineno, "working_mask().any()"))
+            elif isinstance(sub, ast.Compare) and {"lam", "mu"} <= {n.id for n in ast.walk(sub)
+                                                                    if isinstance(n, ast.Name)}:
+                found.append((sub.lineno, "lam vs mu"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_ergodicity_decided_in_one_place(path):
+    assert verdict_decided_outside(path, VERDICT_DECIDERS) == []
+
+
+def test_scan_finds_verdict_decided_elsewhere(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "class QueueMarginal:\n"
+        "    def xi(self, n):\n"
+        "        return self.summable and self.env.working_mask().any()\n"
+        "def queue_marginal(model):\n"
+        "    return model.env.working_mask().any()\n"
+        "def build_triple(lam, mu):\n"
+        "    if not lam < mu or model.working_mask().all():\n"
+        "        raise ValueError(marginal.summable)\n"
+        "def solve(model):\n"
+        "    return model.env.working_mask().any() and 0 <= mu\n"
+    )
+    assert verdict_decided_outside(path, {"QueueMarginal", "queue_marginal"}) == [
+        (7, "lam vs mu"), (8, "summable"), (10, "working_mask().any()")]

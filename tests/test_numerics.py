@@ -270,18 +270,34 @@ class TestAutoTruncate:
         assert check_cut_structure(exact, model).passed
 
 
-@pytest.mark.parametrize("blocked, V, error", [
-    ((0, 1), [[-1.0, 1.0], [1.0, -1.0]], NotErgodic),  # no state is working: every level is closed
-    ((), [[0.0, 0.0], [0.0, 0.0]], SingularSolve),  # two working states that never switch
+@pytest.mark.parametrize("blocked, V, reason, error", [
+    # no state is working: every level is closed, and the verdict refuses the model before its product form
+    ((0, 1), [[-1.0, 1.0], [1.0, -1.0]], "NoWorkingState", NotErgodic),
+    ((), [[0.0, 0.0], [0.0, 0.0]], None, SingularSolve),  # two working states that never switch
 ], ids=["all_blocked", "split"])
-def test_reducible_separable_model_takes_the_exact_path(blocked, V, error):
+def test_reducible_separable_model_takes_the_exact_path(blocked, V, reason, error):
     # xi theta is stationary, but it is not the only stationary law, so it does not answer the model
     env = EnvironmentSpec.constant(labels=(0, 1), blocked=blocked, V=np.array(V), R=np.eye(2))
     model = JointModel(rates=RateFamily.constant(1.0, 2.0), env=env)
     pf = product_form(model)
-    assert pf.separable and not irreducible(model, pf.marginal)
+    if reason is None:
+        assert pf.separable and not irreducible(model, pf.marginal)
+    else:
+        assert (pf.reason, pf.detail) == (reason, "no environment state is working")
     with pytest.raises(error):
         auto_truncate(model)
+
+
+def test_one_marginal_per_exact_solve(monkeypatch):
+    # product_form reads the isolated queue's marginal, and so does the exact solve, whose tail carries it to
+    # the listing's bound
+    calls, marginal = [], separability.queue_marginal
+    for module in (separability, numerics):
+        monkeypatch.setattr(module, "queue_marginal", lambda model: calls.append(model) or marginal(model))
+    model = perishable_o(lam=1.0, mu=2.0, nu=10.0, gamma=2.0, b=20)
+    sol = auto_truncate(model)
+    assert type(sol.tail) is numerics.GeometricTail and sol.tail.marginal.verdict is None
+    assert calls == [model, model]
 
 
 @pytest.mark.parametrize("model, path", [

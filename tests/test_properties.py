@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from envqueue.ergodicity import SingularSystem, _drift, c_hat, solve_tau
-from envqueue.model import (EnvironmentSpec, JointModel, RateFamily, _blocks, _level_moves, _representatives,
-                            generator_row, validate_model)
+from envqueue.model import (EnvironmentSpec, EnvqueueError, JointModel, RateFamily, _blocks, _level_moves,
+                            _representatives, generator_row, validate_model)
 from envqueue.numerics import (GeometricTail, NotErgodic, _blocked_excess, _list_levels, _tail_qbd, auto_truncate,
                                autonomous_environment, exact_solve, isolated_throughput, metrics)
 from envqueue.separability import (SingularSolve, gth_stationary, irreducible, product_form, queue_marginal,
@@ -382,6 +382,31 @@ def test_all_blocked_closed_tail_class_refused():
         exact_solve(model)
 
 
+@given(joint_models(max_env=4, max_prefix=3, max_period=3, split=True, sparse=True))
+@settings(max_examples=300, deadline=None)
+def test_one_ergodicity_verdict(model):
+    # product_form, certify and exact_solve read one verdict: they refuse the same models, with the same text
+    from envqueue.ergodicity import certify
+
+    pf = product_form(model)
+    refusals = [pf.detail if getattr(pf, "reason", None) in ("NoWorkingState", "NotSummable") else None]
+    try:
+        cert = certify(model)
+        refusals.append(cert.detail if getattr(cert, "reason", None) == "NecessaryFails" else None)
+    except EnvqueueError:  # no certificate, and no verdict either
+        refusals.append(None)
+    try:
+        exact_solve(model)
+        refusals.append(None)
+    except NotErgodic as exc:
+        refusals.append(str(exc))
+    except EnvqueueError:  # a singular or non-convergent solve of a model that may be ergodic
+        refusals.append(None)
+    assert refusals[0] == refusals[1] == refusals[2]
+    # a missing working state is the first reason
+    assert (getattr(pf, "reason", None) == "NoWorkingState") == (not model.env.working_mask().any())
+
+
 def too_heavy(exc, model) -> bool:
     """Whether a listing refused an ergodic tail too heavy to list: it is too long to allocate.
     Only a product-form listing may also find no level below tol, where round-off hides xi's
@@ -405,10 +430,7 @@ def test_exact_solve_against_truncation_and_certificates(model):
         exact = auto_truncate(model)
     except NotErgodic:
         for kind in ("linear_drift", "hitting_time"):
-            try:
-                assert not isinstance(certify(model, kind=kind), LyapunovCertificate)
-            except SingularSystem:
-                pass  # no certificate either
+            assert not isinstance(certify(model, kind=kind), LyapunovCertificate)
         return
     except ValueError as exc:
         assert too_heavy(exc, model), exc
