@@ -1,15 +1,26 @@
-"""Fork-join over contiguous blocks of work, one block per CPU.
+"""Fork-join over contiguous blocks of work, one block per CPU, on a pool of
+forked workers that lives as long as the process.
 
 `run_blocks(work, blocks)` returns `[work(block) for block in blocks]`: the
-first block runs in this process, each other one in a forked child that
-pickles back through a pipe (True, its result) or (False, the exception it
-raised).  A child leaves through `os._exit`, so it never returns into the
-caller's stack and flushes none of the files the caller has open.  The work
-of a child must start no BLAS call: numpy's BLAS threads do not survive a fork.
+first block runs in this process, each other one in a worker.  A worker is
+forked on first use and serves every later call: it reads `(work, block)`
+pickled from one pipe and pickles back through another (True, its result) or
+(False, the exception it raised).  So `work` must pickle: a module-level
+function, or a `functools.partial` of one, which the worker finds by name in
+its copy of the modules as they were when it was forked.  A worker leaves only
+through `os._exit`, so it never returns into the caller's stack and flushes
+none of the files the caller has open.  It leaves on end of file, when its
+owner closes the pipe (`shutdown`, which runs at exit and waits for every
+worker), and on SIGINT, quietly.  A worker belongs to the process that forked
+it: a process forked from the owner, a worker included, closes the pipes it
+inherits.  The work of a worker must start no BLAS call: numpy's BLAS threads
+do not survive a fork.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import gc
 import os
 import pickle
@@ -33,53 +44,123 @@ def split(n: int, parts: int) -> list:
     return [range(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
 
 
-def _fork(work, block):
-    """Start a child that pickles `work(block)` back through a pipe; returns the
-    child's pid and the pipe's read end."""
-    read_fd, write_fd = os.pipe()
+class _Worker:
+    """The owner's end of a worker: its pid and the two pipes."""
+
+    def __init__(self, pid: int, requests, replies):
+        self.pid, self.requests, self.replies = pid, requests, replies
+
+    def send(self, request: bytes):
+        try:
+            self.requests.write(request)
+            self.requests.flush()
+        except BrokenPipeError:
+            raise WorkerLost(f"worker {self.pid} exited before its request") from None
+
+    def receive(self) -> tuple:
+        try:
+            return pickle.load(self.replies)
+        except (EOFError, pickle.UnpicklingError):
+            raise WorkerLost(f"worker {self.pid} exited without a result") from None
+
+    def close(self):
+        """Close the pipes, so that the worker leaves, and wait for it."""
+        with contextlib.suppress(BrokenPipeError):  # a request left unsent by a lost worker
+            self.requests.close()
+        self.replies.close()
+        with contextlib.suppress(ChildProcessError):  # reaped elsewhere
+            os.waitpid(self.pid, 0)
+
+
+_pool: list = []  # this process's workers, in the order of the blocks they take
+
+
+def _serve(fds: tuple):
+    """A worker's loop over the pipes `_fork` made: `work(block)` for each
+    request, until end of file.  A request it cannot unpickle, such as one
+    naming a function defined after the fork, ends it too."""
+    try:
+        # a collection could run finalizers of the parent's garbage, such as a temporary directory's
+        gc.disable()
+        os.close(fds[1])  # the owner's ends
+        os.close(fds[2])
+        with os.fdopen(fds[0], "rb") as inbox, os.fdopen(fds[3], "wb") as outbox:
+            while True:
+                try:
+                    work, block = pickle.load(inbox)
+                except EOFError:
+                    break
+                try:
+                    result = (True, work(block))
+                except Exception as exc:
+                    result = (False, exc.with_traceback(None))
+                outbox.write(pickle.dumps(result))
+                outbox.flush()
+    finally:  # also on KeyboardInterrupt, which prints nothing here
+        os._exit(0)
+
+
+def _fork() -> _Worker:
+    """Fork a worker; it never returns into the caller's stack."""
+    fds = (*os.pipe(), *os.pipe())  # requests (read, write), replies (read, write)
     try:
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
+        for fd in fds:
+            os.close(fd)
         raise
-    if pid:
-        os.close(write_fd)
-        return pid, os.fdopen(read_fd, "rb")
-    try:  # the child: it never returns into the caller's stack
-        # a collection could run finalizers of the parent's garbage, such as a temporary directory's
-        gc.disable()
-        os.close(read_fd)
-        try:
-            result = (True, work(block))
-        except BaseException as exc:
-            result = (False, exc)
-        with os.fdopen(write_fd, "wb") as fh:
-            fh.write(pickle.dumps(result))
-    finally:
-        os._exit(0)
+    if not pid:
+        _serve(fds)
+    os.close(fds[0])
+    os.close(fds[3])
+    return _Worker(pid, os.fdopen(fds[1], "wb"), os.fdopen(fds[2], "rb"))
+
+
+def _disown():
+    """In a process forked from the owner: close the inherited pipes, which
+    would keep the owner's workers from seeing end of file."""
+    for worker in _pool:
+        worker.requests.close()
+        worker.replies.close()
+    _pool.clear()
+
+
+def shutdown():
+    """Close every worker and wait for it; the next `run_blocks` forks afresh."""
+    while _pool:
+        _pool.pop().close()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_disown)
+atexit.register(shutdown)
 
 
 def run_blocks(work, blocks: list) -> list:
     """`work(block)` of each block, in order: the first block in this process,
-    each other one in a forked child.  A child's exception is raised here with
-    its type; a child that exits without a result raises `WorkerLost`.  Every
-    child is waited for before this returns or raises."""
-    children = []
+    each other one in a worker, forked here if the pool has too few.  A
+    worker's exception is raised here with its type; a worker that exits
+    without a result raises `WorkerLost`.  A worker whose reply this call did
+    not read, because of an exception, is closed and waited for before this
+    raises, so the next call forks a fresh one.  The pool serves one call at a
+    time: a caller with threads must not call this from two at once."""
+    while len(_pool) < len(blocks) - 1:
+        _pool.append(_fork())
+    requests = [pickle.dumps((work, block)) for block in blocks[1:]]
+    unread = []  # workers given a block whose reply is not read
     try:
-        for block in blocks[1:]:
-            children.append(_fork(work, block))
+        for worker, request in zip(_pool, requests):
+            unread.append(worker)
+            worker.send(request)
         results = [work(blocks[0])]
-        for pid, fh in children:
-            try:
-                ok, value = pickle.loads(fh.read())
-            except (EOFError, pickle.UnpicklingError):
-                raise WorkerLost(f"worker {pid} exited without a result") from None
+        while unread:
+            ok, value = unread[0].receive()
+            unread.pop(0)
             if not ok:
                 raise value
             results.append(value)
         return results
     finally:
-        for pid, fh in children:
-            fh.close()
-            os.waitpid(pid, 0)
+        for worker in unread:
+            _pool.remove(worker)
+            worker.close()

@@ -319,12 +319,31 @@ def _capped_classes(model: JointModel, N: int) -> np.ndarray:
     return cls
 
 
+def _evenly_spaced(idx: np.ndarray):
+    """Ascending indices `idx`, at least one, as a range where they are evenly
+    spaced, as the levels of one class are: one level below T0, every p-th
+    level from T0 on."""
+    step = int(idx[1] - idx[0]) if idx.size > 1 else 1
+    if (np.diff(idx) != step).any():
+        return idx
+    return range(int(idx[0]), int(idx[-1]) + 1, step)
+
+
+def _shifted(rows, shift: int):
+    """The index `rows` + `shift`: a slice, which reads a view, for a range."""
+    if isinstance(rows, range):
+        return slice(rows.start + shift, rows.stop + shift, rows.step)
+    return rows + shift
+
+
 def _balance_residual(pi, B, U, D, cls, rows: int) -> tuple[float, int]:
     """max |pi_{n-1} U_{n-1} + pi_n B_n + pi_{n+1} D_{n+1}| over levels n < rows,
     and the first level where it is reached; level n has blocks B[cls[n]],
     U[cls[n]], D[cls[n]].  pi (and cls) may hold one level more than `rows`,
     which feeds the last row's down flow.  Levels are checked LEVEL_WINDOW at a
-    time, so the temporaries stay small however many levels there are."""
+    time, so the temporaries stay small however many levels there are; a
+    class's levels in a window are reached by a slice where they are evenly
+    spaced."""
     worst = []  # per window: the largest defect and its first level
     for start in range(0, rows, LEVEL_WINDOW):
         stop = min(start + LEVEL_WINDOW, rows)
@@ -334,11 +353,15 @@ def _balance_residual(pi, B, U, D, cls, rows: int) -> tuple[float, int]:
         flow = np.zeros_like(window)
         for c in range(len(B)):
             idx = np.flatnonzero(window_cls == c)
-            flow[idx] += window[idx] @ B[c]
-            up = idx[idx + 1 < hi - lo]
-            flow[up + 1] += window[up] @ U[c]
-            down = idx[idx > 0]
-            flow[down - 1] += window[down] @ D[c]
+            if not idx.size:
+                continue
+            idx = _evenly_spaced(idx)
+            up = idx[: len(idx) - int(idx[-1] == hi - lo - 1)]  # levels whose next is in the window
+            down = idx[int(idx[0] == 0) :]  # levels whose previous is in the window
+            here = _shifted(idx, 0)
+            flow[here] += window[here] @ B[c]
+            flow[_shifted(up, 1)] += window[_shifted(up, 0)] @ U[c]
+            flow[_shifted(down, -1)] += window[_shifted(down, 0)] @ D[c]
         defect = np.abs(flow[start - lo : stop - lo]).max(axis=1)
         at = int(np.argmax(defect))
         worst.append((float(defect[at]), start + at))
@@ -360,38 +383,43 @@ class LevelMoves:
     rate: np.ndarray
 
 
-def _level_moves(model: JointModel, levels, cap: int | None = None) -> LevelMoves:
+def _level_moves(model: JointModel, levels, cap: int | None = None, env=None) -> LevelMoves:
     """The `LevelMoves` of each level in `levels`, then of level `cap` without
-    its arrivals if one is given.  The one reader of the model's rates: the
+    its arrivals if one is given; with `env`, a list of environment states,
+    only their rows, in that order.  The one reader of the model's rates: the
     dense blocks of `_blocks` are placed from these rows."""
     ns = [*levels, *([] if cap is None else [cap])]
     m = model.n_env
-    w = model.working_indices()
+    states = np.arange(m) if env is None else np.asarray(env)
+    rows = slice(None) if env is None else states  # a slice reads the model's matrices without a copy
+    s = states.size
+    at = np.flatnonzero(model.env.working_mask()[rows])  # rows of the working states
+    w = states[at]
     parts = []  # (row, shift, rate) per level: arrivals, service completions, environment moves
     for i, n in enumerate(ns):
         if i < len(levels):
-            parts.append((i * m + w, m + w, np.full(w.size, model.arrival(n))))
+            parts.append((i * s + at, m + w, np.full(w.size, model.arrival(n))))
         if n > 0:
             D = model.service(n) * model.R(n)[w]  # the working rows; a product may underflow to zero
             k, j = np.divmod(np.flatnonzero(D), m)
-            parts.append((i * m + w[k], j - m, D[k, j]))
-        V = model.V(n)
+            parts.append((i * s + at[k], j - m, D[k, j]))
+        V = model.V(n)[rows]
         k, j = np.divmod(np.flatnonzero(V), m)
-        off = k != j
-        parts.append((i * m + k[off], j[off], V[k[off], j[off]]))
+        off = states[k] != j
+        parts.append((i * s + k[off], j[off], V[k[off], j[off]]))
     row, shift, rate = map(np.concatenate, zip(*parts))
     # np.flatnonzero lists each part row-major, so a stable sort by row puts each
     # row's moves in `generator_row` order
     order = np.argsort(row, kind="stable")
     row = row[order]
-    size = len(ns) * m
+    size = len(ns) * s
     counts = np.bincount(row, minlength=size)
     width = max(int(counts.max()), 1)
     rank = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    out = (np.repeat(np.arange(size)[:, None] % m, width, axis=1), np.zeros((size, width)))
+    out = (np.repeat(np.tile(states, len(ns))[:, None], width, axis=1), np.zeros((size, width)))
     for padded, values in zip(out, (shift, rate)):
         padded[row, rank] = values[order]
-    return LevelMoves(*(a.reshape(len(ns), m, width) for a in out))
+    return LevelMoves(*(a.reshape(len(ns), s, width) for a in out))
 
 
 def _blocks(model: JointModel, cap: int | None = None):
@@ -426,16 +454,16 @@ class GeneratorRow:
 
 
 def generator_row(model: JointModel, state) -> GeneratorRow:
-    """Generator row at state (n, k), read from the level's `LevelMoves`:
-    arrival, then service completions and environment moves by ascending
-    target; k is a label index."""
+    """Generator row at state (n, k), read from the `LevelMoves` of row k of
+    level n alone: arrival, then service completions and environment moves by
+    ascending target; k is a label index."""
     n, k = state
     m = model.n_env
     if n < 0 or not (0 <= k < m):
         raise IndexError(f"state {state} outside the state space")
-    moves = _level_moves(model, [n])
-    count = np.count_nonzero(moves.rate[0, k])
-    shift, rate = (a[0, k, :count].tolist() for a in (moves.shift, moves.rate))
+    moves = _level_moves(model, [n], env=[k])
+    count = np.count_nonzero(moves.rate[0, 0])
+    shift, rate = (a[0, 0, :count].tolist() for a in (moves.shift, moves.rate))
     out = tuple(((n + s // m, s % m), r) for s, r in zip(shift, rate))
     return GeneratorRow(state=(n, k), transitions=out, diagonal=-sum(r for _, r in out))
 

@@ -8,8 +8,9 @@ standard exponentials (holding times at unit rate) followed by 512 uniforms
 (move picks).  Identical configurations reproduce bit-identical trajectories
 with a given numpy version: numpy does not freeze `Generator` methods across
 releases.  A long run splits its replications into contiguous blocks, one per
-CPU, and runs every block but the first in a forked child
-(`forkjoin.run_blocks`).  A block reuses one generator, setting each
+CPU, and runs every block but the first in a forked worker
+(`forkjoin.run_blocks`), which the process keeps for its later runs and reaps
+at exit.  A block reuses one generator, setting each
 replication's key into its state (`_streams`); as each replication has its own
 stream, the results are those of a sequential run.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from operator import length_hint
 
@@ -207,16 +209,20 @@ def _t_quantile(df: int, p: float) -> float:
     raise ArithmeticError(f"t quantile at df = {df}, p = {p} did not converge")
 
 
-# ~13 ms of jump kernel at ~3.9 jumps/us, ~4x the ~3 ms of a fork, exit and
-# wait; the parent's first write to each page after a fork also faults, ~1 us a page
-_FORK_MIN_JUMPS = 5e4
+# a run bounded at 2e4 jumps makes ~1e4 (base stock b = 2) to ~3e3 (b = 100), ~2.6
+# to ~0.8 ms of kernel at ~3.9 jumps/us, and a second CPU saves half of that: 3 to
+# 14x the round trip of a block sent to a live worker, 0.09 ms with b = 2's table
+# and 0.25 ms with b = 100's (pickling the table, the pipe, waking the worker, the
+# reply).  On two CPUs, two broke even with one from 1e4 to 2e4 and won from 5e4.
+# A process's first such run also forks the worker, ~3 ms once.
+_FORK_MIN_JUMPS = 2e4
 
 
 def _workers(table: _TransitionTable, config: SimConfig) -> int:
     """Processes to run the replications in: one per CPU (`forkjoin.cpus`), at
     most one per replication.  One where the run is too short to pay for a
-    fork: fewer jumps than `_FORK_MIN_JUMPS` even if every replication stayed
-    in the state with the largest exit rate."""
+    worker's round trip: fewer jumps than `_FORK_MIN_JUMPS` even if every
+    replication stayed in the state with the largest exit rate."""
     if config.horizon * config.replications * table.max_rate < _FORK_MIN_JUMPS:
         return 1
     return min(cpus(), config.replications)
@@ -225,11 +231,11 @@ def _workers(table: _TransitionTable, config: SimConfig) -> int:
 def simulate(model: JointModel, config: SimConfig) -> SimulationResult:
     """Monte Carlo throughput estimate with a 95% t-interval over
     independent replications.  The replications run in contiguous blocks,
-    one per worker (`_workers`), through `forkjoin.run_blocks`; a child runs
+    one per worker (`_workers`), through `forkjoin.run_blocks`; a worker runs
     one Philox generator and the jump kernel in pure Python, and no BLAS."""
     table = _TransitionTable(model)
     blocks = split(config.replications, _workers(table, config))
-    runs = list(chain.from_iterable(run_blocks(lambda reps: _run_block(table, config, reps), blocks)))
+    runs = list(chain.from_iterable(run_blocks(partial(_run_block, table, config), blocks)))
     rates = tuple(rate for rate, _, _ in runs)
     mean = float(np.mean(rates))
     if config.replications > 1:

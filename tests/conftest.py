@@ -1,5 +1,6 @@
 """Shared fixtures and model builders for the test suite."""
 
+import contextlib
 import math
 import os
 import tracemalloc
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox, SeedSequence
 
-from envqueue import ergodicity
+from envqueue import ergodicity, forkjoin
 from envqueue.bounds import departure_values
 from envqueue.catalog import base_stock, catalog, mm1_plain, perishable_o
 from envqueue.model import EnvironmentSpec, JointModel, RateFamily, _capped_classes, _level_classes
@@ -230,9 +231,25 @@ def count_forks(monkeypatch):
     return forks
 
 
+@pytest.fixture
+def fresh_pool():
+    """No worker before and after the test: its workers are forked under its own
+    patches, which a worker forked earlier would not see."""
+    forkjoin.shutdown()
+    yield
+    forkjoin.shutdown()
+
+
 def assert_no_children():
+    """This process has no child, running or exited and not waited for."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def assert_no_zombies():
+    """No child of this process has exited without being waited for."""
+    with contextlib.suppress(ChildProcessError):  # no child at all
+        assert os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
 
 
 def stream_key(seed, rep):

@@ -98,18 +98,25 @@ class TestSolveTruncated:
         blockwise, _ = _balance_residual(pi, *reference_blocks(per_o_b2, N), _capped_classes(per_o_b2, N), N + 1)
         assert blockwise == pytest.approx(dense, rel=1e-12)
 
-    def test_residual_windows_do_not_change_it(self, per_o_b2, monkeypatch):
+    @pytest.mark.parametrize("make_model", [lambda: perishable_o(lam=1.0, mu=2.0, nu=1.0, gamma=1.0, b=2),
+                                            period_two_model], ids=["perishable_o", "period_two"])
+    def test_residual_windows_do_not_change_it(self, make_model, monkeypatch):
         from envqueue import model
         from envqueue.numerics import _balance_residual, _capped_classes
 
         N = 40
-        pi = np.random.default_rng(2).uniform(size=(N + 1, per_o_b2.n_env))
-        blocks = (*reference_blocks(per_o_b2, N), _capped_classes(per_o_b2, N))
+        jm = make_model()
+        pi = np.random.default_rng(2).uniform(size=(N + 1, jm.n_env))
+        blocks = (*reference_blocks(jm, N), _capped_classes(jm, N))
         # rows = N: pi holds one level more, which feeds the last row
         whole = [_balance_residual(pi, *blocks, rows) for rows in (N + 1, N)]
         for window in (1, 2, 7):
             monkeypatch.setattr(model, "LEVEL_WINDOW", window)
             assert [_balance_residual(pi, *blocks, rows) for rows in (N + 1, N)] == whole
+            # a class's levels gathered by index, not reached by slice
+            with monkeypatch.context() as patch:
+                patch.setattr(model, "_evenly_spaced", lambda idx: idx)
+                assert [_balance_residual(pi, *blocks, rows) for rows in (N + 1, N)] == whole
 
     def test_normalized_nonnegative(self, per_o_b2):
         sol = solve_truncated(per_o_b2, 80)

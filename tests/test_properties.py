@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from envqueue.ergodicity import SingularSystem, _drift, c_hat, solve_tau
-from envqueue.model import (EnvironmentSpec, EnvqueueError, JointModel, RateFamily, _blocks, _level_moves,
-                            _representatives, generator_row, validate_model)
+from envqueue.model import (EnvironmentSpec, EnvqueueError, GeneratorRow, JointModel, RateFamily, _blocks,
+                            _level_moves, _representatives, generator_row, validate_model)
 from envqueue.numerics import (GeometricTail, NotErgodic, _blocked_excess, _list_levels, _tail_qbd, auto_truncate,
                                autonomous_environment, exact_solve, isolated_throughput, metrics)
 from envqueue.separability import (SingularSolve, gth_stationary, irreducible, product_form, queue_marginal,
@@ -113,6 +113,20 @@ def test_generator_rows_conservative(model, n):
             if n > 0:
                 expect += model.service(n)
         assert row.total_rate() == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+@given(joint_models(split=True), st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_generator_row_reads_the_level_moves_row(model, n):
+    # `generator_row` reads row k alone; the row of the whole level's moves is the reference
+    moves = _level_moves(model, [n])
+    m = model.n_env
+    for k in range(m):
+        count = np.count_nonzero(moves.rate[0, k])
+        shift, rate = (a[0, k, :count].tolist() for a in (moves.shift, moves.rate))
+        out = tuple(((n + s // m, s % m), r) for s, r in zip(shift, rate))
+        assert generator_row(model, (n, k)) == GeneratorRow(state=(n, k), transitions=out,
+                                                            diagonal=-sum(r for _, r in out))
 
 
 @given(joint_models(), st.integers(0, 12))

@@ -2,23 +2,29 @@
 
 import math
 import os
+import signal
+import subprocess
+import sys
+from functools import partial
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+from envqueue import forkjoin
 from envqueue import simulate as simulate_module
 from envqueue.bounds import departure_values
 from envqueue.catalog import base_stock, mm1_plain, perishable_o
-from envqueue.cli import EXIT_ERROR, main
+from envqueue.cli import EXIT_ERROR, EXIT_OK, main
 from envqueue.ergodicity import certify
-from envqueue.forkjoin import WorkerLost
+from envqueue.forkjoin import WorkerLost, run_blocks, split
 from envqueue.model import validate_model
 from envqueue.simulate import WARMUP, SimConfig, ZeroExitRate, _streams, _t_quantile, _TransitionTable, simulate
 
-from conftest import (assert_no_children, count_forks, period_two_model, reference_replication, reference_simulate,
-                      stream_key, traced_peak)
+from conftest import (assert_no_children, assert_no_zombies, count_forks, period_two_model, reference_replication,
+                      reference_simulate, stream_key, traced_peak)
 
 
 # seeds of one, two, three, five and ten 32-bit words
@@ -270,6 +276,52 @@ PARALLEL_MODELS = {
 }
 
 
+def listed(reps, fail=-1, leave=-1):
+    """`list(reps)`, as the work of `run_blocks`: raises in the block holding replication `fail`
+    and leaves the process in the one holding `leave`.  A module-level function pickles, as the
+    work sent to a worker must; a local function does not."""
+    if leave in reps:
+        os._exit(0)
+    if fail in reps:
+        raise ZeroExitRate(f"replication {fail}")
+    return list(reps)
+
+
+def pool_size(block):
+    return len(forkjoin._pool)
+
+
+BS_ARGS = ["--catalog", "base_stock", "--lambda", "1", "--mu", "2", "--nu", "1", "--b", "2"]
+
+# a CLI run that forks one worker, then prints the worker's pid; with "sigint", it interrupts the
+# idle worker and prints the worker's exit code
+POOL_PROBE = """
+import contextlib, io, os, signal, sys
+from envqueue import forkjoin, simulate
+from envqueue.cli import main
+os.sched_getaffinity = lambda pid: {0, 1}
+simulate._FORK_MIN_JUMPS = 0
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["simulate", *sys.argv[3:], "--horizon", "100", "--replications", "4", "--out", sys.argv[1]])
+(worker,) = forkjoin._pool
+print(worker.pid, flush=True)
+if sys.argv[2] == "sigint":
+    os.kill(worker.pid, signal.SIGINT)
+    print(os.waitstatus_to_exitcode(os.waitpid(worker.pid, 0)[1]))
+sys.exit(code)
+"""
+
+
+def run_pool_probe(tmp_path, mode):
+    """(stdout lines, stderr) of `POOL_PROBE` in a fresh interpreter, which must exit 0 within a minute."""
+    path = os.pathsep.join([str(Path(forkjoin.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", POOL_PROBE, str(tmp_path), mode, *BS_ARGS], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split(), proc.stderr
+
+
+@pytest.mark.usefixtures("fresh_pool")
 class TestParallelReplications:
     @pytest.mark.parametrize("name", PARALLEL_MODELS)
     @pytest.mark.parametrize("replications, horizon", [
@@ -288,63 +340,79 @@ class TestParallelReplications:
         for cpus in (2, 3):
             set_cpus(monkeypatch, cpus, min_jumps=0)
             assert simulate(model, config) == sequential, cpus
+            # the pool grows to the largest number of workers a call has needed
             assert len(forks) == min(cpus, replications) - 1
-            forks.clear()
+        forkjoin.shutdown()
         assert_no_children()
 
-    @pytest.mark.parametrize("failing_rep", [0, 150, 199], ids=["parent", "second_worker", "last_worker"])
-    def test_worker_exception_is_raised_with_its_type(self, bs_model, failing_rep, monkeypatch):
-        run = simulate_module._run_block
-
-        def failing(table, config, reps):
-            if failing_rep in reps:
-                raise ZeroExitRate(f"replication {failing_rep}")
-            return run(table, config, reps)
-
-        monkeypatch.setattr(simulate_module, "_run_block", failing)
-        set_cpus(monkeypatch, 3, min_jumps=0)
-        with pytest.raises(ZeroExitRate, match=f"replication {failing_rep}$"):
-            simulate(bs_model, SimConfig(horizon=10.0, replications=200))
-        assert_no_children()
-
-    def test_worker_without_a_result_exits_2(self, monkeypatch, tmp_path, capsys):
-        run = simulate_module._run_block
-
-        def dying(table, config, reps):
-            if 3 in reps:
-                os._exit(0)
-            return run(table, config, reps)
-
-        monkeypatch.setattr(simulate_module, "_run_block", dying)
-        set_cpus(monkeypatch, 2)
-        with pytest.raises(WorkerLost, match="without a result"):
-            simulate(base_stock(lam=1, mu=2, nu=1, b=2), SimConfig(horizon=5000.0, replications=4))
-        assert_no_children()
-        argv = ["simulate", "--catalog", "base_stock", "--lambda", "1", "--mu", "2", "--nu", "1", "--b", "2",
-                "--horizon", "5000", "--replications", "4", "--out", str(tmp_path)]
-        assert main(argv) == EXIT_ERROR
-        assert capsys.readouterr().err.startswith("error: WorkerLost: ")
-        assert_no_children()
-
-    @pytest.mark.parametrize("horizon, replications", [(10.0, 2), (200.0, 3), (1000.0, 4), (3000.0, 4)])
-    def test_short_runs_stay_in_process(self, bs_model, horizon, replications, monkeypatch):
-        # the largest exit rate of base stock b = 2 is 4: fewer than 5e4 jumps even at that rate
-        forks = count_forks(monkeypatch)
-        set_cpus(monkeypatch, 2)
-        simulate(bs_model, SimConfig(horizon=horizon, replications=replications))
-        assert not forks
-
-    def test_one_worker_per_cpu(self, bs_model, monkeypatch):
+    def test_consecutive_calls_reuse_the_workers(self, bs_model, monkeypatch):
         forks = count_forks(monkeypatch)
         config = SimConfig(seed=3, horizon=5000.0, replications=4)
         set_cpus(monkeypatch, 1)
         sequential = simulate(bs_model, config)
         assert not forks
-        for cpus, expected in ((2, 1), (4, 3), (64, 3)):
+        for cpus, expected in ((2, 1), (2, 1), (4, 3), (4, 3), (64, 3), (2, 3)):
             set_cpus(monkeypatch, cpus)
             assert simulate(bs_model, config) == sequential
             assert len(forks) == expected, cpus
-            forks.clear()
+        assert_no_zombies()
+
+    @pytest.mark.parametrize("failing_rep, refork", [(0, 2), (100, 1), (199, 0)],
+                             ids=["parent", "first_worker", "last_worker"])
+    def test_exception_is_raised_with_its_type(self, failing_rep, refork, monkeypatch):
+        blocks = split(200, 3)
+        assert run_blocks(listed, blocks) == [list(block) for block in blocks]
+        forks = count_forks(monkeypatch)
+        with pytest.raises(ZeroExitRate, match=f"replication {failing_rep}$"):
+            run_blocks(partial(listed, fail=failing_rep), blocks)
+        assert_no_zombies()
+        # the workers whose replies were left unread are closed, and forked afresh
+        assert run_blocks(listed, blocks) == [list(block) for block in blocks]
+        assert len(forks) == refork
+
+    def test_lost_worker_raises_and_is_replaced(self, monkeypatch):
+        blocks = split(4, 2)
+        with pytest.raises(WorkerLost, match="without a result"):
+            run_blocks(partial(listed, leave=3), blocks)
+        assert_no_zombies()
+        assert not forkjoin._pool
+        assert run_blocks(listed, blocks) == [[0, 1], [2, 3]]
+
+    def test_killed_worker_exits_2_and_the_next_call_succeeds(self, monkeypatch, tmp_path, capsys):
+        set_cpus(monkeypatch, 2, min_jumps=0)
+        argv = ["simulate", *BS_ARGS, "--horizon", "100", "--replications", "4"]
+        assert main([*argv, "--out", str(tmp_path / "first")]) == EXIT_OK
+        (worker,) = forkjoin._pool
+        os.kill(worker.pid, signal.SIGKILL)
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "lost")]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: WorkerLost: ")
+        assert_no_zombies()
+        assert main([*argv, "--out", str(tmp_path / "again")]) == EXIT_OK
+        assert (tmp_path / "again" / "simulation.json").read_bytes() == (tmp_path / "first" / "simulation.json").read_bytes()
+
+    def test_workers_do_not_inherit_the_pool(self):
+        # a forked process closes the pipes of the workers forked before it
+        assert run_blocks(pool_size, split(3, 3)) == [2, 0, 0]
+
+    def test_cli_process_reaps_its_worker_at_exit(self, tmp_path):
+        (pid,), stderr = run_pool_probe(tmp_path, "exit")
+        assert stderr == ""
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid), 0)
+
+    def test_interrupted_idle_worker_prints_nothing(self, tmp_path):
+        (pid, code), stderr = run_pool_probe(tmp_path, "sigint")
+        assert (code, stderr) == ("0", "")
+
+    @pytest.mark.parametrize("horizon, replications, forked", [(10.0, 2, 0), (200.0, 3, 0), (1000.0, 4, 0),
+                                                                (1249.0, 4, 0), (1250.0, 4, 1)])
+    def test_short_runs_stay_in_process(self, bs_model, horizon, replications, forked, monkeypatch):
+        # the largest exit rate of base stock b = 2 is 4: a run forks from 2e4 jumps at that rate on
+        forks = count_forks(monkeypatch)
+        set_cpus(monkeypatch, 2)
+        simulate(bs_model, SimConfig(horizon=horizon, replications=replications))
+        assert len(forks) == forked
 
     @pytest.mark.parametrize("replications", [1, 7, 200])
     @pytest.mark.parametrize("cpus", [1, 3])
