@@ -11,7 +11,8 @@ its copy of the modules as they were when it was forked.  A worker leaves only
 through `os._exit`, so it never returns into the caller's stack and flushes
 none of the files the caller has open.  It leaves on end of file, when its
 owner closes the pipe (`shutdown`, which runs at exit and waits for every
-worker), and on SIGINT, quietly.  A worker belongs to the process that forked
+worker), and on SIGINT, quietly; the next call forks a fresh one in place of
+a worker that left while idle.  A worker belongs to the process that forked
 it: a process forked from the owner, a worker included, closes the pipes it
 inherits.  The work of a worker must start no BLAS call: numpy's BLAS threads
 do not survive a fork.
@@ -50,12 +51,14 @@ class _Worker:
     def __init__(self, pid: int, requests, replies):
         self.pid, self.requests, self.replies = pid, requests, replies
 
-    def send(self, request: bytes):
+    def send(self, request: bytes) -> bool:
+        """Write the request; False if the worker has exited, so that it never took it."""
         try:
             self.requests.write(request)
             self.requests.flush()
         except BrokenPipeError:
-            raise WorkerLost(f"worker {self.pid} exited before its request") from None
+            return False
+        return True
 
     def receive(self) -> tuple:
         try:
@@ -140,18 +143,25 @@ def run_blocks(work, blocks: list) -> list:
     """`work(block)` of each block, in order: the first block in this process,
     each other one in a worker, forked here if the pool has too few.  A
     worker's exception is raised here with its type; a worker that exits
-    without a result raises `WorkerLost`.  A worker whose reply this call did
-    not read, because of an exception, is closed and waited for before this
-    raises, so the next call forks a fresh one.  The pool serves one call at a
+    after it took its block raises `WorkerLost`, and one that exited while
+    idle is replaced by a fresh fork, once.  A worker whose reply this call
+    did not read, because of an exception, is closed and waited for before
+    this raises, so the next call forks a fresh one.  The pool serves one call at a
     time: a caller with threads must not call this from two at once."""
     while len(_pool) < len(blocks) - 1:
         _pool.append(_fork())
     requests = [pickle.dumps((work, block)) for block in blocks[1:]]
     unread = []  # workers given a block whose reply is not read
     try:
-        for worker, request in zip(_pool, requests):
-            unread.append(worker)
-            worker.send(request)
+        for i, request in enumerate(requests):
+            unread.append(_pool[i])
+            if _pool[i].send(request):
+                continue
+            # it exited while idle, say on a Ctrl-C at the terminal, and took no block: fork afresh
+            unread[-1].close()
+            _pool[i] = unread[-1] = _fork()
+            if not _pool[i].send(request):
+                raise WorkerLost(f"worker {_pool[i].pid} exited before its request")
         results = [work(blocks[0])]
         while unread:
             ok, value = unread[0].receive()

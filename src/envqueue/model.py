@@ -319,21 +319,9 @@ def _capped_classes(model: JointModel, N: int) -> np.ndarray:
     return cls
 
 
-def _evenly_spaced(idx: np.ndarray):
-    """Ascending indices `idx`, at least one, as a range where they are evenly
-    spaced, as the levels of one class are: one level below T0, every p-th
-    level from T0 on."""
-    step = int(idx[1] - idx[0]) if idx.size > 1 else 1
-    if (np.diff(idx) != step).any():
-        return idx
-    return range(int(idx[0]), int(idx[-1]) + 1, step)
-
-
-def _shifted(rows, shift: int):
-    """The index `rows` + `shift`: a slice, which reads a view, for a range."""
-    if isinstance(rows, range):
-        return slice(rows.start + shift, rows.stop + shift, rows.step)
-    return rows + shift
+def _slice(levels: range, shift: int = 0) -> slice:
+    """The levels `levels` + `shift` as a slice, which reads a view."""
+    return slice(levels.start + shift, levels.stop + shift, levels.step)
 
 
 def _balance_residual(pi, B, U, D, cls, rows: int) -> tuple[float, int]:
@@ -341,9 +329,9 @@ def _balance_residual(pi, B, U, D, cls, rows: int) -> tuple[float, int]:
     and the first level where it is reached; level n has blocks B[cls[n]],
     U[cls[n]], D[cls[n]].  pi (and cls) may hold one level more than `rows`,
     which feeds the last row's down flow.  Levels are checked LEVEL_WINDOW at a
-    time, so the temporaries stay small however many levels there are; a
-    class's levels in a window are reached by a slice where they are evenly
-    spaced."""
+    time, so the temporaries stay small however many levels there are.  The
+    levels of a class in a window are reached by a slice: as `_level_classes`
+    and `_capped_classes` give them, they are one level or every p-th one."""
     worst = []  # per window: the largest defect and its first level
     for start in range(0, rows, LEVEL_WINDOW):
         stop = min(start + LEVEL_WINDOW, rows)
@@ -355,13 +343,12 @@ def _balance_residual(pi, B, U, D, cls, rows: int) -> tuple[float, int]:
             idx = np.flatnonzero(window_cls == c)
             if not idx.size:
                 continue
-            idx = _evenly_spaced(idx)
-            up = idx[: len(idx) - int(idx[-1] == hi - lo - 1)]  # levels whose next is in the window
-            down = idx[int(idx[0] == 0) :]  # levels whose previous is in the window
-            here = _shifted(idx, 0)
-            flow[here] += window[here] @ B[c]
-            flow[_shifted(up, 1)] += window[_shifted(up, 0)] @ U[c]
-            flow[_shifted(down, -1)] += window[_shifted(down, 0)] @ D[c]
+            here = range(int(idx[0]), int(idx[-1]) + 1, int(idx[1] - idx[0]) if idx.size > 1 else 1)
+            up = here[: len(here) - (here[-1] == hi - lo - 1)]  # levels whose next is in the window
+            down = here[here[0] == 0 :]  # levels whose previous is in the window, from 1 on
+            flow[_slice(here)] += window[_slice(here)] @ B[c]
+            flow[_slice(up, 1)] += window[_slice(up)] @ U[c]
+            flow[_slice(down, -1)] += window[_slice(down)] @ D[c]
         defect = np.abs(flow[start - lo : stop - lo]).max(axis=1)
         at = int(np.argmax(defect))
         worst.append((float(defect[at]), start + at))
@@ -391,9 +378,8 @@ def _level_moves(model: JointModel, levels, cap: int | None = None, env=None) ->
     ns = [*levels, *([] if cap is None else [cap])]
     m = model.n_env
     states = np.arange(m) if env is None else np.asarray(env)
-    rows = slice(None) if env is None else states  # a slice reads the model's matrices without a copy
     s = states.size
-    at = np.flatnonzero(model.env.working_mask()[rows])  # rows of the working states
+    at = np.flatnonzero(model.env.working_mask()[states])  # rows of the working states
     w = states[at]
     parts = []  # (row, shift, rate) per level: arrivals, service completions, environment moves
     for i, n in enumerate(ns):
@@ -403,7 +389,7 @@ def _level_moves(model: JointModel, levels, cap: int | None = None, env=None) ->
             D = model.service(n) * model.R(n)[w]  # the working rows; a product may underflow to zero
             k, j = np.divmod(np.flatnonzero(D), m)
             parts.append((i * s + at[k], j - m, D[k, j]))
-        V = model.V(n)[rows]
+        V = model.V(n)[states]
         k, j = np.divmod(np.flatnonzero(V), m)
         off = states[k] != j
         parts.append((i * s + k[off], j[off], V[k[off], j[off]]))

@@ -113,10 +113,6 @@ class TestSolveTruncated:
         for window in (1, 2, 7):
             monkeypatch.setattr(model, "LEVEL_WINDOW", window)
             assert [_balance_residual(pi, *blocks, rows) for rows in (N + 1, N)] == whole
-            # a class's levels gathered by index, not reached by slice
-            with monkeypatch.context() as patch:
-                patch.setattr(model, "_evenly_spaced", lambda idx: idx)
-                assert [_balance_residual(pi, *blocks, rows) for rows in (N + 1, N)] == whole
 
     def test_normalized_nonnegative(self, per_o_b2):
         sol = solve_truncated(per_o_b2, 80)

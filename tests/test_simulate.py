@@ -21,7 +21,8 @@ from envqueue.cli import EXIT_ERROR, EXIT_OK, main
 from envqueue.ergodicity import certify
 from envqueue.forkjoin import WorkerLost, run_blocks, split
 from envqueue.model import validate_model
-from envqueue.simulate import WARMUP, SimConfig, ZeroExitRate, _streams, _t_quantile, _TransitionTable, simulate
+from envqueue.simulate import (WARMUP, SimConfig, ZeroExitRate, _run_block, _streams, _t_quantile, _TransitionTable,
+                               simulate)
 
 from conftest import (assert_no_children, assert_no_zombies, count_forks, period_two_model, reference_replication,
                       reference_simulate, stream_key, traced_peak)
@@ -291,23 +292,37 @@ def pool_size(block):
     return len(forkjoin._pool)
 
 
+OWNER = os.getpid()
+
+
+def killed_in_worker(table, config, block):
+    """`_run_block` in this process; a worker that takes a block is killed mid-block."""
+    if os.getpid() != OWNER:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _run_block(table, config, block)
+
+
 BS_ARGS = ["--catalog", "base_stock", "--lambda", "1", "--mu", "2", "--nu", "1", "--b", "2"]
 
 # a CLI run that forks one worker, then prints the worker's pid; with "sigint", it interrupts the
-# idle worker and prints the worker's exit code
+# idle worker, prints the worker's exit code and runs again, as after a Ctrl-C at a terminal
 POOL_PROBE = """
 import contextlib, io, os, signal, sys
 from envqueue import forkjoin, simulate
 from envqueue.cli import main
 os.sched_getaffinity = lambda pid: {0, 1}
 simulate._FORK_MIN_JUMPS = 0
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(["simulate", *sys.argv[3:], "--horizon", "100", "--replications", "4", "--out", sys.argv[1]])
+def run(out):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(["simulate", *sys.argv[3:], "--horizon", "100", "--replications", "4",
+                     "--out", os.path.join(sys.argv[1], out)])
+code = run("first")
 (worker,) = forkjoin._pool
 print(worker.pid, flush=True)
 if sys.argv[2] == "sigint":
     os.kill(worker.pid, signal.SIGINT)
     print(os.waitstatus_to_exitcode(os.waitpid(worker.pid, 0)[1]))
+    code = code or run("again")
 sys.exit(code)
 """
 
@@ -378,17 +393,35 @@ class TestParallelReplications:
         assert not forkjoin._pool
         assert run_blocks(listed, blocks) == [[0, 1], [2, 3]]
 
-    def test_killed_worker_exits_2_and_the_next_call_succeeds(self, monkeypatch, tmp_path, capsys):
+    def test_worker_killed_mid_block_exits_2_and_the_next_call_succeeds(self, monkeypatch, tmp_path, capsys):
+        set_cpus(monkeypatch, 2, min_jumps=0)
+        argv = ["simulate", *BS_ARGS, "--horizon", "100", "--replications", "4"]
+        assert main([*argv, "--out", str(tmp_path / "first")]) == EXIT_OK
+        forks = count_forks(monkeypatch)
+        with monkeypatch.context() as patch:
+            # the worker forked above finds the patched function by name
+            patch.setattr(simulate_module, "_run_block", killed_in_worker)
+            capsys.readouterr()
+            assert main([*argv, "--out", str(tmp_path / "lost")]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: WorkerLost: ")
+        assert_no_zombies()
+        assert not forkjoin._pool and not forks
+        assert main([*argv, "--out", str(tmp_path / "again")]) == EXIT_OK
+        assert len(forks) == 1
+        assert (tmp_path / "again" / "simulation.json").read_bytes() == (tmp_path / "first" / "simulation.json").read_bytes()
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGKILL], ids=["sigint", "sigkill"])
+    def test_worker_killed_while_idle_is_replaced(self, signum, monkeypatch, tmp_path):
         set_cpus(monkeypatch, 2, min_jumps=0)
         argv = ["simulate", *BS_ARGS, "--horizon", "100", "--replications", "4"]
         assert main([*argv, "--out", str(tmp_path / "first")]) == EXIT_OK
         (worker,) = forkjoin._pool
-        os.kill(worker.pid, signal.SIGKILL)
-        capsys.readouterr()
-        assert main([*argv, "--out", str(tmp_path / "lost")]) == EXIT_ERROR
-        assert capsys.readouterr().err.startswith("error: WorkerLost: ")
-        assert_no_zombies()
+        os.kill(worker.pid, signum)
+        os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+        forks = count_forks(monkeypatch)
         assert main([*argv, "--out", str(tmp_path / "again")]) == EXIT_OK
+        assert len(forks) == 1 and forkjoin._pool[0].pid != worker.pid
+        assert_no_zombies()
         assert (tmp_path / "again" / "simulation.json").read_bytes() == (tmp_path / "first" / "simulation.json").read_bytes()
 
     def test_workers_do_not_inherit_the_pool(self):
@@ -402,8 +435,10 @@ class TestParallelReplications:
             os.kill(int(pid), 0)
 
     def test_interrupted_idle_worker_prints_nothing(self, tmp_path):
+        # and the run after it forks a fresh worker and exits 0
         (pid, code), stderr = run_pool_probe(tmp_path, "sigint")
         assert (code, stderr) == ("0", "")
+        assert (tmp_path / "again" / "simulation.json").read_bytes() == (tmp_path / "first" / "simulation.json").read_bytes()
 
     @pytest.mark.parametrize("horizon, replications, forked", [(10.0, 2, 0), (200.0, 3, 0), (1000.0, 4, 0),
                                                                 (1249.0, 4, 0), (1250.0, 4, 1)])
