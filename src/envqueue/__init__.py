@@ -5,8 +5,8 @@ simulation, and two-sided throughput bounds."""
 __version__ = "0.1.0"
 
 from .catalog import catalog
-from .model import EnvironmentSpec, JointModel, RateFamily, generator_row, validate_model
-from .separability import product_form, queue_marginal, reduced_generator, solve_theta
+from .model import EnvironmentSpec, JointModel, RateFamily, generator_row
+from .separability import product_form, queue_marginal, reachability, reduced_generator, solve_theta
 
 __all__ = [
     "__version__",
@@ -15,9 +15,9 @@ __all__ = [
     "JointModel",
     "RateFamily",
     "generator_row",
-    "validate_model",
     "product_form",
     "queue_marginal",
+    "reachability",
     "reduced_generator",
     "solve_theta",
 ]

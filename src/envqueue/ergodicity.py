@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import EnvqueueError, JointModel, _level_classes, _level_moves, _periodic, _representatives
 from .model import generator_row  # noqa: F401  (perfbench/tracing.py counts calls through this name)
-from .separability import queue_marginal
+from .separability import queue_marginal, reachability
 
 TAU_RESIDUAL_TOL = 1e-10
 SLACK_RTOL = 1e-12  # a drift may exceed -eps by this times the sum of rate * (|L(target)| + |L(here)|)
@@ -25,11 +25,6 @@ SLACK_RTOL = 1e-12  # a drift may exceed -eps by this times the sum of rate * (|
 
 class SingularSystem(EnvqueueError):
     """The blocked set contains states with no path to the working set."""
-
-
-class BothBranchesZero(EnvqueueError):
-    """No transition from working to blocked states exists at this level,
-    contradicting irreducibility."""
 
 
 @dataclass(frozen=True)
@@ -81,12 +76,7 @@ def c_hat(model: JointModel, n: int, table: AbsorptionTable | None = None) -> fl
     tau_b = table.tau[blocked]
     jump = model.service(n + 1) * (model.R(n + 1)[np.ix_(working, blocked)] @ tau_b).max()
     cont = (model.V(n)[np.ix_(working, blocked)] @ tau_b).max()
-    if jump <= 0.0 and cont <= 0.0:
-        raise BothBranchesZero(
-            f"level {n}: no transition from working into blocked states"
-        )
-    branches = [1.0 / v if v > 0 else float("inf") for v in (jump, cont)]
-    return min(branches)
+    return 1.0 / worst if (worst := max(jump, cont)) > 0.0 else float("inf")
 
 
 @dataclass(frozen=True)
@@ -194,7 +184,8 @@ class LyapunovCertificate:
 
 @dataclass(frozen=True)
 class NotCertified:
-    reason: str  # NecessaryFails | NoLyapunov | CHatInfimumZero | DriftCheckFails
+    # NecessaryFails | SeveralClosedClasses | TransientStates | NoLyapunov | CHatInfimumZero | DriftCheckFails
+    reason: str
     detail: str = ""
     violating_state: tuple | None = None
     certified: bool = False
@@ -225,6 +216,8 @@ def certify(model: JointModel, kind: str = "linear_drift"):
     # a working state and r < 1 are necessary (README, "Ergodicity is summability"), and sufficient if irreducible
     if verdict := queue_marginal(model).verdict:
         return NotCertified(reason="NecessaryFails", detail=verdict[1])
+    if verdict := reachability(model):
+        return NotCertified(*verdict)
     N0, p = model.tail_start, model.period
     horizon = _check_horizon(model)
     base = build_mm1_lyapunov(model, kind=kind)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -427,6 +427,34 @@ def _blocks(model: JointModel, cap: int | None = None):
     return B, U, D
 
 
+def _tail_qbd(model: JointModel, B, U, D):
+    """A0 (up), A1 (local), A2 (down) of the tail grouped into block levels
+    of p consecutive levels, starting at T0 = tail_start + 1."""
+    T0, p, m = model.tail_start + 1, model.period, model.n_env
+    A0, A1, A2 = (np.zeros((p * m, p * m)) for _ in range(3))
+    for i in range(p):
+        here = slice(i * m, (i + 1) * m)
+        A1[here, here] = B[T0 + i]
+        if i + 1 < p:
+            A1[here, (i + 1) * m : (i + 2) * m] = U[T0 + i]
+        else:
+            A0[here, :m] = U[T0 + i]
+        if i > 0:
+            A1[here, (i - 1) * m : i * m] = D[T0 + i]
+        else:
+            A2[here, (p - 1) * m :] = D[T0 + i]
+    return A0, A1, A2
+
+
+def _boundary_levels(model: JointModel, B, U, D, top):
+    """The local, up and down blocks of levels 0..T0-1, then of block level 0 as one larger top level with local
+    block `top`: the chain censored to block levels <= 0 where `top` is A1 + A0 G."""
+    T0, m = model.tail_start + 1, model.n_env
+    U_top, D_top = np.zeros((m, len(top))), np.zeros((len(top), m))
+    U_top[:, :m], D_top[:m] = U[T0 - 1], D[T0]
+    return [*B[:T0], top], [*U[: T0 - 1], U_top], [*D[:T0], D_top]
+
+
 @dataclass(frozen=True)
 class GeneratorRow:
     """One row of the joint generator: off-diagonal targets and the diagonal."""
@@ -505,50 +533,26 @@ def _strong_components(src: np.ndarray, dst: np.ndarray, size: int) -> np.ndarra
     return np.array(label, dtype=np.intp)
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of the connectivity check on the truncated state graph."""
+def _level_graph(B, U, D):
+    """Each state's strong-component label, the levels' states concatenated, and whether each component is closed
+    (no edge leaves it), of the level graph with local blocks B[n], up blocks U[n] (n < L) and down blocks D[n]
+    (n > 0), L = len(B) - 1, and an edge per nonzero entry; the top level may be larger than the others."""
+    L = len(B) - 1
+    first = np.cumsum([0, *map(len, B)])
+    moves = [(B[n], n, n) for n in range(L + 1)] + [(U[n], n, n + 1) for n in range(L)]
+    moves += [(D[n], n, n - 1) for n in range(1, L + 1)]
+    edges = [(first[n] + i, first[to] + j) for block, n, to in moves for i, j in [np.nonzero(block)]]
+    src, dst = map(np.concatenate, zip(*edges))
+    comp = _strong_components(src, dst, int(first[-1]))
+    leaving = comp[src] != comp[dst]
+    return comp, np.bincount(comp[src[leaving]], minlength=int(comp.max()) + 1) == 0
 
-    n_check: int
-    warnings: list = field(default_factory=list)  # (kind, where, detail)
-    passed: bool = False
 
-
-def validate_model(model: JointModel, n_check: int | None = None) -> ValidationReport:
-    """Check strong connectivity of the state graph restricted to
-    {0..n_check} x K, by default four levels past the first tail period; the
-    matrices were checked when the model was built.
-
-    A failure is recorded as a warning: truncation can break true
-    connectivity.
-    """
-    if n_check is None:
-        n_check = model.tail_start + model.period + 4
-    if n_check < model.tail_start + model.period:
-        raise InvalidParam("n_check must cover prefix plus one tail period")
-    report = ValidationReport(n_check=n_check)
+def _example(model: JointModel, comp: np.ndarray, among) -> list:
+    """The first ten states, as (level, label), of the smallest component in `among`, the one holding the lowest
+    state among equals; state i of `comp` is (i // |K|, label i % |K|)."""
+    labels, lowest, sizes = np.unique(comp, return_index=True, return_counts=True)
+    keep = np.isin(labels, among)
+    c = labels[keep][np.lexsort((lowest[keep], sizes[keep]))[0]]
     m = model.n_env
-    # strong connectivity of the truncated graph: an edge per move; every target is in the graph, as
-    # the capped level has no arrivals and level 0 no service completions
-    moves = _level_moves(model, _representatives(model), cap=n_check)
-    cls = _capped_classes(model, n_check)
-    level, k, slot = np.nonzero(moves.rate[cls])
-    first = level * m
-    comp = _strong_components(first + k, first + moves.shift[cls[level], k, slot], (n_check + 1) * m)
-    # the cap level is excluded from the requirement: states there may be
-    # enterable only from level n_check + 1, which the truncation cuts off
-    interior = comp[: n_check * m]
-    counts = np.bincount(interior)
-    n_interior = int(np.count_nonzero(counts))
-    if n_interior > 1:
-        # the smallest component; among equals, the one holding the lowest state
-        smallest = counts[counts > 0].min()
-        small = interior[np.flatnonzero(counts[interior] == smallest)[0]]
-        members = [(i // m, model.env.labels[i % m]) for i in np.flatnonzero(interior == small)[:10].tolist()]
-        report.warnings.append(
-            ("NotIrreducible",
-             f"{n_interior} strong components below the cap",
-             f"example component: {members}")
-        )
-    report.passed = not report.warnings
-    return report
+    return [(i // m, model.env.labels[i % m]) for i in np.flatnonzero(comp == c)[:10].tolist()]

@@ -12,13 +12,14 @@ R = A0 (-A1 - A0 G)^{-1}, level elimination seeded with A1 + A0 G gives the
 boundary, and the tail sums come from two solves with A0 + A1 + A2, whose
 redundant equation gives way to the tail's working mass P(W) xi(n): the queue
 in working time is the isolated queue.  No metric solves with I - R.
-`auto_truncate` lists the levels 0..N that `solve` exports: a separable model
-whose chain is irreducible from its product form xi(n) theta, any other from
-`exact_solve`, into rows allocated once to a closed-form bound on N, or
-refused before allocating; the exact listing fills every row, then sums the
-mass above each level from the top.  `autonomous_environment` finds where the
-environment moves alike at every level, so that its stationary law alone
-gives P(W) and, with `isolated_throughput`, the throughput.
+`auto_truncate` lists the levels 0..N that `solve` exports: a separable
+model whose chain `reachability` finds irreducible from its product form
+xi(n) theta, any other from `exact_solve`, into rows allocated once to a
+closed-form bound on N, or refused before allocating; the exact listing
+fills every row, then sums the mass above each level from the top.
+`autonomous_environment` finds where the environment moves alike at every
+level, so that its stationary law alone gives P(W) and, with
+`isolated_throughput`, the throughput.
 
 `solve_truncated` solves the chain capped at N by setting lambda(N) = 0
 (reflecting); all other rates are kept, so the generator stays conservative
@@ -34,10 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .format17 import PAD, WORDS, pad_words, write_g17
-from .model import (LEVEL_WINDOW, EnvqueueError, JointModel, _balance_residual, _blocks, _capped_classes,
-                    _level_classes, _representatives, validate_model)
+from .model import (LEVEL_WINDOW, EnvqueueError, JointModel, _balance_residual, _blocks, _boundary_levels,
+                    _capped_classes, _example, _level_classes, _level_graph, _representatives, _tail_qbd)
 from .separability import (ProductFormResult, QueueMarginal, SingularSolve, _closed_classes, _one_component,
-                           gth_stationary, irreducible, product_form, queue_marginal)
+                           gth_stationary, product_form, queue_marginal, reachability)
 
 LISTING_LIMIT = 2**27  # values (1 GiB of float64) a listing may hold
 LOG_REDUCTION_STEPS = 100
@@ -53,7 +54,8 @@ class NotIrreducibleTruncation(EnvqueueError):
 
 
 class NotErgodic(EnvqueueError):
-    """No state is working, or the isolated queue's tail ratio is not below 1."""
+    """No state is working, the isolated queue's tail ratio is not below 1, or
+    the joint chain has several closed classes."""
 
 
 @dataclass(frozen=True)
@@ -85,12 +87,12 @@ class GeometricTail:
 @dataclass(frozen=True)
 class TruncatedSolution:
     """Levels 0..N of a stationary vector.  `auto_truncate` answers a
-    separable model whose joint chain is irreducible from its product form
-    (`tail` is the `ProductFormResult`), and any other model from
-    `exact_solve` (`tail` is the `GeometricTail`); `solve_truncated` solves
-    the chain capped at N (no `tail`).  So only a separable model's listing
-    and metrics differ from the exact solve's: by round-off, and in small
-    probabilities, which keep their relative digits."""
+    separable model whose joint chain `reachability` finds irreducible from
+    its product form (`tail` is the `ProductFormResult`), and any other
+    model from `exact_solve` (`tail` is the `GeometricTail`);
+    `solve_truncated` solves the chain capped at N (no `tail`).  So only a
+    separable model's listing and metrics differ from the exact solve's: by
+    round-off, and in small probabilities, which keep their relative digits."""
 
     N: int
     pi: np.ndarray  # shape (N+1, |K|), sums to 1
@@ -146,26 +148,30 @@ def _solve_elimination(B, U, D) -> list:
     return [y * math.exp(lw - shift) for y, lw in zip(ys, logw)]
 
 
-def _found(model: JointModel, N: int | None = None) -> str:
-    """What `validate_model` finds on levels 0..N, as the end of an error message."""
-    return "".join(f"; {summary}: {detail}" for _, summary, detail in validate_model(model, N).warnings)
+def _components_below_cap(model: JointModel, per_level) -> str:
+    """The strong components below the cap of the chain whose level blocks are `per_level`, for an error message."""
+    comp = _level_graph(*per_level)[0][: (len(per_level[0]) - 1) * model.n_env]
+    if (among := np.unique(comp)).size < 2:
+        return ""
+    return f"; {among.size} strong components below the cap: example component: {_example(model, comp, among)}"
 
 
 def solve_truncated(model: JointModel, N: int) -> TruncatedSolution:
     """Stationary vector of the truncated chain (queue capped at N).  Where the
-    elimination breaks, NotIrreducibleTruncation names the level and, as
-    `validate_model` finds them, the strong components below the cap."""
+    elimination breaks, NotIrreducibleTruncation names the level and the
+    strong components below the cap."""
     if N < model.tail_start + model.period + 2:
         raise ValueError("truncation must cover the prefix plus one tail period")
     B, U, D = _blocks(model, cap=N)
     cls = _capped_classes(model, N)
+    per_level = [[blocks[c] for c in cls] for blocks in (B, U, D)]
     try:
-        per_level = ([blocks[c] for c in cls] for blocks in (B, U, D))
         pi_flat = np.concatenate(_solve_elimination(*per_level))
     except (np.linalg.LinAlgError, SingularSolve) as exc:
         # GTH raises SingularSolve where the chain censored to level 0 is reducible
         at = " eliminating level 0" if isinstance(exc, SingularSolve) else ""
-        raise NotIrreducibleTruncation(f"{exc}{at} of the chain capped at N = {N}{_found(model, N)}") from exc
+        found = _components_below_cap(model, per_level)
+        raise NotIrreducibleTruncation(f"{exc}{at} of the chain capped at N = {N}{found}") from exc
     if not np.all(np.isfinite(pi_flat)):
         raise NotIrreducibleTruncation("solver produced non-finite entries")
     pi_flat = np.maximum(pi_flat, 0.0)
@@ -176,25 +182,6 @@ def solve_truncated(model: JointModel, N: int) -> TruncatedSolution:
 
 
 # -- exact solve of the infinite chain ------------------------------------------
-
-
-def _tail_qbd(model: JointModel, B, U, D):
-    """A0 (up), A1 (local), A2 (down) of the tail grouped into block levels
-    of p consecutive levels, starting at T0 = tail_start + 1."""
-    T0, p, m = model.tail_start + 1, model.period, model.n_env
-    A0, A1, A2 = (np.zeros((p * m, p * m)) for _ in range(3))
-    for i in range(p):
-        here = slice(i * m, (i + 1) * m)
-        A1[here, here] = B[T0 + i]
-        if i + 1 < p:
-            A1[here, (i + 1) * m : (i + 2) * m] = U[T0 + i]
-        else:
-            A0[here, :m] = U[T0 + i]
-        if i > 0:
-            A1[here, (i - 1) * m : i * m] = D[T0 + i]
-        else:
-            A2[here, (p - 1) * m :] = D[T0 + i]
-    return A0, A1, A2
 
 
 def _log_reduction(A0, A1, A2) -> np.ndarray:
@@ -284,17 +271,18 @@ def _list_levels(model: JointModel, tail: GeometricTail, blocks, tol: float):
 
 
 def exact_solve(model: JointModel) -> GeometricTail:
-    """Exact stationary vector of the infinite chain as a `GeometricTail`,
-    listing no level.  Raises NotErgodic unless a state is working and the tail
-    ratio is below 1, and SingularSolve where a solve is singular, as on a reducible tail."""
+    """Exact stationary vector of the infinite chain as a `GeometricTail`, listing no level.  Raises NotErgodic
+    as `_ergodic_marginal` does, and SingularSolve where a solve is singular, as on a reducible tail."""
     return _exact_tail(model, *_blocks(model))
 
 
-def _ergodic_marginal(model: JointModel) -> QueueMarginal:
-    """The isolated queue's marginal; NotErgodic, with the reason its verdict
-    gives, unless a state is working and its tail ratio is below 1."""
+def _ergodic_marginal(model: JointModel, blocks=None) -> QueueMarginal:
+    """The isolated queue's marginal; NotErgodic, with the text of the verdict that refuses, unless a state is
+    working, its tail ratio is below 1 and the chain has one closed class (`reachability` of `blocks`)."""
     if (marginal := queue_marginal(model)).verdict:
         raise NotErgodic(marginal.verdict[1])
+    if (reach := reachability(model, blocks)) and reach[0] == "SeveralClosedClasses":
+        raise NotErgodic(reach[1])
     return marginal
 
 
@@ -305,7 +293,7 @@ def autonomous_environment(model: JointModel, B, U, D) -> np.ndarray | None:
     D_n; where that part is the same, bit for bit, at every representative
     level and one strong component, the queue does not steer the environment,
     so P(W) = theta_env(W) and TH = theta_env(W) TH_iso (`isolated_throughput`)."""
-    _ergodic_marginal(model)
+    _ergodic_marginal(model, (B, U, D))
     moves = B + U + D
     diag = np.arange(model.n_env)
     moves[:, diag, diag] = 0.0
@@ -327,23 +315,21 @@ def isolated_throughput(model: JointModel) -> float:
 
 def _exact_tail(model: JointModel, B, U, D) -> GeometricTail:
     """`exact_solve` from the representative levels' blocks B, U, D."""
-    marginal = _ergodic_marginal(model)
+    marginal = _ergodic_marginal(model, (B, U, D))
     T0, p, m = model.tail_start + 1, model.period, model.n_env
-    M = p * m
     A0, A1, A2 = _tail_qbd(model, B, U, D)
     A = A0 + A1 + A2
     try:
-        if (closed := len(_closed_classes(A))) > 1:  # the tail's phases have no one stationary law
+        # A may have several closed classes where the chain has one: S and S1 below would then be undetermined
+        if (closed := len(_closed_classes(A))) > 1:
             raise SingularSolve(f"the tail's phases fall into {closed} closed classes")
         G = _log_reduction(A0, A1, A2)
         C = A1 + A0 @ G  # block level 0 of the chain censored to block levels <= 0
         R = np.linalg.solve(-C.T, A0.T).T
         # the boundary levels 0..T0-1, then block level 0 as one larger top level
-        U_top = np.zeros((m, M))
-        U_top[:, :m] = U[T0 - 1]
-        D_top = np.zeros((M, m))
-        D_top[:m] = D[T0]
-        levels = _solve_elimination([*B[:T0], C], [*U[: T0 - 1], U_top], [*D[:T0], D_top])
+        boundary = _boundary_levels(model, B, U, D, C)
+        U_top = boundary[1][-1]
+        levels = _solve_elimination(*boundary)
         head, x0 = np.array(levels[:-1]), levels[-1]
         # S = sum_j x_j and S1 = sum_j j x_j solve S A = x0 A2 - pi_{T0-1} U_top and S1 A = S (A2 - A0) - x0 A2.
         # A's redundant equation, that of the working state with the most mass in x0, gives way to the tail's
@@ -362,7 +348,7 @@ def _exact_tail(model: JointModel, B, U, D) -> GeometricTail:
     except (np.linalg.LinAlgError, SingularSolve) as exc:
         # GTH also raises SingularSolve where the chain censored to level 0 is reducible
         at = "exact solve: " if isinstance(exc, np.linalg.LinAlgError) else ""
-        raise SingularSolve(f"{at}{exc}{_found(model)}") from exc
+        raise SingularSolve(f"{at}{exc}") from exc
     if not (np.isfinite(R).all() and np.isfinite(total) and total > 0.0):
         raise SingularSolve("exact solve produced non-finite or zero mass")
     return GeometricTail(start=T0, period=p, head=head / total, x0=x0 / total, R=R, S=S / total, S1=S1 / total,
@@ -379,13 +365,13 @@ def check_tol(tol: float) -> float:
 def auto_truncate(model: JointModel, tol: float = 1e-9) -> TruncatedSolution:
     """The stationary vector listed on levels 0..N, N >= tail_start + period
     the first level whose mass above it is below tol; the metrics do not
-    depend on N.  A separable model whose joint chain is irreducible is
-    answered from `product_form`, any other from `exact_solve`; both are
-    read from one set of level blocks."""
+    depend on N.  A separable model whose joint chain `reachability` finds
+    irreducible is answered from `product_form`, any other from
+    `exact_solve`; both are read from one set of level blocks."""
     check_tol(tol)
     blocks = _blocks(model)
     tail = product_form(model, blocks)
-    if tail.separable and irreducible(model, tail.marginal):
+    if tail.separable and tail.irreducible:
         # xi's mass above is the stationary mass above: c = 1
         N, mass_above = _listing_level(model, tail.marginal, 1.0, tol)
         listing = np.outer(tail.marginal.xi(np.arange(N + 2)), tail.theta)

@@ -7,7 +7,10 @@ theta * Qred(n) = 0 for every n, where Qred(n) combines the service-triggered
 environment jumps (weighted by lambda(n)) with the continuous environment
 moves, and the isolated queue marginal is summable.  By the eventually
 periodic tail discipline the all-n condition reduces to the representative
-levels {0, ..., N0* + p* - 1}.
+levels {0, ..., N0* + p* - 1}.  `product_form` answers only a chain with
+one closed class, as `reachability`, the one reachability verdict every
+command reads, decides it: elsewhere xi theta is one stationary law of
+several.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EnvqueueError, JointModel, _balance_residual, _blocks, _level_classes, _strong_components
+from .model import (EnvqueueError, JointModel, _balance_residual, _blocks, _boundary_levels, _example, _level_classes,
+                    _level_graph, _strong_components, _tail_qbd)
 
 RESIDUAL_RTOL = 1e-10
 
@@ -67,14 +71,8 @@ def _residual_tol(B: np.ndarray) -> float:
 
 def _closed_classes(Q: np.ndarray):
     """Indices of the closed communicating classes of a generator matrix."""
-    off = Q - np.diag(np.diag(Q))
-    comp = _strong_components(*np.nonzero(off > 0), Q.shape[0])
-    closed = []
-    for c in range(comp.max() + 1):
-        inside = comp == c
-        if off[inside][:, ~inside].sum() == 0.0:
-            closed.append(np.flatnonzero(inside))
-    return closed
+    comp, closed = _level_graph([Q], [], [])
+    return [np.flatnonzero(comp == c) for c in np.flatnonzero(closed)]
 
 
 def reduced_generator(model: JointModel, n: int) -> np.ndarray:
@@ -208,6 +206,46 @@ def queue_marginal(model: JointModel) -> QueueMarginal:
     return QueueMarginal(summable=summable, tail_ratio=ratio, gap=gap, C=C, weights=w, period=p, verdict=verdict)
 
 
+def _reaches(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The boolean product of a and b: i reaches j by a step of a, then one of b."""
+    return a.astype(float) @ b > 0.0
+
+
+def _one_component(Q: np.ndarray) -> bool:
+    """Whether every state of generator Q reaches every other (Q > 0 only off the diagonal)."""
+    return not _strong_components(*np.nonzero(Q > 0), len(Q)).any()
+
+
+def reachability(model: JointModel, blocks=None) -> tuple[str, str] | None:
+    """Whether the joint chain is irreducible (None), has one closed class ("TransientStates") or several
+    ("SeveralClosedClasses"), with no truncation: the verdict every command reads, a (reason, detail) pair as
+    `QueueMarginal.verdict` is (README, "Reachability", has the argument).  `blocks` are `_blocks(model)`, built
+    here where needed unless the caller has them.  Where a state works and every Qred(n) is one strong component,
+    the chain is irreducible.  Otherwise G, the least boolean solution of G = A2 + A1 G + A0 G G, decides it with
+    the graph of levels 0..T0-1 and block level 0, which moves by A1 + A0 G."""
+    if model.working_indices().size and all(_one_component(reduced_generator(model, n))
+                                            for n in model.representative_levels()):
+        return None
+    T0, p, m = model.tail_start + 1, model.period, model.n_env
+    B, U, D = _blocks(model) if blocks is None else blocks
+    A0, A1, A2 = (a != 0.0 for a in _tail_qbd(model, B, U, D))
+    G = np.zeros_like(A2)
+    while not (G == (G := A2 | _reaches(A1, G) | _reaches(_reaches(A0, G), G))).all():
+        pass
+    comp, closed = _level_graph(*_boundary_levels(model, B, U, D, A1 | _reaches(A0, G)))
+    classes, down = np.flatnonzero(closed), G.any(axis=1).all()
+    if not down:  # the closed classes of blocked states alone
+        classes = classes[np.bincount(comp, np.tile(model.env.working_mask(), T0 + p))[classes] == 0]
+    if not down or len(classes) > 1:
+        count = len(classes) if down else "infinitely many"
+        detail = f"{count} closed classes; one holds {_example(model, comp, classes)}"
+        return "SeveralClosedClasses", detail
+    if not (transient := np.flatnonzero(comp != classes[0])).size:
+        return None
+    state = (int(transient[0]) // m, model.env.labels[transient[0] % m])
+    return "TransientStates", f"one closed class; state {state} is outside it"
+
+
 @dataclass(frozen=True)
 class ProductFormResult:
     theta: np.ndarray
@@ -215,6 +253,7 @@ class ProductFormResult:
     marginal: QueueMarginal
     theta_residual: float
     balance_residual: float
+    irreducible: bool  # as `reachability` decides
     separable: bool = True
 
     def xi(self, n: int) -> float:
@@ -240,7 +279,7 @@ class ProductFormResult:
 
 @dataclass(frozen=True)
 class NotSeparable:
-    reason: str  # NoWorkingState | NotSummable | NoCommonSolution | BalanceResidual
+    reason: str  # NoWorkingState | NotSummable | SeveralClosedClasses | NoCommonSolution | BalanceResidual
     detail: str = ""  # why the chain is not ergodic, where the reason says it is not
     residual: float = float("nan")
     tail_ratio: float = float("nan")
@@ -255,15 +294,13 @@ def product_form(model: JointModel, blocks=None):
     marginal = queue_marginal(model)
     if marginal.verdict:
         return NotSeparable(*marginal.verdict, tail_ratio=marginal.tail_ratio)
-    B, U, D = _blocks(model) if blocks is None else blocks
+    B, U, D = blocks = _blocks(model) if blocks is None else blocks
+    if (reach := reachability(model, blocks)) and reach[0] == "SeveralClosedClasses":  # xi theta is one law of several
+        return NotSeparable(*reach, tail_ratio=marginal.tail_ratio)
     theta_res = solve_theta(model, B)
     if not theta_res.found:
-        return NotSeparable(
-            reason="NoCommonSolution",
-            residual=theta_res.residual,
-            tail_ratio=marginal.tail_ratio,
-            offending_level=theta_res.offending_level,
-        )
+        return NotSeparable(reason="NoCommonSolution", residual=theta_res.residual, tail_ratio=marginal.tail_ratio,
+                            offending_level=theta_res.offending_level)
     theta = theta_res.theta
     # global balance of pi_n = xi(n) theta on levels 0..rows-1; level rows
     # feeds the down flow into the last of them
@@ -283,40 +320,20 @@ def product_form(model: JointModel, blocks=None):
         marginal=marginal,
         theta_residual=theta_res.residual,
         balance_residual=worst,
+        irreducible=reach is None,
     )
-
-
-def _one_component(Q: np.ndarray) -> bool:
-    """Whether every state of generator Q reaches every other (Q > 0 only off the diagonal)."""
-    return not _strong_components(*np.nonzero(Q > 0), len(Q)).any()
-
-
-def irreducible(model: JointModel, marginal: QueueMarginal) -> bool:
-    """Whether the joint chain of a model with a working state is irreducible,
-    so that a product form is its only stationary law: xi > 0 (here on the
-    stored weights and one tail period past them) and every representative
-    Qred(n) is one strong component.  Every rate is positive, so an edge
-    k -> m of Qred(n) is a path from (n, k) to (n, m), an environment move or
-    an arrival in working state k and a service completion that jumps to m,
-    and from a working state the queue steps up and down."""
-    xi = marginal.xi(np.arange(len(marginal.weights) + marginal.period))
-    return bool((xi > 0.0).all() and all(_one_component(reduced_generator(model, n))
-                                         for n in model.representative_levels()))
 
 
 def separability_report(model: JointModel) -> dict:
     """Flat record for serialization: {separable, theta, C, residuals,
-    tail_ratio, reason}."""
+    tail_ratio, reason}, and the reason's `detail` where it has one."""
     result = product_form(model)
     if result.separable:
         return {
             "separable": True,
             "theta": [float(t) for t in result.theta],
             "C": result.C,
-            "residuals": {
-                "theta": result.theta_residual,
-                "balance": result.balance_residual,
-            },
+            "residuals": {"theta": result.theta_residual, "balance": result.balance_residual},
             "tail_ratio": result.marginal.tail_ratio,
             "reason": None,
         }
@@ -327,4 +344,5 @@ def separability_report(model: JointModel) -> dict:
         "residuals": {"worst": None if np.isnan(result.residual) else result.residual},
         "tail_ratio": result.tail_ratio,
         "reason": result.reason,
+        **({"detail": result.detail} if result.detail else {}),
     }

@@ -65,10 +65,12 @@ class TestExitCodes:
 
     def test_validate_negative(self, tmp_path, capsys):
         assert run(tmp_path, "validate", "--model", split_model(tmp_path)) == EXIT_NEGATIVE
-        column = ", ".join(f"({n}, 0)" for n in range(5))
         assert capsys.readouterr().out == (
             "validate: FAIL (1 warnings)\n"
-            f"  NotIrreducible at 2 strong components below the cap: example component: [{column}]\n")
+            "  SeveralClosedClasses: 2 closed classes; one holds [(0, 0), (1, 0)]\n")
+        rec = json.loads((tmp_path / "validation.json").read_text())
+        assert rec == {"passed": False, "violations": [],
+                       "warnings": [["SeveralClosedClasses", "2 closed classes; one holds [(0, 0), (1, 0)]"]]}
 
     def test_missing_model_source_errors(self, tmp_path):
         assert run(tmp_path, "validate") == EXIT_ERROR
@@ -84,12 +86,6 @@ class TestExitCodes:
 
     def test_missing_file_errors(self, tmp_path):
         assert run(tmp_path, "validate", "--model", "/no/such/file.yaml") == EXIT_ERROR
-
-    def test_validate_n_check_zero_refused(self, tmp_path, capsys):
-        # 0 is a level count below the prefix plus one tail period, not a request for the default
-        assert run(tmp_path, "validate", *BS, "--n-check", "0") == EXIT_ERROR
-        assert "n_check must cover" in capsys.readouterr().err
-        assert not (tmp_path / "validation.json").exists()
 
 
 class TestSolveCommand:
@@ -176,6 +172,11 @@ def absorbing_model(tmp_path):
 def split_model(tmp_path):
     """Two working environment states that never switch: the chain is reducible."""
     return write_model(tmp_path / "split.json", [0, 1], [], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+
+
+def island_model(tmp_path):
+    """Blocked state 0 moves to working state 1, which is never left: one closed class, and (n, 0) transient."""
+    return write_model(tmp_path / "island.json", [0, 1], [0], [[-1.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
 
 
 def all_blocked_model(tmp_path):
@@ -284,13 +285,10 @@ class TestErrorContract:
         assert (tmp_path / "manifest.txt").exists()
 
     def test_singular_solve(self, tmp_path, capsys):
-        # two working states that never switch: the tail's phases have two closed classes, and the error
-        # names a component
-        path = split_model(tmp_path)
+        # one closed class, which misses state (0, 0): GTH finds the chain censored to level 0 reducible
+        path = island_model(tmp_path)
         assert main(["solve", "--model", path, "--out", str(tmp_path)]) == EXIT_ERROR
-        column = ", ".join(f"({n}, 0)" for n in range(5))
-        assert capsys.readouterr().err == ("error: SingularSolve: the tail's phases fall into 2 closed classes; "
-                                           f"2 strong components below the cap: example component: [{column}]\n")
+        assert capsys.readouterr().err == "error: SingularSolve: no exit below state 1: chain not irreducible\n"
 
     def test_not_irreducible_truncation(self, tmp_path, capsys):
         code = main(["solve", "--model", absorbing_model(tmp_path), "--N", "10", "--out", str(tmp_path)])
@@ -453,13 +451,36 @@ class TestOneVerdict:
     def test_no_working_state(self, tmp_path, capsys):
         path, why = all_blocked_model(tmp_path), "no environment state is working"
         assert run(tmp_path, "separability", "--model", path) == EXIT_NEGATIVE
-        assert capsys.readouterr() == ("not separable: NoWorkingState (tail ratio 0.5)\n", "")
+        assert capsys.readouterr() == (f"not separable: NoWorkingState (tail ratio 0.5)\n  {why}\n", "")
         assert json.loads((tmp_path / "separability.json").read_text())["reason"] == "NoWorkingState"
         assert run(tmp_path, "certify", "--model", path) == EXIT_NEGATIVE
         assert capsys.readouterr() == (f"not certified: NecessaryFails {why}\n", "")
         assert json.loads((tmp_path / "certificate.json").read_text())["detail"] == why
         assert run(tmp_path, "solve", "--model", path) == EXIT_NEGATIVE
         assert capsys.readouterr() == (f"not ergodic: {why}\n", "")
+
+    def test_several_closed_classes(self, tmp_path, capsys):
+        # two working states that never switch: every command refuses the chain with the one reachability verdict
+        path, why = split_model(tmp_path), "2 closed classes; one holds [(0, 0), (1, 0)]"
+        assert run(tmp_path, "validate", "--model", path) == EXIT_NEGATIVE
+        assert capsys.readouterr() == (f"validate: FAIL (1 warnings)\n  SeveralClosedClasses: {why}\n", "")
+        assert run(tmp_path, "separability", "--model", path) == EXIT_NEGATIVE
+        assert capsys.readouterr() == (f"not separable: SeveralClosedClasses (tail ratio 0.5)\n  {why}\n", "")
+        assert json.loads((tmp_path / "separability.json").read_text())["detail"] == why
+        assert run(tmp_path, "certify", "--model", path) == EXIT_NEGATIVE
+        assert capsys.readouterr() == (f"not certified: SeveralClosedClasses {why}\n", "")
+        assert json.loads((tmp_path / "certificate.json").read_text())["detail"] == why
+        assert run(tmp_path, "solve", "--model", path) == EXIT_NEGATIVE
+        assert capsys.readouterr() == (f"not ergodic: {why}\n", "")
+
+    def test_transient_states(self, tmp_path, capsys):
+        # one closed class: validate and certify refuse a chain that is not irreducible; its product form is unique
+        path, why = island_model(tmp_path), "one closed class; state (0, 0) is outside it"
+        assert run(tmp_path, "validate", "--model", path) == EXIT_NEGATIVE
+        assert capsys.readouterr() == (f"validate: FAIL (1 warnings)\n  TransientStates: {why}\n", "")
+        assert run(tmp_path, "certify", "--model", path) == EXIT_NEGATIVE
+        assert capsys.readouterr() == (f"not certified: TransientStates {why}\n", "")
+        assert run(tmp_path, "separability", "--model", path) == EXIT_OK
 
     @pytest.mark.parametrize("lam", ["2", "1"])
     @pytest.mark.parametrize("command, extra", [("bounds", ("--gamma", "1")), ("sweep", ("--gamma-steps", "2"))])

@@ -7,7 +7,6 @@ import pytest
 
 from envqueue.catalog import base_stock, mm1_plain, onoff_a, onoff_b, perishable_minus, perishable_o, perishable_plus
 from envqueue.ergodicity import (
-    BothBranchesZero,
     CannotBuild,
     LyapunovCertificate,
     NotCertified,
@@ -83,13 +82,15 @@ class TestCHat:
     def test_no_blocked_infinite(self, mm1_model):
         assert c_hat(mm1_model, 2) == math.inf
 
-    def test_unreachable_blocked_raises(self):
-        # blocked state exists but nothing working ever enters it
+    def test_unreachable_blocked_infinite_and_refused(self):
+        # blocked state exists but nothing working ever enters it: no passage cost, and a chain whose
+        # blocked states are transient, which certify refuses with the reachability verdict
         V = np.array([[-1.0, 1.0], [0.0, 0.0]])
         env = EnvironmentSpec.constant(labels=(0, 1), blocked=(0,), V=V, R=np.eye(2))
         model = JointModel(rates=RateFamily.constant(1.0, 2.0), env=env, name="island")
-        with pytest.raises(BothBranchesZero):
-            c_hat(model, 1)
+        assert c_hat(model, 1) == math.inf
+        assert certify(model) == NotCertified(reason="TransientStates",
+                                              detail="one closed class; state (0, 0) is outside it")
 
     def test_periodic_in_level(self, per_o_b2):
         p = per_o_b2.period

@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: every imported name is used,
 every private top-level name is referenced, every name the benchmark's
 tracer wraps exists, the model's rates are read in one place, one function forks,
-ergodicity is decided in one place, and every dataclass field is read somewhere."""
+ergodicity and irreducibility are each decided in one place, and every dataclass field is
+read somewhere."""
 
 import ast
 import importlib.util
@@ -294,3 +295,48 @@ def test_scan_finds_verdict_decided_elsewhere(tmp_path):
     )
     assert verdict_decided_outside(path, {"QueueMarginal", "queue_marginal"}) == [
         (7, "lam vs mu"), (8, "summable"), (10, "working_mask().any()")]
+
+
+# whether the joint chain is irreducible is decided in one place, `reachability`: elsewhere a
+# strong-component search runs only on a graph that is not the infinite joint chain, one per reader
+COMPONENT_SEARCHES = {"_strong_components", "_level_graph", "_one_component", "_closed_classes"}
+COMPONENT_READERS = {
+    ("model.py", "_level_graph", "_strong_components"),  # the shared search of a finite level graph
+    ("separability.py", "_one_component", "_strong_components"),  # one generator matrix
+    ("separability.py", "_closed_classes", "_level_graph"),  # one generator matrix
+    ("separability.py", "solve_theta", "_closed_classes"),  # Qred(0), and the sum of the Qred(n)
+    ("separability.py", "reachability", "_one_component"),  # the decision: the fast path
+    ("separability.py", "reachability", "_level_graph"),  # the decision: the censored boundary
+    ("numerics.py", "autonomous_environment", "_one_component"),  # the environment on its own
+    ("numerics.py", "_exact_tail", "_closed_classes"),  # the tail's phases, A0 + A1 + A2
+    ("numerics.py", "_components_below_cap", "_level_graph"),  # the chain capped at N, named in an error
+}
+
+
+def component_searches(paths) -> set:
+    """(file, top-level function or class, search) for each call of a name in `COMPONENT_SEARCHES`."""
+    found = set()
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            found |= {(path.name, getattr(node, "name", None), sub.func.id) for sub in ast.walk(node)
+                      if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) in COMPONENT_SEARCHES}
+    return found
+
+
+def test_irreducibility_decided_in_one_place():
+    assert component_searches(SOURCES) == COMPONENT_READERS
+
+
+def test_scan_finds_component_searches(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "def reachability(model):\n"
+        "    return _level_graph(model) and model._one_component()\n"
+        "def validate_model(model):\n"
+        "    return [_strong_components(c) for c in _closed_classes(model)]\n"
+        "COMP = _one_component(Q)\n"
+    )
+    assert component_searches([path]) == {("module.py", "reachability", "_level_graph"),
+                                           ("module.py", "validate_model", "_strong_components"),
+                                           ("module.py", "validate_model", "_closed_classes"),
+                                           ("module.py", None, "_one_component")}

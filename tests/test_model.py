@@ -25,8 +25,8 @@ from envqueue.model import (
     RateFamily,
     _strong_components,
     generator_row,
-    validate_model,
 )
+from envqueue.separability import reachability
 
 from conftest import truncated_generator, two_state_model
 
@@ -246,10 +246,7 @@ class TestValidateModel:
         ],
     )
     def test_catalog_models_pass(self, name, params):
-        model = catalog(name, **params)
-        n_check = max(8, model.tail_start + model.period + 2)
-        report = validate_model(model, n_check=n_check)
-        assert report.passed and not report.warnings, report.warnings
+        assert reachability(catalog(name, **params)) is None
 
     def test_all_catalog_names_covered(self):
         assert set(CATALOG_NAMES) == {
@@ -262,28 +259,41 @@ class TestValidateModel:
             "perishable_plus",
         }
 
-    def test_all_blocked_warns_not_irreducible(self):
-        model = two_state_model(blocked=(0, 1))
-        report = validate_model(model, n_check=6)
-        kinds = {k for k, _, _ in report.warnings}
-        assert "NotIrreducible" in kinds
-
     @pytest.mark.parametrize(
-        "model, warning",
+        "model, verdict",
         [
-            # no environment move changes the level: one component per level
+            # no environment move changes the level: every level is a closed class
             (two_state_model(blocked=(0, 1)),
-             ("NotIrreducible", "6 strong components below the cap", "example component: [(0, 0), (0, 1)]")),
-            # a -> b -> c one way, and the blocked c freezes the queue: every (n, c) is its own component
+             ("SeveralClosedClasses", "infinitely many closed classes; one holds [(0, 0), (0, 1)]")),
+            # a -> b -> c one way, and the blocked c freezes the queue: every (n, c) is a closed class
             (JointModel(rates=RateFamily.constant(1.0, 2.0), env=EnvironmentSpec.constant(
                 ("a", "b", "c"), ("c",), [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]], np.eye(3))),
-             ("NotIrreducible", "8 strong components below the cap", "example component: [(0, 'c')]")),
+             ("SeveralClosedClasses", "infinitely many closed classes; one holds [(0, 'c')]")),
+            # two working states that never switch: two closed classes, each at every level
+            (JointModel(rates=RateFamily.constant(1.0, 2.0), env=EnvironmentSpec.constant(
+                ("a", "b"), (), np.zeros((2, 2)), np.eye(2))),
+             ("SeveralClosedClasses", "2 closed classes; one holds [(0, 'a'), (1, 'a')]")),
+            # blocked a moves to working b, which is never left: (n, a) is transient
+            (JointModel(rates=RateFamily.constant(1.0, 2.0), env=EnvironmentSpec.constant(
+                ("a", "b"), ("a",), [[-1.0, 1.0], [0.0, 0.0]], np.eye(2))),
+             ("TransientStates", "one closed class; state (0, 'a') is outside it")),
+            # irreducible, but no Qred(n) is one strong component, and block level 0 reaches some of its
+            # phases only through the levels above it, the moves A0 G of the verdict's graph
+            (JointModel(rates=RateFamily(lambda_prefix=(1.0,), mu_prefix=(2.0,), lambda_tail=(1.0,), mu_tail=(2.0,)),
+                        env=EnvironmentSpec(labels=("a", "b", "c"), blocked=("a",), V_tail=(
+                            [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]],
+                            [[-1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                            [[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]]), R_tail=(
+                            [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+                            [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]],
+                            [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))),
+             None),
         ],
-        ids=["all_blocked", "one_way"],
+        ids=["all_blocked", "one_way", "split", "island", "excursion"],
     )
-    def test_not_irreducible_names_smallest_lowest_component(self, model, warning):
-        # plain ints, and among the smallest components the one holding the lowest state
-        assert validate_model(model, n_check=6).warnings == [warning]
+    def test_not_irreducible_names_smallest_lowest_class(self, model, verdict):
+        # plain ints, and among the smallest closed classes the one holding the lowest state
+        assert reachability(model) == verdict
 
     def test_unknown_catalog_name(self):
         with pytest.raises(UnknownModel):

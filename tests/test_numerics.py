@@ -29,7 +29,7 @@ from envqueue.numerics import (
     metrics,
     solve_truncated,
 )
-from envqueue.separability import ProductFormResult, SingularSolve, irreducible, product_form
+from envqueue.separability import ProductFormResult, SingularSolve, product_form
 
 from conftest import (count_forks, first_level_below, listed_by_products, period_two_model, poisson_oracle,
                       reference_blocks, separable_period_two_model, skewed_period_two_model, traced_peak,
@@ -275,18 +275,22 @@ class TestAutoTruncate:
 
 @pytest.mark.parametrize("blocked, V, reason, error", [
     # no state is working: every level is closed, and the verdict refuses the model before its product form
-    ((0, 1), [[-1.0, 1.0], [1.0, -1.0]], "NoWorkingState", NotErgodic),
-    ((), [[0.0, 0.0], [0.0, 0.0]], None, SingularSolve),  # two working states that never switch
-], ids=["all_blocked", "split"])
+    ((0, 1), [[-1.0, 1.0], [1.0, -1.0]], ("NoWorkingState", "no environment state is working"), NotErgodic),
+    # two working states that never switch: xi theta is one stationary law of several, and answers nothing
+    ((), [[0.0, 0.0], [0.0, 0.0]], ("SeveralClosedClasses", "2 closed classes; one holds [(0, 0), (1, 0)]"),
+     NotErgodic),
+    # blocked 0 moves to working 1, which is never left: xi theta is the one law, but the chain is not
+    # irreducible, so the exact path answers, and its GTH finds the chain censored to level 0 reducible
+    ((0,), [[-1.0, 1.0], [0.0, 0.0]], None, SingularSolve),
+], ids=["all_blocked", "split", "island"])
 def test_reducible_separable_model_takes_the_exact_path(blocked, V, reason, error):
-    # xi theta is stationary, but it is not the only stationary law, so it does not answer the model
     env = EnvironmentSpec.constant(labels=(0, 1), blocked=blocked, V=np.array(V), R=np.eye(2))
     model = JointModel(rates=RateFamily.constant(1.0, 2.0), env=env)
     pf = product_form(model)
     if reason is None:
-        assert pf.separable and not irreducible(model, pf.marginal)
+        assert pf.separable and not pf.irreducible
     else:
-        assert (pf.reason, pf.detail) == (reason, "no environment state is working")
+        assert (pf.reason, pf.detail) == reason
     with pytest.raises(error):
         auto_truncate(model)
 

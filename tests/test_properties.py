@@ -1,5 +1,6 @@
 """Randomized property suites over generated models."""
 
+import ast
 import math
 
 import numpy as np
@@ -8,10 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from envqueue.ergodicity import SingularSystem, _drift, c_hat, solve_tau
 from envqueue.model import (EnvironmentSpec, EnvqueueError, GeneratorRow, JointModel, RateFamily, _blocks,
-                            _level_moves, _representatives, generator_row, validate_model)
+                            _level_moves, _representatives, generator_row)
 from envqueue.numerics import (GeometricTail, NotErgodic, _blocked_excess, _list_levels, _tail_qbd, auto_truncate,
                                autonomous_environment, exact_solve, isolated_throughput, metrics)
-from envqueue.separability import (SingularSolve, gth_stationary, irreducible, product_form, queue_marginal,
+from envqueue.separability import (SingularSolve, gth_stationary, product_form, queue_marginal, reachability,
                                    reduced_generator)
 from envqueue.catalog import catalog
 from envqueue.simulate import SimConfig, ZeroExitRate, _TransitionTable, simulate
@@ -172,27 +173,35 @@ def test_level_moves_are_the_nonzeros_of_dense_rows(model, above):
         assert not moves.rate[level, k, count:].any() and (moves.shift[level, k, count:] == k).all()
 
 
-@given(joint_models(split=True, sparse=True), st.integers(0, 5))
-@settings(max_examples=100, deadline=None)
-def test_validation_matches_dense_components(model, above):
-    # the verdict and example component from scipy's strong components of the dense truncated generator
+@given(joint_models(max_env=4, max_prefix=3, max_period=3, split=True, sparse=True))
+@settings(max_examples=200, deadline=None)
+def test_reachability_matches_a_deep_truncation(model):
+    # the verdict, decided with no truncation, against scipy's strong components of the dense generator of the
+    # chain capped 40 levels past the tail, whose closed classes are those of the infinite chain
     csgraph = pytest.importorskip("scipy.sparse.csgraph")
-    n_check = model.tail_start + model.period + above
-    m = model.n_env
-    Q = truncated_generator(model, n_check)
-    np.fill_diagonal(Q, 0.0)
-    _, comp = csgraph.connected_components(Q != 0.0, connection="strong")
-    # the states below the cap by component, each list by ascending state
-    members = {}
-    for i, c in enumerate(comp[: n_check * m].tolist()):
-        members.setdefault(c, []).append((i // m, model.env.labels[i % m]))
-    expected = []
-    if len(members) > 1:
-        # the smallest component; among equals, the one holding the lowest state
-        example = min(members.values(), key=lambda states: (len(states), states[0]))
-        expected.append(("NotIrreducible", f"{len(members)} strong components below the cap",
-                         f"example component: {example[:10]}"))
-    assert validate_model(model, n_check).warnings == expected
+    T0, p, m = model.tail_start + 1, model.period, model.n_env
+    N = T0 + p + 40
+    Q = truncated_generator(model, N) != 0.0
+    _, comp = csgraph.connected_components(Q, connection="strong")
+    closed = sorted({int(c) for c in comp} - set(comp[np.nonzero(Q & (comp[:, None] != comp[None, :]))[0]].tolist()))
+    reach = reachability(model)
+    if reach is None:
+        # irreducible: one closed class, which holds every state below the cap
+        assert closed == [comp[0]] and (comp[: N * m] == comp[0]).all()
+        return
+    reason, detail = reach
+    if reason == "TransientStates":
+        # one closed class, which misses the state named
+        n, k = ast.literal_eval(detail.split("state ")[1].split(" is outside")[0])
+        assert len(closed) == 1 and comp[n * m + k] != closed[0]
+        return
+    # several: the states named lie in one closed class, and there are as many closed classes as named, or
+    # one every p levels
+    assert reason == "SeveralClosedClasses"
+    count, example = detail.split(" closed classes; one holds ")
+    held = {int(comp[n * m + k]) for n, k in ast.literal_eval(example)}
+    assert len(held) == 1 and held <= set(closed)
+    assert len(closed) >= 40 // p if count == "infinitely many" else len(closed) == int(count)
 
 
 @given(joint_models(split=True), st.integers(0, 4))
@@ -386,27 +395,30 @@ def test_summable_agrees_with_neuts_drift(model):
 
 def test_all_blocked_closed_tail_class_refused():
     # from level 1 on "on" falls into "off", which is blocked and never left: Neuts' drift is 0 - 0, r = 1/2
-    # calls the queue ergodic, and the solve meets a singular system
+    # calls the queue ergodic, and the reachability verdict finds a closed class at every level from 1 on
     env = EnvironmentSpec(labels=("off", "on"), blocked=frozenset(("off",)),
                           V_prefix=(np.array([[-1.0, 1.0], [0.0, 0.0]]),), R_prefix=(np.eye(2),),
                           V_tail=(np.array([[0.0, 0.0], [1.0, -1.0]]),), R_tail=(np.eye(2),))
     model = JointModel(rates=RateFamily.constant(1.0, 2.0), env=env)
     assert neuts_drift(model) == (0.0, 0.0) and queue_marginal(model).summable
-    with pytest.raises(SingularSolve):
+    with pytest.raises(NotErgodic, match=r"^infinitely many closed classes; one holds \[\(1, 'off'\)\]$"):
         exact_solve(model)
 
 
 @given(joint_models(max_env=4, max_prefix=3, max_period=3, split=True, sparse=True))
 @settings(max_examples=300, deadline=None)
 def test_one_ergodicity_verdict(model):
-    # product_form, certify and exact_solve read one verdict: they refuse the same models, with the same text
+    # product_form, certify and exact_solve read one ergodicity verdict and one reachability verdict: they refuse
+    # the same models, with the same text
     from envqueue.ergodicity import certify
 
     pf = product_form(model)
-    refusals = [pf.detail if getattr(pf, "reason", None) in ("NoWorkingState", "NotSummable") else None]
+    refusals = [pf.detail if getattr(pf, "reason", None) in ("NoWorkingState", "NotSummable", "SeveralClosedClasses")
+                else None]
     try:
         cert = certify(model)
-        refusals.append(cert.detail if getattr(cert, "reason", None) == "NecessaryFails" else None)
+        refusals.append(cert.detail if getattr(cert, "reason", None) in ("NecessaryFails", "SeveralClosedClasses")
+                        else None)
     except EnvqueueError:  # no certificate, and no verdict either
         refusals.append(None)
     try:
@@ -429,7 +441,7 @@ def too_heavy(exc, model) -> bool:
     if not str(exc).startswith("the listing to tol"):
         return False
     pf = product_form(model)
-    return " needs N ~ " in str(exc) or (pf.separable and irreducible(model, pf.marginal))
+    return " needs N ~ " in str(exc) or (pf.separable and pf.irreducible)
 
 
 @given(joint_models(max_env=4, max_prefix=3, max_period=3))

@@ -20,7 +20,7 @@ from envqueue.catalog import base_stock, mm1_plain, perishable_o
 from envqueue.cli import EXIT_ERROR, EXIT_OK, main
 from envqueue.ergodicity import certify
 from envqueue.forkjoin import WorkerLost, run_blocks, split
-from envqueue.model import validate_model
+from envqueue.separability import reachability
 from envqueue.simulate import (WARMUP, SimConfig, ZeroExitRate, _run_block, _streams, _t_quantile, _TransitionTable,
                                simulate)
 
@@ -480,6 +480,6 @@ class TestMemory:
         # the padded move rows hold ~4 nonzeros per state here, where a dense row holds 1203 entries
         model = perishable_o(lam=1.0, mu=2.0, nu=10.0, gamma=2.0, b=400)
         calls = {"certify": (certify, model), "departure_values": (departure_values, model, 100, 50),
-                 "validate_model": (validate_model, model, model.tail_start + model.period + 4),
+                 "validate_model": (reachability, model),
                  "_TransitionTable": (simulate_module._TransitionTable, model)}
         assert traced_peak(*calls[layer]) < DENSE_ROW_PEAKS_MIB[layer] * 2**20 / 3
