@@ -186,8 +186,9 @@ def test_reachability_matches_a_deep_truncation(model):
     closed = sorted({int(c) for c in comp} - set(comp[np.nonzero(Q & (comp[:, None] != comp[None, :]))[0]].tolist()))
     reach = reachability(model)
     if reach is None:
-        # irreducible: one closed class, which holds every state below the cap
-        assert closed == [comp[0]] and (comp[: N * m] == comp[0]).all()
+        # irreducible: one closed class, which holds every state 20 levels or more below the cap (a state just
+        # below it may be entered only from above the cap)
+        assert closed == [comp[0]] and (comp[: (N - 20) * m] == comp[0]).all()
         return
     reason, detail = reach
     if reason == "TransientStates":
