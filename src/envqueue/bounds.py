@@ -16,7 +16,7 @@ rate, give isotonicity evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +82,7 @@ def perishable_b1_closed_form(lam, mu, nu, gamma):
     return pi, th
 
 
-@dataclass(frozen=True)
-class DepartureValueTable:
+class DepartureValueTable(NamedTuple):
     """Expected departure counts within a jump horizon, per starting state,
     on the truncated rectangle {0..N_cap} x K."""
 
@@ -133,8 +132,7 @@ ISOTONE_ATOL = 1e-12  # a value gap up to this is round-off, not a violation
 VIOLATION = np.dtype([("state", np.intp, (2,)), ("relation", np.int8), ("margin", float), ("boundary", bool)])
 
 
-@dataclass(frozen=True)
-class IsotoneReport:
+class IsotoneReport(NamedTuple):
     isotone: bool
     violations: np.ndarray  # of `VIOLATION` records: margin = v(state) - v(cover) > ISOTONE_ATOL
 
@@ -159,8 +157,7 @@ def isotone_check(table: DepartureValueTable) -> IsotoneReport:
     return IsotoneReport(isotone=not index.size, violations=violations)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     params: dict
     TH_minus: float
     TH_plus: float

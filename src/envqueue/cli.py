@@ -9,8 +9,8 @@ certified, not ergodic), 2 usage, model or solver errors and any other failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import sys
@@ -29,6 +29,11 @@ from .numerics import (NotErgodic, auto_truncate, check_cut_structure, check_tol
 from .separability import reachability as validate_model  # perfbench/tracing.py spans `validate` through this name
 from .separability import separability_report
 from .simulate import SimConfig, simulate
+
+# The objects the imports left live as long as the process: out of the collector's reach, neither
+# later collections nor the ones at exit walk them.  No gc.collect() first: an import leaves no
+# cycles to free, and a full collection costs ~4 ms.
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -156,7 +161,7 @@ def _cmd_solve(args, outdir):
     m = metrics(sol, model)
     cut = check_cut_structure(sol, model)
     export_csv(sol, model, outdir / "stationary.csv")
-    record = dataclasses.asdict(m)
+    record = m._asdict()
     record.update(
         {
             "N": sol.N,

@@ -11,7 +11,7 @@ is verified numerically on a horizon that covers all periodic representatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ class SingularSystem(EnvqueueError):
     """The blocked set contains states with no path to the working set."""
 
 
-@dataclass(frozen=True)
-class AbsorptionTable:
+class AbsorptionTable(NamedTuple):
     """Mean first-entrance times into the working set at queue length n;
     zero on working states by convention."""
 
@@ -79,8 +78,7 @@ def c_hat(model: JointModel, n: int, table: AbsorptionTable | None = None) -> fl
     return 1.0 / worst if (worst := max(jump, cont)) > 0.0 else float("inf")
 
 
-@dataclass(frozen=True)
-class MM1Lyapunov:
+class MM1Lyapunov(NamedTuple):
     """Lyapunov function for the isolated queue: values, exception levels and
     the drift constant."""
 
@@ -90,8 +88,7 @@ class MM1Lyapunov:
     eps_tilde: float
 
 
-@dataclass(frozen=True)
-class CannotBuild:
+class CannotBuild(NamedTuple):
     kind: str
     reason: str
 
@@ -154,8 +151,7 @@ def build_mm1_lyapunov(model: JointModel, kind: str = "linear_drift"):
     raise ValueError(f"unknown Lyapunov kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class LyapunovCertificate:
+class LyapunovCertificate(NamedTuple):
     kind: str
     eps: float
     eps_tilde: float
@@ -182,8 +178,7 @@ class LyapunovCertificate:
         }
 
 
-@dataclass(frozen=True)
-class NotCertified:
+class NotCertified(NamedTuple):
     # NecessaryFails | SeveralClosedClasses | TransientStates | NoLyapunov | CHatInfimumZero | DriftCheckFails
     reason: str
     detail: str = ""

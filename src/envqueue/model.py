@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -355,8 +356,7 @@ def _balance_residual(pi, B, U, D, cls, rows: int) -> tuple[float, int]:
     return worst[int(np.argmax([value for value, _ in worst]))]
 
 
-@dataclass(frozen=True)
-class LevelMoves:
+class LevelMoves(NamedTuple):
     """The moves out of the states of some levels as padded sparse
     ("ELLPACK") rows (Saad, Iterative Methods for Sparse Linear Systems,
     2003).  Row [i, k] lists the nonzero moves out of state k of the i-th
@@ -455,8 +455,7 @@ def _boundary_levels(model: JointModel, B, U, D, top):
     return [*B[:T0], top], [*U[: T0 - 1], U_top], [*D[:T0], D_top]
 
 
-@dataclass(frozen=True)
-class GeneratorRow:
+class GeneratorRow(NamedTuple):
     """One row of the joint generator: off-diagonal targets and the diagonal."""
 
     state: tuple

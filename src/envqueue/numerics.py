@@ -30,7 +30,7 @@ explicit `--N` path and the independent oracle for the exact solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ class NotErgodic(EnvqueueError):
     the joint chain has several closed classes."""
 
 
-@dataclass(frozen=True)
-class GeometricTail:
+class GeometricTail(NamedTuple):
     """The exact stationary vector of the infinite chain: `head` holds levels
     0..start-1 and block level j >= 0 (levels start + j p .. start + j p + p - 1,
     concatenated) holds x0 R^j."""
@@ -84,8 +83,7 @@ class GeometricTail:
         return levels, mass, self.period * float(self.S1.sum())
 
 
-@dataclass(frozen=True)
-class TruncatedSolution:
+class TruncatedSolution(NamedTuple):
     """Levels 0..N of a stationary vector.  `auto_truncate` answers a
     separable model whose joint chain `reachability` finds irreducible from
     its product form (`tail` is the `ProductFormResult`), and any other
@@ -384,8 +382,7 @@ def auto_truncate(model: JointModel, tol: float = 1e-9) -> TruncatedSolution:
     return TruncatedSolution(N=N, pi=pi, residual=residual, truncation_estimate=mass_above, tail=tail)
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     throughput: float  # departures per unit time
     mean_queue_length: float
     blocked_probability: float
@@ -418,8 +415,7 @@ def metrics(result, model: JointModel) -> Metrics:
     )
 
 
-@dataclass(frozen=True)
-class CutReport:
+class CutReport(NamedTuple):
     """Deviation from the level-cut identity
     sum_W pi(n,.) * lambda(n) = sum_W pi(n+1,.) * mu(n+1) on interior levels."""
 

@@ -16,7 +16,7 @@ several.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,15 +89,13 @@ def reduced_generator(model: JointModel, n: int) -> np.ndarray:
     return Q
 
 
-@dataclass(frozen=True)
-class ThetaSolution:
+class ThetaSolution(NamedTuple):
     theta: np.ndarray
     residual: float  # max over representative levels of ||theta . Qred(n)||_inf
     found: bool = True
 
 
-@dataclass(frozen=True)
-class NoCommonSolution:
+class NoCommonSolution(NamedTuple):
     residual: float  # best residual among candidate stationary vectors
     offending_level: int
     found: bool = False
@@ -141,8 +139,7 @@ def solve_theta(model: JointModel, B: np.ndarray | None = None):
     return NoCommonSolution(residual=worst, offending_level=worst_n)
 
 
-@dataclass(frozen=True)
-class QueueMarginal:
+class QueueMarginal(NamedTuple):
     """Isolated birth-death marginal xi(n) with closed-form normalization."""
 
     summable: bool  # r < 1, decided on the exact r
@@ -246,8 +243,7 @@ def reachability(model: JointModel, blocks=None) -> tuple[str, str] | None:
     return "TransientStates", f"one closed class; state {state} is outside it"
 
 
-@dataclass(frozen=True)
-class ProductFormResult:
+class ProductFormResult(NamedTuple):
     theta: np.ndarray
     C: float
     marginal: QueueMarginal
@@ -277,8 +273,7 @@ class ProductFormResult:
         return np.arange(len(xi)), np.outer(xi, self.theta), extra
 
 
-@dataclass(frozen=True)
-class NotSeparable:
+class NotSeparable(NamedTuple):
     reason: str  # NoWorkingState | NotSummable | SeveralClosedClasses | NoCommonSolution | BalanceResidual
     detail: str = ""  # why the chain is not ergodic, where the reason says it is not
     residual: float = float("nan")

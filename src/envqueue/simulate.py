@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from operator import length_hint
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -60,8 +61,7 @@ class SimConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class ThroughputEstimate:
+class ThroughputEstimate(NamedTuple):
     mean: float
     half_width: float  # 95% confidence
     per_replication: tuple
@@ -70,8 +70,7 @@ class ThroughputEstimate:
         return abs(self.mean - value) <= self.half_width
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(NamedTuple):
     estimate: ThroughputEstimate
     total_jumps: int
     total_departures: int

@@ -793,8 +793,9 @@ COMMANDS = ("validate", "separability", "certify", "solve", "simulate", "bounds"
 
 # runs in a fresh interpreter: the modules `import envqueue.cli` loads, then those each command's `main` adds
 STARTUP_PROBE = """
-import contextlib, io, json, sys
+import contextlib, gc, io, json, sys
 import envqueue.cli
+frozen = gc.get_freeze_count()
 BS = ["--catalog", "base_stock", "--lambda", "1", "--mu", "2", "--nu", "1", "--b", "2"]
 PER = ["--catalog", "perishable_o", "--lambda", "1", "--mu", "2", "--nu", "1", "--gamma", "1", "--b", "2"]
 runs = [["validate", *BS], ["separability", *BS], ["certify", *BS], ["solve", *BS],
@@ -804,7 +805,7 @@ runs = [["validate", *BS], ["separability", *BS], ["certify", *BS], ["solve", *B
          "--gamma-steps", "3"],
         # long enough to run its replications in forked workers
         ["simulate", *BS, "--horizon", "5000", "--replications", "4"]]
-record = {"import": sorted(sys.modules), "runs": []}
+record = {"import": sorted(sys.modules), "frozen": frozen, "runs": []}
 for argv in runs:
     before = set(sys.modules)
     with contextlib.redirect_stdout(io.StringIO()):
@@ -821,6 +822,8 @@ class TestStartup:
                               env={**os.environ, "PYTHONPATH": path}, check=True)
         record = json.loads(proc.stdout)
         assert not [m for m in record.pop("import") if m.split(".")[0] == "scipy"]
+        # what the imports left is out of the collector's reach, so collections and exit do not walk it
+        assert record.pop("frozen") > 0
         assert {command for command, _, _ in record["runs"]} == set(COMMANDS)
         for command, code, loaded in record["runs"]:
             assert code in (EXIT_OK, EXIT_NEGATIVE), command

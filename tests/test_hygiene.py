@@ -1,8 +1,8 @@
 """Source hygiene checks that need no linter: every imported name is used,
 every private top-level name is referenced, every name the benchmark's
 tracer wraps exists, the model's rates are read in one place, one function forks,
-ergodicity and irreducibility are each decided in one place, and every dataclass field is
-read somewhere."""
+ergodicity and irreducibility are each decided in one place, every field of a record (a
+dataclass or a NamedTuple) is read somewhere, and every dataclass validates its fields."""
 
 import ast
 import importlib.util
@@ -203,15 +203,20 @@ def _is_dataclass(node) -> bool:
                for d in node.decorator_list)
 
 
+def _is_record(node) -> bool:
+    """A dataclass, or a class based on `NamedTuple` or `typing.NamedTuple`."""
+    return _is_dataclass(node) or any(getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple" for b in node.bases)
+
+
 def unread_fields(declared, readers) -> list:
-    """(file name, class, field) of each field of a dataclass declared in `declared` that no file
+    """(file name, class, field) of each field of a record declared in `declared` that no file
     of `readers` reads as an attribute `x.field`."""
     read = {node.attr for path in readers for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     found = []
     for path in declared:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            if isinstance(node, ast.ClassDef) and _is_record(node):
                 found += [(path.name, node.name, item.target.id) for item in node.body
                           if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
                           and item.target.id not in read]
@@ -238,10 +243,49 @@ def test_scan_finds_unread_fields(tmp_path):
         "    seed: int\n"
         "class Plain:\n"
         "    ignored: int\n"
+        "class Row(NamedTuple):\n"
+        "    seed: int\n"
+        "    dropped: int\n"
+        "class Other(typing.NamedTuple):\n"
+        "    lost: int = 0\n"
     )
     (tmp_path / "b.py").write_text("from a import Config\nc = Config(seed=1)\nc.written = 2\nprint(c.seed)\n")
     paths = [tmp_path / "a.py", tmp_path / "b.py"]
-    assert unread_fields(paths[:1], paths) == [("a.py", "Result", "written"), ("a.py", "Result", "unread")]
+    assert unread_fields(paths[:1], paths) == [("a.py", "Result", "written"), ("a.py", "Result", "unread"),
+                                               ("a.py", "Row", "dropped"), ("a.py", "Other", "lost")]
+
+
+def dataclasses_without_post_init(paths) -> list:
+    """(file name, class) of each dataclass in `paths` that defines no `__post_init__`. A record
+    that only holds values is a NamedTuple: `@dataclass` generates its methods with `exec` at
+    every import, which is most of what the records cost a fresh process."""
+    return [(path.name, node.name) for path in paths for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+            and not any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__" for item in node.body)]
+
+
+def test_every_dataclass_validates():
+    assert dataclasses_without_post_init(SOURCES) == []
+
+
+def test_scan_finds_dataclass_without_post_init(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Checked:\n"
+        "    seed: int\n"
+        "    def __post_init__(self):\n"
+        "        assert self.seed >= 0\n"
+        "@dataclass\n"
+        "class Held:\n"
+        "    seed: int\n"
+        "    def post_init(self):\n"
+        "        pass\n"
+        "class Row(NamedTuple):\n"
+        "    seed: int\n"
+    )
+    assert dataclasses_without_post_init([path]) == [("module.py", "Held")]
 
 
 # the ergodicity verdict is decided in one place: elsewhere no code reads `.summable`, asks

@@ -30,6 +30,7 @@ from envqueue.numerics import (
     solve_truncated,
 )
 from envqueue.separability import ProductFormResult, SingularSolve, product_form
+from envqueue.simulate import SimConfig, simulate
 
 from conftest import (count_forks, first_level_below, listed_by_products, period_two_model, poisson_oracle,
                       reference_blocks, separable_period_two_model, skewed_period_two_model, traced_peak,
@@ -144,6 +145,17 @@ class TestMetrics:
         lam_eff = float(sol.pi[:, working].sum() * 1.0)  # lam = 1 constant
         # small slack: the cap level loses one arrival stream
         assert m.throughput == pytest.approx(lam_eff, abs=1e-10)
+
+
+@pytest.mark.parametrize("result, field", [
+    (product_form, "C"),
+    (lambda m: metrics(solve_truncated(m, 50), m), "throughput"),
+    (lambda m: simulate(m, SimConfig(horizon=50.0, replications=2)).estimate, "mean"),
+], ids=["product_form", "metrics", "estimate"])
+def test_result_fields_cannot_be_assigned(result, field, bs_model):
+    record = result(bs_model)
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0.0)
 
 
 class TestCutIdentity:
