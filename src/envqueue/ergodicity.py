@@ -73,7 +73,8 @@ def c_hat(model: JointModel, n: int, table: AbsorptionTable | None = None) -> fl
     if blocked.size == 0 or working.size == 0:
         return float("inf")
     tau_b = table.tau[blocked]
-    jump = model.service(n + 1) * (model.R(n + 1)[np.ix_(working, blocked)] @ tau_b).max()
+    # a product of Python floats overflows to inf with no warning, where numpy scalars warn
+    jump = model.service(n + 1) * float((model.R(n + 1)[np.ix_(working, blocked)] @ tau_b).max())
     cont = (model.V(n)[np.ix_(working, blocked)] @ tau_b).max()
     return 1.0 / worst if (worst := max(jump, cont)) > 0.0 else float("inf")
 

@@ -11,12 +11,13 @@ isolated queue's tail ratio decides ergodicity, logarithmic reduction gives G an
 R = A0 (-A1 - A0 G)^{-1}, level elimination seeded with A1 + A0 G gives the
 boundary, and the tail sums come from two solves with A0 + A1 + A2, whose
 redundant equation gives way to the tail's working mass P(W) xi(n): the queue
-in working time is the isolated queue.  No metric solves with I - R.
+in working time is the isolated queue.  No metric solves with I - R.  Level
+0 is solved on the closed class that `reachability`'s graph finds.
 `auto_truncate` lists the levels 0..N that `solve` exports: a separable
-model whose chain `reachability` finds irreducible from its product form
-xi(n) theta, any other from `exact_solve`, into rows allocated once to a
-closed-form bound on N, or refused before allocating; the exact listing
-fills every row, then sums the mass above each level from the top.
+model from its product form xi(n) theta, any other from `exact_solve`, into
+rows allocated once to a closed-form bound on N, or refused before
+allocating; the exact listing fills every row, then sums the mass above each
+level from the top.
 `autonomous_environment` finds where the environment moves alike at every
 level, so that its stationary law alone gives P(W) and, with
 `isolated_throughput`, the throughput.
@@ -37,8 +38,8 @@ import numpy as np
 from .format17 import PAD, WORDS, pad_words, write_g17
 from .model import (LEVEL_WINDOW, EnvqueueError, JointModel, _balance_residual, _blocks, _boundary_levels,
                     _capped_classes, _example, _level_classes, _level_graph, _representatives, _tail_qbd)
-from .separability import (ProductFormResult, QueueMarginal, SingularSolve, _closed_classes, _one_component,
-                           gth_stationary, product_form, queue_marginal, reachability)
+from .separability import (ProductFormResult, QueueMarginal, SingularSolve, _boundary_classes, _closed_classes,
+                           _one_component, gth_stationary, product_form, queue_marginal, reachability)
 
 LISTING_LIMIT = 2**27  # values (1 GiB of float64) a listing may hold
 LOG_REDUCTION_STEPS = 100
@@ -85,9 +86,8 @@ class GeometricTail(NamedTuple):
 
 class TruncatedSolution(NamedTuple):
     """Levels 0..N of a stationary vector.  `auto_truncate` answers a
-    separable model whose joint chain `reachability` finds irreducible from
-    its product form (`tail` is the `ProductFormResult`), and any other
-    model from `exact_solve` (`tail` is the `GeometricTail`);
+    separable model from its product form (`tail` is the `ProductFormResult`),
+    and any other model from `exact_solve` (`tail` is the `GeometricTail`);
     `solve_truncated` solves the chain capped at N (no `tail`).  So only a
     separable model's listing and metrics differ from the exact solve's: by
     round-off, and in small probabilities, which keep their relative digits."""
@@ -105,13 +105,13 @@ class TruncatedSolution(NamedTuple):
         return self.tail.level_sums() if self.tail is not None else (np.arange(self.N + 1), self.pi, 0.0)
 
 
-def _solve_elimination(B, U, D) -> list:
+def _solve_elimination(B, U, D, keep=slice(None)) -> list:
     """Level-censoring sweep over levels 0..L (L = len(B) - 1): eliminate
-    levels from the top downward, solve the censored chain at level 0 by GTH,
-    then propagate upward.  Level n has local block B[n], up block U[n]
-    (n < L) and down block D[n] (n > 0); the top level may be larger than
-    the others.  Returns the unnormalized level vectors; a singular C_n
-    raises LinAlgError naming level n."""
+    levels from the top downward, solve the censored chain at level 0 by GTH
+    on its closed class `keep` (0 elsewhere), then propagate upward.  Level n
+    has local block B[n], up block U[n] (n < L) and down block D[n] (n > 0);
+    the top level may be larger than the others.  Returns the unnormalized
+    level vectors; a singular C_n raises LinAlgError naming level n."""
     L = len(B) - 1
     # C_n is the generator of the chain censored to levels <= n, restricted to
     # level n; (-C_n)^{-1} D_n is where it enters level n - 1
@@ -129,7 +129,8 @@ def _solve_elimination(B, U, D) -> list:
         np.fill_diagonal(Cn, 0.0)
         np.fill_diagonal(Cn, -(Cn.sum(axis=1) + D[n - 1].sum(axis=1)))
         C[n - 1] = Cn
-    pi0 = gth_stationary(C[0])
+    pi0 = np.zeros(len(C[0]))
+    pi0[keep] = gth_stationary(C[0][keep][:, keep])
     # forward propagation with per-level rescaling in log space, so steeply
     # growing unnormalized levels (heavy traffic at large N) cannot overflow
     ys, logw = [pi0], [0.0]
@@ -274,14 +275,14 @@ def exact_solve(model: JointModel) -> GeometricTail:
     return _exact_tail(model, *_blocks(model))
 
 
-def _ergodic_marginal(model: JointModel, blocks=None) -> QueueMarginal:
-    """The isolated queue's marginal; NotErgodic, with the text of the verdict that refuses, unless a state is
-    working, its tail ratio is below 1 and the chain has one closed class (`reachability` of `blocks`)."""
+def _ergodic_marginal(model: JointModel, blocks=None):
+    """The isolated queue's marginal and `reachability` of `blocks` (None or TransientStates); NotErgodic, with the
+    text of the verdict that refuses, unless a state is working, its tail ratio is below 1 and one class is closed."""
     if (marginal := queue_marginal(model)).verdict:
         raise NotErgodic(marginal.verdict[1])
     if (reach := reachability(model, blocks)) and reach[0] == "SeveralClosedClasses":
         raise NotErgodic(reach[1])
-    return marginal
+    return marginal, reach
 
 
 def autonomous_environment(model: JointModel, B, U, D) -> np.ndarray | None:
@@ -301,19 +302,15 @@ def autonomous_environment(model: JointModel, B, U, D) -> np.ndarray | None:
 
 
 def isolated_throughput(model: JointModel) -> float:
-    """TH_iso = sum_n xi(n) mu(n), the isolated queue's throughput, in closed
-    form: the levels below T0 = tail_start + 1 one by one, then per tail
-    position i the levels T0 + i + j p, j >= 0, which hold xi(T0 + i) / (1 - r)."""
-    marginal = _ergodic_marginal(model)
-    xi = marginal.weights / marginal.C
-    xi[model.tail_start + 1 :] /= marginal.gap
-    _, mu = _level_rates(model, np.arange(len(xi)))
+    """TH_iso = sum_n xi(n) mu(n), the isolated queue's throughput, in closed form, by rate class."""
+    levels, xi, _ = _ergodic_marginal(model)[0].level_sums()
+    _, mu = _level_rates(model, levels)
     return float((xi[1:] * mu[1:]).sum())
 
 
 def _exact_tail(model: JointModel, B, U, D) -> GeometricTail:
     """`exact_solve` from the representative levels' blocks B, U, D."""
-    marginal = _ergodic_marginal(model, (B, U, D))
+    marginal, reach = _ergodic_marginal(model, (B, U, D))
     T0, p, m = model.tail_start + 1, model.period, model.n_env
     A0, A1, A2 = _tail_qbd(model, B, U, D)
     A = A0 + A1 + A2
@@ -325,9 +322,12 @@ def _exact_tail(model: JointModel, B, U, D) -> GeometricTail:
         C = A1 + A0 @ G  # block level 0 of the chain censored to block levels <= 0
         R = np.linalg.solve(-C.T, A0.T).T
         # the boundary levels 0..T0-1, then block level 0 as one larger top level
-        boundary = _boundary_levels(model, B, U, D, C)
+        boundary, keep = _boundary_levels(model, B, U, D, C), slice(None)
+        if reach:  # TransientStates: GTH at level 0 runs on the one closed class's level-0 states, where it has any
+            comp, (closed,), _ = _boundary_classes(model, B, U, D)
+            keep = comp[:m] == closed if closed in comp[:m] else keep  # else the elimination is singular, or nearly
         U_top = boundary[1][-1]
-        levels = _solve_elimination(*boundary)
+        levels = _solve_elimination(*boundary, keep)
         head, x0 = np.array(levels[:-1]), levels[-1]
         # S = sum_j x_j and S1 = sum_j j x_j solve S A = x0 A2 - pi_{T0-1} U_top and S1 A = S (A2 - A0) - x0 A2.
         # A's redundant equation, that of the working state with the most mass in x0, gives way to the tail's
@@ -344,7 +344,6 @@ def _exact_tail(model: JointModel, B, U, D) -> GeometricTail:
         S1 = np.linalg.solve(A, rhs)
         total = head.sum() + S.sum()
     except (np.linalg.LinAlgError, SingularSolve) as exc:
-        # GTH also raises SingularSolve where the chain censored to level 0 is reducible
         at = "exact solve: " if isinstance(exc, np.linalg.LinAlgError) else ""
         raise SingularSolve(f"{at}{exc}") from exc
     if not (np.isfinite(R).all() and np.isfinite(total) and total > 0.0):
@@ -363,14 +362,12 @@ def check_tol(tol: float) -> float:
 def auto_truncate(model: JointModel, tol: float = 1e-9) -> TruncatedSolution:
     """The stationary vector listed on levels 0..N, N >= tail_start + period
     the first level whose mass above it is below tol; the metrics do not
-    depend on N.  A separable model whose joint chain `reachability` finds
-    irreducible is answered from `product_form`, any other from
-    `exact_solve`; both are read from one set of level blocks."""
+    depend on N.  A separable model is answered from `product_form`, any
+    other from `exact_solve`; both are read from one set of level blocks."""
     check_tol(tol)
     blocks = _blocks(model)
     tail = product_form(model, blocks)
-    if tail.separable and tail.irreducible:
-        # xi's mass above is the stationary mass above: c = 1
+    if tail.separable:  # xi theta is the one stationary law, and xi's mass above the stationary mass above: c = 1
         N, mass_above = _listing_level(model, tail.marginal, 1.0, tol)
         listing = np.outer(tail.marginal.xi(np.arange(N + 2)), tail.theta)
     else:

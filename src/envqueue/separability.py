@@ -54,9 +54,10 @@ def gth_stationary(Q: np.ndarray) -> np.ndarray:
     x = np.zeros(m)
     x[0] = 1.0
     for j in range(1, m):
-        x[j] = x[:j] @ A[:j, j] / exits[j]
-        if x[j] > 1e250:
-            x[: j + 1] /= x[j]
+        flow = x[:j] @ A[:j, j]
+        if flow / 1e250 > exits[j]:  # x[j] would pass 1e250, or overflow: rescale to x[j] = 1 first
+            x[:j], flow = x[:j] / flow * exits[j], exits[j]  # what falls below the float range flushes to 0
+        x[j] = flow / exits[j]
     x /= x.sum()
     if not np.isfinite(x).all():
         raise SingularSolve("stationary vector is not finite")
@@ -180,6 +181,14 @@ class QueueMarginal(NamedTuple):
         tail = sum(self.xi(last + i) for i in range(1, p + 1)) / self.gap
         return tail + prefix[np.minimum(n + 1, N0)]
 
+    def level_sums(self):
+        """xi's mass by rate class, as `GeometricTail.level_sums` has the chain's, from T0 = tail_start + 1, where
+        mu(n) turns periodic: tail row i sums xi(T0 + i + j p) = xi(T0 + i) r^j over j >= 0, r the tail ratio."""
+        xi, T0 = self.weights / self.C, len(self.weights) - self.period
+        extra = self.period * self.tail_ratio / self.gap**2 * float(xi[T0:].sum())
+        xi[T0:] /= self.gap
+        return np.arange(len(xi)), xi, extra
+
 
 def queue_marginal(model: JointModel) -> QueueMarginal:
     """Summability check and normalization of the isolated queue marginal:
@@ -213,24 +222,29 @@ def _one_component(Q: np.ndarray) -> bool:
     return not _strong_components(*np.nonzero(Q > 0), len(Q)).any()
 
 
-def reachability(model: JointModel, blocks=None) -> tuple[str, str] | None:
-    """Whether the joint chain is irreducible (None), has one closed class ("TransientStates") or several
-    ("SeveralClosedClasses"), with no truncation: the verdict every command reads, a (reason, detail) pair as
-    `QueueMarginal.verdict` is (README, "Reachability", has the argument).  `blocks` are `_blocks(model)`, built
-    here where needed unless the caller has them.  Where a state works and every Qred(n) is one strong component,
-    the chain is irreducible.  Otherwise G, the least boolean solution of G = A2 + A1 G + A0 G G, decides it with
-    the graph of levels 0..T0-1 and block level 0, which moves by A1 + A0 G."""
-    if model.working_indices().size and all(_one_component(reduced_generator(model, n))
-                                            for n in model.representative_levels()):
-        return None
-    T0, p, m = model.tail_start + 1, model.period, model.n_env
-    B, U, D = _blocks(model) if blocks is None else blocks
+def _boundary_classes(model: JointModel, B, U, D):
+    """Each state's strong component, the closed ones, and whether every phase of block level 0 reaches the level
+    below, of the graph of levels 0..T0-1 and block level 0, which moves by A1 + A0 G, G the least boolean solution
+    of G = A2 + A1 G + A0 G G: the one search for the chain's classes, which `reachability` and the exact solve read."""
     A0, A1, A2 = (a != 0.0 for a in _tail_qbd(model, B, U, D))
     G = np.zeros_like(A2)
     while not (G == (G := A2 | _reaches(A1, G) | _reaches(_reaches(A0, G), G))).all():
         pass
     comp, closed = _level_graph(*_boundary_levels(model, B, U, D, A1 | _reaches(A0, G)))
-    classes, down = np.flatnonzero(closed), G.any(axis=1).all()
+    return comp, np.flatnonzero(closed), G.any(axis=1).all()
+
+
+def reachability(model: JointModel, blocks=None) -> tuple[str, str] | None:
+    """Whether the joint chain is irreducible (None), has one closed class ("TransientStates") or several
+    ("SeveralClosedClasses"), with no truncation: the verdict every command reads, a (reason, detail) pair as
+    `QueueMarginal.verdict` is (README, "Reachability", has the argument).  `blocks` are `_blocks(model)`, built
+    here where needed unless the caller has them.  Where a state works and every Qred(n) is one strong component,
+    the chain is irreducible; otherwise `_boundary_classes` decides it."""
+    if model.working_indices().size and all(_one_component(reduced_generator(model, n))
+                                            for n in model.representative_levels()):
+        return None
+    T0, p, m = model.tail_start + 1, model.period, model.n_env
+    comp, classes, down = _boundary_classes(model, *(_blocks(model) if blocks is None else blocks))
     if not down:  # the closed classes of blocked states alone
         classes = classes[np.bincount(comp, np.tile(model.env.working_mask(), T0 + p))[classes] == 0]
     if not down or len(classes) > 1:
@@ -249,7 +263,6 @@ class ProductFormResult(NamedTuple):
     marginal: QueueMarginal
     theta_residual: float
     balance_residual: float
-    irreducible: bool  # as `reachability` decides
     separable: bool = True
 
     def xi(self, n: int) -> float:
@@ -262,15 +275,9 @@ class ProductFormResult(NamedTuple):
         return self.xi(n) * self.theta
 
     def level_sums(self):
-        """As `GeometricTail.level_sums`, the tail starting at T0 = tail_start + 1,
-        where mu(n) turns periodic: tail row i sums xi(T0 + i + j p) theta =
-        xi(T0 + i) r^j theta over j >= 0, for the tail ratio r."""
-        r, gap, p = self.marginal.tail_ratio, self.marginal.gap, self.marginal.period
-        xi = self.marginal.weights / self.C
-        T0 = len(xi) - p
-        extra = p * r / gap**2 * float(xi[T0:].sum())
-        xi[T0:] /= gap
-        return np.arange(len(xi)), np.outer(xi, self.theta), extra
+        """As `GeometricTail.level_sums`: xi's, each row times theta."""
+        levels, xi, extra = self.marginal.level_sums()
+        return levels, np.outer(xi, self.theta), extra
 
 
 class NotSeparable(NamedTuple):
@@ -315,7 +322,6 @@ def product_form(model: JointModel, blocks=None):
         marginal=marginal,
         theta_residual=theta_res.residual,
         balance_residual=worst,
-        irreducible=reach is None,
     )
 
 

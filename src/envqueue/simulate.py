@@ -238,7 +238,8 @@ def simulate(model: JointModel, config: SimConfig) -> SimulationResult:
     rates = tuple(rate for rate, _, _ in runs)
     mean = float(np.mean(rates))
     if config.replications > 1:
-        sem = float(np.std(rates, ddof=1)) / math.sqrt(config.replications)
+        with np.errstate(over="ignore"):  # rates past 1e154 square past the float range: the half-width is inf
+            sem = float(np.std(rates, ddof=1)) / math.sqrt(config.replications)
         half = _t_quantile(config.replications - 1, 0.975) * sem
     else:
         half = float("inf")

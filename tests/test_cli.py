@@ -179,6 +179,18 @@ def island_model(tmp_path):
     return write_model(tmp_path / "island.json", [0, 1], [0], [[-1.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
 
 
+def frozen_tail_model(tmp_path):
+    """Two working states that switch on levels 0 and 1 and never above: irreducible, with two closed classes of
+    tail phases."""
+    path = tmp_path / "frozen_tail.json"
+    identity = [[1.0, 0.0], [0.0, 1.0]]
+    path.write_text(json.dumps({
+        "rates": {"lambda_tail": [1.0], "mu_tail": [2.0]},
+        "environment": {"labels": [0, 1], "blocked": [], "V_prefix": [[[-1, 1], [1, -1]], [[-1, 1], [3, -3]]],
+                        "R_prefix": [identity, identity], "V_tail": [[[0, 0], [0, 0]]], "R_tail": [identity]}}))
+    return str(path)
+
+
 def all_blocked_model(tmp_path):
     """Two blocked environment states that switch: no state is working, so the queue never moves."""
     return write_model(tmp_path / "all_blocked.json", [0, 1], [0, 1], [[-1.0, 1.0], [1.0, -1.0]],
@@ -285,10 +297,12 @@ class TestErrorContract:
         assert (tmp_path / "manifest.txt").exists()
 
     def test_singular_solve(self, tmp_path, capsys):
-        # one closed class, which misses state (0, 0): GTH finds the chain censored to level 0 reducible
-        path = island_model(tmp_path)
+        # one closed class, the whole chain, whose tail phases fall into two: the exact solve refuses it, the
+        # chain capped at N has one stationary law
+        path = frozen_tail_model(tmp_path)
         assert main(["solve", "--model", path, "--out", str(tmp_path)]) == EXIT_ERROR
-        assert capsys.readouterr().err == "error: SingularSolve: no exit below state 1: chain not irreducible\n"
+        assert capsys.readouterr().err == "error: SingularSolve: the tail's phases fall into 2 closed classes\n"
+        assert main(["solve", "--model", path, "--N", "400", "--out", str(tmp_path)]) == EXIT_OK
 
     def test_not_irreducible_truncation(self, tmp_path, capsys):
         code = main(["solve", "--model", absorbing_model(tmp_path), "--N", "10", "--out", str(tmp_path)])
@@ -474,13 +488,16 @@ class TestOneVerdict:
         assert capsys.readouterr() == (f"not ergodic: {why}\n", "")
 
     def test_transient_states(self, tmp_path, capsys):
-        # one closed class: validate and certify refuse a chain that is not irreducible; its product form is unique
+        # one closed class: validate and certify refuse a chain that is not irreducible; its product form is unique,
+        # and solve lists it
         path, why = island_model(tmp_path), "one closed class; state (0, 0) is outside it"
         assert run(tmp_path, "validate", "--model", path) == EXIT_NEGATIVE
         assert capsys.readouterr() == (f"validate: FAIL (1 warnings)\n  TransientStates: {why}\n", "")
         assert run(tmp_path, "certify", "--model", path) == EXIT_NEGATIVE
         assert capsys.readouterr() == (f"not certified: TransientStates {why}\n", "")
         assert run(tmp_path, "separability", "--model", path) == EXIT_OK
+        assert run(tmp_path, "solve", "--model", path) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1].startswith("solved at N=29: throughput=1, P(blocked)=0,")
 
     @pytest.mark.parametrize("lam", ["2", "1"])
     @pytest.mark.parametrize("command, extra", [("bounds", ("--gamma", "1")), ("sweep", ("--gamma-steps", "2"))])
@@ -488,6 +505,31 @@ class TestOneVerdict:
         # the target is solved before the companions, whose product forms would not exist
         assert run(tmp_path, command, "--lambda", lam, "--mu", "1", "--nu", "1", "--b", "2", *extra) == EXIT_NEGATIVE
         assert capsys.readouterr() == (f"not ergodic: queue tail ratio {float(lam)} is not below 1\n", "")
+
+
+def huge_model(tmp_path):
+    """Working 0 jumps to blocked 1 at each arrival, at rate 1e199, and 1 returns at rate 1e-200: theta(0) ~ 1e-399."""
+    return write_model(tmp_path / "huge.json", [0, 1], [1], [[0.0, 0.0], [1e-200, -1e-200]], [[0.0, 1.0], [0.0, 1.0]],
+                       lam=1e199, mu=1e200)
+
+
+def test_theta_past_the_float_range(tmp_path, capsys):
+    # GTH's step x(1) = 1e199 / 1e-200 would overflow: theta(0) flushes to 0, as the float range holds it
+    path = huge_model(tmp_path)
+    assert run(tmp_path, "separability", "--model", path) == EXIT_OK
+    assert capsys.readouterr().out.endswith("  theta(0) = 0\n  theta(1) = 1\n")
+    assert run(tmp_path, "solve", "--model", path) == EXIT_OK
+    assert capsys.readouterr().out.startswith("solved at N=9: throughput=0, P(blocked)=1,")
+
+
+def test_overflow_warns_nothing(tmp_path, capsys):
+    # mu tau = 1e400, and throughputs of ~1e197, whose squares overflow: the answers stand, with no warning
+    path = huge_model(tmp_path)
+    assert run(tmp_path, "certify", "--model", path) == EXIT_NEGATIVE
+    assert capsys.readouterr() == ("not certified: CHatInfimumZero \n", "")
+    assert run(tmp_path, "simulate", "--model", path, "--horizon", "1e-198", "--replications", "3") == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.endswith(" +/- inf (95%)\n") and err == ""
 
 
 def near_critical(lam):

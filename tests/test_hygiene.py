@@ -343,16 +343,18 @@ def test_scan_finds_verdict_decided_elsewhere(tmp_path):
 
 # whether the joint chain is irreducible is decided in one place, `reachability`: elsewhere a
 # strong-component search runs only on a graph that is not the infinite joint chain, one per reader
-COMPONENT_SEARCHES = {"_strong_components", "_level_graph", "_one_component", "_closed_classes"}
+COMPONENT_SEARCHES = {"_strong_components", "_level_graph", "_one_component", "_closed_classes", "_boundary_classes"}
 COMPONENT_READERS = {
     ("model.py", "_level_graph", "_strong_components"),  # the shared search of a finite level graph
     ("separability.py", "_one_component", "_strong_components"),  # one generator matrix
     ("separability.py", "_closed_classes", "_level_graph"),  # one generator matrix
     ("separability.py", "solve_theta", "_closed_classes"),  # Qred(0), and the sum of the Qred(n)
+    ("separability.py", "_boundary_classes", "_level_graph"),  # the censored boundary, the one slow-path search
     ("separability.py", "reachability", "_one_component"),  # the decision: the fast path
-    ("separability.py", "reachability", "_level_graph"),  # the decision: the censored boundary
+    ("separability.py", "reachability", "_boundary_classes"),  # the decision: the slow path
     ("numerics.py", "autonomous_environment", "_one_component"),  # the environment on its own
     ("numerics.py", "_exact_tail", "_closed_classes"),  # the tail's phases, A0 + A1 + A2
+    ("numerics.py", "_exact_tail", "_boundary_classes"),  # the closed class whose level-0 states GTH solves
     ("numerics.py", "_components_below_cap", "_level_graph"),  # the chain capped at N, named in an error
 }
 

@@ -291,20 +291,48 @@ class TestAutoTruncate:
     # two working states that never switch: xi theta is one stationary law of several, and answers nothing
     ((), [[0.0, 0.0], [0.0, 0.0]], ("SeveralClosedClasses", "2 closed classes; one holds [(0, 0), (1, 0)]"),
      NotErgodic),
-    # blocked 0 moves to working 1, which is never left: xi theta is the one law, but the chain is not
-    # irreducible, so the exact path answers, and its GTH finds the chain censored to level 0 reducible
-    ((0,), [[-1.0, 1.0], [0.0, 0.0]], None, SingularSolve),
+    # blocked 0 moves to working 1, which is never left: the chain has one closed class, so xi theta is its one
+    # law, which the listing reads; the exact solve, which GTH's elimination order refused, solves level 0 on the
+    # closed class that the reachability graph finds, and agrees
+    ((0,), [[-1.0, 1.0], [0.0, 0.0]], None, None),
 ], ids=["all_blocked", "split", "island"])
 def test_reducible_separable_model_takes_the_exact_path(blocked, V, reason, error):
     env = EnvironmentSpec.constant(labels=(0, 1), blocked=blocked, V=np.array(V), R=np.eye(2))
     model = JointModel(rates=RateFamily.constant(1.0, 2.0), env=env)
     pf = product_form(model)
     if reason is None:
-        assert pf.separable and not pf.irreducible
-    else:
-        assert (pf.reason, pf.detail) == reason
+        sol, exact = auto_truncate(model), exact_solve(model)
+        assert pf.separable and type(sol.tail) is ProductFormResult
+        assert (pf.theta == [0.0, 1.0]).all() and not sol.pi[:, 0].any() and not exact.head[:, 0].any()
+        assert metrics(sol, model) == pytest.approx((1.0, 1.0, 0.0, 0.0), abs=1e-15)
+        assert metrics(exact, model) == pytest.approx(metrics(sol, model), rel=1e-14, abs=1e-15)
+        return
+    assert (pf.reason, pf.detail) == reason
     with pytest.raises(error):
         auto_truncate(model)
+
+
+def test_closed_class_above_level_0():
+    # blocked 1 and 2 switch at level 1 and never leave it, and working 0 enters 1 at its arrivals from level 0: the
+    # one closed class misses level 0, whose mass is 0, so GTH at level 0 runs on the whole level; the elimination
+    # above is singular, or nearly so, and the exact solve either refuses or answers the law on that class
+    V0 = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, -1.0]])
+    V_tail = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
+    jump = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    for a, b in np.random.default_rng(1).uniform(0.05, 5.0, (60, 2)):
+        V1 = np.array([[-1.0, 1.0, 0.0], [0.0, -a, a], [0.0, b, -b]])
+        env = EnvironmentSpec(labels=(0, 1, 2), blocked=frozenset((1, 2)), V_prefix=(V0, V1), R_prefix=(jump, jump),
+                              V_tail=(V_tail,), R_tail=(np.eye(3),))
+        model = JointModel(rates=RateFamily.constant(1.0, 2.0), env=env)
+        assert separability.reachability(model)[0] == "TransientStates"
+        try:
+            head = exact_solve(model).head
+        except SingularSolve as exc:
+            assert str(exc).startswith("exact solve: Singular matrix")
+            continue
+        law = np.zeros_like(head)
+        law[1, 1:] = b / (a + b), a / (a + b)
+        assert np.abs(head - law).max() < 1e-12
 
 
 def test_one_marginal_per_exact_solve(monkeypatch):

@@ -12,8 +12,8 @@ from envqueue.model import (EnvironmentSpec, EnvqueueError, GeneratorRow, JointM
                             _level_moves, _representatives, generator_row)
 from envqueue.numerics import (GeometricTail, NotErgodic, _blocked_excess, _list_levels, _tail_qbd, auto_truncate,
                                autonomous_environment, exact_solve, isolated_throughput, metrics)
-from envqueue.separability import (SingularSolve, gth_stationary, product_form, queue_marginal, reachability,
-                                   reduced_generator)
+from envqueue.separability import (ProductFormResult, SingularSolve, _boundary_classes, gth_stationary, product_form,
+                                   queue_marginal, reachability, reduced_generator)
 from envqueue.catalog import catalog
 from envqueue.simulate import SimConfig, ZeroExitRate, _TransitionTable, simulate
 
@@ -173,17 +173,22 @@ def test_level_moves_are_the_nonzeros_of_dense_rows(model, above):
         assert not moves.rate[level, k, count:].any() and (moves.shift[level, k, count:] == k).all()
 
 
+def dense_classes(Q):
+    """scipy's strong component of each state of the dense generator Q, and the closed components, sorted."""
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    _, comp = csgraph.connected_components(Q != 0.0, connection="strong")
+    leaving = (Q != 0.0) & (comp[:, None] != comp[None, :])
+    return comp, sorted(set(comp.tolist()) - set(comp[np.nonzero(leaving)[0]].tolist()))
+
+
 @given(joint_models(max_env=4, max_prefix=3, max_period=3, split=True, sparse=True))
 @settings(max_examples=200, deadline=None)
 def test_reachability_matches_a_deep_truncation(model):
     # the verdict, decided with no truncation, against scipy's strong components of the dense generator of the
     # chain capped 40 levels past the tail, whose closed classes are those of the infinite chain
-    csgraph = pytest.importorskip("scipy.sparse.csgraph")
     T0, p, m = model.tail_start + 1, model.period, model.n_env
     N = T0 + p + 40
-    Q = truncated_generator(model, N) != 0.0
-    _, comp = csgraph.connected_components(Q, connection="strong")
-    closed = sorted({int(c) for c in comp} - set(comp[np.nonzero(Q & (comp[:, None] != comp[None, :]))[0]].tolist()))
+    comp, closed = dense_classes(truncated_generator(model, N))
     reach = reachability(model)
     if reach is None:
         # irreducible: one closed class, which holds every state 20 levels or more below the cap (a state just
@@ -203,6 +208,44 @@ def test_reachability_matches_a_deep_truncation(model):
     held = {int(comp[n * m + k]) for n, k in ast.literal_eval(example)}
     assert len(held) == 1 and held <= set(closed)
     assert len(closed) >= 40 // p if count == "infinitely many" else len(closed) == int(count)
+
+
+@given(joint_models(max_env=4, max_prefix=3, max_period=3, split=True, sparse=True))
+@settings(max_examples=200, deadline=None)
+def test_transient_states_listing_matches_a_deep_truncation(model):
+    # a chain with one closed class and transient states has one stationary law: the listing, from the product form
+    # where the model is separable, else from the exact solve, against that of the chain capped 40 levels above N,
+    # solved densely on its one closed class
+    if (reachability(model) or ("",))[0] != "TransientStates":
+        return
+    try:
+        sol = auto_truncate(model)
+    except NotErgodic:  # no working state, or a tail ratio not below 1
+        return
+    except ValueError as exc:
+        assert too_heavy(exc, model), exc
+        return
+    except SingularSolve as exc:
+        # the tail's phases in several closed classes (ROADMAP item 24(a)), or a closed class that misses level 0,
+        # above which the elimination is singular
+        comp, (closed,), _ = _boundary_classes(model, *_blocks(model))
+        assert str(exc).startswith("the tail's phases fall into") or (
+            str(exc).startswith("exact solve: Singular matrix") and closed not in comp[: model.n_env]), exc
+        return
+    assert (type(sol.tail) is ProductFormResult) == product_form(model).separable
+    if sol.N > 150:
+        return  # too long a listing for a dense solve
+    N, m = sol.N + 40, model.n_env
+    Q = truncated_generator(model, N)
+    comp, closed = dense_classes(Q)
+    assert len(closed) == 1
+    states = np.flatnonzero(comp == closed[0])
+    A = Q[np.ix_(states, states)].T
+    A[0] = 1.0  # the normalisation in place of one redundant balance equation
+    pi = np.zeros(len(Q))
+    pi[states] = np.linalg.solve(A, np.eye(len(states))[0])
+    listed = sol.pi * (1.0 - sol.truncation_estimate)
+    assert np.abs(listed - pi.reshape(N + 1, m)[: sol.N + 1]).max() < 1e-10
 
 
 @given(joint_models(split=True), st.integers(0, 4))
@@ -442,7 +485,7 @@ def too_heavy(exc, model) -> bool:
     if not str(exc).startswith("the listing to tol"):
         return False
     pf = product_form(model)
-    return " needs N ~ " in str(exc) or (pf.separable and pf.irreducible)
+    return " needs N ~ " in str(exc) or pf.separable
 
 
 @given(joint_models(max_env=4, max_prefix=3, max_period=3))

@@ -83,6 +83,10 @@ class TestGTH:
         assert pi[-1] == pytest.approx(0.99, rel=1e-12)
         assert pi[-100:-1] / pi[-99:] == pytest.approx(np.full(99, 0.01), rel=1e-12)
 
+    def test_one_step_past_the_float_range(self):
+        # x(1) = 1e199 / 1e-200 overflows: the partial vector is rescaled first, and x(0) falls below the float range
+        assert gth_stationary(np.array([[-1e199, 1e199], [1e-200, -1e-200]])).tolist() == [0.0, 1.0]
+
     def test_non_finite_raises(self):
         with pytest.raises(separability.SingularSolve, match="not finite"):
             gth_stationary(np.array([[-1.0, 1.0], [np.nan, np.nan]]))
@@ -243,6 +247,22 @@ class TestQueueMarginal:
         assert above.tolist() == [marg.mass_above(n) for n in levels]
         with pytest.raises(IndexError, match="position -1 is negative"):
             marg.weight(np.array([3, -1]))
+
+    @pytest.mark.parametrize("model", [
+        base_stock(lam=0.9, mu=1.0, nu=3.0, b=5),
+        onoff_b(lam=0.1, gamma=1.0, eta=1.0),  # an eight-level prefix
+        separable_period_two_model(0.9),  # a two-level prefix and period two
+    ], ids=["base_stock", "onoff_b", "period_two"])
+    def test_level_sums_sum_xi_by_rate_class(self, model):
+        # one row per level below T0, then per tail position i the levels T0 + i + j p; the product form reads them
+        marg = queue_marginal(model)
+        levels, mass, extra = marg.level_sums()
+        xi, T0, p = marg.xi(np.arange(2000)), model.tail_start + 1, model.period
+        assert levels.tolist() == list(range(T0 + p)) and mass[:T0].tolist() == xi[:T0].tolist()
+        assert mass[T0:] == pytest.approx([math.fsum(xi[T0 + i :: p]) for i in range(p)], rel=1e-13)
+        assert (levels * mass).sum() + extra == pytest.approx(math.fsum(np.arange(2000) * xi), rel=1e-13)
+        if (pf := product_form(model)).separable:
+            assert np.array_equal(pf.level_sums()[1], np.outer(mass, pf.theta)) and pf.level_sums()[2] == extra
 
 
 class TestProductForm:
